@@ -513,68 +513,6 @@ void BM_ReportDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_ReportDecode);
 
-// --- SIMD kernel series ------------------------------------------------
-//
-// Arg (or the last Arg) is the REQUESTED common::SimdLevel (0 scalar,
-// 1 neon, 2 avx2). Unsupported requests clamp exactly like ND_SIMD=...,
-// so every series exists with a stable name on every host; the
-// `simd_level` counter records what actually ran, so a cross-host diff
-// can tell a genuine regression from a clamped kernel.
-
-void BM_TagProbeSimd(benchmark::State& state) {
-  const common::ScopedSimdLevel forced(
-      static_cast<common::SimdLevel>(state.range(0)));
-  // The dispatch latches at construction, so the table must be built
-  // under the force.
-  flowmem::FlowMemory memory(8192, 1);
-  std::vector<packet::FlowKey> lookups;
-  lookups.reserve(kStreamPackets);
-  common::Rng rng(11);
-  for (std::uint32_t i = 0; i < 8192; ++i) {
-    (void)memory.insert(packet::FlowKey::destination_ip(i), 0);
-  }
-  // 50/50 hit/miss stream: hits exercise the chain walk + key compare,
-  // misses (the common shielded/filtered case) the empty-lane scan.
-  for (std::size_t i = 0; i < kStreamPackets; ++i) {
-    const bool hit = (rng.uniform(2) == 0);
-    const auto id = static_cast<std::uint32_t>(
-        hit ? rng.uniform(8192) : (1u << 20) + rng.uniform(1u << 20));
-    lookups.push_back(packet::FlowKey::destination_ip(id));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(memory.find(lookups[i]));
-    i = (i + 1) & (kStreamPackets - 1);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["simd_level"] = static_cast<double>(forced.applied());
-}
-BENCHMARK(BM_TagProbeSimd)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_StageHashGather(benchmark::State& state) {
-  const common::ScopedSimdLevel forced(
-      static_cast<common::SimdLevel>(state.range(1)));
-  const auto depth = static_cast<std::uint32_t>(state.range(0));
-  hash::HashFamily family(1234);
-  std::vector<hash::StageHash> stages;
-  for (std::uint32_t d = 0; d < depth; ++d) {
-    stages.push_back(family.make_stage(4096));
-  }
-  const hash::StageHashBank bank(std::move(stages));
-  std::uint64_t out[hash::StageHashBank::kMaxInterleavedDepth];
-  std::uint64_t fp = 0;
-  for (auto _ : state) {
-    bank.bucket_all(hash::splitmix64(fp++), out);
-    benchmark::DoNotOptimize(out[0]);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["simd_level"] = static_cast<double>(forced.applied());
-}
-BENCHMARK(BM_StageHashGather)
-    ->Args({4, 0})->Args({4, 1})->Args({4, 2})
-    ->Args({6, 0})->Args({6, 2})
-    ->Args({8, 0})->Args({8, 1})->Args({8, 2});
-
 /// Collector-side frame parsing: a hello plus a burst of CRC-framed
 /// interval reports fed through FrameStreamParser in fixed-size chunks
 /// (the collector's read granularity). items/sec is report frames
@@ -632,7 +570,10 @@ BENCHMARK(BM_FrameStream)->Arg(512)->Arg(64 * 1024);
 /// The CRC-32 kernel itself, per (buffer size, forced dispatch level):
 /// bytes/sec is the ceiling every CRC consumer (framing, WAL, journal,
 /// checkpoint) inherits. Sizes bracket the real payloads: a control
-/// frame, an MTU, an interval report burst.
+/// frame, an MTU, an interval report burst. The level is the REQUESTED
+/// common::SimdLevel (0 scalar, 2 avx2); a request the host cannot run
+/// clamps exactly like ND_SIMD=..., and the `simd_level` counter
+/// records what actually ran.
 void BM_Crc32(benchmark::State& state) {
   const common::ScopedSimdLevel forced(
       static_cast<common::SimdLevel>(state.range(1)));

@@ -21,9 +21,9 @@ SimdLevel compiled_and_supported() {
 }
 
 /// ND_SIMD=scalar|swar|neon|avx2 ("swar" is accepted as an alias for
-/// scalar — the SWAR word probe IS the scalar fallback). Unknown values
-/// are ignored rather than fatal: a typo should not change behaviour
-/// silently to a *different* kernel, and the scalar clamp would.
+/// scalar). Unknown values are ignored rather than fatal: a typo should
+/// not change behaviour silently to a *different* kernel, and the
+/// scalar clamp would.
 SimdLevel env_clamp() {
   const char* value = std::getenv("ND_SIMD");
   if (value == nullptr || *value == '\0') return SimdLevel::kAvx2;  // no clamp

@@ -22,8 +22,8 @@
 //     wire stay identical. Selected at SimdLevel::kNeon on aarch64.
 //
 // The tier is re-read from active_simd() on every call, so
-// ScopedSimdLevel/ND_SIMD steer it dynamically — the same override
-// contract every other kernel family obeys. Results are bit-identical
+// ScopedSimdLevel/ND_SIMD steer it dynamically; CRC is the only code
+// those knobs reach. Results are bit-identical
 // across tiers by construction and proven by the exhaustive
 // differential suite (every length 0–512 × alignment 0–63 × chunked
 // vs one-shot × forced level).

@@ -1,7 +1,7 @@
 // PCLMULQDQ folding tier of common::crc32 — its own TU so the rest of
 // nd_common compiles without any -m flags; the kernel itself is a
 // target("pclmul,sse4.1") function that only runs behind the runtime
-// CPUID probe below (same pattern as the *_avx2.cpp kernels).
+// CPUID probe below.
 //
 // Implements the folding scheme from Intel's "Fast CRC Computation for
 // Generic Polynomials Using PCLMULQDQ Instruction" white paper for the

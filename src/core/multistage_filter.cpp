@@ -34,13 +34,10 @@ MultistageFilter::MultistageFilter(const MultistageFilterConfig& config)
     stages.push_back(family.make_stage(config_.buckets_per_stage));
   }
   hashes_ = hash::StageHashBank(std::move(stages));
-  stages_.reset(static_cast<std::size_t>(config_.depth) *
-                config_.buckets_per_stage);
+  stages_.assign(static_cast<std::size_t>(config_.depth) *
+                     config_.buckets_per_stage,
+                 0);
   bucket_ring_.assign(kPrefetchDistance * config_.depth, 0);
-#if defined(ND_HAVE_AVX2)
-  gather_min_ = config_.depth >= 4 &&
-                common::active_simd() == common::SimdLevel::kAvx2;
-#endif
   set_threshold(config_.threshold);
 }
 
@@ -190,18 +187,8 @@ void MultistageFilter::observe_parallel(const packet::FlowKey& key,
     return;
   }
   common::ByteCount min_counter = ~common::ByteCount{0};
-#if defined(ND_HAVE_AVX2)
-  if (gather_min_) {
-    // Batched conservative-update min: one gather + in-register min
-    // tree over the d counters instead of d dependent scalar loads.
-    min_counter = hash::simd::gather_min_u64_avx2(
-        stages_.data(), buckets, config_.buckets_per_stage, config_.depth);
-  } else
-#endif
-  {
-    for (std::uint32_t d = 0; d < config_.depth; ++d) {
-      min_counter = std::min(min_counter, stage_at(d, buckets[d]));
-    }
+  for (std::uint32_t d = 0; d < config_.depth; ++d) {
+    min_counter = std::min(min_counter, stage_at(d, buckets[d]));
   }
   counter_accesses_ += config_.depth;
 

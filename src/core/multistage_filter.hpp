@@ -26,8 +26,6 @@
 
 #include <vector>
 
-#include "common/cpu_features.hpp"
-#include "common/hugepage.hpp"
 #include "common/rng.hpp"
 #include "core/device.hpp"
 #include "core/device_telemetry.hpp"
@@ -162,20 +160,14 @@ class MultistageFilter final : public MeasurementDevice {
   hash::StageHashBank hashes_;
   /// All depth stages in one contiguous row-major block (row stride =
   /// buckets_per_stage): a counter access is a single indexed load,
-  /// not a chase through a per-stage vector header. Slab-backed so
-  /// --hugepages covers the counter rows too.
-  common::Slab<common::ByteCount> stages_;
+  /// not a chase through a per-stage vector header.
+  std::vector<common::ByteCount> stages_;
   /// Scratch bucket indices, sized depth (avoids per-packet allocation).
   std::vector<std::uint64_t> bucket_scratch_;
   /// Batched-path bucket ring: kPrefetchDistance rows of depth indices,
   /// filled when a packet's stage hashes are computed ahead of its turn.
   std::vector<std::uint64_t> bucket_ring_;
   common::ByteCount serial_stage_threshold_{0};
-  /// True when the conservative-update min loop dispatches to the AVX2
-  /// gather kernel (depth >= 4 and active_simd() was kAvx2 at
-  /// construction); the kernel reads the same counters and returns the
-  /// same minimum, so filter decisions are unchanged.
-  bool gather_min_{false};
   common::IntervalIndex interval_{0};
   std::uint64_t packets_{0};
   std::uint64_t counter_accesses_{0};

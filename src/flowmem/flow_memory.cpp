@@ -21,11 +21,10 @@ std::size_t slot_count_for(std::size_t capacity) {
 
 FlowMemory::FlowMemory(std::size_t capacity, std::uint64_t seed)
     : slots_(slot_count_for(capacity)),
-      tags_(slot_count_for(capacity) + kTagMirrorPad),
+      tags_(slot_count_for(capacity) + kTagGroupWidth),
       slot_mask_(slot_count_for(capacity) - 1),
       capacity_(capacity),
-      family_(seed),
-      simd_(common::active_simd()) {}
+      family_(seed) {}
 
 std::size_t FlowMemory::slot_of(const packet::FlowKey& key) const {
   return static_cast<std::size_t>(family_.scramble(key.fingerprint())) &
@@ -35,15 +34,6 @@ std::size_t FlowMemory::slot_of(const packet::FlowKey& key) const {
 std::size_t FlowMemory::probe_empty(std::size_t slot) const {
   const std::size_t mask = slot_mask_;
   const std::uint8_t* tags = tags_.data();
-#if defined(ND_HAVE_AVX2)
-  if (simd_ == common::SimdLevel::kAvx2) {
-    return simd::probe_empty_avx2(tags, mask, slot);
-  }
-#elif defined(ND_HAVE_NEON)
-  if (simd_ == common::SimdLevel::kNeon) {
-    return simd::probe_empty_neon(tags, mask, slot);
-  }
-#endif
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
   for (;;) {
     const std::uint64_t empty = zero_lanes(load_group(tags, slot));

@@ -29,13 +29,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
-#include "common/cpu_features.hpp"
-#include "common/hugepage.hpp"
 #include "common/state_buffer.hpp"
 #include "common/types.hpp"
 #include "flowmem/tag_probe.hpp"
-#include "flowmem/tag_probe_simd.hpp"
 #include "hash/hash.hpp"
 #include "packet/flow_key.hpp"
 
@@ -111,21 +109,6 @@ class FlowMemory {
     } else if (home_tag == 0) {
       return nullptr;
     }
-    // Kernel dispatch, decided once at construction (simd_). Each
-    // family scans the same chain in the same order and differs only
-    // in how many lanes one load covers — see tag_probe_simd.hpp for
-    // the bit-identity contract the simd test suite pins down.
-#if defined(ND_HAVE_AVX2)
-    if (simd_ == common::SimdLevel::kAvx2) {
-      return simd::find_chain_avx2(slots_.data(), tags, mask, slot, tag,
-                                   key);
-    }
-#elif defined(ND_HAVE_NEON)
-    if (simd_ == common::SimdLevel::kNeon) {
-      return simd::find_chain_neon(slots_.data(), tags, mask, slot, tag,
-                                   key);
-    }
-#endif
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
     // Word-at-a-time scan: byte lane p of a little-endian load is slot
     // slot+p, so lane masks order candidates exactly like the scalar
@@ -263,10 +246,10 @@ class FlowMemory {
  private:
   [[nodiscard]] std::size_t slot_of(const packet::FlowKey& key) const;
   /// Write a tag, mirroring the head of the array past the end so a
-  /// group load of any compiled width starting at any slot index reads
-  /// the wrapped chain contiguously. The pad is kTagMirrorPad bytes;
-  /// for tables smaller than the pad the head mirrors around more than
-  /// once, hence the loop (one iteration for any real-sized table).
+  /// group load starting at any slot index reads the wrapped chain
+  /// contiguously. The pad is kTagGroupWidth bytes; for tables smaller
+  /// than the pad the head mirrors around more than once, hence the
+  /// loop (one iteration for any real-sized table).
   void set_tag(std::size_t slot, std::uint8_t tag) {
     const std::size_t slots = slots_.size();
     for (std::size_t at = slot; at < tags_.size(); at += slots) {
@@ -279,24 +262,17 @@ class FlowMemory {
   /// Zero every tag (including the mirror).
   void clear_tags();
 
-  /// Payload and tag arrays live in Slabs so `ndtm measure --hugepages`
-  /// (or ND_HUGEPAGES=1) backs them with 2 MB pages at
-  /// millions-of-flows scale; under the default mode a Slab is plain
-  /// aligned heap memory.
-  common::Slab<FlowEntry> slots_;
-  /// Parallel occupancy/fingerprint tags, slots_.size() + kTagMirrorPad
+  /// Payload slots; FlowEntry's alignas(64) keeps each on its own line.
+  std::vector<FlowEntry> slots_;
+  /// Parallel occupancy/fingerprint tags, slots_.size() + kTagGroupWidth
   /// bytes (mirrored head; see set_tag).
-  common::Slab<std::uint8_t> tags_;
+  std::vector<std::uint8_t> tags_;
   std::size_t slot_mask_;
   std::size_t capacity_;
   std::size_t used_{0};
   std::size_t high_water_{0};
   std::uint64_t accesses_{0};
   hash::HashFamily family_;
-  /// Kernel family this instance dispatches to, latched at
-  /// construction from common::active_simd() so a forced level applies
-  /// deterministically to devices built after the force.
-  common::SimdLevel simd_;
 };
 
 }  // namespace nd::flowmem

@@ -38,21 +38,11 @@ StageHash::StageHash(HashKind kind, common::Rng& seed_source,
       buckets_(buckets) {}
 
 StageHashBank::StageHashBank(std::vector<StageHash> stages)
-    : stages_(std::move(stages)), simd_(common::active_simd()) {
+    : stages_(std::move(stages)) {
   const std::size_t d = stages_.size();
-  // Below kMinAvx2BankDepth the out-of-line AVX2 kernel loses to the
-  // inlined scalar unroll; demote to the scalar dispatch (identical
-  // bucket values either way — this is purely a speed decision).
-  if (simd_ == common::SimdLevel::kAvx2 && d < kMinAvx2BankDepth) {
-    simd_ = common::SimdLevel::kScalar;
-  }
   if (d == 0 || d > kMaxInterleavedDepth) return;
   for (const StageHash& stage : stages_) {
     if (stage.tabulation() == nullptr) return;
-  }
-  bucket_counts_.reserve(d);
-  for (const StageHash& stage : stages_) {
-    bucket_counts_.push_back(stage.buckets());
   }
   interleaved_.resize(8 * 256 * d);
   for (std::size_t s = 0; s < d; ++s) {

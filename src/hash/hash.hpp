@@ -25,10 +25,8 @@
 #include <span>
 #include <vector>
 
-#include "common/cpu_features.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
-#include "hash/stage_hash_simd.hpp"
 
 namespace nd::hash {
 
@@ -167,15 +165,6 @@ class StageHashBank {
   /// per (byte-lane, byte-value) cell.
   static constexpr std::size_t kMaxInterleavedDepth = 8;
 
-  /// Shallowest bank the AVX2 row-XOR kernel pays for. The kernel is an
-  /// out-of-line [[gnu::target]] call (it cannot inline into the batched
-  /// loop), and below this depth the fully unrolled scalar kernel —
-  /// which does inline and overlaps across packets — is measurably
-  /// faster; at and above it the 256-bit loads win by 1.5-2x
-  /// (BM_StageHashGather). NEON has no such floor: its kernels are
-  /// header-inline.
-  static constexpr std::size_t kMinAvx2BankDepth = 5;
-
   StageHashBank() = default;
   explicit StageHashBank(std::vector<StageHash> stages);
 
@@ -194,27 +183,6 @@ class StageHashBank {
       }
       return;
     }
-    // Kernel dispatch, decided once at construction (simd_): the
-    // vector kernels XOR the same interleaved rows into the same d
-    // lanes and share the scalar Lemire reduction, so bucket values are
-    // bit-identical across families (pinned by the simd suite).
-#if defined(ND_HAVE_AVX2)
-    if (simd_ == common::SimdLevel::kAvx2) {
-      simd::bucket_all_avx2(interleaved_.data(), bucket_counts_.data(),
-                            stages_.size(), key_fingerprint, out);
-      return;
-    }
-#elif defined(ND_HAVE_NEON)
-    if (simd_ == common::SimdLevel::kNeon) {
-      const std::size_t d = stages_.size();
-      std::uint64_t h[kMaxInterleavedDepth];
-      simd::xor_rows_neon(interleaved_.data(), d, key_fingerprint, h);
-      for (std::size_t s = 0; s < d; ++s) {
-        out[s] = reduce_to_range(h[s], bucket_counts_[s]);
-      }
-      return;
-    }
-#endif
     // Dispatch to a depth-specialised kernel: with the depth a compile
     // time constant the per-byte-lane stage loop fully unrolls, so the
     // common shallow filters pay no loop overhead for the interleaving.
@@ -253,12 +221,6 @@ class StageHashBank {
   /// Interleaved tabulation words, ((i * 256 + b) * depth + s); empty
   /// when the bank falls back to per-stage evaluation.
   std::vector<std::uint64_t> interleaved_;
-  /// stages_[s].buckets() flattened for the vector kernels (they reduce
-  /// against a dense array instead of chasing StageHash objects).
-  std::vector<std::uint64_t> bucket_counts_;
-  /// Kernel family this bank dispatches to, latched at construction
-  /// from common::active_simd() (see FlowMemory::simd_).
-  common::SimdLevel simd_{common::SimdLevel::kScalar};
 };
 
 /// Derives independent stage hashes from one master seed. Each call to

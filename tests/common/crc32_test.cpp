@@ -1,4 +1,5 @@
-// Differential suite for the dispatch-layered CRC-32 kernel.
+// Differential suite for the dispatch-layered CRC-32 kernel, plus the
+// cpu_features clamping rules that pick its tier.
 //
 // The contract under test is bit-identity: every tier (slice8, pclmul,
 // armv8) must produce exactly the bytes the portable reference does,
@@ -44,6 +45,45 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   }
   return out;
 }
+
+// --- cpu_features dispatch rules ---------------------------------------
+
+TEST(CpuFeatures, ForcedLevelClampsToWhatTheHostRuns) {
+  const SimdLevel detected = detected_simd();
+  {
+    ScopedSimdLevel scalar(SimdLevel::kScalar);
+    EXPECT_EQ(scalar.applied(), SimdLevel::kScalar);
+    EXPECT_EQ(active_simd(), SimdLevel::kScalar);
+  }
+  {
+    // Asking for the detected level (or stronger) resolves to detected;
+    // asking for a *different platform's* set resolves to scalar — a
+    // tier that was not compiled must never be dispatched.
+    ScopedSimdLevel forced(detected);
+    EXPECT_EQ(forced.applied(), detected);
+    EXPECT_EQ(active_simd(), detected);
+  }
+#if defined(ND_HAVE_AVX2)
+  if (detected == SimdLevel::kAvx2) {
+    ScopedSimdLevel neon(SimdLevel::kNeon);
+    EXPECT_EQ(neon.applied(), SimdLevel::kScalar);
+  }
+#endif
+#if defined(ND_HAVE_NEON)
+  {
+    ScopedSimdLevel avx2(SimdLevel::kAvx2);
+    EXPECT_EQ(avx2.applied(), detected);  // "stronger" clamps down
+  }
+#endif
+}
+
+TEST(CpuFeatures, NamesAreStable) {
+  EXPECT_STREQ(simd_name(SimdLevel::kScalar), "scalar");
+  EXPECT_STREQ(simd_name(SimdLevel::kNeon), "neon");
+  EXPECT_STREQ(simd_name(SimdLevel::kAvx2), "avx2");
+}
+
+// --- CRC-32 -------------------------------------------------------------
 
 TEST(Crc32, KnownVector) {
   // The IEEE CRC-32 check value: CRC("123456789") = 0xCBF43926.

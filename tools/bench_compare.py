@@ -60,12 +60,11 @@ def main():
     parser.add_argument(
         "--filter",
         default=(r"^BM_.*Batch|^BM_ShardedDevice"
-                 r"|^BM_TagProbeSimd|^BM_StageHashGather"
                  r"|^BM_Crc32|^BM_FrameStream"
                  r"|^BM_SpoolAppend|^BM_JournalReplay"),
         help="regex of benchmark names the gate applies to "
-             "(default: the batched-device, sharded, SIMD-kernel "
-             "and collection data-plane series)")
+             "(default: the batched-device, sharded and collection "
+             "data-plane series)")
     parser.add_argument(
         "--ignore",
         default="",

@@ -1,5 +1,8 @@
 // ndtm — the command-line front end to the library.
 //
+// Every subcommand rejects a flag it does not read (exit code 2, the
+// message names the flag), so a typo never runs with a default.
+//
 //   ndtm synthesize --preset mag --scale 0.1 --intervals 6 --out t.pcap
 //       Write a calibrated synthetic trace as a standard pcap file.
 //
@@ -8,7 +11,7 @@
 //                [--shards N] [--adaptive 1] [--shard-usage 1]
 //                [--metrics[=path]] [--fault-plan spec] [--fault-seed N]
 //                [--watchdog-ms N] [--checkpoint path] [--pin 1]
-//                [--hugepages[=explicit]] [--http-port N] [--trace path]
+//                [--http-port N] [--trace path]
 //       Stream a pcap through a measurement device in fixed intervals
 //       and print (and optionally export) the heavy hitters per
 //       interval. Algorithms: sample-and-hold, multistage, netflow.
@@ -39,12 +42,10 @@
 //       bit-identical either way, and with --metrics the pool's
 //       per-task series gain a core="<cpu>" label so per-core
 //       imbalance shows up in the snapshots.
-//       --hugepages backs the flow-memory and stage-counter arrays
-//       with 2 MB pages (madvise(MADV_HUGEPAGE); =explicit tries the
-//       reserved MAP_HUGETLB pool first) and prints what was obtained;
-//       results are bit-identical with or without it. The SIMD kernel
-//       family is picked automatically per CPU — override with
-//       ND_SIMD=scalar|neon|avx2 in the environment.
+//       The CRC-32 tier that checksums frames, spool records and
+//       checkpoints is picked per CPU; ND_SIMD=scalar|neon|avx2 in the
+//       environment caps it. Output bytes are identical under every
+//       tier.
 //
 //       --http-port N serves the live observability plane on
 //       127.0.0.1:N (0 = ephemeral; --http-port-file publishes the
@@ -182,6 +183,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -191,7 +193,6 @@
 #include "baseline/sampled_netflow.hpp"
 #include "common/crc32.hpp"
 #include "common/format.hpp"
-#include "common/hugepage.hpp"
 #include "common/state_buffer.hpp"
 #include "common/thread_pool.hpp"
 #include "core/adaptive_device.hpp"
@@ -264,6 +265,14 @@ class Args {
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return values_.count(key) > 0;
+  }
+  /// A flag given on the command line that is not in `known`, if any.
+  [[nodiscard]] std::optional<std::string> unknown_flag(
+      const std::set<std::string>& known) const {
+    for (const auto& entry : values_) {
+      if (known.count(entry.first) == 0) return entry.first;
+    }
+    return std::nullopt;
   }
 
  private:
@@ -646,20 +655,6 @@ int cmd_measure(const Args& args) {
     return 2;
   }
 
-  // --hugepages / --hugepages=explicit: back the flow-memory slot/tag
-  // arrays and stage counter rows with 2 MB pages (common/hugepage.hpp).
-  // Must be decided before any device is constructed — slabs latch the
-  // mode at allocation. "explicit" asks the reserved MAP_HUGETLB pool
-  // first; both fall back silently to normal pages where unavailable,
-  // changing nothing but page size.
-  const bool hugepages_on = args.has("hugepages");
-  if (hugepages_on) {
-    const std::string hugepages_arg = args.get("hugepages", "");
-    common::set_hugepage_mode(hugepages_arg == "explicit"
-                                  ? common::HugePageMode::kExplicit
-                                  : common::HugePageMode::kTransparent);
-  }
-
   const bool pin = args.get_u64("pin", 0) != 0;
   std::unique_ptr<common::ThreadPool> pool;  // outlives the session
   std::unique_ptr<core::MeasurementDevice> device;
@@ -1009,17 +1004,6 @@ int cmd_measure(const Args& args) {
                     metrics_exporter->lines_written()),
                 registry.size(), metrics_path.c_str());
   }
-  if (hugepages_on) {
-    const common::HugePageStats hp = common::hugepage_stats();
-    std::printf(
-        "hugepages: %llu slabs (%s) — %llu hugetlb, %llu madvised, "
-        "%llu fell back to 4K pages\n",
-        static_cast<unsigned long long>(hp.slabs),
-        common::format_bytes(hp.bytes).c_str(),
-        static_cast<unsigned long long>(hp.hugetlb_slabs),
-        static_cast<unsigned long long>(hp.madvise_slabs),
-        static_cast<unsigned long long>(hp.fallback_slabs));
-  }
   std::printf(
       "done: %llu packets (%llu unmatched by the flow pattern), %u "
       "intervals\n",
@@ -1358,6 +1342,37 @@ int cmd_dimension(const Args& args) {
   return 0;
 }
 
+/// A subcommand and every flag it reads; main() rejects any other flag
+/// before the subcommand runs.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::set<std::string> flags;
+};
+
+const Command kCommands[] = {
+    {"synthesize", cmd_synthesize,
+     {"arrivals", "intervals", "out", "preset", "scale", "seed", "snaplen"}},
+    {"measure", cmd_measure,
+     {"adaptive", "algorithm", "checkpoint", "connect", "device-id",
+      "entries", "export", "fault-plan", "fault-seed", "fleet-size",
+      "flow-def", "http-port", "http-port-file", "in", "interval",
+      "metrics", "net-attempts", "net-backoff-us", "net-budget",
+      "net-jitter", "pace-ms", "pin", "resume", "seed", "shard-usage",
+      "shards", "spool-dir", "spool-fsync", "spool-fsync-batch",
+      "spool-max-bytes", "threshold", "trace", "trace-sample",
+      "watchdog-ms"}},
+    {"collect", cmd_collect,
+     {"devices", "export", "fault-plan", "fault-seed", "http-port",
+      "http-port-file", "journal", "journal-fsync", "journal-fsync-batch",
+      "listen", "metrics", "port-file", "timeout-ms", "trace"}},
+    {"bounds", cmd_bounds,
+     {"buckets", "capacity", "depth", "flows", "oversampling",
+      "threshold"}},
+    {"dimension", cmd_dimension,
+     {"entries", "flows", "oversampling", "traffic"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1370,11 +1385,15 @@ int main(int argc, char** argv) {
   }
   const Args args(argc, argv, 2);
   const std::string command = argv[1];
-  if (command == "synthesize") return cmd_synthesize(args);
-  if (command == "measure") return cmd_measure(args);
-  if (command == "collect") return cmd_collect(args);
-  if (command == "bounds") return cmd_bounds(args);
-  if (command == "dimension") return cmd_dimension(args);
+  for (const Command& candidate : kCommands) {
+    if (command != candidate.name) continue;
+    if (const auto flag = args.unknown_flag(candidate.flags)) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n", candidate.name,
+                   flag->c_str());
+      return 2;
+    }
+    return candidate.run(args);
+  }
   std::fprintf(stderr, "unknown command: %s\n", command.c_str());
   return 2;
 }

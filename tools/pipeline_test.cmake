@@ -56,6 +56,20 @@ execute_process(
 if(NOT rv EQUAL 2)
   message(FATAL_ERROR "bad algorithm should exit 2, got ${rv}")
 endif()
+# A flag the subcommand does not read is a usage error naming the flag,
+# never a silent run with defaults: a typo, and a removed flag.
+foreach(bad_flag "--treshold;1" "--hugepages")
+  execute_process(
+    COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap ${bad_flag}
+    RESULT_VARIABLE rv ERROR_VARIABLE err OUTPUT_QUIET)
+  list(GET bad_flag 0 flag_name)
+  if(NOT rv EQUAL 2)
+    message(FATAL_ERROR "measure ${flag_name} should exit 2, got ${rv}")
+  endif()
+  if(NOT err MATCHES "${flag_name}")
+    message(FATAL_ERROR "measure ${flag_name} error does not name the flag")
+  endif()
+endforeach()
 file(WRITE ${WORKDIR}/garbage.pcap "this is not a capture file at all")
 execute_process(
   COMMAND ${NDTM} measure --in ${WORKDIR}/garbage.pcap

@@ -6,17 +6,18 @@
 # Prefers `perf stat` (hardware cache/TLB counters, negligible overhead);
 # falls back to valgrind --tool=cachegrind (simulated, ~50x slower but
 # works in containers without perf_event access). The filter defaults to
-# the series the tag-partitioned layout and the SIMD kernels target.
+# the series the tag-partitioned layout and the CRC-32 tiers target.
 #
 # Events are probed ONE AT A TIME before the real run: perf rejects the
 # whole -e list when any single event is unsupported (dTLB miss counters
 # in particular are absent on many virtualized hosts), so a hardcoded
-# list silently lost every counter exactly where the hugepage work needs
-# the dTLB numbers. Unsupported events are reported and skipped instead.
+# list silently lost every counter, dTLB misses included, on exactly the
+# hosts that lack one. Unsupported events are reported and skipped
+# instead.
 set -u
 
 BENCH="${1:?usage: profile_cache.sh <perf_per_packet binary> [filter]}"
-FILTER="${2:-BM_SampleAndHoldBatch|BM_MultistageParallelBatch|BM_FlowMemoryFind.*|BM_TagProbeSimd.*|BM_StageHashGather.*|BM_Crc32.*|BM_FrameStream.*}"
+FILTER="${2:-BM_SampleAndHoldBatch|BM_MultistageParallelBatch|BM_FlowMemoryFind.*|BM_Crc32.*|BM_FrameStream.*}"
 
 if [ ! -x "$BENCH" ]; then
     echo "profile_cache: benchmark binary not found: $BENCH" >&2

@@ -14,24 +14,22 @@ if(NOT DEFINED SOURCE_DIR OR NOT DEFINED BUILD_DIR)
 endif()
 
 # The concurrency suites plus the tag-layout / affinity suites added
-# with the cache-conscious flow memory, the simd/hugepage suites added
-# with the vectorized kernels, the observability plane (HTTP exporter
-# poll loop, lock-free trace ring, registry seqlock), and the
-# durability layer (spool WAL, crash-recovery journal, on-disk fuzz
+# with the cache-conscious flow memory, the CRC-32 tiers, the
+# observability plane (HTTP exporter poll loop, lock-free trace ring,
+# registry seqlock), and the durability layer (spool WAL, crash-recovery journal, on-disk fuzz
 # tables, and the kill-level soak over the instrumented ndtm binary).
 set(ND_SANITIZE_TEST_REGEX
-    "ThreadPool|Sharded|BatchEquivalence|DriverParallel|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardWatchdog|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|ShardAffinity|Simd|Hugepage|Slab|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "ThreadPool|Sharded|BatchEquivalence|DriverParallel|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardWatchdog|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|ShardAffinity|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 
 # Sanitized binaries run ~10x slower: cap the soak's kill cycles so the
 # instrumented pass stays CI-sized (still two real kill/restart cycles).
 set(ENV{ND_SOAK_CYCLES} 3)
 
-# The dispatch-sensitive subset re-run under each forced ND_SIMD value:
-# the env override steers every device built during the test, so the
-# SWAR fallback and each vector family get their own sanitized pass
-# (unsupported families clamp to scalar — a safe, if redundant, run).
-set(ND_SIMD_FORCED_TEST_REGEX
-    "Simd|TagProbe|TagLayout|FlowMemory|Hugepage|StageHash|Crc32")
+# The CRC consumers re-run under each forced ND_SIMD value: the env
+# override steers crc32's tier, so slice-by-8 and each hardware tier get
+# their own sanitized pass (tiers the host lacks clamp to scalar — a
+# safe, if redundant, run).
+set(ND_SIMD_FORCED_TEST_REGEX "Crc32|FrameStream")
 
 # run_sanitized(<sanitizer> <subdir> <ctest regex>): nested instrumented
 # configure + build + ctest, then the forced-dispatch passes.
@@ -47,8 +45,7 @@ function(run_sanitized sanitizer subdir regex)
   execute_process(
     COMMAND ${CMAKE_COMMAND} --build ${san_build} --parallel
             --target common_tests core_tests eval_tests telemetry_tests
-            robustness_tests flowmem_tests hash_tests simd_tests
-            net_tests observability_tests durability_tests soak_tests
+            robustness_tests flowmem_tests hash_tests net_tests observability_tests durability_tests soak_tests
     RESULT_VARIABLE rv)
   if(NOT rv EQUAL 0)
     message(FATAL_ERROR "tsan_check[${sanitizer}]: build failed: ${rv}")
@@ -77,7 +74,7 @@ function(run_sanitized sanitizer subdir regex)
   endforeach()
   message(STATUS
           "tsan_check[${sanitizer}]: tests clean (native + forced "
-          "scalar/avx2/neon dispatch)")
+          "scalar/avx2/neon CRC tiers)")
 endfunction()
 
 # The telemetry label covers the registry's multi-writer hot path and
@@ -95,14 +92,14 @@ run_sanitized(thread . "${ND_SANITIZE_TEST_REGEX}")
 # over attacker-shaped input, and the soak exercises the whole
 # fork/exec + kill + recover loop under the instrumented runtime.
 set(ND_FLOWMEM_TEST_REGEX
-    "TagProbe|TagLayout|FlowMemory|ShardAffinity|ThreadPoolPinning|Simd|Hugepage|Slab|CpuFeatures|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "TagProbe|TagLayout|FlowMemory|ShardAffinity|ThreadPoolPinning|CpuFeatures|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 run_sanitized(address asan-check "${ND_FLOWMEM_TEST_REGEX}")
 run_sanitized(undefined ubsan-check "${ND_FLOWMEM_TEST_REGEX}")
 
-# Fallback bit-rot check: a build with every vector kernel compiled out
-# (-DND_DISABLE_SIMD=ON) must still pass the probe/hash/simd suites —
-# the differential tests then prove the SWAR path against the scalar
-# oracle, and the clamp tests that forcing any level resolves to scalar.
+# Fallback bit-rot check: a build with the hardware CRC tiers compiled
+# out (-DND_DISABLE_SIMD=ON) must still pass the CRC consumers — the
+# differential tests then prove slice-by-8 alone against the bitwise
+# oracle.
 set(nosimd_build ${BUILD_DIR}/nosimd-check)
 execute_process(
   COMMAND ${CMAKE_COMMAND} -S ${SOURCE_DIR} -B ${nosimd_build}
@@ -113,7 +110,7 @@ if(NOT rv EQUAL 0)
 endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${nosimd_build} --parallel
-          --target common_tests flowmem_tests hash_tests simd_tests
+          --target common_tests net_tests
   RESULT_VARIABLE rv)
 if(NOT rv EQUAL 0)
   message(FATAL_ERROR "tsan_check[nosimd]: build failed: ${rv}")
@@ -129,6 +126,6 @@ endif()
 message(STATUS "tsan_check[nosimd]: scalar-only build clean")
 
 message(STATUS
-        "tsan_check: concurrency + flow-memory + simd tests clean under "
-        "thread/address/undefined sanitizers, forced dispatch levels, "
-        "and the ND_DISABLE_SIMD scalar-only build")
+        "tsan_check: concurrency + flow-memory + CRC tests clean under "
+        "thread/address/undefined sanitizers, forced CRC tiers, "
+        "and the ND_DISABLE_SIMD slice-by-8-only build")
