@@ -436,18 +436,27 @@ TEST(Collector, BurstDrainFairnessCapYieldsWithoutLoss) {
   CollectorConfig config;
   config.expected_devices = 1;
   config.max_drain_bytes_per_wake = 16 * 1024;
-  Collector collector(config);
-  collector.start();
+  Collector collector(config);  // already listening
 
   Socket conn = tcp_connect("127.0.0.1", collector.port());
   ASSERT_TRUE(conn.valid());
   ASSERT_TRUE(write_all(conn.fd(), encode_hello(Hello{21, 0})));
   constexpr std::size_t kBurst = 64;
-  for (std::size_t i = 0; i < kBurst; ++i) {
-    // ~16 KiB per frame, ~1 MiB total: the kernel queue far outruns
-    // the ingest buffer, so some wake must read it full and trip the
-    // cap (decode work on the single collector thread guarantees the
-    // writer gets ahead).
+  // Queue at least two caps' worth (~16 KiB per frame) before the
+  // collector thread exists: its first read of this connection returns
+  // more than the per-wake budget, so the cap trips however the writer
+  // and the collector are scheduled afterwards. The prefix stays well
+  // inside the loopback receive window, so no write here blocks.
+  std::size_t i = 0;
+  for (std::size_t queued = 0;
+       queued < 2 * config.max_drain_bytes_per_wake; ++i) {
+    const std::vector<std::uint8_t> frame =
+        framed(static_cast<common::IntervalIndex>(i), 600);
+    ASSERT_TRUE(write_all(conn.fd(), frame));
+    queued += frame.size();
+  }
+  collector.start();
+  for (; i < kBurst; ++i) {
     ASSERT_TRUE(write_all(
         conn.fd(), framed(static_cast<common::IntervalIndex>(i), 600)));
   }
