@@ -1,7 +1,6 @@
 #include "packet/headers.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace nd::packet {
 
@@ -91,60 +90,6 @@ void serialize(const UdpHeader& h, std::vector<std::uint8_t>& out) {
   put_u16(out, h.checksum);
 }
 
-std::optional<EthernetHeader> parse_ethernet(
-    std::span<const std::uint8_t> data) {
-  if (data.size() < kEthernetHeaderSize) return std::nullopt;
-  EthernetHeader h;
-  std::copy_n(data.begin(), 6, h.dst_mac.begin());
-  std::copy_n(data.begin() + 6, 6, h.src_mac.begin());
-  h.ether_type = get_u16(data, 12);
-  return h;
-}
-
-std::optional<Ipv4Header> parse_ipv4(std::span<const std::uint8_t> data) {
-  if (data.size() < 20) return std::nullopt;
-  Ipv4Header h;
-  h.version = static_cast<std::uint8_t>(data[0] >> 4);
-  h.ihl = static_cast<std::uint8_t>(data[0] & 0x0F);
-  if (h.version != 4 || h.ihl < 5) return std::nullopt;
-  if (data.size() < h.header_bytes()) return std::nullopt;
-  h.dscp_ecn = data[1];
-  h.total_length = get_u16(data, 2);
-  h.identification = get_u16(data, 4);
-  h.flags_fragment = get_u16(data, 6);
-  h.ttl = data[8];
-  h.protocol = data[9];
-  h.header_checksum = get_u16(data, 10);
-  h.src_ip = get_u32(data, 12);
-  h.dst_ip = get_u32(data, 16);
-  return h;
-}
-
-std::optional<TcpHeader> parse_tcp(std::span<const std::uint8_t> data) {
-  if (data.size() < 20) return std::nullopt;
-  TcpHeader h;
-  h.src_port = get_u16(data, 0);
-  h.dst_port = get_u16(data, 2);
-  h.seq = get_u32(data, 4);
-  h.ack = get_u32(data, 8);
-  h.data_offset = static_cast<std::uint8_t>(data[12] >> 4);
-  h.flags = data[13];
-  h.window = get_u16(data, 14);
-  h.checksum = get_u16(data, 16);
-  h.urgent = get_u16(data, 18);
-  return h;
-}
-
-std::optional<UdpHeader> parse_udp(std::span<const std::uint8_t> data) {
-  if (data.size() < 8) return std::nullopt;
-  UdpHeader h;
-  h.src_port = get_u16(data, 0);
-  h.dst_port = get_u16(data, 2);
-  h.length = get_u16(data, 4);
-  h.checksum = get_u16(data, 6);
-  return h;
-}
-
 std::vector<std::uint8_t> build_frame(const PacketRecord& record) {
   const bool tcp = record.protocol == IpProtocol::kTcp;
   const std::size_t l4_size = tcp ? 20u : 8u;
@@ -184,32 +129,45 @@ std::vector<std::uint8_t> build_frame(const PacketRecord& record) {
 
 std::optional<PacketRecord> parse_frame(std::span<const std::uint8_t> captured,
                                         common::TimestampNs timestamp_ns) {
-  const auto eth = parse_ethernet(captured);
-  if (!eth || eth->ether_type != kEtherTypeIpv4) return std::nullopt;
+  // One pass over the frame bytes; each read is preceded by the bounds
+  // check that covers it. Ethernet then a minimal IPv4 header is the
+  // fixed prefix every accepted frame has.
+  constexpr std::size_t kIpv4MinHeader = 20;
+  const std::size_t size = captured.size();
+  if (size < kEthernetHeaderSize + kIpv4MinHeader) return std::nullopt;
+  if (get_u16(captured, 12) != kEtherTypeIpv4) return std::nullopt;
 
-  const auto ip_bytes = captured.subspan(kEthernetHeaderSize);
-  const auto ip = parse_ipv4(ip_bytes);
-  if (!ip) return std::nullopt;
+  const std::size_t ip = kEthernetHeaderSize;
+  const std::uint8_t version_ihl = captured[ip];
+  const std::size_t ip_header_bytes =
+      static_cast<std::size_t>(version_ihl & 0x0F) * 4;
+  if ((version_ihl >> 4) != 4 || ip_header_bytes < kIpv4MinHeader) {
+    return std::nullopt;
+  }
+  const std::size_t l4 = ip + ip_header_bytes;
+  if (size < l4) return std::nullopt;
 
   PacketRecord record;
   record.timestamp_ns = timestamp_ns;
-  record.src_ip = ip->src_ip;
-  record.dst_ip = ip->dst_ip;
-  record.protocol = static_cast<IpProtocol>(ip->protocol);
-  record.size_bytes = ip->total_length;
+  record.size_bytes = get_u16(captured, ip + 2);
+  const std::uint8_t protocol = captured[ip + 9];
+  record.protocol = static_cast<IpProtocol>(protocol);
+  record.src_ip = get_u32(captured, ip + 12);
+  record.dst_ip = get_u32(captured, ip + 16);
 
-  const auto l4 = ip_bytes.subspan(ip->header_bytes());
-  if (ip->protocol == static_cast<std::uint8_t>(IpProtocol::kTcp)) {
-    const auto t = parse_tcp(l4);
-    if (!t) return std::nullopt;
-    record.src_port = t->src_port;
-    record.dst_port = t->dst_port;
-  } else if (ip->protocol == static_cast<std::uint8_t>(IpProtocol::kUdp)) {
-    const auto u = parse_udp(l4);
-    if (!u) return std::nullopt;
-    record.src_port = u->src_port;
-    record.dst_port = u->dst_port;
+  // TCP and UDP must carry their full fixed header; any other protocol
+  // (ICMP) keeps ports 0.
+  std::size_t l4_header_bytes = 0;
+  if (protocol == static_cast<std::uint8_t>(IpProtocol::kTcp)) {
+    l4_header_bytes = 20;
+  } else if (protocol == static_cast<std::uint8_t>(IpProtocol::kUdp)) {
+    l4_header_bytes = 8;
+  } else {
+    return record;
   }
+  if (size < l4 + l4_header_bytes) return std::nullopt;
+  record.src_port = get_u16(captured, l4);
+  record.dst_port = get_u16(captured, l4 + 2);
   return record;
 }
 

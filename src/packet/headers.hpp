@@ -1,9 +1,12 @@
-// On-the-wire IPv4/TCP/UDP/Ethernet header structs with parse/serialize.
+// On-the-wire IPv4/TCP/UDP/Ethernet header structs, their serializers,
+// and the frame builder/parser.
 //
 // This is the substrate that lets the library consume and produce real
 // packet bytes (via the pcap module) instead of only abstract records.
 // All multi-byte fields are kept in host order in the structs; the
-// parse/serialize functions do the network-order conversion.
+// serializers do the network-order conversion. Parsing goes straight
+// from frame bytes to a PacketRecord (parse_frame), never through the
+// structs.
 #pragma once
 
 #include <array>
@@ -72,26 +75,19 @@ void serialize(const Ipv4Header& h, std::vector<std::uint8_t>& out);
 void serialize(const TcpHeader& h, std::vector<std::uint8_t>& out);
 void serialize(const UdpHeader& h, std::vector<std::uint8_t>& out);
 
-// Parsing: return nullopt if the buffer is too short or malformed.
-[[nodiscard]] std::optional<EthernetHeader> parse_ethernet(
-    std::span<const std::uint8_t> data);
-[[nodiscard]] std::optional<Ipv4Header> parse_ipv4(
-    std::span<const std::uint8_t> data);
-[[nodiscard]] std::optional<TcpHeader> parse_tcp(
-    std::span<const std::uint8_t> data);
-[[nodiscard]] std::optional<UdpHeader> parse_udp(
-    std::span<const std::uint8_t> data);
-
 /// Build a complete Ethernet+IPv4+TCP/UDP frame for a PacketRecord.
 /// The payload is zero-filled so the frame's IP total length equals
 /// record.size_bytes (clamped to at least the header sizes). Used by the
 /// pcap writer / trace exporter.
 [[nodiscard]] std::vector<std::uint8_t> build_frame(const PacketRecord& record);
 
-/// Inverse of build_frame: extract a PacketRecord from an Ethernet frame.
+/// Inverse of build_frame: extract a PacketRecord from an Ethernet frame
+/// in one bounds-checked pass, without copying or allocating.
 /// `captured` may be shorter than the original frame (pcap snaplen); the
 /// IP total-length field provides the true size. Returns nullopt for
-/// non-IPv4 frames or truncated headers.
+/// non-IPv4 frames, an IHL under 5, or truncated headers (a TCP header
+/// under 20 bytes or a UDP header under 8); IP options are skipped and
+/// other protocols (ICMP) parse with ports 0.
 [[nodiscard]] std::optional<PacketRecord> parse_frame(
     std::span<const std::uint8_t> captured,
     common::TimestampNs timestamp_ns);

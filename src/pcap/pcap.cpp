@@ -1,6 +1,7 @@
 #include "pcap/pcap.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -22,26 +23,24 @@ void put_u16le(std::ostream& out, std::uint16_t v) {
   out.write(bytes, 2);
 }
 
-bool get_u32(std::istream& in, bool swapped, std::uint32_t& out_value) {
-  std::uint8_t b[4];
-  if (!in.read(reinterpret_cast<char*>(b), 4)) return false;
-  if (swapped) std::swap(b[0], b[3]), std::swap(b[1], b[2]);
-  out_value = static_cast<std::uint32_t>(b[0]) |
-              (static_cast<std::uint32_t>(b[1]) << 8) |
-              (static_cast<std::uint32_t>(b[2]) << 16) |
-              (static_cast<std::uint32_t>(b[3]) << 24);
-  return true;
+// Little-endian field load, byte-reversed for a swapped capture.
+std::uint32_t load_u32(const std::uint8_t* p, bool swapped) {
+  return swapped ? (static_cast<std::uint32_t>(p[0]) << 24) |
+                       (static_cast<std::uint32_t>(p[1]) << 16) |
+                       (static_cast<std::uint32_t>(p[2]) << 8) |
+                       static_cast<std::uint32_t>(p[3])
+                 : static_cast<std::uint32_t>(p[0]) |
+                       (static_cast<std::uint32_t>(p[1]) << 8) |
+                       (static_cast<std::uint32_t>(p[2]) << 16) |
+                       (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-bool get_u16(std::istream& in, bool swapped, std::uint16_t& out_value) {
-  std::uint8_t b[2];
-  if (!in.read(reinterpret_cast<char*>(b), 2)) return false;
-  if (swapped) std::swap(b[0], b[1]);
-  out_value = static_cast<std::uint16_t>(static_cast<std::uint16_t>(b[0]) |
-                                         (static_cast<std::uint16_t>(b[1])
-                                          << 8));
-  return true;
+std::uint16_t load_u16(const std::uint8_t* p, bool swapped) {
+  return static_cast<std::uint16_t>(
+      swapped ? (p[0] << 8) | p[1] : p[0] | (p[1] << 8));
 }
+
+constexpr std::size_t kGlobalHeaderSize = 24;
 
 }  // namespace
 
@@ -77,11 +76,10 @@ void PcapWriter::write(const packet::PacketRecord& record) {
   write(record.timestamp_ns, packet::build_frame(record));
 }
 
-PcapReader::PcapReader(std::istream& in) : in_(in) {
-  std::uint32_t magic = 0;
-  if (!get_u32(in_, false, magic)) {
-    throw PcapError("pcap: empty file");
-  }
+PcapReader::PcapReader(std::istream& in)
+    : in_(in), buffer_(kReadBufferBytes) {
+  if (!fill(4)) throw PcapError("pcap: empty file");
+  const std::uint32_t magic = load_u32(buffer_.data(), false);
   if (magic == kMagicNative) {
     swapped_ = false;
   } else if (magic == kMagicSwapped) {
@@ -89,73 +87,94 @@ PcapReader::PcapReader(std::istream& in) : in_(in) {
   } else {
     throw PcapError("pcap: bad magic number");
   }
-  std::uint16_t vmaj = 0;
-  std::uint16_t vmin = 0;
-  std::uint32_t zone = 0;
-  std::uint32_t sigfigs = 0;
-  if (!get_u16(in_, swapped_, vmaj) || !get_u16(in_, swapped_, vmin) ||
-      !get_u32(in_, swapped_, zone) || !get_u32(in_, swapped_, sigfigs) ||
-      !get_u32(in_, swapped_, snaplen_) ||
-      !get_u32(in_, swapped_, link_type_)) {
+  if (!fill(kGlobalHeaderSize)) {
     throw PcapError("pcap: truncated global header");
   }
+  const std::uint8_t* header = buffer_.data();
+  const std::uint16_t vmaj = load_u16(header + 4, swapped_);
+  snaplen_ = load_u32(header + 16, swapped_);
+  link_type_ = load_u32(header + 20, swapped_);
+  begin_ = kGlobalHeaderSize;
   if (vmaj != 2) {
     throw PcapError("pcap: unsupported version " + std::to_string(vmaj));
   }
   if (snaplen_ == 0 || snaplen_ > kMaxSnapLen) {
     // A zero or absurd snaplen is header corruption; rejecting it here
-    // also bounds every subsequent per-packet allocation.
+    // also bounds the buffer, which only ever grows to one record.
     throw PcapError("pcap: implausible snaplen " + std::to_string(snaplen_));
   }
 }
 
-std::optional<PcapPacket> PcapReader::next() {
-  std::uint32_t ts_sec = 0;
-  if (!get_u32(in_, swapped_, ts_sec)) {
-    return std::nullopt;  // clean EOF
-  }
-  std::uint32_t ts_usec = 0;
-  std::uint32_t caplen = 0;
-  std::uint32_t origlen = 0;
-  if (!get_u32(in_, swapped_, ts_usec) || !get_u32(in_, swapped_, caplen) ||
-      !get_u32(in_, swapped_, origlen)) {
+bool PcapReader::fill(std::size_t need) {
+  const std::size_t have = end_ - begin_;
+  if (have >= need) return true;
+  if (stream_ended_) return false;
+  // Slide the unconsumed tail to the front, then top the buffer up in
+  // one large read. A short read means the stream has ended.
+  std::memmove(buffer_.data(), buffer_.data() + begin_, have);
+  begin_ = 0;
+  end_ = have;
+  if (need > buffer_.size()) buffer_.resize(need);
+  in_.read(reinterpret_cast<char*>(buffer_.data() + end_),
+           static_cast<std::streamsize>(buffer_.size() - end_));
+  end_ += static_cast<std::size_t>(in_.gcount());
+  stream_ended_ = end_ < buffer_.size();
+  return end_ >= need;
+}
+
+bool PcapReader::next_view(RecordView& view) {
+  if (!fill(kRecordHeaderSize)) {
+    if (begin_ == end_) return false;  // clean EOF
     throw PcapError("pcap: truncated packet header");
   }
-  // Strict bound: a capture can never exceed the file's own snaplen.
-  // (The old `snaplen_ + 4096` slack also overflowed u32 for snaplens
-  // near the maximum, letting absurd capture lengths through.)
+  const std::uint8_t* header = buffer_.data() + begin_;
+  const std::uint32_t ts_sec = load_u32(header, swapped_);
+  const std::uint32_t ts_usec = load_u32(header + 4, swapped_);
+  const std::uint32_t caplen = load_u32(header + 8, swapped_);
+  view.original_length = load_u32(header + 12, swapped_);
+  // Strict bound: a capture can never exceed the file's own snaplen,
+  // which also caps the buffer at kRecordHeaderSize + kMaxSnapLen.
   if (caplen > snaplen_) {
     throw PcapError("pcap: capture length exceeds snaplen");
   }
-  PcapPacket pkt;
-  pkt.timestamp_ns = static_cast<common::TimestampNs>(ts_sec) *
-                         1'000'000'000ULL +
-                     static_cast<common::TimestampNs>(ts_usec) * 1000ULL;
-  pkt.original_length = origlen;
-  pkt.data.resize(caplen);
-  if (caplen > 0 &&
-      !in_.read(reinterpret_cast<char*>(pkt.data.data()), caplen)) {
+  if (!fill(kRecordHeaderSize + caplen)) {
     throw PcapError("pcap: truncated packet body");
   }
+  view.timestamp_ns =
+      static_cast<common::TimestampNs>(ts_sec) * 1'000'000'000ULL +
+      static_cast<common::TimestampNs>(ts_usec) * 1000ULL;
+  view.data = std::span<std::uint8_t>(
+      buffer_.data() + begin_ + kRecordHeaderSize, caplen);
+  begin_ += kRecordHeaderSize + caplen;
+  ++records_;
   if (faults_ != nullptr) {
-    // Capture-damage sites, applied after the full read so the stream
-    // stays aligned on the next packet header.
+    // Capture-damage sites, applied after the full record is consumed
+    // so the stream stays aligned on the next packet header.
     if (const auto fault = faults_->next("pcap.truncate")) {
-      pkt.data.resize(
-          robustness::truncated_size(pkt.data.size(), fault->salt));
+      view.data = view.data.first(
+          robustness::truncated_size(view.data.size(), fault->salt));
     }
     if (const auto fault = faults_->next("pcap.corrupt")) {
-      robustness::corrupt_bytes(pkt.data, fault->salt);
+      robustness::corrupt_bytes(view.data, fault->salt);
     }
   }
-  return pkt;
+  return true;
+}
+
+std::optional<PcapPacket> PcapReader::next() {
+  RecordView view;
+  if (!next_view(view)) return std::nullopt;
+  return PcapPacket{view.timestamp_ns, view.original_length,
+                    {view.data.begin(), view.data.end()}};
 }
 
 std::optional<packet::PacketRecord> PcapReader::next_record() {
-  while (auto pkt = next()) {
-    if (auto record = packet::parse_frame(pkt->data, pkt->timestamp_ns)) {
+  RecordView view;
+  while (next_view(view)) {
+    if (auto record = packet::parse_frame(view.data, view.timestamp_ns)) {
       return record;
     }
+    ++skipped_;
   }
   return std::nullopt;
 }

@@ -41,6 +41,10 @@ void drain(const std::string& data) {
   }
 }
 
+// 600 records of at most 144 bytes on the wire: ~86 KB, past the
+// reader's 64 KiB buffer, so cuts and flips also land after a refill.
+constexpr std::uint32_t kRefillPackets = 600;
+
 class PcapFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PcapFuzz, RandomBytesNeverCrash) {
@@ -57,7 +61,8 @@ TEST_P(PcapFuzz, RandomBytesNeverCrash) {
 
 TEST_P(PcapFuzz, RandomTruncationsNeverCrash) {
   common::Rng rng(GetParam() ^ 0xBEEF);
-  const std::string capture = valid_capture(20);
+  const std::string capture = valid_capture(kRefillPackets);
+  ASSERT_GT(capture.size(), PcapReader::kReadBufferBytes);
   for (int round = 0; round < 100; ++round) {
     drain(capture.substr(0, rng.uniform(capture.size() + 1)));
   }
@@ -65,7 +70,7 @@ TEST_P(PcapFuzz, RandomTruncationsNeverCrash) {
 
 TEST_P(PcapFuzz, RandomByteFlipsNeverCrash) {
   common::Rng rng(GetParam() ^ 0xF00D);
-  const std::string capture = valid_capture(20);
+  const std::string capture = valid_capture(kRefillPackets);
   for (int round = 0; round < 100; ++round) {
     std::string mutated = capture;
     const std::size_t flips = 1 + rng.uniform(8);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 namespace nd::pcap {
@@ -143,6 +146,178 @@ TEST(Pcap, SnaplenTruncatedFramesStillYieldRecords) {
   ASSERT_TRUE(record.has_value());
   // The true IP size survives truncation via the IP total-length field.
   EXPECT_EQ(record->size_bytes, 1200u);
+}
+
+// A streambuf that hands out at most three bytes per underflow, the way
+// a slow pipe or socket would; the reader's block reads must reassemble
+// records across any number of such fragments.
+class TrickleBuf : public std::streambuf {
+ public:
+  explicit TrickleBuf(std::string data) : data_(std::move(data)) {}
+
+ protected:
+  int_type underflow() override {
+    if (gptr() != nullptr && gptr() < egptr()) {
+      return traits_type::to_int_type(*gptr());
+    }
+    if (pos_ == data_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(3, data_.size() - pos_);
+    char* begin = data_.data() + pos_;
+    pos_ += n;
+    setg(begin, begin, begin + n);
+    return traits_type::to_int_type(*begin);
+  }
+
+ private:
+  std::string data_;
+  std::size_t pos_{0};
+};
+
+// Records of 500-1499 IP bytes: ~1 KiB each on the wire, so a hundred
+// of them fill more than one 64 KiB read buffer.
+packet::PacketRecord large_record(std::uint32_t i) {
+  auto record = make_record(i);
+  record.size_bytes = 500 + (i * 37) % 1000;
+  return record;
+}
+
+std::string large_capture(std::uint32_t packets) {
+  std::stringstream stream;
+  PcapWriter writer(stream);
+  for (std::uint32_t i = 0; i < packets; ++i) {
+    writer.write(large_record(i));
+  }
+  return stream.str();
+}
+
+std::vector<packet::PacketRecord> records_of(std::istream& in) {
+  PcapReader reader(in);
+  std::vector<packet::PacketRecord> records;
+  while (auto record = reader.next_record()) records.push_back(*record);
+  return records;
+}
+
+// The same capture with every header field byte-reversed: what a
+// big-endian writer produces.
+std::string byte_swapped(const std::string& native) {
+  std::string out = native;
+  auto reverse = [&](std::size_t at, std::size_t width) {
+    std::reverse(out.begin() + static_cast<std::ptrdiff_t>(at),
+                 out.begin() + static_cast<std::ptrdiff_t>(at + width));
+  };
+  // Global header: magic, two u16 versions, then four u32 fields.
+  reverse(0, 4);
+  reverse(4, 2);
+  reverse(6, 2);
+  for (std::size_t at = 8; at < 24; at += 4) reverse(at, 4);
+  for (std::size_t at = 24; at < native.size();) {
+    const auto* caplen_le =
+        reinterpret_cast<const unsigned char*>(native.data() + at + 8);
+    const std::size_t caplen = caplen_le[0] | (caplen_le[1] << 8) |
+                               (caplen_le[2] << 16) |
+                               (static_cast<std::size_t>(caplen_le[3]) << 24);
+    for (std::size_t field = 0; field < 4; ++field) {
+      reverse(at + 4 * field, 4);
+    }
+    at += 16 + caplen;
+  }
+  return out;
+}
+
+TEST(Pcap, TrickleStreambufYieldsSameRecords) {
+  const std::string capture = large_capture(120);
+  ASSERT_GT(capture.size(), PcapReader::kReadBufferBytes);
+  std::stringstream whole(capture);
+  const auto expected = records_of(whole);
+  ASSERT_EQ(expected.size(), 120u);
+  TrickleBuf trickle(capture);
+  std::istream in(&trickle);
+  EXPECT_EQ(records_of(in), expected);
+}
+
+TEST(Pcap, RecordsStraddleABufferRefill) {
+  const std::string capture = large_capture(300);
+  ASSERT_GT(capture.size(), 3 * PcapReader::kReadBufferBytes);
+  std::stringstream stream(capture);
+  const auto records = records_of(stream);
+  ASSERT_EQ(records.size(), 300u);
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(records[i], large_record(i)) << "record " << i;
+  }
+  // next() sees the same bytes the writer framed.
+  std::stringstream raw_stream(capture);
+  PcapReader reader(raw_stream);
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    const auto packet = reader.next();
+    ASSERT_TRUE(packet.has_value()) << "record " << i;
+    EXPECT_EQ(packet->data, packet::build_frame(large_record(i)));
+  }
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(reader.records_read(), 300u);
+}
+
+TEST(Pcap, MaxSnaplenRecordGrowsTheBuffer) {
+  // One record of kMaxSnapLen bytes, four times the read buffer, between
+  // two ordinary ones.
+  std::vector<std::uint8_t> jumbo = packet::build_frame(make_record(1));
+  jumbo.resize(kMaxSnapLen);
+  for (std::size_t i = 100; i < jumbo.size(); ++i) {
+    jumbo[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  std::stringstream stream;
+  {
+    PcapWriter writer(stream, kMaxSnapLen);
+    writer.write(make_record(0));
+    writer.write(5'000, jumbo);
+    writer.write(make_record(2));
+  }
+  PcapReader reader(stream);
+  EXPECT_EQ(reader.snaplen(), kMaxSnapLen);
+  const auto first = reader.next_record();
+  const auto big = reader.next();
+  const auto last = reader.next_record();
+  ASSERT_TRUE(first && big && last);
+  EXPECT_EQ(*first, make_record(0));
+  EXPECT_EQ(big->timestamp_ns, 5'000u);
+  EXPECT_EQ(big->original_length, kMaxSnapLen);
+  EXPECT_EQ(big->data, jumbo);
+  EXPECT_EQ(*last, make_record(2));
+  EXPECT_FALSE(reader.next().has_value());
+}
+
+TEST(Pcap, ByteSwappedCaptureReadsTheSameRecords) {
+  const std::string native = large_capture(120);
+  std::stringstream native_stream(native);
+  const auto expected = records_of(native_stream);
+  std::stringstream swapped_stream(byte_swapped(native));
+  PcapReader reader(swapped_stream);
+  EXPECT_TRUE(reader.swapped());
+  EXPECT_EQ(reader.snaplen(), 65535u);
+  std::vector<packet::PacketRecord> records;
+  while (auto record = reader.next_record()) records.push_back(*record);
+  EXPECT_EQ(records, expected);
+}
+
+TEST(Pcap, NonIpv4FrameIsCountedAsSkipped) {
+  std::vector<std::uint8_t> ipv6 = packet::build_frame(make_record(1));
+  ipv6[12] = 0x86;  // EtherType IPv6
+  ipv6[13] = 0xDD;
+  std::stringstream stream;
+  {
+    PcapWriter writer(stream);
+    writer.write(make_record(0));
+    writer.write(1'000, ipv6);
+    writer.write(make_record(2));
+  }
+  PcapReader reader(stream);
+  const auto first = reader.next_record();
+  const auto second = reader.next_record();
+  ASSERT_TRUE(first && second);
+  EXPECT_EQ(*first, make_record(0));
+  EXPECT_EQ(*second, make_record(2));
+  EXPECT_FALSE(reader.next_record().has_value());
+  EXPECT_EQ(reader.records_read(), 3u);
+  EXPECT_EQ(reader.frames_skipped(), 1u);
 }
 
 TEST(Pcap, FileRoundTrip) {

@@ -278,6 +278,22 @@ TEST(PcapHardening, TruncationAnywhereIsDetected) {
   }
 }
 
+TEST(PcapHardening, StrayBytesAfterLastRecordRejected) {
+  // Zero leftover bytes is a clean end of file; any partial record
+  // header after the last record is truncation, not EOF.
+  const std::string bytes = valid_pcap(2, 512);
+  ASSERT_EQ(read_all(bytes).size(), 2u);
+  for (const std::size_t stray : {1u, 3u, 15u}) {
+    const std::string tail = bytes + std::string(stray, '\x01');
+    EXPECT_THROW((void)read_all(tail), pcap::PcapError) << stray;
+    std::istringstream in(tail, std::ios::binary);
+    pcap::PcapReader reader(in);
+    EXPECT_TRUE(reader.next_record().has_value());
+    EXPECT_TRUE(reader.next_record().has_value());
+    EXPECT_THROW((void)reader.next_record(), pcap::PcapError) << stray;
+  }
+}
+
 TEST(PcapHardening, TruncateFaultKeepsTheStreamAligned) {
   robustness::FaultSpec spec;
   spec.kind = robustness::FaultKind::kTruncate;

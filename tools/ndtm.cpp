@@ -14,7 +14,9 @@
 //                [--http-port N] [--trace path]
 //       Stream a pcap through a measurement device in fixed intervals
 //       and print (and optionally export) the heavy hitters per
-//       interval. Algorithms: sample-and-hold, multistage, netflow.
+//       interval, then a `pcap:` line counting the records read and
+//       the frames skipped (not IPv4 or headers truncated) and the
+//       `done:` summary. Algorithms: sample-and-hold, multistage, netflow.
 //       Flow definitions: 5tuple, dstip, netpair:<prefixlen>.
 //       --shards N > 1 partitions the flow space RSS-style across N
 //       replicas of the device running on a worker pool; --threshold is
@@ -934,6 +936,8 @@ int cmd_measure(const Args& args) {
   install_stop_handlers();
   bool fed_any = false;
   bool stopped = false;
+  std::uint64_t pcap_records = 0;
+  std::uint64_t pcap_skipped = 0;
   try {
     pcap::PcapReader reader(stream);
     reader.attach_fault_injector(faults.get());
@@ -949,6 +953,8 @@ int cmd_measure(const Args& args) {
       fed_any = true;
       process(session.drain_reports());
     }
+    pcap_records = reader.records_read();
+    pcap_skipped = reader.frames_skipped();
     if (stopped) {
       // Graceful SIGINT/SIGTERM: do not close the in-progress interval
       // (that would fabricate an interval boundary mid-stream) —
@@ -1004,6 +1010,10 @@ int cmd_measure(const Args& args) {
                     metrics_exporter->lines_written()),
                 registry.size(), metrics_path.c_str());
   }
+  std::printf("pcap: %llu records, %llu skipped (not IPv4 or headers "
+              "truncated)\n",
+              static_cast<unsigned long long>(pcap_records),
+              static_cast<unsigned long long>(pcap_skipped));
   std::printf(
       "done: %llu packets (%llu unmatched by the flow pattern), %u "
       "intervals\n",

@@ -10,9 +10,13 @@ execute_process(
   COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap
           --algorithm sample-and-hold --flow-def dstip
           --threshold 100000 --export ${WORKDIR}/smoke_reports.bin
-  RESULT_VARIABLE rv)
+  RESULT_VARIABLE rv OUTPUT_VARIABLE smoke_out)
 if(NOT rv EQUAL 0)
   message(FATAL_ERROR "ndtm measure failed: ${rv}")
+endif()
+# Skipped frames get their own line; the synthesizer writes only IPv4.
+if(NOT smoke_out MATCHES "\npcap: [1-9][0-9]* records, 0 skipped \\(not IPv4 or headers truncated\\)\ndone: ")
+  message(FATAL_ERROR "measure printed no pcap: line before done:")
 endif()
 if(NOT EXISTS ${WORKDIR}/smoke_reports.bin)
   message(FATAL_ERROR "ndtm measure produced no export")
@@ -76,6 +80,18 @@ execute_process(
   RESULT_VARIABLE rv ERROR_QUIET OUTPUT_QUIET)
 if(NOT rv EQUAL 3)
   message(FATAL_ERROR "garbage pcap should exit 3, got ${rv}")
+endif()
+# Stray bytes after the last record are a cut record header, not a
+# clean end of file.
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E copy ${WORKDIR}/smoke.pcap
+          ${WORKDIR}/stray_tail.pcap)
+file(APPEND ${WORKDIR}/stray_tail.pcap "xyz")
+execute_process(
+  COMMAND ${NDTM} measure --in ${WORKDIR}/stray_tail.pcap
+  RESULT_VARIABLE rv ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT rv EQUAL 3 OR NOT err MATCHES "truncated packet header")
+  message(FATAL_ERROR "3 stray tail bytes should exit 3, got ${rv}: ${err}")
 endif()
 execute_process(
   COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap --shards 4
