@@ -308,11 +308,13 @@ BENCHMARK(BM_ShardedAdaptiveDevice)->Arg(1)->Arg(4)->Arg(8)
 //
 // The telemetry-off cost is already in BM_SampleAndHold /
 // BM_MultistageConservative above: those devices carry the null
-// instrument handles and pay the one predictable `enabled()` branch per
-// packet the overhead contract allows (< 2%). The *Telemetry variants
-// below run the identical configuration with a registry attached, so
-// (BM_X vs BM_XTelemetry) in BENCH_perf_per_packet.json is the measured
-// cost of telemetry-on, and BM_Telemetry* price the raw instruments.
+// instrument handles and pay one predictable `enabled()` branch per
+// update site. The *Telemetry variants below run the identical
+// configuration with a registry attached, so BM_X vs BM_XTelemetry on
+// one build is the measured cost of telemetry-on: the devices add into
+// plain per-interval tallies and publish them at end_interval(), which
+// costs 3-8% per packet. BM_Telemetry* price the raw instruments the
+// publish touches.
 
 void BM_SampleAndHoldTelemetry(benchmark::State& state) {
   telemetry::MetricsRegistry registry;

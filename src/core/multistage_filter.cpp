@@ -26,6 +26,7 @@ MultistageFilter::MultistageFilter(const MultistageFilterConfig& config)
       tm_stage_pass_.push_back(&config_.metrics->counter(
           "nd_filter_stage_pass_total", stage_labels));
     }
+    stage_pass_tally_.assign(config_.depth, 0);
   }
   hash::HashFamily family(config_.seed, config_.hash_kind);
   std::vector<hash::StageHash> stages;
@@ -52,10 +53,10 @@ void MultistageFilter::admit(const packet::FlowKey& key,
   flowmem::FlowEntry* entry = memory_.insert(key, interval_);
   if (entry == nullptr) {
     ++dropped_passes_;
-    if (tm_.enabled()) tm_.flowmem_insert_drops->increment();
+    if (tm_.enabled()) tm_.on_insert_drop();
     return;
   }
-  if (tm_.enabled()) tm_.flowmem_inserts->increment();
+  if (tm_.enabled()) tm_.on_insert();
   flowmem::FlowMemory::add_bytes(*entry, bytes);
 }
 
@@ -138,9 +139,8 @@ void MultistageFilter::observe_impl(const packet::FlowKey& key,
   if (tm_.enabled()) tm_.on_packet(bytes);
   if (flowmem::FlowEntry* entry = memory_.find_hashed(key, hash)) {
     flowmem::FlowMemory::add_bytes(*entry, bytes);
-    if (tm_.enabled()) tm_.flowmem_hits->increment();
+    if (tm_.enabled()) tm_.on_hit();
     if (config_.shielding) {
-      if (tm_.enabled()) tm_shielded_->increment();
       return;  // entry-holding flows no longer touch the filter
     }
     // Without shielding the packet still feeds the stage counters (it
@@ -169,14 +169,21 @@ void MultistageFilter::observe_impl(const packet::FlowKey& key,
 void MultistageFilter::observe_parallel(const packet::FlowKey& key,
                                         std::uint32_t bytes,
                                         const std::uint64_t* buckets) {
-  if (!config_.conservative_update && !tm_.enabled()) {
-    // Plain filter, telemetry off: every counter is read for the min
-    // and then incremented regardless of the outcome, so one fused
-    // pass does both — same values, same pass decision, same
-    // counter-access accounting as the two-loop path below.
-    common::ByteCount min_counter = ~common::ByteCount{0};
+  // After a normal increment every counter gains `bytes`, so the packet
+  // passes iff the *smallest* counter would reach the threshold. A
+  // stage "passes" when its counter alone would let the packet through;
+  // the ratio between consecutive stages is the Lemma 1 attenuation the
+  // filter delivers on this trace. Both read the pre-update counters.
+  const bool counting = tm_.enabled();
+  common::ByteCount min_counter = ~common::ByteCount{0};
+  if (!config_.conservative_update) {
+    // Plain filter: every counter is read for the min and then
+    // incremented regardless of the outcome, so one pass does both.
     for (std::uint32_t d = 0; d < config_.depth; ++d) {
       common::ByteCount& counter = stage_at(d, buckets[d]);
+      if (counting) {
+        stage_pass_tally_[d] += counter + bytes >= config_.threshold;
+      }
       min_counter = std::min(min_counter, counter);
       counter += bytes;
     }
@@ -186,49 +193,27 @@ void MultistageFilter::observe_parallel(const packet::FlowKey& key,
     }
     return;
   }
-  common::ByteCount min_counter = ~common::ByteCount{0};
   for (std::uint32_t d = 0; d < config_.depth; ++d) {
-    min_counter = std::min(min_counter, stage_at(d, buckets[d]));
+    const common::ByteCount counter = stage_at(d, buckets[d]);
+    if (counting) {
+      stage_pass_tally_[d] += counter + bytes >= config_.threshold;
+    }
+    min_counter = std::min(min_counter, counter);
   }
   counter_accesses_ += config_.depth;
-
-  // After a normal increment every counter gains `bytes`, so the packet
-  // passes iff the *smallest* counter would reach the threshold.
   const common::ByteCount new_min = min_counter + bytes;
-  const bool passes = new_min >= config_.threshold;
-
-  if (tm_.enabled()) {
-    // A stage "passes" when its counter alone would let the packet
-    // through; the ratio between consecutive stages is the Lemma 1
-    // attenuation the filter delivers on this trace.
-    for (std::uint32_t d = 0; d < config_.depth; ++d) {
-      if (stage_at(d, buckets[d]) + bytes >= config_.threshold) {
-        tm_stage_pass_[d]->increment();
-      }
-    }
-  }
-
-  if (passes && config_.conservative_update) {
+  if (new_min >= config_.threshold) {
     // Second conservative-update rule: the admitted packet leaves the
     // counters untouched.
     admit(key, bytes);
     return;
   }
-  if (config_.conservative_update) {
-    // First rule: raise each counter at most to the new minimum.
-    for (std::uint32_t d = 0; d < config_.depth; ++d) {
-      common::ByteCount& counter = stage_at(d, buckets[d]);
-      counter = std::max(counter, new_min);
-    }
-  } else {
-    for (std::uint32_t d = 0; d < config_.depth; ++d) {
-      stage_at(d, buckets[d]) += bytes;
-    }
+  // First rule: raise each counter at most to the new minimum.
+  for (std::uint32_t d = 0; d < config_.depth; ++d) {
+    common::ByteCount& counter = stage_at(d, buckets[d]);
+    counter = std::max(counter, new_min);
   }
   counter_accesses_ += config_.depth;
-  if (passes) {
-    admit(key, bytes);
-  }
 }
 
 void MultistageFilter::observe_serial(const packet::FlowKey& key,
@@ -240,7 +225,7 @@ void MultistageFilter::observe_serial(const packet::FlowKey& key,
     bool would_pass = true;
     for (std::uint32_t d = 0; d < config_.depth; ++d) {
       if (stage_at(d, buckets[d]) + bytes >= serial_stage_threshold_) {
-        if (tm_.enabled()) tm_stage_pass_[d]->increment();
+        if (tm_.enabled()) ++stage_pass_tally_[d];
       } else {
         would_pass = false;
         // Later stages never see the packet, but earlier ones (and
@@ -269,7 +254,7 @@ void MultistageFilter::observe_serial(const packet::FlowKey& key,
     if (counter < serial_stage_threshold_) {
       return;
     }
-    if (tm_.enabled()) tm_stage_pass_[d]->increment();
+    if (tm_.enabled()) ++stage_pass_tally_[d];
   }
   admit(key, bytes);
 }
@@ -328,6 +313,13 @@ Report MultistageFilter::end_interval() {
       config_.early_removal_fraction *
       static_cast<double>(config_.threshold));
   memory_.end_interval(policy);
+  if (tm_.enabled()) {
+    if (config_.shielding) tm_shielded_->add(tm_.interval_hits());
+    for (std::uint32_t d = 0; d < config_.depth; ++d) {
+      tm_stage_pass_[d]->add(stage_pass_tally_[d]);
+      stage_pass_tally_[d] = 0;
+    }
+  }
   tm_.on_end_interval(report.entries_used, memory_.capacity(),
                       report.entries_used - memory_.entries_used(),
                       config_.threshold);

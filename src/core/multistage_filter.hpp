@@ -140,10 +140,13 @@ class MultistageFilter final : public MeasurementDevice {
   MultistageFilterConfig config_;
   flowmem::FlowMemory memory_;
   DeviceInstruments tm_;
-  /// Per-stage pass counters (nd_filter_stage_pass_total{stage="d"});
+  /// Per-stage pass counters (nd_filter_stage_pass_total{stage="d"})
+  /// and their interval tallies, published at end_interval(); both
   /// empty when telemetry is off.
   std::vector<telemetry::Counter*> tm_stage_pass_;
-  /// Packets shielded by an existing flow-memory entry.
+  std::vector<std::uint64_t> stage_pass_tally_;
+  /// Packets shielded by an existing flow-memory entry: with shielding
+  /// on, every flow-memory hit; published from the hit tally.
   telemetry::Counter* tm_shielded_{nullptr};
   /// First index of stage d's row in the flat counter array.
   [[nodiscard]] std::size_t stage_offset(std::uint32_t stage) const {

@@ -106,17 +106,17 @@ void SampleAndHold::observe_hashed(const packet::FlowKey& key,
   if (tm_.enabled()) tm_.on_packet(bytes);
   if (flowmem::FlowEntry* entry = memory_.find_hashed(key, hash)) {
     flowmem::FlowMemory::add_bytes(*entry, bytes);
-    if (tm_.enabled()) tm_.flowmem_hits->increment();
+    if (tm_.enabled()) tm_.on_hit();
     return;
   }
   if (!sample_packet(bytes)) return;
   flowmem::FlowEntry* entry = memory_.insert(key, interval_);
   if (entry == nullptr) {
     ++dropped_samples_;
-    if (tm_.enabled()) tm_.flowmem_insert_drops->increment();
+    if (tm_.enabled()) tm_.on_insert_drop();
     return;
   }
-  if (tm_.enabled()) tm_.flowmem_inserts->increment();
+  if (tm_.enabled()) tm_.on_insert();
   // The whole packet is counted, including bytes before the sampled one
   // (Section 7.1.1 notes the real algorithm is more accurate than the
   // byte model for exactly this reason).

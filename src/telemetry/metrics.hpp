@@ -6,15 +6,18 @@
 // (HashPipe, PRECISION treat per-stage counters as first-class outputs
 // of the data plane):
 //
-//   * hot path: a telemetry update is one or two relaxed atomic
-//     increments — no locks, no allocation, no stores shared with the
-//     measurement state. Writers on different shards increment the same
+//   * packet path: no instrument is touched per packet. Devices add
+//     into plain per-interval tallies they own (core/device_telemetry.hpp)
+//     and publish them at interval close, one relaxed add per series,
+//     so device series advance at interval close like every other
+//     series here. Turning the registry on costs 3-8% per packet
+//     (BM_X vs BM_XTelemetry in bench/perf_per_packet.cpp).
+//   * publish path: an update is one relaxed atomic add — no locks, no
+//     allocation. Writers on different shards add into the same
 //     Counter safely; nothing is aggregated until a snapshot is taken.
 //   * off path: every instrumented component holds plain pointers that
 //     are nullptr when it was constructed without a registry; the
-//     disabled cost is one predictable branch per update site
-//     (< 2% per packet, measured by the BM_*Telemetry series in
-//     bench/perf_per_packet.cpp).
+//     disabled cost is one predictable branch per update site.
 //   * cold path: registration and snapshotting take a mutex; they run
 //     at construction and interval boundaries, never per packet.
 //

@@ -1,13 +1,19 @@
 // Pipeline instrumentation tests: the counters the devices export match
-// observable device behavior, per-shard tallies agree with the
-// ShardStatus annotations, interval-aligned snapshots land once per
-// interval, and — the contract the differential suite depends on —
-// telemetry never changes a single reported byte.
+// observable device behavior, device series advance only at interval
+// close and then by exactly the interval's tallies, per-shard tallies
+// agree with the ShardStatus annotations, interval-aligned snapshots
+// land once per interval, and — the contract the differential suite
+// depends on — telemetry never changes a single reported byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "../support/report_testing.hpp"
@@ -19,6 +25,7 @@
 #include "core/sharded_device.hpp"
 #include "eval/driver.hpp"
 #include "eval/metrics.hpp"
+#include "hash/hash.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "trace/presets.hpp"
@@ -58,6 +65,101 @@ core::MultistageFilterConfig filter_config(
   config.seed = 9;
   config.metrics = metrics;
   return config;
+}
+
+/// True when `sample` carries every (key, value) pair of `subset`.
+bool has_labels(const Snapshot::Sample& sample, const Labels& subset) {
+  return std::all_of(subset.begin(), subset.end(), [&](const auto& pair) {
+    return std::find(sample.labels.begin(), sample.labels.end(), pair) !=
+           sample.labels.end();
+  });
+}
+
+/// Sum of counter `name` over every series carrying `subset`.
+std::uint64_t counter_sum(const Snapshot& snapshot, const std::string& name,
+                          const Labels& subset = {}) {
+  std::uint64_t total = 0;
+  for (const Snapshot::Sample& sample : snapshot.samples) {
+    if (sample.name == name && has_labels(sample, subset)) {
+      total += sample.counter_value;
+    }
+  }
+  return total;
+}
+
+/// Histogram `name` under exactly `labels` as upper bound -> count.
+std::map<std::uint64_t, std::uint64_t> histogram_buckets(
+    const Snapshot& snapshot, const std::string& name, const Labels& labels) {
+  std::map<std::uint64_t, std::uint64_t> buckets;
+  if (const auto* sample = snapshot.find(name, labels)) {
+    for (const auto& [bound, count] : sample->histogram.buckets) {
+      buckets[bound] = count;
+    }
+  }
+  return buckets;
+}
+
+/// Every series a device owns (those with a device= label) holds the
+/// same value in both snapshots.
+void expect_device_series_unchanged(const Snapshot& before,
+                                    const Snapshot& after) {
+  ASSERT_EQ(before.samples.size(), after.samples.size());
+  for (std::size_t i = 0; i < before.samples.size(); ++i) {
+    const Snapshot::Sample& a = before.samples[i];
+    const Snapshot::Sample& b = after.samples[i];
+    ASSERT_EQ(a.name, b.name);
+    ASSERT_EQ(a.labels, b.labels);
+    const bool device_series =
+        std::any_of(a.labels.begin(), a.labels.end(),
+                    [](const auto& pair) { return pair.first == "device"; });
+    if (!device_series) continue;
+    SCOPED_TRACE(a.name);
+    EXPECT_EQ(a.counter_value, b.counter_value);
+    EXPECT_EQ(a.gauge_value, b.gauge_value);
+    EXPECT_EQ(a.histogram.sum, b.histogram.sum);
+    EXPECT_EQ(a.histogram.buckets, b.histogram.buckets);
+  }
+}
+
+/// The per-interval packet tallies a device should publish, counted by
+/// the test from the packets it feeds.
+struct IntervalTally {
+  std::uint64_t packets{0};
+  std::uint64_t bytes{0};
+  std::map<std::uint64_t, std::uint64_t> size_buckets;
+
+  void add(std::uint32_t packet_bytes) {
+    ++packets;
+    bytes += packet_bytes;
+    ++size_buckets[Histogram::upper_bound(std::bit_width(packet_bytes))];
+  }
+};
+
+/// `after` advanced the device series under `labels` by exactly
+/// `tally` since `before`.
+void expect_published(const Snapshot& before, const Snapshot& after,
+                      const Labels& labels, const IntervalTally& tally) {
+  const auto delta = [&](const std::string& name) {
+    return counter_sum(after, name, labels) -
+           counter_sum(before, name, labels);
+  };
+  EXPECT_EQ(delta("nd_device_packets_total"), tally.packets);
+  EXPECT_EQ(delta("nd_device_bytes_total"), tally.bytes);
+  const auto* hist_before = before.find("nd_device_packet_size_bytes", labels);
+  const auto* hist_after = after.find("nd_device_packet_size_bytes", labels);
+  ASSERT_NE(hist_before, nullptr);
+  ASSERT_NE(hist_after, nullptr);
+  EXPECT_EQ(hist_after->histogram.sum - hist_before->histogram.sum,
+            tally.bytes);
+  std::map<std::uint64_t, std::uint64_t> buckets =
+      histogram_buckets(after, "nd_device_packet_size_bytes", labels);
+  for (const auto& [bound, count] :
+       histogram_buckets(before, "nd_device_packet_size_bytes", labels)) {
+    buckets[bound] -= count;
+    if (buckets[bound] == 0) buckets.erase(bound);
+  }
+  EXPECT_EQ(buckets, tally.size_buckets);
+  EXPECT_EQ(delta("nd_device_intervals_total"), 1u);
 }
 
 TEST(DeviceInstruments, SampleAndHoldCountersMatchBehavior) {
@@ -159,6 +261,14 @@ TEST(DeviceInstruments, TelemetryNeverChangesReports) {
   serial_off.serial = true;
   core::MultistageFilter sfilter_on(serial_on);
   core::MultistageFilter sfilter_off(serial_off);
+  // The plain (non-conservative) parallel filter runs the fused
+  // min-and-increment loop, which also tallies the stage passes.
+  auto plain_on = filter_config(&registry);
+  plain_on.conservative_update = false;
+  auto plain_off = filter_config();
+  plain_off.conservative_update = false;
+  core::MultistageFilter pfilter_on(plain_on);
+  core::MultistageFilter pfilter_off(plain_off);
 
   for (const auto& interval : intervals) {
     sah_on.observe_batch(interval);
@@ -172,6 +282,188 @@ TEST(DeviceInstruments, TelemetryNeverChangesReports) {
     sfilter_off.observe_batch(interval);
     expect_reports_equal(sfilter_on.end_interval(),
                          sfilter_off.end_interval());
+    pfilter_on.observe_batch(interval);
+    pfilter_off.observe_batch(interval);
+    expect_reports_equal(pfilter_on.end_interval(),
+                         pfilter_off.end_interval());
+  }
+  EXPECT_EQ(sah_on.memory_accesses(), sah_off.memory_accesses());
+  EXPECT_EQ(filter_on.memory_accesses(), filter_off.memory_accesses());
+  EXPECT_EQ(sfilter_on.memory_accesses(), sfilter_off.memory_accesses());
+  EXPECT_EQ(pfilter_on.memory_accesses(), pfilter_off.memory_accesses());
+}
+
+TEST(DeviceInstruments, SampleAndHoldSeriesAdvanceOnlyAtIntervalClose) {
+  MetricsRegistry registry;
+  auto config = sah_config(&registry);
+  // p = min(1, O/T) = 1: every packet that misses the flow memory is
+  // sampled, so each packet is exactly one hit, insert or drop; the
+  // small memory makes some of them drops.
+  config.threshold = 1;
+  config.flow_memory_entries = 64;
+  core::SampleAndHold device(config);
+  const Labels labels{{"device", "sample-and-hold"}};
+  const auto counter = [&labels](const Snapshot& snapshot,
+                                 const std::string& name) {
+    return counter_sum(snapshot, name, labels);
+  };
+
+  Snapshot closed = registry.snapshot();
+  std::uint64_t drops_before = 0;
+  for (const auto& interval :
+       classify_trace(small_trace(), packet::FlowDefinition::five_tuple())) {
+    IntervalTally tally;
+    for (const auto& packet : interval) {
+      device.observe(packet.key, packet.bytes);
+      tally.add(packet.bytes);
+    }
+    expect_device_series_unchanged(closed, registry.snapshot());
+
+    const core::Report report = device.end_interval();
+    const Snapshot now = registry.snapshot();
+    expect_published(closed, now, labels, tally);
+    // kClear: every entry held at the close was inserted this interval.
+    const std::uint64_t inserts = counter(now, "nd_flowmem_inserts_total") -
+                                  counter(closed, "nd_flowmem_inserts_total");
+    const std::uint64_t drops =
+        counter(now, "nd_flowmem_insert_drops_total") -
+        counter(closed, "nd_flowmem_insert_drops_total");
+    EXPECT_EQ(inserts, report.entries_used);
+    EXPECT_EQ(drops, device.dropped_samples() - drops_before);
+    EXPECT_EQ(counter(now, "nd_flowmem_hits_total") -
+                  counter(closed, "nd_flowmem_hits_total"),
+              tally.packets - inserts - drops);
+    drops_before = device.dropped_samples();
+    closed = now;
+  }
+  EXPECT_GT(device.dropped_samples(), 0u);
+}
+
+TEST(DeviceInstruments, MultistageSeriesAdvanceOnlyAtIntervalClose) {
+  for (const bool conservative : {true, false}) {
+    SCOPED_TRACE(conservative ? "conservative update" : "plain update");
+    MetricsRegistry registry;
+    auto config = filter_config(&registry);
+    config.conservative_update = conservative;
+    config.flow_memory_entries = 4096;  // every passing flow is admitted
+    core::MultistageFilter device(config);
+    const Labels labels{{"device", "multistage-filter"}};
+    // The filter's stage hashes, rebuilt from its seed, so the test can
+    // read the counters a packet will see before observing it.
+    hash::HashFamily family(config.seed, config.hash_kind);
+    std::vector<hash::StageHash> stages;
+    for (std::uint32_t d = 0; d < config.depth; ++d) {
+      stages.push_back(family.make_stage(config.buckets_per_stage));
+    }
+    const auto delta = [&labels](const Snapshot& before,
+                                 const Snapshot& after,
+                                 const std::string& name,
+                                 Labels extra = {}) {
+      Labels subset = labels;
+      subset.insert(subset.end(), extra.begin(), extra.end());
+      return counter_sum(after, name, subset) -
+             counter_sum(before, name, subset);
+    };
+
+    Snapshot closed = registry.snapshot();
+    for (const auto& interval : classify_trace(
+             small_trace(), packet::FlowDefinition::five_tuple())) {
+      IntervalTally tally;
+      std::vector<std::uint64_t> passes(config.depth, 0);
+      std::uint64_t shielded = 0;
+      std::uint64_t admitted = 0;
+      // kClear: the flow memory starts every interval empty.
+      std::unordered_set<std::uint64_t> held;
+      for (const auto& packet : interval) {
+        tally.add(packet.bytes);
+        if (held.count(packet.fingerprint) != 0) {
+          ++shielded;
+        } else {
+          common::ByteCount min_counter = ~common::ByteCount{0};
+          for (std::uint32_t d = 0; d < config.depth; ++d) {
+            const common::ByteCount counter =
+                device.counter(d, stages[d].bucket(packet.fingerprint));
+            if (counter + packet.bytes >= config.threshold) ++passes[d];
+            min_counter = std::min(min_counter, counter);
+          }
+          if (min_counter + packet.bytes >= config.threshold) {
+            ++admitted;
+            held.insert(packet.fingerprint);
+          }
+        }
+        device.observe(packet.key, packet.bytes);
+      }
+      expect_device_series_unchanged(closed, registry.snapshot());
+
+      (void)device.end_interval();
+      const Snapshot now = registry.snapshot();
+      expect_published(closed, now, labels, tally);
+      EXPECT_EQ(delta(closed, now, "nd_flowmem_hits_total"), shielded);
+      EXPECT_EQ(delta(closed, now, "nd_filter_shielded_total"), shielded);
+      EXPECT_EQ(delta(closed, now, "nd_flowmem_inserts_total"), admitted);
+      EXPECT_EQ(delta(closed, now, "nd_flowmem_insert_drops_total"), 0u);
+      for (std::uint32_t d = 0; d < config.depth; ++d) {
+        EXPECT_EQ(delta(closed, now, "nd_filter_stage_pass_total",
+                        {{"stage", std::to_string(d)}}),
+                  passes[d])
+            << "stage " << d;
+      }
+      EXPECT_GT(admitted, 0u);
+      closed = now;
+    }
+    EXPECT_EQ(device.dropped_passes(), 0u);
+  }
+}
+
+TEST(ShardedInstruments, ParallelShardClosesPublishExactTallies) {
+  MetricsRegistry registry;
+  common::ThreadPool pool(2);
+  core::ShardedDeviceConfig config;
+  config.shards = 3;
+  config.metrics = &registry;
+  config.pool = &pool;
+  core::ShardedDevice device(
+      config, [&registry](std::uint32_t shard, std::uint64_t seed) {
+        auto inner = sah_config(&registry);
+        inner.threshold = 1;  // p = 1, as in the unsharded test
+        inner.flow_memory_entries = 64;
+        inner.seed = seed;
+        inner.metric_labels = {{"shard", std::to_string(shard)}};
+        return std::make_unique<core::SampleAndHold>(inner);
+      });
+
+  Snapshot closed = registry.snapshot();
+  for (const auto& interval :
+       classify_trace(small_trace(), packet::FlowDefinition::five_tuple())) {
+    std::array<IntervalTally, 3> tallies;
+    for (const auto& packet : interval) {
+      tallies[device.shard_of(packet.fingerprint)].add(packet.bytes);
+    }
+    device.observe_batch(interval);
+    expect_device_series_unchanged(closed, registry.snapshot());
+
+    // Shards 1 and 2 close (and publish) on pool workers.
+    const core::Report report = device.end_interval();
+    const Snapshot now = registry.snapshot();
+    ASSERT_EQ(report.shards.size(), 3u);
+    for (std::uint32_t s = 0; s < 3; ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s));
+      const Labels labels{{"device", "sample-and-hold"},
+                          {"shard", std::to_string(s)}};
+      expect_published(closed, now, labels, tallies[s]);
+      EXPECT_EQ(report.shards[s].packets, tallies[s].packets);
+      const auto delta = [&](const std::string& name) {
+        return counter_sum(now, name, labels) -
+               counter_sum(closed, name, labels);
+      };
+      EXPECT_EQ(delta("nd_flowmem_inserts_total"),
+                report.shards[s].entries_used);
+      EXPECT_EQ(delta("nd_flowmem_hits_total") +
+                    delta("nd_flowmem_inserts_total") +
+                    delta("nd_flowmem_insert_drops_total"),
+                tallies[s].packets);
+    }
+    closed = now;
   }
 }
 
@@ -317,6 +609,61 @@ TEST(SessionInstruments, OneSnapshotLinePerClosedInterval) {
   EXPECT_EQ(registry.snapshot().find("nd_session_packets_total")
                 ->counter_value,
             5u);
+}
+
+TEST(SessionInstruments, DeviceSeriesMatchSessionAndShardTalliesAtEveryClose) {
+  // Driven the way ndtm drives it: the snapshot for an interval is taken
+  // after session.observe() returns, i.e. after the packet whose
+  // timestamp closed the interval has been observed. That packet belongs
+  // to the next interval and must not show in any series yet.
+  MetricsRegistry registry;
+  core::ShardedDeviceConfig config;
+  config.shards = 3;
+  config.metrics = &registry;
+  auto device = std::make_unique<core::ShardedDevice>(
+      config, [&registry](std::uint32_t shard, std::uint64_t seed) {
+        auto inner = sah_config(&registry);
+        inner.seed = seed;
+        inner.metric_labels = {{"shard", std::to_string(shard)}};
+        return std::make_unique<core::SampleAndHold>(inner);
+      });
+  packet::PacketPattern tcp_only;
+  tcp_only.protocol = packet::IpProtocol::kTcp;
+  core::MeasurementSession session(std::move(device),
+                                   packet::FlowDefinition::five_tuple(tcp_only),
+                                   std::chrono::seconds(5));
+  session.attach_telemetry(&registry);
+
+  std::uint64_t closes = 0;
+  const auto check = [&registry, &closes](const core::Report& report) {
+    SCOPED_TRACE("interval " + std::to_string(report.interval));
+    const Snapshot snapshot = registry.snapshot(report.interval);
+    const std::uint64_t device_packets =
+        counter_sum(snapshot, "nd_device_packets_total");
+    EXPECT_EQ(device_packets,
+              counter_sum(snapshot, "nd_session_packets_total") -
+                  counter_sum(snapshot, "nd_session_unclassified_total"));
+    EXPECT_EQ(device_packets, counter_sum(snapshot, "nd_shard_packets_total"));
+    EXPECT_EQ(counter_sum(snapshot, "nd_device_bytes_total"),
+              counter_sum(snapshot, "nd_shard_bytes_total"));
+    ++closes;
+  };
+  trace::TraceSynthesizer synthesizer(small_trace());
+  for (;;) {
+    const auto packets = synthesizer.next_interval();
+    if (packets.empty()) break;
+    for (const auto& packet : packets) {
+      session.observe(packet);
+      for (const core::Report& report : session.drain_reports()) {
+        check(report);
+      }
+    }
+  }
+  for (const core::Report& report : session.finish()) {
+    check(report);
+  }
+  EXPECT_EQ(closes, 4u);
+  EXPECT_GT(session.packets_unclassified(), 0u);
 }
 
 TEST(DriverInstruments, SnapshotSinkFiresOncePerInterval) {

@@ -32,7 +32,9 @@
 //       metrics.jsonl (or the given path); whenever the registry is on
 //       (--metrics or --http-port) the same snapshot rides every
 //       exported or --connect-shipped report as the v3 metrics trailer,
-//       feeding the collector's fleet aggregation.
+//       feeding the collector's fleet aggregation. Devices publish
+//       their series at interval close, so each snapshot counts exactly
+//       the closed intervals.
 //       --fault-plan injects deterministic chaos (grammar in
 //       robustness/fault.hpp, seeded by --fault-seed) into the pool,
 //       shards and pcap reader; --watchdog-ms bounds each shard's
@@ -53,8 +55,10 @@
 //       127.0.0.1:N (0 = ephemeral; --http-port-file publishes the
 //       bound port for harnesses): GET /metrics is the Prometheus text
 //       rendering of the registry, /healthz and /statusz report
-//       liveness. Implies the telemetry layer even without --metrics;
-//       with neither flag the packet path carries zero telemetry cost.
+//       liveness; a scrape between closes shows the device series as of
+//       the last closed interval. Implies the telemetry layer even
+//       without --metrics; with neither flag the packet path carries
+//       zero telemetry cost.
 //       --trace path records spans (observe_batch chunks sampled
 //       1-in-N per --trace-sample, shard merges, interval closes,
 //       checkpoint saves, channel send/backoff, transport connects)
