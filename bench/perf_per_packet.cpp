@@ -548,8 +548,8 @@ void BM_FrameStream(benchmark::State& state) {
       flow.estimated_bytes = 100'000 + 997 * i;
       report.flows.push_back(flow);
     }
-    const std::vector<std::uint8_t> frame = reporting::encode_framed(
-        report, packet::FlowKeyKind::kFiveTuple);
+    const std::vector<std::uint8_t> frame = reporting::frame_payload(
+        reporting::encode(report, packet::FlowKeyKind::kFiveTuple));
     stream.insert(stream.end(), frame.begin(), frame.end());
   }
 
@@ -626,8 +626,7 @@ void BM_SpoolAppend(benchmark::State& state) {
     report.flows.push_back(flow);
   }
   const std::size_t frame_size =
-      reporting::encode_framed(report, packet::FlowKeyKind::kDestinationIp)
-          .size();
+      reporting::kFrameHeaderBytes + reporting::encoded_size(report);
 
   for (auto _ : state) {
     benchmark::DoNotOptimize(spool.append(

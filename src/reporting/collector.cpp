@@ -4,14 +4,11 @@
 
 namespace nd::reporting {
 
-void CollectionChannel::account_offered(const core::Report& report) {
+core::Report CollectionChannel::deliver(const core::Report& report) {
   ++stats_.reports_offered;
   stats_.records_offered += report.flows.size();
   stats_.bytes_offered += encoded_size(report);
-}
 
-core::Report CollectionChannel::truncate_and_account(
-    const core::Report& report) {
   core::Report delivered = report;
   if (encoded_size(report) > budget_) {
     const std::uint64_t record_budget =
@@ -25,70 +22,19 @@ core::Report CollectionChannel::truncate_and_account(
   return delivered;
 }
 
-core::Report CollectionChannel::deliver(const core::Report& report) {
-  account_offered(report);
-
-  if (faults_ != nullptr && faults_->next("channel.drop")) {
-    ++stats_.reports_dropped;
-    core::Report lost;
-    lost.interval = report.interval;
-    lost.threshold = report.threshold;
-    return lost;
-  }
-
-  return truncate_and_account(report);
-}
-
-core::Report CollectionChannel::shape(const core::Report& report) {
-  account_offered(report);
-  return truncate_and_account(report);
-}
-
 CollectionChannel::Delivered CollectionChannel::deliver(
     const core::Report& report, std::string_view metrics_json) {
-  const std::uint64_t offered =
-      encoded_size(report, metrics_json.size());
   Delivered out;
-  if (!metrics_json.empty() && offered <= budget_) {
-    // Everything fits: account for the trailer bytes on top of the
-    // regular record accounting (unless the whole report was dropped in
-    // transit, which loses the trailer with it).
-    const std::uint64_t dropped_before = stats_.reports_dropped;
-    out.report = deliver(report);
-    out.metrics_delivered = stats_.reports_dropped == dropped_before;
-    const std::uint64_t trailer_bytes =
-        kTrailerLengthBytes + metrics_json.size();
-    stats_.bytes_offered += trailer_bytes;
-    if (out.metrics_delivered) stats_.bytes_delivered += trailer_bytes;
-    return out;
-  }
-  // Budget pressure (or no trailer): the trailer is dropped before any
-  // flow record is.
-  if (!metrics_json.empty()) {
-    stats_.bytes_offered += kTrailerLengthBytes + metrics_json.size();
-  }
   out.report = deliver(report);
-  out.metrics_delivered = false;
-  return out;
-}
-
-CollectionChannel::Shaped CollectionChannel::shape(
-    const core::Report& report, std::string_view metrics_json) {
-  Shaped out;
-  if (!metrics_json.empty() &&
-      encoded_size(report, metrics_json.size()) <= budget_) {
-    out.report = shape(report);
-    out.metrics_fit = true;
-    const std::uint64_t trailer_bytes =
-        kTrailerLengthBytes + metrics_json.size();
-    stats_.bytes_offered += trailer_bytes;
-    stats_.bytes_delivered += trailer_bytes;
-    return out;
-  }
-  if (!metrics_json.empty()) {
-    stats_.bytes_offered += kTrailerLengthBytes + metrics_json.size();
-  }
-  out.report = shape(report);
+  if (metrics_json.empty()) return out;
+  // The trailer travels only when the whole payload fits; under budget
+  // pressure it is dropped before any flow record is.
+  const std::uint64_t trailer_bytes =
+      kTrailerLengthBytes + metrics_json.size();
+  stats_.bytes_offered += trailer_bytes;
+  out.metrics_delivered =
+      encoded_size(report, metrics_json.size()) <= budget_;
+  if (out.metrics_delivered) stats_.bytes_delivered += trailer_bytes;
   return out;
 }
 

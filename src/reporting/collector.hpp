@@ -14,7 +14,6 @@
 
 #include "core/device.hpp"
 #include "reporting/record_codec.hpp"
-#include "robustness/fault.hpp"
 
 namespace nd::reporting {
 
@@ -24,9 +23,6 @@ struct ChannelStats {
   std::uint64_t records_delivered{0};
   std::uint64_t bytes_offered{0};
   std::uint64_t bytes_delivered{0};
-  /// Reports lost whole in transit (fault site "channel.drop"); their
-  /// records count as offered, never delivered.
-  std::uint64_t reports_dropped{0};
 
   [[nodiscard]] double record_loss_rate() const {
     return records_offered == 0
@@ -36,6 +32,9 @@ struct ChannelStats {
   }
 };
 
+/// Budget shaping only: transit faults and retries belong to
+/// ResilientChannel, which shapes each report here once before its
+/// first delivery attempt.
 class CollectionChannel {
  public:
   /// `bytes_per_interval` is the channel's per-interval capacity.
@@ -57,39 +56,11 @@ class CollectionChannel {
   Delivered deliver(const core::Report& report,
                     std::string_view metrics_json);
 
-  /// Budget shaping only: exactly deliver()'s truncation and byte/record
-  /// accounting, but no "channel.drop" consultation — this report is not
-  /// in transit yet. The spool path (ResilientChannel + SpoolWal) shapes
-  /// a report once, persists the shaped frame, and consults the transit
-  /// fault sites per drain attempt on the wire copy instead.
-  core::Report shape(const core::Report& report);
-  struct Shaped {
-    core::Report report;
-    /// Whole payload (records and trailer) fit the interval budget.
-    bool metrics_fit{false};
-  };
-  Shaped shape(const core::Report& report, std::string_view metrics_json);
-
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
 
-  /// Attach a fault injector (site "channel.drop": the offered report is
-  /// lost whole — the returned report keeps its interval/threshold but
-  /// carries no records, and stats().reports_dropped advances, which is
-  /// how ResilientChannel detects the loss and retries). Not owned; null
-  /// detaches.
-  void attach_fault_injector(robustness::FaultInjector* faults) {
-    faults_ = faults;
-  }
-
  private:
-  /// The shared accounting halves of deliver()/shape(): count the offer,
-  /// then truncate to the byte budget and count what got through.
-  void account_offered(const core::Report& report);
-  core::Report truncate_and_account(const core::Report& report);
-
   std::uint64_t budget_;
   ChannelStats stats_;
-  robustness::FaultInjector* faults_{nullptr};
 };
 
 }  // namespace nd::reporting

@@ -1,7 +1,5 @@
 #include "reporting/record_codec.hpp"
 
-#include <algorithm>
-
 #include "common/crc32.hpp"
 
 namespace nd::reporting {
@@ -55,8 +53,7 @@ std::size_t encoded_size(const core::Report& report,
 namespace {
 
 /// Append the encoded report to `out` (shared by the allocating and
-/// scratch-reusing entry points; also lets encode_framed_into encode
-/// straight after its reserved header bytes).
+/// scratch-reusing entry points).
 void encode_append(std::vector<std::uint8_t>& out, const core::Report& report,
                    packet::FlowKeyKind kind, std::string_view metrics_json) {
   if (report.shards.size() > kMaxShards) {
@@ -135,16 +132,16 @@ DecodedReport decode_full(std::span<const std::uint8_t> data) {
   if (get_u32(data, 0) != kMagic) {
     throw CodecError("reporting: bad magic");
   }
-  const std::uint16_t version = get_u16(data, 4);
-  if (version < 1 || version > kVersion) {
+  if (get_u16(data, 4) != kVersion) {
     throw CodecError("reporting: unsupported version");
   }
+  // The kind is checked here, not per record: a report with no flows
+  // must not carry an unknown kind into the collector's merge either.
   const auto kind = static_cast<packet::FlowKeyKind>(data[6]);
-  // Version 1 wrote a reserved zero where later versions carry the
-  // shard count; reading it unconditionally keeps v1 payloads decoding.
+  if (kind > packet::FlowKeyKind::kNetworkPair) {
+    throw CodecError("reporting: unknown flow-key kind");
+  }
   const std::size_t shard_count = data[7];
-  const std::size_t shard_record_bytes =
-      version == kVersion ? kShardRecordBytes : kShardRecordBytesV2;
   DecodedReport decoded;
   core::Report& report = decoded.report;
   report.interval = get_u32(data, 8);
@@ -152,16 +149,13 @@ DecodedReport decode_full(std::span<const std::uint8_t> data) {
   report.threshold = get_u64(data, 16);
 
   const std::size_t body_bytes = kHeaderBytes + count * kRecordBytes +
-                                 shard_count * shard_record_bytes;
+                                 shard_count * kShardRecordBytes;
   if (data.size() < body_bytes) {
     throw CodecError("reporting: size does not match record count");
   }
   if (data.size() > body_bytes) {
-    // Only v3 may carry bytes past the shard records: the length-
+    // The only bytes allowed past the shard records are the length-
     // prefixed metrics trailer, which must account for them exactly.
-    if (version != kVersion) {
-      throw CodecError("reporting: size does not match record count");
-    }
     if (data.size() < body_bytes + kTrailerLengthBytes) {
       throw CodecError("reporting: truncated metrics trailer");
     }
@@ -201,27 +195,22 @@ DecodedReport decode_full(std::span<const std::uint8_t> data) {
         key = packet::FlowKey::network_pair(a, b,
                                             static_cast<std::uint8_t>(c));
         break;
-      default:
-        throw CodecError("reporting: unknown flow-key kind");
     }
     report.flows.push_back(core::ReportedFlow{key, bytes, exact});
   }
   report.shards.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::size_t off =
-        kHeaderBytes + count * kRecordBytes + s * shard_record_bytes;
+        kHeaderBytes + count * kRecordBytes + s * kShardRecordBytes;
     core::ShardStatus status;
     status.threshold = get_u64(data, off);
     status.next_threshold = get_u64(data, off + 8);
     status.entries_used = get_u64(data, off + 16);
     status.capacity = get_u64(data, off + 24);
     status.smoothed_usage = static_cast<double>(get_u32(data, off + 32)) / 1e6;
-    // The flag word exists in v2 and v3 layouts alike (v2 wrote 0).
     status.degraded = (get_u32(data, off + 36) & 1U) != 0;
-    if (version == kVersion) {
-      status.packets = get_u64(data, off + 40);
-      status.bytes = get_u64(data, off + 48);
-    }
+    status.packets = get_u64(data, off + 40);
+    status.bytes = get_u64(data, off + 48);
     report.shards.push_back(status);
   }
   return decoded;
@@ -261,26 +250,6 @@ std::array<std::uint8_t, kFrameHeaderBytes> frame_header(
   return header;
 }
 
-std::vector<std::uint8_t> encode_framed(const core::Report& report,
-                                        packet::FlowKeyKind kind,
-                                        std::string_view metrics_json) {
-  std::vector<std::uint8_t> out;
-  encode_framed_into(out, report, kind, metrics_json);
-  return out;
-}
-
-void encode_framed_into(std::vector<std::uint8_t>& out,
-                        const core::Report& report, packet::FlowKeyKind kind,
-                        std::string_view metrics_json) {
-  out.clear();
-  out.resize(kFrameHeaderBytes);
-  encode_append(out, report, kind, metrics_json);
-  const std::span<const std::uint8_t> payload{out.data() + kFrameHeaderBytes,
-                                              out.size() - kFrameHeaderBytes};
-  const auto header = frame_header(payload);
-  std::copy(header.begin(), header.end(), out.begin());
-}
-
 std::span<const std::uint8_t> unframe(std::span<const std::uint8_t> frame) {
   if (frame.size() < kFrameHeaderBytes) {
     throw CodecError("reporting: truncated frame header");
@@ -298,10 +267,6 @@ std::span<const std::uint8_t> unframe(std::span<const std::uint8_t> frame) {
     throw CodecError("reporting: frame CRC mismatch (corrupt payload)");
   }
   return payload;
-}
-
-DecodedReport decode_framed(std::span<const std::uint8_t> frame) {
-  return decode_full(unframe(frame));
 }
 
 }  // namespace nd::reporting

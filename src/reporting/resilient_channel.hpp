@@ -1,33 +1,35 @@
-// ResilientChannel: self-healing delivery over a flaky collection path.
+// ResilientChannel: self-healing delivery of interval reports over a
+// FrameTransport (net::TcpTransport in production).
 //
 // CollectionChannel models the bandwidth constraint of the router →
-// management-station link; this wrapper adds the failure modes a real
-// export path suffers — whole reports lost in transit, payload bit
-// corruption, out-of-order arrival — and the recovery loop on top:
+// management-station link; this wrapper adds the recovery loop for the
+// failures a real export path suffers:
 //
 //   * largest-flow-first shedding: the report's records are sorted by
 //     descending size before the channel truncates to its byte budget,
 //     so whatever survives is exactly the heavy-hitter prefix (the
 //     paper's whole point is that those are the flows worth shipping);
-//   * CRC32 framing (record_codec.hpp): corruption is detected at the
-//     collector and the interval is re-requested instead of decoding
-//     plausible garbage;
-//   * bounded retry with exponential backoff: each lost or corrupted
-//     attempt doubles the recorded backoff; after max_attempts the
-//     report is abandoned and the loss shows up in stats() — never
-//     silently;
-//   * reorder absorption: a delayed frame is buffered and surfaced in
-//     arrival order; drain_ordered() restores interval order.
+//   * CRC32 framing (record_codec.hpp): the collector verifies every
+//     frame and resyncs past a corrupted one instead of decoding
+//     plausible garbage. The channel cannot see that rejection: a
+//     corrupted frame the transport accepted counts as delivered and
+//     is not retried. It is lost (a spool replays it only if a later
+//     transport failure rewinds the log), and the loss shows only on
+//     the collector side, as nd_net_resync_total or
+//     partial_frames_dropped;
+//   * bounded retry with exponential backoff: each dropped attempt
+//     ("channel.drop") or transport failure backs off (base * 2^retry,
+//     clamped at backoff_cap); after max_attempts the report is
+//     abandoned and the loss shows up in stats();
+//   * store-and-forward (spool.hpp): with a spool attached, a report is
+//     persisted before its first attempt and is never abandoned.
 //
-// Every failure path is visible in ResilientChannelStats, which is what
-// the chaos differential suite audits: under any fault plan, either the
-// received reports are bit-identical to a fault-free run, or every
-// missing record is accounted for here.
+// send() and drain_spool() share one attempt step, so a fault plan
+// puts the same bytes on the wire through either path.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -43,13 +45,11 @@
 
 namespace nd::reporting {
 
-/// The wire under ResilientChannel. The default (null) transport is the
-/// in-process loopback this class always had: the frame is decoded
-/// locally into received(). A real transport (net::TcpTransport) ships
-/// the frame bytes to a collector daemon instead; send_frame returning
-/// false means the frame did not leave this host intact (connect
-/// refused, connection lost mid-frame) and the channel's retry/backoff
-/// policy decides what happens next. Implementations own reconnecting —
+/// The wire under ResilientChannel: net::TcpTransport ships the frame
+/// bytes to a collector daemon. send_frame returning false means the
+/// frame did not leave this host intact (connect refused, connection
+/// lost mid-frame) and the channel's retry/backoff policy decides what
+/// happens next. Implementations own reconnecting —
 /// the channel only retries whole frames.
 class FrameTransport {
  public:
@@ -58,8 +58,8 @@ class FrameTransport {
       std::span<const std::uint8_t> frame) = 0;
   /// Scatter-gather variant: `header` and `payload` are one logical
   /// frame (header immediately followed by payload on the wire). The
-  /// default assembles and delegates to send_frame(), so in-process
-  /// fakes stay one-method; net::TcpTransport overrides it with a
+  /// default assembles and delegates to send_frame(), so test fakes
+  /// stay one-method; net::TcpTransport overrides it with a
   /// sendmsg() that never copies the payload behind the header.
   [[nodiscard]] virtual bool send_frame_parts(
       std::span<const std::uint8_t> header,
@@ -77,7 +77,8 @@ struct ResilientChannelConfig {
   std::uint64_t bytes_per_interval{1ULL << 20};
   /// Delivery attempts per report before it is abandoned (>= 1).
   std::uint32_t max_attempts{4};
-  /// First retry backoff; doubles per subsequent retry.
+  /// First retry backoff; doubles per subsequent retry, up to
+  /// backoff_cap.
   std::chrono::microseconds backoff_base{1000};
   /// Actually sleep the backoff (real deployments) or only record it
   /// (tests and simulations, the default — determinism stays intact
@@ -88,15 +89,13 @@ struct ResilientChannelConfig {
   /// common::FakeClock so backoff schedules are asserted exactly with
   /// zero wall-clock cost. Not owned.
   common::Clock* clock{nullptr};
-  /// Ship frames over this wire instead of the in-process loopback.
-  /// With a transport attached, received() stays empty — reception is
-  /// the remote collector's business — and the "channel.reorder" fault
-  /// site is inert (TCP preserves order within a connection). Not
-  /// owned; must outlive the channel.
+  /// The wire every frame ships over. Required: the constructor throws
+  /// std::invalid_argument when it is null. Not owned; must outlive the
+  /// channel.
   FrameTransport* transport{nullptr};
-  /// Fault hook for the transit sites "channel.drop" (report lost),
-  /// "channel.corrupt" (payload bit flip), "channel.reorder" (frame
-  /// delayed past its successor). Not owned; null is zero-cost.
+  /// Fault hook for the transit sites "channel.drop" (the attempt is
+  /// lost before the transport sees it) and "channel.corrupt" (a byte
+  /// of the wire copy flipped). Not owned; null is zero-cost.
   robustness::FaultInjector* faults{nullptr};
   /// Optional telemetry registry (not owned); labels tag every series.
   telemetry::MetricsRegistry* metrics{nullptr};
@@ -107,10 +106,10 @@ struct ResilientChannelConfig {
   telemetry::TraceRecorder* trace{nullptr};
   /// Device id stamped into this channel's trace events (-1 = none).
   std::int64_t trace_device{-1};
-  /// Durable store-and-forward log (reporting/spool.hpp). Requires a
-  /// transport. With a spool attached, send() shapes the report to the
-  /// channel budget, appends the frame to the spool *before* the first
-  /// send attempt, then drains the spool oldest-first; a report that
+  /// Durable store-and-forward log (reporting/spool.hpp). With a spool
+  /// attached, send() shapes the report to the channel budget, appends
+  /// the frame to the spool *before* the first send attempt, then
+  /// drains the spool oldest-first; a report that
   /// outlives the retry budget stays spooled — never abandoned — and is
   /// retried by the next send() or an explicit drain_spool(). Not
   /// owned; must outlive the channel.
@@ -125,7 +124,7 @@ struct ResilientChannelConfig {
   /// Seed for the jitter draw; distinct per device so schedules
   /// decorrelate while staying exactly reproducible.
   std::uint64_t jitter_seed{1};
-  /// Upper clamp on a jittered delay (ignored without `jitter`).
+  /// Upper clamp on every backoff delay, jittered or exponential.
   std::chrono::microseconds backoff_cap{1'000'000};
 };
 
@@ -133,20 +132,16 @@ struct ResilientChannelStats {
   std::uint64_t reports_sent{0};
   std::uint64_t attempts{0};
   std::uint64_t retries{0};
-  /// Whole-report transit losses detected (and retried).
+  /// Attempts lost in transit ("channel.drop"), each one retried.
   std::uint64_t drops{0};
-  /// Frames rejected by the CRC check (and retried).
-  std::uint64_t corruptions_detected{0};
-  std::uint64_t reorders{0};
-  /// Frames the attached FrameTransport failed to put on the wire
-  /// (connect refused, connection lost mid-frame) — each one retried
-  /// like a drop. Always 0 for the in-process loopback.
+  /// Frames the transport failed to put on the wire (connect refused,
+  /// connection lost mid-frame) — each one retried like a drop.
   std::uint64_t transport_failures{0};
   /// Records truncated by the byte budget (smallest flows, by
   /// construction — see largest-first shedding above).
   std::uint64_t records_shed{0};
-  /// Reports given up on after max_attempts; the only unaccounted-for
-  /// loss is never silent — it lands here. A spooled report is never
+  /// Reports given up on after max_attempts. A sender-side loss is
+  /// never silent — it lands here. A spooled report is never
   /// abandoned: exhaustion leaves it in the spool for a later drain.
   std::uint64_t reports_abandoned{0};
   /// Reports appended to the spool (spool mode counts every send here).
@@ -173,29 +168,17 @@ struct DeliveryOutcome {
 
 class ResilientChannel {
  public:
+  /// Throws std::invalid_argument when config.transport is null.
   explicit ResilientChannel(const ResilientChannelConfig& config);
 
-  /// Ship one interval's report through the flaky channel, retrying
-  /// transit faults up to max_attempts times. Successfully received
-  /// reports accumulate in received(); a reorder fault delays a report
-  /// until after its successor arrives.
+  /// Shape, encode and frame one interval's report once, then ship it,
+  /// retrying drops and transport failures up to max_attempts times
+  /// (spool mode: persist it and drain the spool instead).
   DeliveryOutcome send(const core::Report& report,
                        std::string_view metrics_json = {});
 
-  /// Reports as the collector saw them arrive (reorders visible).
-  /// flush() surfaces a report still held in the reorder buffer when
-  /// the stream ends.
-  [[nodiscard]] const std::vector<core::Report>& received() const {
-    return received_;
-  }
-  void flush();
-
-  /// flush() + sort by interval index: the collector's reassembled,
-  /// in-order view of the measurement stream.
-  [[nodiscard]] std::vector<core::Report> drain_ordered();
-
   /// Push pending spooled frames onto the transport, oldest-first, with
-  /// at most max_attempts tries per frame; returns true when the
+  /// at most max_attempts failures in a row; returns true when the
   /// backlog is empty on exit. A transport failure rewinds the spool
   /// watermark (frames sent on the dead connection may never have been
   /// journaled), so the next drain replays the whole log and the
@@ -210,30 +193,23 @@ class ResilientChannel {
   }
 
  private:
+  enum class Attempt { kSent, kDropped, kTransportFailed };
+  /// One delivery attempt of one frame: consult "channel.drop", then
+  /// "channel.corrupt", then the transport.
+  Attempt attempt(std::span<const std::uint8_t> header,
+                  std::span<const std::uint8_t> payload);
   void backoff(std::uint32_t retry_index);
-  DeliveryOutcome send_spooled(const core::Report& ordered,
-                               packet::FlowKeyKind kind,
-                               std::string_view metrics_json);
 
   ResilientChannelConfig config_;
   CollectionChannel channel_;
   ResilientChannelStats stats_;
-  std::vector<core::Report> received_;
-  /// A frame delayed by "channel.reorder"; surfaces after the next
-  /// successful delivery (or at flush()).
-  std::optional<core::Report> limbo_;
-  /// Reusable encode scratch: the payload (and, on slow paths that need
-  /// a contiguous mutable frame, the whole frame) for the interval in
-  /// flight. Steady-state sends allocate nothing.
+  /// Encode scratch for the payload in flight, reused across sends.
   std::vector<std::uint8_t> scratch_payload_;
-  std::vector<std::uint8_t> scratch_frame_;
   /// Decorrelated-jitter state: the previous delay feeds the next draw.
   common::Rng jitter_rng_{1};
   std::chrono::microseconds prev_delay_{0};
   telemetry::Counter* tm_retries_{nullptr};
   telemetry::Counter* tm_drops_{nullptr};
-  telemetry::Counter* tm_corruptions_{nullptr};
-  telemetry::Counter* tm_reorders_{nullptr};
   telemetry::Counter* tm_abandoned_{nullptr};
   telemetry::Counter* tm_transport_failures_{nullptr};
   telemetry::Counter* tm_spooled_{nullptr};

@@ -330,8 +330,8 @@ SpoolWal::AppendResult SpoolWal::append(const core::Report& report,
     result.records_shed = shed;
   }
 
-  std::vector<std::uint8_t> frame_bytes;
-  encode_framed_into(frame_bytes, shaped, kind, trailer);
+  std::vector<std::uint8_t> frame_bytes =
+      frame_payload(encode(shaped, kind, trailer));
   span.mutable_args().value =
       static_cast<std::int64_t>(frame_bytes.size());
 

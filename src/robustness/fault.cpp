@@ -46,8 +46,6 @@ const char* fault_kind_name(FaultKind kind) {
       return "corrupt";
     case FaultKind::kTruncate:
       return "truncate";
-    case FaultKind::kReorder:
-      return "reorder";
   }
   return "unknown";
 }
@@ -161,7 +159,6 @@ FaultKind parse_kind(std::string_view token) {
   if (token == "drop") return FaultKind::kDrop;
   if (token == "corrupt") return FaultKind::kCorrupt;
   if (token == "truncate") return FaultKind::kTruncate;
-  if (token == "reorder") return FaultKind::kReorder;
   throw std::invalid_argument("fault plan: unknown kind '" +
                               std::string(token) + "'");
 }

@@ -3,8 +3,8 @@
 // The paper's setting is measurement that must survive hostile
 // conditions — Section 2 cites NetFlow collection loss rates "up to
 // 90%". This layer lets tests (and the ndtm CLI) inject those
-// conditions on purpose: a stalled or throwing shard task, a dropped,
-// reordered or bit-corrupted report, a truncated capture. Every
+// conditions on purpose: a stalled or throwing shard task, a dropped
+// or bit-corrupted report, a truncated capture. Every
 // recovery path in the repo is exercised against it by the chaos
 // differential suite in tests/robustness/.
 //
@@ -23,9 +23,8 @@
 // Well-known sites:
 //   pool.task       common::ThreadPool — submitted task throws/stalls
 //   shard.stall     core::ShardedDevice — shard interval-close stalls
-//   channel.drop    reporting::CollectionChannel — whole report lost
-//   channel.corrupt reporting::ResilientChannel — payload byte flipped
-//   channel.reorder reporting::ResilientChannel — frame delivered late
+//   channel.drop    reporting::ResilientChannel — one send attempt lost
+//   channel.corrupt reporting::ResilientChannel — wire-copy byte flipped
 //   pcap.truncate   pcap::PcapReader — captured bytes truncated
 //   pcap.corrupt    pcap::PcapReader — captured byte flipped
 //   net.connect     net::TcpTransport — one connect attempt refused
@@ -58,7 +57,6 @@ enum class FaultKind : std::uint8_t {
   kDrop,      // lose a payload entirely
   kCorrupt,   // flip a payload byte
   kTruncate,  // shorten a payload
-  kReorder,   // delay a payload past its successor
 };
 
 [[nodiscard]] const char* fault_kind_name(FaultKind kind);
@@ -110,7 +108,7 @@ class FaultPlan {
 /// Parse a CLI fault-plan spec. Grammar (comma-separated entries):
 ///   <site>:<kind>[:p=<prob>][:at=<i+j+k>][:stall=<ms>][:max=<n>]
 /// e.g. "channel.drop:drop:p=0.3,shard.stall:stall:at=1:stall=50".
-/// Kinds: throw, stall, drop, corrupt, truncate, reorder. Throws
+/// Kinds: throw, stall, drop, corrupt, truncate. Throws
 /// std::invalid_argument on a malformed spec.
 [[nodiscard]] FaultPlan parse_fault_plan(std::string_view text,
                                          std::uint64_t seed = 1);

@@ -65,8 +65,9 @@ SpoolCorpus spool_corpus() {
   SpoolCorpus corpus;
   for (std::uint32_t i = 0; i < 3; ++i) {
     corpus.originals.push_back(make_report(i, 3 + i));
-    const std::vector<std::uint8_t> frame = reporting::encode_framed(
-        corpus.originals.back(), packet::FlowKeyKind::kFiveTuple, {});
+    const std::vector<std::uint8_t> frame =
+        reporting::frame_payload(reporting::encode(
+            corpus.originals.back(), packet::FlowKeyKind::kFiveTuple));
     corpus.bytes.insert(corpus.bytes.end(), frame.begin(), frame.end());
     corpus.frame_ends.push_back(corpus.bytes.size());
   }
@@ -91,7 +92,7 @@ std::vector<common::IntervalIndex> recover_intervals(
   std::vector<common::IntervalIndex> intervals;
   for (std::size_t i = 0; i < spool.frame_count(); ++i) {
     const reporting::DecodedReport decoded =
-        reporting::decode_framed(spool.frame(i));
+        reporting::decode_full(reporting::unframe(spool.frame(i)));
     EXPECT_EQ(decoded.report.interval, spool.frame_interval(i));
     intervals.push_back(decoded.report.interval);
   }

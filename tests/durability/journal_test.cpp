@@ -249,9 +249,9 @@ TEST(Journal, CollectorRestartMergesBitIdenticallyToUninterruptedRun) {
     transport_config.device_id = 0;
     TcpTransport transport(transport_config);
     ASSERT_TRUE(transport.send_frame(
-        reporting::encode_framed(make_report(0, 6), kind, {})));
+        reporting::frame_payload(reporting::encode(make_report(0, 6), kind))));
     ASSERT_TRUE(transport.send_frame(
-        reporting::encode_framed(make_report(1, 6), kind, {})));
+        reporting::frame_payload(reporting::encode(make_report(1, 6), kind))));
     wait_for_frames(collector, 2);
     EXPECT_EQ(collector.stats().journal_records, 2u);
     collector.stop();
@@ -273,8 +273,8 @@ TEST(Journal, CollectorRestartMergesBitIdenticallyToUninterruptedRun) {
     transport_config.device_id = 0;
     TcpTransport transport(transport_config);
     for (std::uint32_t interval = 0; interval < 3; ++interval) {
-      ASSERT_TRUE(transport.send_frame(
-          reporting::encode_framed(make_report(interval, 6), kind, {})));
+      ASSERT_TRUE(transport.send_frame(reporting::frame_payload(
+          reporting::encode(make_report(interval, 6), kind))));
     }
     ASSERT_TRUE(transport.send_bye(3));
   }
@@ -293,8 +293,8 @@ TEST(Journal, CollectorRestartMergesBitIdenticallyToUninterruptedRun) {
     transport_config.device_id = 0;
     TcpTransport transport(transport_config);
     for (std::uint32_t interval = 0; interval < 3; ++interval) {
-      ASSERT_TRUE(transport.send_frame(
-          reporting::encode_framed(make_report(interval, 6), kind, {})));
+      ASSERT_TRUE(transport.send_frame(reporting::frame_payload(
+          reporting::encode(make_report(interval, 6), kind))));
     }
     ASSERT_TRUE(transport.send_bye(3));
   }

@@ -8,12 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <deque>
+#include <stdexcept>
 #include <filesystem>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "../support/collector_sink.hpp"
 #include "../support/report_testing.hpp"
 #include "core/device.hpp"
 #include "packet/flow_key.hpp"
@@ -91,7 +92,7 @@ TEST(SpoolWal, AppendRecoverRoundTrip) {
   EXPECT_TRUE(spool.draining());
   for (std::uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(spool.frame_interval(i), i);
-    const DecodedReport decoded = decode_framed(spool.frame(i));
+    const DecodedReport decoded = decode_full(unframe(spool.frame(i)));
     testing::expect_reports_equal(decoded.report, make_report(i, 4));
   }
 }
@@ -240,8 +241,8 @@ TEST(SpoolWal, TornTailCostsExactlyTheLastRecord) {
   EXPECT_EQ(spool.stats().torn_records, 1u);
   ASSERT_EQ(spool.frame_count(), 1u);
   EXPECT_EQ(spool.frame_interval(0), 0u);
-  testing::expect_reports_equal(decode_framed(spool.frame(0)).report,
-                                make_report(0, 4));
+  testing::expect_reports_equal(
+      decode_full(unframe(spool.frame(0))).report, make_report(0, 4));
 }
 
 TEST(SpoolWal, DiskFullFaultKeepsFrameDeliverableInMemory) {
@@ -258,8 +259,8 @@ TEST(SpoolWal, DiskFullFaultKeepsFrameDeliverableInMemory) {
     EXPECT_EQ(spool.stats().write_errors, 1u);
     // Still deliverable this run: the frame drains from memory.
     EXPECT_EQ(spool.backlog(), 1u);
-    testing::expect_reports_equal(decode_framed(spool.frame(0)).report,
-                                  make_report(0, 4));
+    testing::expect_reports_equal(
+        decode_full(unframe(spool.frame(0))).report, make_report(0, 4));
   }
   // But not durable: a crash before delivery loses exactly this frame.
   SpoolWalConfig clean = config;
@@ -354,7 +355,7 @@ TEST(SpoolWal, BudgetShedsSmallestFlowsToFit) {
   EXPECT_EQ(spool.stats().records_shed, 4u);
   EXPECT_EQ(spool.stats().dropped, 0u);
   // Largest-first keep: the retained prefix is the 4 biggest flows.
-  const DecodedReport decoded = decode_framed(spool.frame(0));
+  const DecodedReport decoded = decode_full(unframe(spool.frame(0)));
   core::Report expected = make_report(0, 8);
   expected.flows.resize(4);
   testing::expect_reports_equal(decoded.report, expected);
@@ -372,29 +373,21 @@ TEST(SpoolWal, OversizeReportIsDroppedAndCounted) {
   EXPECT_EQ(spool.backlog(), 0u);
 }
 
-/// A transport whose per-frame verdicts are scripted; every attempted
-/// frame is captured regardless of verdict.
-class ScriptedTransport final : public FrameTransport {
- public:
-  explicit ScriptedTransport(std::deque<bool> verdicts)
-      : verdicts_(std::move(verdicts)) {}
-
-  bool send_frame(std::span<const std::uint8_t> frame) override {
-    frames.emplace_back(frame.begin(), frame.end());
-    if (verdicts_.empty()) return true;
-    const bool ok = verdicts_.front();
-    verdicts_.pop_front();
-    return ok;
-  }
-
-  std::vector<std::vector<std::uint8_t>> frames;
-
- private:
-  std::deque<bool> verdicts_;
-};
+TEST(SpoolWal, ChannelWithoutTransportThrowsAtConstruction) {
+  // A spool with no wire to drain it would silently never ship; a
+  // channel needs a transport with or without one.
+  SpoolWalConfig spool_config;
+  spool_config.directory = fresh_dir("no_transport");
+  SpoolWal spool(spool_config);
+  ResilientChannelConfig config;
+  config.spool = &spool;
+  EXPECT_THROW((void)ResilientChannel(config), std::invalid_argument);
+  EXPECT_THROW((void)ResilientChannel(ResilientChannelConfig{}),
+               std::invalid_argument);
+}
 
 TEST(SpoolWal, ChannelExhaustionLeavesReportSpooledNotAbandoned) {
-  ScriptedTransport transport({false, false, true});
+  testing::CollectorSink transport({false, false, true});
   SpoolWalConfig spool_config;
   spool_config.directory = fresh_dir("channel_exhaust");
   SpoolWal spool(spool_config);
@@ -420,14 +413,18 @@ TEST(SpoolWal, ChannelExhaustionLeavesReportSpooledNotAbandoned) {
   EXPECT_EQ(spool.stats().acked, 1u);
   ASSERT_EQ(transport.frames.size(), 3u);
   testing::expect_reports_equal(
-      decode_framed(transport.frames.back()).report, make_report(0, 4));
+      decode_full(unframe(transport.frames.back())).report,
+      make_report(0, 4));
+  ASSERT_EQ(transport.reports.size(), 1u);
+  testing::expect_reports_equal(transport.reports[0].report,
+                                make_report(0, 4));
 }
 
 TEST(SpoolWal, ChannelTransportFailureRewindsAndReplaysWholeLog) {
   // Frame 0 delivers; frame 1's first attempt kills the connection.
   // The watermark rewinds to zero, so the retry replays frame 0 (which
   // the collector dedups) before frame 1.
-  ScriptedTransport transport({true, false, true, true});
+  testing::CollectorSink transport({true, false, true, true});
   SpoolWalConfig spool_config;
   spool_config.directory = fresh_dir("channel_rewind");
   SpoolWal spool(spool_config);
@@ -448,7 +445,11 @@ TEST(SpoolWal, ChannelTransportFailureRewindsAndReplaysWholeLog) {
   // The replay resends frame 0 byte-identically.
   EXPECT_EQ(transport.frames[2], transport.frames[0]);
   testing::expect_reports_equal(
-      decode_framed(transport.frames[3]).report, make_report(1, 4));
+      decode_full(unframe(transport.frames[3])).report, make_report(1, 4));
+  // The collector sees frame 0 twice (its dedup keeps the first copy),
+  // then frame 1.
+  ASSERT_EQ(transport.reports.size(), 3u);
+  EXPECT_EQ(transport.reports[2].report.interval, 1u);
 }
 
 }  // namespace

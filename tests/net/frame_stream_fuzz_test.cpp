@@ -41,8 +41,8 @@ std::vector<std::uint8_t> short_frame() {
                                          80, packet::IpProtocol::kTcp);
   flow.estimated_bytes = 50'000;
   report.flows.push_back(flow);
-  return reporting::encode_framed(report,
-                                  packet::FlowKeyKind::kFiveTuple);
+  return reporting::frame_payload(
+      reporting::encode(report, packet::FlowKeyKind::kFiveTuple));
 }
 
 TEST(FrameStreamFuzz, EveryTruncationPrefixIsSafe) {

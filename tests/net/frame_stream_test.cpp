@@ -51,8 +51,8 @@ core::Report make_report(common::IntervalIndex interval,
 
 std::vector<std::uint8_t> report_frame(common::IntervalIndex interval,
                                        std::size_t flows) {
-  return reporting::encode_framed(make_report(interval, flows),
-                                  packet::FlowKeyKind::kFiveTuple);
+  return reporting::frame_payload(reporting::encode(
+      make_report(interval, flows), packet::FlowKeyKind::kFiveTuple));
 }
 
 void feed_all(FrameStreamParser& parser,

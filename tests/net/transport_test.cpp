@@ -46,8 +46,8 @@ core::Report make_report(common::IntervalIndex interval,
 
 std::vector<std::uint8_t> framed(common::IntervalIndex interval,
                                  std::size_t flows) {
-  return reporting::encode_framed(make_report(interval, flows),
-                                  packet::FlowKeyKind::kFiveTuple);
+  return reporting::frame_payload(reporting::encode(
+      make_report(interval, flows), packet::FlowKeyKind::kFiveTuple));
 }
 
 /// Read from `fd` until `n` bytes arrived (the peer is in-process, so
@@ -181,8 +181,8 @@ TEST(TcpTransport, SendFramePartsDeliversHeaderPlusPayloadWhole) {
 
   // And the parts must be byte-identical to the assembled encoding —
   // the wire format does not depend on which send path was taken.
-  std::vector<std::uint8_t> assembled = reporting::encode_framed(
-      report, packet::FlowKeyKind::kFiveTuple);
+  std::vector<std::uint8_t> assembled = reporting::frame_payload(
+      reporting::encode(report, packet::FlowKeyKind::kFiveTuple));
   std::vector<std::uint8_t> parts(header.begin(), header.end());
   parts.insert(parts.end(), payload.begin(), payload.end());
   EXPECT_EQ(parts, assembled);

@@ -52,7 +52,15 @@ TEST(RegistryGeneration, SnapshotNeverSplitsACounterGaugePair) {
     gauge.set(1.0);
   }
 
+  // The writer runs at most one update per snapshot: after each one it
+  // waits until the reader finishes the snapshot in flight. A real
+  // interval close is seconds apart, so the bounded read retry always
+  // finds a quiescent window; a writer that only yields between updates
+  // does not guarantee one, and under a sanitizer the reader's slower
+  // read overlaps an update on every retry until it gives up and
+  // returns a torn read.
   std::atomic<bool> stop{false};
+  std::atomic<int> snapshots_done{0};
   std::thread writer([&] {
     for (std::uint64_t i = 2; !stop.load(std::memory_order_relaxed);
          ++i) {
@@ -61,15 +69,17 @@ TEST(RegistryGeneration, SnapshotNeverSplitsACounterGaugePair) {
         counter.increment();
         gauge.set(static_cast<double>(i));
       }
-      // Leave a quiescent window between updates so the reader's
-      // bounded retry always finds one (a real interval close is
-      // seconds apart; back-to-back windows would starve it).
-      std::this_thread::yield();
+      const int seen = snapshots_done.load(std::memory_order_acquire);
+      while (!stop.load(std::memory_order_relaxed) &&
+             snapshots_done.load(std::memory_order_acquire) == seen) {
+        std::this_thread::yield();
+      }
     }
   });
 
   for (int i = 0; i < 2'000; ++i) {
     const Snapshot snapshot = registry.snapshot();
+    snapshots_done.fetch_add(1, std::memory_order_release);
     const Snapshot::Sample* count =
         snapshot.find("nd_session_intervals_total");
     const Snapshot::Sample* mirror =

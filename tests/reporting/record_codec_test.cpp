@@ -96,9 +96,35 @@ TEST(RecordCodec, BadMagicRejected) {
 }
 
 TEST(RecordCodec, BadVersionRejected) {
-  auto data = encode(sample_report(), packet::FlowKeyKind::kFiveTuple);
-  data[5] = 99;
+  // Only v3 decodes: the retired v1/v2 layouts are rejected like any
+  // unknown version, with or without shards or a trailer.
+  auto report = sample_report();
+  report.shards.push_back(core::ShardStatus{60'000, 54'000, 0.9, 115, 128});
+  for (const auto& data :
+       {encode(sample_report(), packet::FlowKeyKind::kFiveTuple),
+        encode(report, packet::FlowKeyKind::kFiveTuple, "{\"x\":1}")}) {
+    for (const int version : {0, 1, 2, 4, 99}) {
+      auto patched = data;
+      patched[5] = static_cast<std::uint8_t>(version);
+      EXPECT_THROW((void)decode_full(patched), CodecError)
+          << "version " << version;
+    }
+  }
+}
+
+TEST(RecordCodec, UnknownKindRejectedEvenWithoutFlows) {
+  // The kind byte is validated in the header, so a zero-flow report
+  // cannot smuggle an unknown kind into the collector's merge.
+  core::Report empty;
+  empty.interval = 4;
+  auto data = encode(empty, packet::FlowKeyKind::kFiveTuple);
+  ASSERT_NO_THROW((void)decode(data));
+  data[6] = 0x7F;
   EXPECT_THROW((void)decode(data), CodecError);
+  // And with flows, as before.
+  auto with_flows = encode(sample_report(), packet::FlowKeyKind::kFiveTuple);
+  with_flows[6] = 0x7F;
+  EXPECT_THROW((void)decode(with_flows), CodecError);
 }
 
 TEST(RecordCodec, TruncationRejected) {
@@ -147,18 +173,6 @@ TEST(RecordCodec, ShardTrailerRoundTrips) {
                 report.shards[s].smoothed_usage, 1e-6);
   }
   EXPECT_EQ(core::effective_threshold(decoded), 1'000'000u);
-}
-
-TEST(RecordCodec, VersionOnePayloadStillDecodes) {
-  // A v1 sender wrote version 1 and a reserved zero where v2 carries the
-  // shard count; such payloads must keep decoding unchanged.
-  auto data = encode(sample_report(), packet::FlowKeyKind::kFiveTuple);
-  ASSERT_EQ(data[7], 0u);  // no shard section on an unsharded report
-  data[5] = 1;             // patch the version byte back to v1
-  const auto decoded = decode(data);
-  EXPECT_EQ(decoded.interval, 7u);
-  EXPECT_EQ(decoded.flows.size(), 2u);
-  EXPECT_TRUE(decoded.shards.empty());
 }
 
 TEST(RecordCodec, ShardTrailerTruncationRejected) {
@@ -223,37 +237,6 @@ TEST(RecordCodec, TruncatedTrailerRejected) {
   EXPECT_THROW((void)decode_full(data), CodecError);
   // Chop into the length prefix itself.
   data.resize(encoded_size(report) + 2);
-  EXPECT_THROW((void)decode_full(data), CodecError);
-}
-
-TEST(RecordCodec, VersionTwoShardPayloadStillDecodes) {
-  // Hand-build a v2 payload: 40-byte shard records, no tallies, no
-  // trailer. Encode with v3 and surgically strip the 16 tally bytes.
-  auto report = sample_report();
-  core::ShardStatus status{60'000, 54'000, 0.913, 115, 128};
-  status.packets = 111;  // must NOT survive a v2 round trip
-  status.bytes = 222;
-  report.shards.push_back(status);
-
-  auto data = encode(report, packet::FlowKeyKind::kFiveTuple);
-  ASSERT_EQ(data.size(), kHeaderBytes + 2 * kRecordBytes + kShardRecordBytes);
-  data.resize(data.size() - (kShardRecordBytes - kShardRecordBytesV2));
-  data[5] = 2;  // patch the version byte back to v2
-
-  const auto decoded = decode_full(data);
-  ASSERT_EQ(decoded.report.shards.size(), 1u);
-  EXPECT_EQ(decoded.report.shards[0].threshold, 60'000u);
-  EXPECT_EQ(decoded.report.shards[0].entries_used, 115u);
-  EXPECT_EQ(decoded.report.shards[0].packets, 0u);
-  EXPECT_EQ(decoded.report.shards[0].bytes, 0u);
-  EXPECT_TRUE(decoded.metrics_json.empty());
-}
-
-TEST(RecordCodec, TrailerOnOldVersionsRejected) {
-  // Excess bytes after the shard records are only legal on v3.
-  auto data = encode(sample_report(), packet::FlowKeyKind::kFiveTuple,
-                     "{\"x\":1}");
-  data[5] = 2;
   EXPECT_THROW((void)decode_full(data), CodecError);
 }
 

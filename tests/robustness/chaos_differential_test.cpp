@@ -1,13 +1,16 @@
 // Chaos differential suite: the tentpole property of the robustness
 // layer, checked end-to-end over device -> report -> framed channel ->
-// collector.
+// collector, on the path that ships: ResilientChannel over a
+// FrameTransport whose accepted bytes a collector-side stream parser
+// decodes (tests/support/collector_sink.hpp).
 //
 // Under ANY fault plan, one of two things must hold for every interval:
-// either the collector's reassembled stream is bit-identical to a
-// fault-free run (the recovery paths healed the faults), or every
-// missing record is accounted for — in ResilientChannelStats for
-// transit losses, in ShardStatus::degraded plus the shard routing
-// function for watchdog losses — and whatever did survive is a
+// either the collector decodes a report bit-identical to a fault-free
+// run (the recovery paths healed the faults), or the missing interval
+// is accounted for — in ResilientChannelStats for sender-side losses,
+// in the collector's resyncs or undecoded buffered bytes for frames
+// corrupted on the wire, in ShardStatus::degraded plus the shard
+// routing function for watchdog losses — and whatever did survive is a
 // largest-flow-first prefix. Nothing is ever lost silently.
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "../support/collector_sink.hpp"
 #include "../support/report_testing.hpp"
 #include "common/thread_pool.hpp"
 #include "core/multistage_filter.hpp"
@@ -50,20 +54,28 @@ struct PipelineResult {
   /// Per-interval device reports, sorted largest-first (what a
   /// lossless channel would deliver).
   std::vector<core::Report> produced;
-  /// The collector's reassembled in-order stream.
+  /// The reports the collector decoded, in arrival order.
   std::vector<core::Report> received;
+  /// Per send(): whether the collector registered that interval's frame
+  /// — decoded its report, resynced, or holds undecoded bytes after it.
+  std::vector<bool> registered;
+  std::vector<reporting::DeliveryOutcome> outcomes;
   reporting::ResilientChannelStats stats;
   reporting::ChannelStats channel;
+  std::uint64_t resyncs{0};
+  std::uint64_t frames_attempted{0};
 };
 
 PipelineResult run_pipeline(
     const std::vector<std::vector<packet::ClassifiedPacket>>& intervals,
     robustness::FaultInjector* faults,
     std::uint64_t bytes_per_interval = 1ULL << 20) {
+  testing::CollectorSink sink;
   reporting::ResilientChannelConfig config;
   config.bytes_per_interval = bytes_per_interval;
   config.max_attempts = 4;
   config.faults = faults;
+  config.transport = &sink;
   reporting::ResilientChannel channel(config);
 
   auto device = make_device();
@@ -72,16 +84,25 @@ PipelineResult run_pipeline(
     device->observe_batch(batch);
     core::Report report = device->end_interval();
     core::sort_by_size(report);
-    (void)channel.send(report);
+    const std::size_t reports_before = sink.reports.size();
+    const std::uint64_t resyncs_before = sink.resyncs;
+    result.outcomes.push_back(channel.send(report));
+    result.registered.push_back(sink.reports.size() > reports_before ||
+                                sink.resyncs > resyncs_before ||
+                                sink.buffered() > 0);
     // entries_used is device-local state the wire format omits; zero it
     // so `produced` and the decoded `received` compare on the
     // wire-visible fields.
     report.entries_used = 0;
     result.produced.push_back(std::move(report));
   }
-  result.received = channel.drain_ordered();
+  for (const reporting::DecodedReport& decoded : sink.reports) {
+    result.received.push_back(decoded.report);
+  }
   result.stats = channel.stats();
   result.channel = channel.channel_stats();
+  result.resyncs = sink.resyncs;
+  result.frames_attempted = sink.frames.size();
   return result;
 }
 
@@ -115,40 +136,58 @@ TEST(ChaosDifferential, DropsWithRetriesHealBitIdentically) {
   expect_streams_equal(chaotic.received, baseline.received);
   EXPECT_EQ(chaotic.stats.drops, 3u);
   EXPECT_EQ(chaotic.stats.retries, 3u);
-  EXPECT_EQ(chaotic.channel.reports_dropped, 3u);
   EXPECT_EQ(chaotic.stats.reports_abandoned, 0u);
+  // Dropped attempts never reach the wire: one frame per interval.
+  EXPECT_EQ(chaotic.frames_attempted, intervals.size());
+  EXPECT_EQ(chaotic.resyncs, 0u);
 }
 
-TEST(ChaosDifferential, CorruptionIsDetectedAndHealedBitIdentically) {
+TEST(ChaosDifferential, CorruptedFramesAreResyncedPastNeverMisdecoded) {
+  // Over TCP a corrupted frame is not retried: the transport accepted
+  // it, so the channel counts it delivered, and the collector's CRC
+  // check is the only line of defence. It must never decode a damaged
+  // frame into a report, and every interval it lost must show on its
+  // side of the wire.
   const auto intervals = chaos_trace();
   const PipelineResult baseline = run_pipeline(intervals, nullptr);
 
   robustness::FaultSpec spec;
   spec.kind = robustness::FaultKind::kCorrupt;
-  spec.schedule = {0, 1, 3};  // two corruptions on report 0, one later
+  spec.schedule = {0, 1, 3};
   robustness::FaultInjector faults(
       robustness::FaultPlan(22).inject("channel.corrupt", spec));
   const PipelineResult chaotic = run_pipeline(intervals, &faults);
 
-  expect_streams_equal(chaotic.received, baseline.received);
-  EXPECT_EQ(chaotic.stats.corruptions_detected, 3u);
-  EXPECT_EQ(chaotic.stats.reports_abandoned, 0u);
-}
-
-TEST(ChaosDifferential, ReorderedStreamReassemblesInOrder) {
-  const auto intervals = chaos_trace();
-  const PipelineResult baseline = run_pipeline(intervals, nullptr);
-
-  robustness::FaultSpec spec;
-  spec.kind = robustness::FaultKind::kReorder;
-  spec.schedule = {0, 2};
-  robustness::FaultInjector faults(
-      robustness::FaultPlan(23).inject("channel.reorder", spec));
-  const PipelineResult chaotic = run_pipeline(intervals, &faults);
-
-  // drain_ordered() undoes the reordering completely.
-  expect_streams_equal(chaotic.received, baseline.received);
-  EXPECT_EQ(chaotic.stats.reorders, 2u);
+  // The sender saw one clean attempt per interval.
+  EXPECT_EQ(chaotic.frames_attempted, intervals.size());
+  EXPECT_EQ(chaotic.stats.retries, 0u);
+  for (const reporting::DeliveryOutcome& outcome : chaotic.outcomes) {
+    EXPECT_TRUE(outcome.delivered);
+    EXPECT_EQ(outcome.attempts, 1u);
+  }
+  // Every report the collector yields is bit-identical to the
+  // fault-free report for its interval, in interval order...
+  // No corrupted frame decodes, so each one costs at least its own
+  // interval.
+  ASSERT_LE(chaotic.received.size(),
+            baseline.received.size() - spec.schedule.size());
+  std::size_t next = 0;
+  for (const core::Report& arrived : chaotic.received) {
+    while (next < baseline.received.size() &&
+           baseline.received[next].interval != arrived.interval) {
+      ++next;
+    }
+    ASSERT_LT(next, baseline.received.size())
+        << "interval " << arrived.interval << " out of order or unknown";
+    testing::expect_reports_equal(arrived, baseline.received[next]);
+    ++next;
+  }
+  // ...and every interval's frame registered at the collector: decoded,
+  // resynced past, or held as undecoded bytes.
+  for (std::size_t i = 0; i < chaotic.registered.size(); ++i) {
+    EXPECT_TRUE(chaotic.registered[i]) << "interval " << i;
+  }
+  EXPECT_GT(chaotic.resyncs, 0u);
 }
 
 TEST(ChaosDifferential, PersistentDropIsAbandonedNeverSilent) {
@@ -165,8 +204,7 @@ TEST(ChaosDifferential, PersistentDropIsAbandonedNeverSilent) {
   EXPECT_TRUE(chaotic.received.empty());
   EXPECT_EQ(chaotic.stats.reports_abandoned, intervals.size());
   EXPECT_EQ(chaotic.stats.drops, 4u * intervals.size());
-  EXPECT_EQ(chaotic.channel.reports_dropped, 4u * intervals.size());
-  EXPECT_EQ(chaotic.channel.records_delivered, 0u);
+  EXPECT_EQ(chaotic.frames_attempted, 0u);
 }
 
 TEST(ChaosDifferential, BudgetPressureShedsLargestFirstWithExactCounts) {
@@ -271,14 +309,16 @@ TEST(ChaosDifferential, WatchdogLossIsAttributedAndSurvivesTheWire) {
 
   // Ship it: the degraded flag must reach the collector through the
   // framed codec so the loss stays visible end to end.
-  reporting::ResilientChannel channel(
-      reporting::ResilientChannelConfig{});
+  testing::CollectorSink sink;
+  reporting::ResilientChannelConfig channel_config;
+  channel_config.transport = &sink;
+  reporting::ResilientChannel channel(channel_config);
   (void)channel.send(degraded_report);
-  ASSERT_EQ(channel.received().size(), 1u);
-  ASSERT_EQ(channel.received()[0].shards.size(), 4u);
+  ASSERT_EQ(sink.reports.size(), 1u);
+  const core::Report& arrived = sink.reports[0].report;
+  ASSERT_EQ(arrived.shards.size(), 4u);
   for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(channel.received()[0].shards[s].degraded, s == stuck)
-        << "shard " << s;
+    EXPECT_EQ(arrived.shards[s].degraded, s == stuck) << "shard " << s;
   }
 }
 

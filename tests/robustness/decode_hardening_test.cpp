@@ -116,22 +116,6 @@ TEST(CodecHardening, V3TruncationTableWithMetricsTrailer) {
                                {reporting::encoded_size(report)});
 }
 
-TEST(CodecHardening, V1TruncationTable) {
-  auto payload = reporting::encode(sample_report(3, 0), packet::FlowKeyKind::kFiveTuple);
-  payload[5] = 1;  // no shard section, so this is a complete v1 payload
-  ASSERT_NO_THROW((void)reporting::decode(payload));
-  expect_all_prefixes_rejected(payload);
-}
-
-TEST(CodecHardening, V2TruncationTable) {
-  auto payload = reporting::encode(sample_report(2, 1), packet::FlowKeyKind::kFiveTuple);
-  payload.resize(payload.size() - (reporting::kShardRecordBytes -
-                                   reporting::kShardRecordBytesV2));
-  payload[5] = 2;
-  ASSERT_NO_THROW((void)reporting::decode(payload));
-  expect_all_prefixes_rejected(payload);
-}
-
 TEST(CodecHardening, ByteFlipsNeverEscapeTheDecoder) {
   expect_all_flips_contained(
       reporting::encode(sample_report(3, 2), packet::FlowKeyKind::kFiveTuple));
@@ -162,11 +146,12 @@ TEST(CodecHardening, DegradedBitRoundTripsOnTheWire) {
 }
 
 TEST(FrameHardening, EveryTruncationIsRejected) {
-  const auto frame = reporting::encode_framed(
-      sample_report(3, 2), packet::FlowKeyKind::kFiveTuple);
+  const auto frame = reporting::frame_payload(reporting::encode(
+      sample_report(3, 2), packet::FlowKeyKind::kFiveTuple));
   for (std::size_t len = 0; len < frame.size(); ++len) {
     const std::span<const std::uint8_t> prefix(frame.data(), len);
-    EXPECT_THROW((void)reporting::decode_framed(prefix), CodecError)
+    EXPECT_THROW((void)reporting::decode_full(reporting::unframe(prefix)),
+                 CodecError)
         << "frame prefix of " << len << " bytes accepted";
   }
 }
@@ -175,14 +160,16 @@ TEST(FrameHardening, EverySingleByteFlipIsRejected) {
   // The framed contract is strictly stronger than the raw payload's:
   // CRC32 detects every single-byte error, so any flip anywhere —
   // header or payload — must throw, never decode to a wrong report.
-  const auto frame = reporting::encode_framed(
-      sample_report(3, 2), packet::FlowKeyKind::kFiveTuple,
-      "{\"interval\":4,\"metrics\":[]}");
+  const auto frame = reporting::frame_payload(
+      reporting::encode(sample_report(3, 2), packet::FlowKeyKind::kFiveTuple,
+                        "{\"interval\":4,\"metrics\":[]}"));
   for (std::size_t i = 0; i < frame.size(); ++i) {
     for (const std::uint8_t pattern : {0x01, 0x80, 0xFF}) {
       auto corrupt = frame;
       corrupt[i] ^= pattern;
-      EXPECT_THROW((void)reporting::decode_framed(corrupt), CodecError)
+      EXPECT_THROW(
+          (void)reporting::decode_full(reporting::unframe(corrupt)),
+          CodecError)
           << "flip of byte " << i << " accepted";
     }
   }
@@ -191,12 +178,12 @@ TEST(FrameHardening, EverySingleByteFlipIsRejected) {
 TEST(FrameHardening, FrameRoundTripsPayloadAndMetrics) {
   const core::Report report = sample_report(2, 1);
   const std::string metrics = "{\"interval\":4,\"metrics\":[]}";
-  const auto frame = reporting::encode_framed(
-      report, packet::FlowKeyKind::kFiveTuple, metrics);
+  const auto frame = reporting::frame_payload(
+      reporting::encode(report, packet::FlowKeyKind::kFiveTuple, metrics));
   EXPECT_EQ(frame.size(), reporting::kFrameHeaderBytes +
                               reporting::encoded_size(
                                   report, metrics.size()));
-  const auto decoded = reporting::decode_framed(frame);
+  const auto decoded = reporting::decode_full(reporting::unframe(frame));
   EXPECT_EQ(decoded.report.flows.size(), 2u);
   EXPECT_EQ(decoded.metrics_json, metrics);
 }

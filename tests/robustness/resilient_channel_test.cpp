@@ -1,6 +1,8 @@
 // ResilientChannel unit suite: each transit fault in isolation, with
-// exact accounting. The chaos differential suite composes them; here
-// every counter is pinned to its precise expected value.
+// exact accounting, over the CollectorSink fake (a FrameTransport that
+// parses what it accepts the way net::Collector does). The chaos
+// differential suite composes them; here every counter is pinned to its
+// precise expected value.
 #include "reporting/resilient_channel.hpp"
 
 #include <gtest/gtest.h>
@@ -8,10 +10,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
+#include "../support/collector_sink.hpp"
 #include "../support/report_testing.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
@@ -52,7 +54,9 @@ robustness::FaultPlan site_schedule(const std::string& site,
 }
 
 TEST(ResilientChannel, FaultFreeDeliveryIsBitIdentical) {
+  testing::CollectorSink sink;
   ResilientChannelConfig config;
+  config.transport = &sink;
   ResilientChannel channel(config);
   const core::Report report = make_report(0, 8);
   const DeliveryOutcome outcome = channel.send(report);
@@ -67,15 +71,17 @@ TEST(ResilientChannel, FaultFreeDeliveryIsBitIdentical) {
   core::Report expected = report;
   core::sort_by_size(expected);
   expected.entries_used = 0;
-  ASSERT_EQ(channel.received().size(), 1u);
-  testing::expect_reports_equal(channel.received()[0], expected);
+  ASSERT_EQ(sink.reports.size(), 1u);
+  testing::expect_reports_equal(sink.reports[0].report, expected);
+  EXPECT_EQ(sink.resyncs, 0u);
+  EXPECT_EQ(sink.buffered(), 0u);
 
   const ResilientChannelStats& stats = channel.stats();
   EXPECT_EQ(stats.reports_sent, 1u);
   EXPECT_EQ(stats.attempts, 1u);
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.drops, 0u);
-  EXPECT_EQ(stats.corruptions_detected, 0u);
+  EXPECT_EQ(stats.transport_failures, 0u);
   EXPECT_EQ(stats.reports_abandoned, 0u);
   EXPECT_EQ(stats.backoff_us, 0u);
 }
@@ -84,7 +90,9 @@ TEST(ResilientChannel, SingleDropIsRetriedAndRecovered) {
   robustness::FaultPlan plan =
       site_schedule("channel.drop", robustness::FaultKind::kDrop, {0});
   robustness::FaultInjector faults(plan);
+  testing::CollectorSink sink;
   ResilientChannelConfig config;
+  config.transport = &sink;
   config.faults = &faults;
   config.backoff_base = std::chrono::microseconds(100);
   ResilientChannel channel(config);
@@ -96,8 +104,9 @@ TEST(ResilientChannel, SingleDropIsRetriedAndRecovered) {
   EXPECT_EQ(stats.drops, 1u);
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.backoff_us, 100u);  // base * 2^0
-  EXPECT_EQ(channel.channel_stats().reports_dropped, 1u);
-  ASSERT_EQ(channel.received().size(), 1u);
+  // The dropped attempt never reached the wire.
+  EXPECT_EQ(sink.frames.size(), 1u);
+  ASSERT_EQ(sink.reports.size(), 1u);
 }
 
 TEST(ResilientChannel, PersistentDropIsAbandonedWithFullAccounting) {
@@ -106,7 +115,9 @@ TEST(ResilientChannel, PersistentDropIsAbandonedWithFullAccounting) {
   spec.probability = 1.0;
   robustness::FaultInjector faults(
       robustness::FaultPlan(5).inject("channel.drop", spec));
+  testing::CollectorSink sink;
   ResilientChannelConfig config;
+  config.transport = &sink;
   config.faults = &faults;
   config.max_attempts = 3;
   config.backoff_base = std::chrono::microseconds(100);
@@ -121,7 +132,7 @@ TEST(ResilientChannel, PersistentDropIsAbandonedWithFullAccounting) {
   EXPECT_EQ(stats.reports_abandoned, 1u);
   // Exponential: 100 * (1 + 2 + 4).
   EXPECT_EQ(stats.backoff_us, 700u);
-  EXPECT_TRUE(channel.received().empty());
+  EXPECT_TRUE(sink.frames.empty());
 }
 
 TEST(ResilientChannel, BackoffSleepsOnTheInjectedClockExactly) {
@@ -134,7 +145,9 @@ TEST(ResilientChannel, BackoffSleepsOnTheInjectedClockExactly) {
   robustness::FaultInjector faults(
       robustness::FaultPlan(5).inject("channel.drop", spec));
   common::FakeClock clock;
+  testing::CollectorSink sink;
   ResilientChannelConfig config;
+  config.transport = &sink;
   config.faults = &faults;
   config.max_attempts = 4;
   config.backoff_base = std::chrono::microseconds(1000);
@@ -155,67 +168,93 @@ TEST(ResilientChannel, BackoffSleepsOnTheInjectedClockExactly) {
 }
 
 TEST(ResilientChannel, TransportFailuresRetryOnTheSameBackoffPath) {
-  // A transport that always refuses the frame: every attempt lands in
-  // transport_failures (not drops), the backoff schedule is identical
-  // to the drop path, and nothing ever reaches received() — reception
-  // belongs to the remote collector in transport mode.
-  class RefusingTransport final : public FrameTransport {
-   public:
-    bool send_frame(std::span<const std::uint8_t>) override {
-      ++calls;
-      return false;
-    }
-    std::uint64_t calls{0};
-  };
-  RefusingTransport transport;
+  // A collector that refuses every frame: every attempt lands in
+  // transport_failures (not drops), and the backoff schedule is
+  // identical to the drop path.
+  testing::CollectorSink sink;
+  sink.refuse_all = true;
   common::FakeClock clock;
   ResilientChannelConfig config;
   config.max_attempts = 3;
   config.backoff_base = std::chrono::microseconds(200);
   config.sleep_on_backoff = true;
   config.clock = &clock;
-  config.transport = &transport;
+  config.transport = &sink;
   ResilientChannel channel(config);
 
   const DeliveryOutcome outcome = channel.send(make_report(0, 3));
   EXPECT_FALSE(outcome.delivered);
   EXPECT_EQ(outcome.attempts, 3u);
-  EXPECT_EQ(transport.calls, 3u);
+  EXPECT_EQ(sink.frames.size(), 3u);
   const ResilientChannelStats& stats = channel.stats();
   EXPECT_EQ(stats.transport_failures, 3u);
   EXPECT_EQ(stats.drops, 0u);
   EXPECT_EQ(stats.reports_abandoned, 1u);
   ASSERT_EQ(clock.sleep_count(), 3u);
   EXPECT_EQ(clock.elapsed(), std::chrono::microseconds(200 * 7));
-  EXPECT_TRUE(channel.received().empty());
+  EXPECT_TRUE(sink.reports.empty());
 }
 
-TEST(ResilientChannel, CorruptionIsDetectedByCrcAndRetried) {
+TEST(ResilientChannel, BackoffLadderIsClampedAtTheCap) {
+  // Without jitter the ladder is min(base * 2^i, cap) at every retry:
+  // 70 attempts run far past the point where an unclamped base * 2^i
+  // sleeps for days, overflows int64 microseconds, or shifts by 64+.
+  testing::CollectorSink sink;
+  sink.refuse_all = true;
+  common::FakeClock clock;
+  ResilientChannelConfig config;
+  config.transport = &sink;
+  config.max_attempts = 70;
+  config.backoff_base = std::chrono::microseconds(1'000);
+  config.backoff_cap = std::chrono::microseconds(1'000'000);
+  config.jitter = false;
+  config.sleep_on_backoff = true;
+  config.clock = &clock;
+  ResilientChannel channel(config);
+
+  EXPECT_FALSE(channel.send(make_report(0, 2)).delivered);
+  ASSERT_EQ(clock.sleep_count(), 70u);
+  std::chrono::microseconds expected = config.backoff_base;
+  std::uint64_t total_us = 0;
+  for (std::size_t i = 0; i < 70; ++i) {
+    EXPECT_EQ(clock.sleeps()[i], expected) << "retry " << i;
+    total_us += static_cast<std::uint64_t>(expected.count());
+    expected = std::min(expected * 2, config.backoff_cap);
+  }
+  EXPECT_EQ(channel.stats().backoff_us, total_us);
+}
+
+TEST(ResilientChannel, CorruptedFrameIsLostAtTheCollectorNotRetried) {
+  // What TCP guarantees: the corrupted frame leaves the host, so the
+  // channel counts the send as delivered after one attempt. The
+  // collector's CRC check refuses to decode it; the loss shows there,
+  // as a resync or as bytes buffered for a frame that never completes.
   robustness::FaultPlan plan = site_schedule(
       "channel.corrupt", robustness::FaultKind::kCorrupt, {0});
   robustness::FaultInjector faults(plan);
+  testing::CollectorSink sink;
   ResilientChannelConfig config;
+  config.transport = &sink;
   config.faults = &faults;
   ResilientChannel channel(config);
 
-  const core::Report report = make_report(3, 6);
-  const DeliveryOutcome outcome = channel.send(report);
+  const DeliveryOutcome outcome = channel.send(make_report(3, 6));
   EXPECT_TRUE(outcome.delivered);
-  EXPECT_EQ(outcome.attempts, 2u);
-  EXPECT_EQ(channel.stats().corruptions_detected, 1u);
-
-  core::Report expected = report;
-  core::sort_by_size(expected);
-  expected.entries_used = 0;  // not carried on the wire
-  ASSERT_EQ(channel.received().size(), 1u);
-  testing::expect_reports_equal(channel.received()[0], expected);
+  EXPECT_EQ(outcome.attempts, 1u);
+  EXPECT_EQ(channel.stats().retries, 0u);
+  ASSERT_EQ(sink.frames.size(), 1u);
+  EXPECT_TRUE(sink.reports.empty());
+  EXPECT_EQ(sink.decode_errors, 0u);
+  EXPECT_TRUE(sink.resyncs > 0 || sink.buffered() > 0);
 }
 
 TEST(ResilientChannel, BudgetShedsSmallestFlowsExactly) {
   // Budget for the header plus three records: the survivors must be
   // exactly the three largest flows, in descending order.
   const core::Report report = make_report(0, 10);
+  testing::CollectorSink sink;
   ResilientChannelConfig config;
+  config.transport = &sink;
   config.bytes_per_interval = kHeaderBytes + 3 * kRecordBytes;
   ResilientChannel channel(config);
 
@@ -227,8 +266,8 @@ TEST(ResilientChannel, BudgetShedsSmallestFlowsExactly) {
 
   core::Report expected = report;
   core::sort_by_size(expected);
-  ASSERT_EQ(channel.received().size(), 1u);
-  const core::Report& arrived = channel.received()[0];
+  ASSERT_EQ(sink.reports.size(), 1u);
+  const core::Report& arrived = sink.reports[0].report;
   ASSERT_EQ(arrived.flows.size(), 3u);
   for (std::size_t i = 0; i < arrived.flows.size(); ++i) {
     EXPECT_EQ(arrived.flows[i].key, expected.flows[i].key) << i;
@@ -237,51 +276,14 @@ TEST(ResilientChannel, BudgetShedsSmallestFlowsExactly) {
   }
 }
 
-TEST(ResilientChannel, ReorderDelaysFramePastSuccessor) {
-  robustness::FaultPlan plan = site_schedule(
-      "channel.reorder", robustness::FaultKind::kReorder, {0});
-  robustness::FaultInjector faults(plan);
-  ResilientChannelConfig config;
-  config.faults = &faults;
-  ResilientChannel channel(config);
-
-  (void)channel.send(make_report(0, 2));  // delayed into limbo
-  EXPECT_TRUE(channel.received().empty());
-  // The delayed frame surfaces right after its successor, i.e. the two
-  // arrive swapped.
-  (void)channel.send(make_report(1, 2));
-  ASSERT_EQ(channel.received().size(), 2u);
-  EXPECT_EQ(channel.received()[0].interval, 1u);  // arrived out of order
-  EXPECT_EQ(channel.received()[1].interval, 0u);
-  EXPECT_EQ(channel.stats().reorders, 1u);
-
-  const std::vector<core::Report> ordered = channel.drain_ordered();
-  ASSERT_EQ(ordered.size(), 2u);
-  EXPECT_EQ(ordered[0].interval, 0u);
-  EXPECT_EQ(ordered[1].interval, 1u);
-}
-
-TEST(ResilientChannel, FlushSurfacesLimboAtEndOfStream) {
-  robustness::FaultPlan plan = site_schedule(
-      "channel.reorder", robustness::FaultKind::kReorder, {0});
-  robustness::FaultInjector faults(plan);
-  ResilientChannelConfig config;
-  config.faults = &faults;
-  ResilientChannel channel(config);
-
-  (void)channel.send(make_report(0, 2));
-  EXPECT_TRUE(channel.received().empty());
-  channel.flush();
-  ASSERT_EQ(channel.received().size(), 1u);
-  EXPECT_EQ(channel.received()[0].interval, 0u);
-}
-
 TEST(ResilientChannel, TelemetryCountsEveryFailurePath) {
   telemetry::MetricsRegistry registry;
   robustness::FaultPlan plan =
       site_schedule("channel.drop", robustness::FaultKind::kDrop, {0});
   robustness::FaultInjector faults(plan);
+  testing::CollectorSink sink;
   ResilientChannelConfig config;
+  config.transport = &sink;
   config.faults = &faults;
   config.metrics = &registry;
   ResilientChannel channel(config);
@@ -293,22 +295,19 @@ TEST(ResilientChannel, TelemetryCountsEveryFailurePath) {
 }
 
 TEST(ResilientChannel, EmptyReportDeliversCleanly) {
-  ResilientChannel channel(ResilientChannelConfig{});
+  testing::CollectorSink sink;
+  ResilientChannelConfig config;
+  config.transport = &sink;
+  ResilientChannel channel(config);
   core::Report report;
   report.interval = 9;
   report.threshold = 1'000;
   const DeliveryOutcome outcome = channel.send(report);
   EXPECT_TRUE(outcome.delivered);
   EXPECT_EQ(outcome.records_delivered, 0u);
-  ASSERT_EQ(channel.received().size(), 1u);
-  EXPECT_EQ(channel.received()[0].interval, 9u);
+  ASSERT_EQ(sink.reports.size(), 1u);
+  EXPECT_EQ(sink.reports[0].report.interval, 9u);
 }
-
-/// Always refuses the frame: every attempt exercises the backoff path.
-class AlwaysRefusingTransport final : public FrameTransport {
- public:
-  bool send_frame(std::span<const std::uint8_t>) override { return false; }
-};
 
 /// Replicate the decorrelated-jitter draw with a parallel Rng seeded
 /// identically: delay_i = base + uniform(min(cap, 3 * prev_delay) -
@@ -337,10 +336,11 @@ TEST(ResilientChannel, JitterBackoffMatchesDecorrelatedScheduleExactly) {
   // exponential ladder the tests above pin.
   EXPECT_FALSE(ResilientChannelConfig{}.jitter);
 
-  AlwaysRefusingTransport transport;
+  testing::CollectorSink sink;
+  sink.refuse_all = true;
   common::FakeClock clock;
   ResilientChannelConfig config;
-  config.transport = &transport;
+  config.transport = &sink;
   config.max_attempts = 6;
   config.backoff_base = std::chrono::microseconds(1'000);
   config.backoff_cap = std::chrono::microseconds(2'500);
@@ -373,10 +373,11 @@ TEST(ResilientChannel, JitterStateCarriesAcrossSends) {
   // below is continuous over both sends — it only matches if
   // prev_delay persists (a per-send reset would clamp draw 3's upper
   // bound back to 3 * base).
-  AlwaysRefusingTransport transport;
+  testing::CollectorSink sink;
+  sink.refuse_all = true;
   common::FakeClock clock;
   ResilientChannelConfig config;
-  config.transport = &transport;
+  config.transport = &sink;
   config.max_attempts = 3;
   config.backoff_base = std::chrono::microseconds(500);
   config.backoff_cap = std::chrono::microseconds(100'000);

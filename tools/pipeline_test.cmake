@@ -100,12 +100,17 @@ execute_process(
 if(NOT rv EQUAL 4)
   message(FATAL_ERROR "injected pool fault should exit 4, got ${rv}")
 endif()
-execute_process(
-  COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap --fault-plan bogus
-  RESULT_VARIABLE rv ERROR_QUIET OUTPUT_QUIET)
-if(NOT rv EQUAL 2)
-  message(FATAL_ERROR "malformed fault plan should exit 2, got ${rv}")
-endif()
+# A malformed plan, and one naming the removed reorder kind, are usage
+# errors rather than silent no-ops.
+foreach(bad_plan "bogus" "channel.reorder:reorder:at=0")
+  execute_process(
+    COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap
+            --fault-plan ${bad_plan}
+    RESULT_VARIABLE rv ERROR_QUIET OUTPUT_QUIET)
+  if(NOT rv EQUAL 2)
+    message(FATAL_ERROR "fault plan '${bad_plan}' should exit 2, got ${rv}")
+  endif()
+endforeach()
 
 # Chaos run that heals: a drop plan on the channel sites is harmless to
 # the CLI data path, but the injector's eagerly-registered telemetry
