@@ -72,7 +72,13 @@ struct Report {
 };
 
 /// Sort a report's flows by descending estimated size (stable for ties).
+/// Already-sorted input is left as it is after one linear check.
 void sort_by_size(Report& report);
+
+/// Appends one flow's line of the `ndtm measure` listing to `out`:
+/// "  <key padded to 45 columns> <bytes right-aligned in 14>" plus
+/// "  (exact)" for an exactly measured flow, then a newline.
+void append_flow_line(std::string& out, const ReportedFlow& flow);
 
 /// Find a flow in a report; nullptr when absent.
 [[nodiscard]] const ReportedFlow* find_flow(const Report& report,

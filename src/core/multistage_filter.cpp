@@ -301,6 +301,7 @@ Report MultistageFilter::end_interval() {
   report.interval = interval_;
   report.threshold = config_.threshold;
   report.entries_used = memory_.entries_used();
+  report.flows.reserve(report.entries_used);
   memory_.for_each([&](const flowmem::FlowEntry& entry) {
     report.flows.push_back(ReportedFlow{entry.key, entry.bytes_current,
                                         entry.exact_this_interval});

@@ -2,15 +2,42 @@
 
 #include <algorithm>
 
+#include "common/format.hpp"
 #include "hash/hash.hpp"
 
 namespace nd::core {
 
 void sort_by_size(Report& report) {
-  std::stable_sort(report.flows.begin(), report.flows.end(),
-                   [](const ReportedFlow& a, const ReportedFlow& b) {
-                     return a.estimated_bytes > b.estimated_bytes;
-                   });
+  const auto larger = [](const ReportedFlow& a, const ReportedFlow& b) {
+    return a.estimated_bytes > b.estimated_bytes;
+  };
+  // A stable sort leaves sorted input as it is, so the O(n) check gives
+  // the same order and makes a second sort of one report a scan.
+  if (std::is_sorted(report.flows.begin(), report.flows.end(), larger)) {
+    return;
+  }
+  std::stable_sort(report.flows.begin(), report.flows.end(), larger);
+}
+
+void append_flow_line(std::string& out, const ReportedFlow& flow) {
+  // printf "  %-45s %14s%s\n": the key is padded, never truncated, and
+  // the byte count is right-aligned in 14 columns.
+  constexpr std::size_t kKeyColumns = 45;
+  constexpr std::size_t kBytesColumns = 14;
+  out.append("  ");
+  const std::size_t key_start = out.size();
+  flow.key.append_to(out);
+  const std::size_t key_width = out.size() - key_start;
+  if (key_width < kKeyColumns) out.append(kKeyColumns - key_width, ' ');
+  out.push_back(' ');
+  const std::size_t bytes_start = out.size();
+  common::append_bytes(out, flow.estimated_bytes);
+  const std::size_t bytes_width = out.size() - bytes_start;
+  if (bytes_width < kBytesColumns) {
+    out.insert(bytes_start, kBytesColumns - bytes_width, ' ');
+  }
+  if (flow.exact) out.append("  (exact)");
+  out.push_back('\n');
 }
 
 const ReportedFlow* find_flow(const Report& report,

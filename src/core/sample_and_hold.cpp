@@ -163,6 +163,7 @@ Report SampleAndHold::end_interval() {
       config_.add_sampling_correction && probability_ > 0.0
           ? 1.0 / probability_
           : 0.0);
+  report.flows.reserve(report.entries_used);
   memory_.for_each([&](const flowmem::FlowEntry& entry) {
     ReportedFlow flow;
     flow.key = entry.key;

@@ -103,23 +103,46 @@ FlowKey load_flow_key(common::StateReader& in) {
 }
 
 std::string FlowKey::to_string() const {
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void FlowKey::append_to(std::string& out) const {
   switch (kind_) {
-    case FlowKeyKind::kFiveTuple: {
-      const char* proto = proto_ == IpProtocol::kTcp   ? "tcp"
-                          : proto_ == IpProtocol::kUdp ? "udp"
-                                                       : "icmp";
-      return common::format_ipv4(a_) + ":" + std::to_string(c_) + " -> " +
-             common::format_ipv4(b_) + ":" + std::to_string(d_) + " " + proto;
-    }
+    case FlowKeyKind::kFiveTuple:
+      common::append_ipv4(out, a_);
+      out.push_back(':');
+      common::append_uint(out, c_);
+      out.append(" -> ");
+      common::append_ipv4(out, b_);
+      out.push_back(':');
+      common::append_uint(out, d_);
+      out.append(proto_ == IpProtocol::kTcp   ? " tcp"
+                 : proto_ == IpProtocol::kUdp ? " udp"
+                                              : " icmp");
+      return;
     case FlowKeyKind::kDestinationIp:
-      return "dst " + common::format_ipv4(b_);
+      out.append("dst ");
+      common::append_ipv4(out, b_);
+      return;
     case FlowKeyKind::kAsPair:
-      return "AS" + std::to_string(a_) + " -> AS" + std::to_string(b_);
+      out.append("AS");
+      common::append_uint(out, a_);
+      out.append(" -> AS");
+      common::append_uint(out, b_);
+      return;
     case FlowKeyKind::kNetworkPair:
-      return common::format_ipv4(a_) + "/" + std::to_string(c_) + " -> " +
-             common::format_ipv4(b_) + "/" + std::to_string(c_);
+      common::append_ipv4(out, a_);
+      out.push_back('/');
+      common::append_uint(out, c_);
+      out.append(" -> ");
+      common::append_ipv4(out, b_);
+      out.push_back('/');
+      common::append_uint(out, c_);
+      return;
   }
-  return "?";
+  out.push_back('?');
 }
 
 }  // namespace nd::packet

@@ -57,6 +57,9 @@ class FlowKey {
   /// Human-readable rendering, e.g. "10.0.0.1:80 -> 10.0.0.2:443 tcp".
   [[nodiscard]] std::string to_string() const;
 
+  /// Appends to_string() to `out` without a temporary string.
+  void append_to(std::string& out) const;
+
   // Field accessors (meaning depends on kind; see factory functions).
   [[nodiscard]] std::uint32_t src_ip() const { return a_; }
   [[nodiscard]] std::uint32_t dst_ip() const { return b_; }

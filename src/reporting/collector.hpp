@@ -35,6 +35,11 @@ struct ChannelStats {
 /// Budget shaping only: transit faults and retries belong to
 /// ResilientChannel, which shapes each report here once before its
 /// first delivery attempt.
+///
+/// deliver() takes the report by value and truncates it in place: a
+/// caller that is done with its report moves it in and no flow is
+/// copied; a caller that keeps its report passes an lvalue and pays
+/// for exactly one copy.
 class CollectionChannel {
  public:
   /// `bytes_per_interval` is the channel's per-interval capacity.
@@ -43,18 +48,18 @@ class CollectionChannel {
 
   /// Offer one interval's report; returns what actually arrives at the
   /// management station (a prefix of the report's records).
-  core::Report deliver(const core::Report& report);
+  core::Report deliver(core::Report report);
 
   /// Offer a report plus a v3 metrics trailer. The trailer is the first
   /// thing dropped under pressure — flow records keep priority on the
   /// constrained link — so `metrics_delivered` is true only when the
-  /// whole payload (records and trailer) fit the interval budget.
+  /// whole offered payload (records and trailer) fits the interval
+  /// budget.
   struct Delivered {
     core::Report report;
     bool metrics_delivered{false};
   };
-  Delivered deliver(const core::Report& report,
-                    std::string_view metrics_json);
+  Delivered deliver(core::Report report, std::string_view metrics_json);
 
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 namespace nd::reporting {
 
@@ -67,7 +68,7 @@ void ResilientChannel::backoff(std::uint32_t retry_index) {
   }
 }
 
-DeliveryOutcome ResilientChannel::send(const core::Report& report,
+DeliveryOutcome ResilientChannel::send(core::Report report,
                                        std::string_view metrics_json) {
   ++stats_.reports_sent;
   telemetry::ScopedTraceSpan span(
@@ -77,18 +78,18 @@ DeliveryOutcome ResilientChannel::send(const core::Report& report,
       "attempts");
   // Largest-first shedding: the channel truncates to a prefix, so
   // sorting by descending size guarantees whatever survives the budget
-  // is exactly the top-K heavy hitters.
-  core::Report ordered = report;
-  core::sort_by_size(ordered);
-  const packet::FlowKeyKind kind = ordered.flows.empty()
+  // is exactly the top-K heavy hitters. A caller that already sorted
+  // (ndtm lists its reports largest-first) pays one linear check here.
+  core::sort_by_size(report);
+  const packet::FlowKeyKind kind = report.flows.empty()
                                        ? packet::FlowKeyKind::kFiveTuple
-                                       : ordered.flows.front().key.kind();
+                                       : report.flows.front().key.kind();
+  const std::uint64_t offered = report.flows.size();
   const CollectionChannel::Delivered shaped =
-      channel_.deliver(ordered, metrics_json);
+      channel_.deliver(std::move(report), metrics_json);
   const std::string_view trailer =
       shaped.metrics_delivered ? metrics_json : std::string_view{};
-  const std::uint64_t budget_shed =
-      ordered.flows.size() - shaped.report.flows.size();
+  const std::uint64_t budget_shed = offered - shaped.report.flows.size();
 
   DeliveryOutcome outcome;
   if (config_.spool != nullptr) {

@@ -8,7 +8,10 @@
 //   * largest-flow-first shedding: the report's records are sorted by
 //     descending size before the channel truncates to its byte budget,
 //     so whatever survives is exactly the heavy-hitter prefix (the
-//     paper's whole point is that those are the flows worth shipping);
+//     paper's whole point is that those are the flows worth shipping).
+//     send() takes the report by value and sorts and truncates it in
+//     place, so a caller that moves its report in ships it without a
+//     copy, and an already-sorted report costs one linear scan;
 //   * CRC32 framing (record_codec.hpp): the collector verifies every
 //     frame and resyncs past a corrupted one instead of decoding
 //     plausible garbage. The channel cannot see that rejection: a
@@ -173,8 +176,11 @@ class ResilientChannel {
 
   /// Shape, encode and frame one interval's report once, then ship it,
   /// retrying drops and transport failures up to max_attempts times
-  /// (spool mode: persist it and drain the spool instead).
-  DeliveryOutcome send(const core::Report& report,
+  /// (spool mode: persist it and drain the spool instead). The report
+  /// is taken by value and sorted and truncated in place: a caller done
+  /// with it moves it in (ndtm measure does, after its export write) and
+  /// no flow is copied on the way to the wire.
+  DeliveryOutcome send(core::Report report,
                        std::string_view metrics_json = {});
 
   /// Push pending spooled frames onto the transport, oldest-first, with

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace nd::reporting {
 namespace {
@@ -99,6 +102,84 @@ TEST(CollectionChannel, EmptyTrailerBehavesLikePlainDeliver) {
   EXPECT_EQ(delivered.report.flows.size(), 2u);
   EXPECT_EQ(channel.stats().bytes_offered,
             channel.stats().bytes_delivered);
+}
+
+TEST(CollectionChannel, TrailerIsDecidedOnTheOfferedReport) {
+  // The budget leaves room for three records plus the trailer: the
+  // truncated report would fit with its trailer, the offered one does
+  // not, and the offered one decides. Truncation is in place and keeps
+  // the largest-first prefix.
+  const std::string metrics = "{}";
+  const std::size_t trailer = kTrailerLengthBytes + metrics.size();
+  ASSERT_LT(trailer, kRecordBytes);
+  core::Report report = report_with(10);
+  const core::Report offered = report;
+  CollectionChannel channel(kHeaderBytes + 3 * kRecordBytes + trailer);
+  const auto delivered = channel.deliver(std::move(report), metrics);
+  EXPECT_FALSE(delivered.metrics_delivered);
+  ASSERT_EQ(delivered.report.flows.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(delivered.report.flows[i].key, offered.flows[i].key);
+  }
+  const ChannelStats& stats = channel.stats();
+  EXPECT_EQ(stats.reports_offered, 1u);
+  EXPECT_EQ(stats.records_offered, 10u);
+  EXPECT_EQ(stats.records_delivered, 3u);
+  EXPECT_EQ(stats.bytes_offered, encoded_size(offered, metrics.size()));
+  EXPECT_EQ(stats.bytes_delivered, kHeaderBytes + 3 * kRecordBytes);
+}
+
+TEST(CollectionChannel, LvalueDeliverLeavesTheCallersReportIntact) {
+  const core::Report report = report_with(10);
+  CollectionChannel channel(kHeaderBytes + 2 * kRecordBytes);
+  const core::Report delivered = channel.deliver(report);
+  EXPECT_EQ(delivered.flows.size(), 2u);
+  EXPECT_EQ(report.flows.size(), 10u);
+}
+
+std::vector<core::ReportedFlow> stable_sorted(core::Report report) {
+  std::stable_sort(report.flows.begin(), report.flows.end(),
+                   [](const core::ReportedFlow& a,
+                      const core::ReportedFlow& b) {
+                     return a.estimated_bytes > b.estimated_bytes;
+                   });
+  return report.flows;
+}
+
+void expect_sorts_like_stable_sort(const core::Report& input) {
+  core::Report sorted = input;
+  core::sort_by_size(sorted);
+  const std::vector<core::ReportedFlow> expected = stable_sorted(input);
+  ASSERT_EQ(sorted.flows.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(sorted.flows[i].key, expected[i].key) << i;
+    EXPECT_EQ(sorted.flows[i].estimated_bytes, expected[i].estimated_bytes)
+        << i;
+  }
+}
+
+TEST(SortBySize, MatchesStableSortOnSortedReversedAndTiedInput) {
+  // Already sorted (the early return), reverse sorted, all tied, and
+  // runs of ties in both directions: every order must equal a stable
+  // descending sort, so ties keep their report order.
+  const core::Report sorted = report_with(9);
+  core::Report reversed = sorted;
+  std::reverse(reversed.flows.begin(), reversed.flows.end());
+  core::Report tied = report_with(7);
+  for (auto& flow : tied.flows) flow.estimated_bytes = 500;
+  core::Report tied_runs = report_with(12);
+  for (std::size_t i = 0; i < tied_runs.flows.size(); ++i) {
+    tied_runs.flows[i].estimated_bytes = 1000 * (1 + (i % 3));
+  }
+  core::Report tied_descending = report_with(12);
+  for (std::size_t i = 0; i < tied_descending.flows.size(); ++i) {
+    tied_descending.flows[i].estimated_bytes = 1000 * (4 - i / 3);
+  }
+  for (const core::Report& input :
+       {sorted, reversed, tied, tied_runs, tied_descending}) {
+    expect_sorts_like_stable_sort(input);
+  }
+  expect_sorts_like_stable_sort(core::Report{});
 }
 
 TEST(CollectionChannel, NinetyPercentLossScenario) {

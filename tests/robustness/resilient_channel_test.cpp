@@ -276,6 +276,94 @@ TEST(ResilientChannel, BudgetShedsSmallestFlowsExactly) {
   }
 }
 
+TEST(ResilientChannel, MovedInReportThatFitsShipsUnchanged) {
+  // A report moved into send() that fits the budget with its trailer
+  // arrives bit-identical to the sorted report, trailer included.
+  const std::string metrics = "{\"interval\":4}";
+  const core::Report report = make_report(4, 6);
+  core::Report expected = report;
+  core::sort_by_size(expected);
+  expected.entries_used = 0;  // device-local, not on the wire
+  testing::CollectorSink sink;
+  ResilientChannelConfig config;
+  config.transport = &sink;
+  config.bytes_per_interval = encoded_size(report, metrics.size());
+  ResilientChannel channel(config);
+
+  core::Report moved = report;
+  const DeliveryOutcome outcome = channel.send(std::move(moved), metrics);
+  EXPECT_TRUE(outcome.delivered);
+  EXPECT_TRUE(outcome.metrics_delivered);
+  EXPECT_EQ(outcome.records_delivered, 6u);
+  EXPECT_EQ(outcome.records_shed, 0u);
+  ASSERT_EQ(sink.reports.size(), 1u);
+  testing::expect_reports_equal(sink.reports[0].report, expected);
+  EXPECT_EQ(sink.reports[0].metrics_json, metrics);
+}
+
+TEST(ResilientChannel, TrailerThatDoesNotFitIsTheOnlyThingDropped) {
+  const std::string metrics(64, 'm');
+  const core::Report report = make_report(5, 6);
+  core::Report expected = report;
+  core::sort_by_size(expected);
+  expected.entries_used = 0;
+  testing::CollectorSink sink;
+  ResilientChannelConfig config;
+  config.transport = &sink;
+  config.bytes_per_interval = encoded_size(report) + metrics.size();
+  ResilientChannel channel(config);
+
+  const DeliveryOutcome outcome = channel.send(report, metrics);
+  EXPECT_TRUE(outcome.delivered);
+  EXPECT_FALSE(outcome.metrics_delivered);
+  EXPECT_EQ(outcome.records_delivered, 6u);
+  EXPECT_EQ(outcome.records_shed, 0u);
+  ASSERT_EQ(sink.reports.size(), 1u);
+  testing::expect_reports_equal(sink.reports[0].report, expected);
+  EXPECT_TRUE(sink.reports[0].metrics_json.empty());
+}
+
+TEST(ResilientChannel, OverBudgetReportKeepsLargestPrefixWithExactStats) {
+  // Over budget, moved in unsorted: the largest-first prefix ships, the
+  // trailer is decided on the offered report (so it is dropped even
+  // though it would fit beside the surviving prefix), and
+  // ChannelStats counts the offered and the delivered side exactly.
+  const std::string metrics = "{}";
+  const std::size_t trailer = kTrailerLengthBytes + metrics.size();
+  const core::Report report = make_report(6, 10);
+  core::Report expected = report;
+  core::sort_by_size(expected);
+  testing::CollectorSink sink;
+  ResilientChannelConfig config;
+  config.transport = &sink;
+  config.bytes_per_interval = kHeaderBytes + 4 * kRecordBytes + trailer;
+  ResilientChannel channel(config);
+
+  core::Report moved = report;
+  const DeliveryOutcome outcome = channel.send(std::move(moved), metrics);
+  EXPECT_TRUE(outcome.delivered);
+  EXPECT_FALSE(outcome.metrics_delivered);
+  EXPECT_EQ(outcome.records_delivered, 4u);
+  EXPECT_EQ(outcome.records_shed, 6u);
+  EXPECT_EQ(channel.stats().records_shed, 6u);
+  const ChannelStats& shaped = channel.channel_stats();
+  EXPECT_EQ(shaped.reports_offered, 1u);
+  EXPECT_EQ(shaped.records_offered, 10u);
+  EXPECT_EQ(shaped.records_delivered, 4u);
+  EXPECT_EQ(shaped.bytes_offered, encoded_size(report, metrics.size()));
+  EXPECT_EQ(shaped.bytes_delivered, kHeaderBytes + 4 * kRecordBytes);
+
+  ASSERT_EQ(sink.reports.size(), 1u);
+  const core::Report& arrived = sink.reports[0].report;
+  ASSERT_EQ(arrived.flows.size(), 4u);
+  for (std::size_t i = 0; i < arrived.flows.size(); ++i) {
+    EXPECT_EQ(arrived.flows[i].key, expected.flows[i].key) << i;
+    EXPECT_EQ(arrived.flows[i].estimated_bytes,
+              expected.flows[i].estimated_bytes);
+  }
+  EXPECT_TRUE(sink.reports[0].metrics_json.empty());
+}
+
 TEST(ResilientChannel, TelemetryCountsEveryFailurePath) {
   telemetry::MetricsRegistry registry;
   robustness::FaultPlan plan =

@@ -510,6 +510,42 @@ std::unique_ptr<core::MeasurementDevice> device_by_name(
   std::exit(2);
 }
 
+/// `--shard-usage` lines of one interval's listing: one per shard,
+///   "  shard S: T=<bytes, 12 columns> entries=U/C usage=P% pkts=N bytes=B"
+/// then the packet and byte max/mean imbalance when the report has
+/// shards.
+void append_shard_usage(std::string& out, const core::Report& report) {
+  for (std::size_t s = 0; s < report.shards.size(); ++s) {
+    const core::ShardStatus& status = report.shards[s];
+    out.append("  shard ");
+    common::append_uint(out, s);
+    out.append(": T=");
+    const std::size_t threshold_start = out.size();
+    common::append_bytes(out, status.threshold);
+    const std::size_t threshold_width = out.size() - threshold_start;
+    if (threshold_width < 12) out.append(12 - threshold_width, ' ');
+    out.append(" entries=");
+    common::append_uint(out, status.entries_used);
+    out.push_back('/');
+    common::append_uint(out, status.capacity);
+    out.append(" usage=");
+    common::append_fixed(out, 100.0 * status.smoothed_usage, 1);
+    out.append("% pkts=");
+    common::append_uint(out, status.packets);
+    out.append(" bytes=");
+    common::append_bytes(out, status.bytes);
+    out.push_back('\n');
+  }
+  const eval::ShardUsageSummary balance = eval::summarize_shards(report);
+  if (balance.shard_count > 0) {
+    out.append("  shard balance: packet max/mean=");
+    common::append_fixed(out, balance.packet_imbalance, 2);
+    out.append(" byte max/mean=");
+    common::append_fixed(out, balance.byte_imbalance, 2);
+    out.push_back('\n');
+  }
+}
+
 int cmd_measure(const Args& args) {
   const std::string in = args.get("in", "");
   if (in.empty()) {
@@ -841,6 +877,11 @@ int cmd_measure(const Args& args) {
     if (spool && spool->backlog() > 0) (void)channel->drain_spool();
   }
 
+  // Each interval's listing (header, --shard-usage lines, one line per
+  // flow at or above the cutoff) is rendered into one reused buffer and
+  // handed to stdout with a single fwrite, which keeps it in order with
+  // the printf lines around it.
+  std::string listing;
   auto handle_reports = [&](std::vector<core::Report> reports) {
     for (auto& report : reports) {
       core::sort_by_size(report);
@@ -850,35 +891,18 @@ int cmd_measure(const Args& args) {
           adaptive ? std::max<common::ByteCount>(
                          core::effective_threshold(report), 1)
                    : threshold;
-      std::printf("interval %u: %zu flows tracked\n", report.interval,
-                  report.flows.size());
-      if (shard_usage_dump) {
-        for (std::size_t s = 0; s < report.shards.size(); ++s) {
-          const core::ShardStatus& status = report.shards[s];
-          std::printf(
-              "  shard %zu: T=%-12s entries=%zu/%zu usage=%.1f%% "
-              "pkts=%llu bytes=%s\n",
-              s, common::format_bytes(status.threshold).c_str(),
-              status.entries_used, status.capacity,
-              100.0 * status.smoothed_usage,
-              static_cast<unsigned long long>(status.packets),
-              common::format_bytes(status.bytes).c_str());
-        }
-        const eval::ShardUsageSummary balance =
-            eval::summarize_shards(report);
-        if (balance.shard_count > 0) {
-          std::printf(
-              "  shard balance: packet max/mean=%.2f byte "
-              "max/mean=%.2f\n",
-              balance.packet_imbalance, balance.byte_imbalance);
-        }
-      }
+      listing.clear();
+      listing.append("interval ");
+      common::append_uint(listing, report.interval);
+      listing.append(": ");
+      common::append_uint(listing, report.flows.size());
+      listing.append(" flows tracked\n");
+      if (shard_usage_dump) append_shard_usage(listing, report);
       for (const auto& flow : report.flows) {
         if (flow.estimated_bytes < cutoff) break;
-        std::printf("  %-45s %14s%s\n", flow.key.to_string().c_str(),
-                    common::format_bytes(flow.estimated_bytes).c_str(),
-                    flow.exact ? "  (exact)" : "");
+        core::append_flow_line(listing, flow);
       }
+      std::fwrite(listing.data(), 1, listing.size(), stdout);
       // One interval-aligned registry snapshot per report: a JSON line
       // in the metrics file, and the same line riding every exported or
       // shipped report as the v3 metrics trailer — whichever flag
@@ -903,16 +927,16 @@ int cmd_measure(const Args& args) {
         // The collector merges member ShardStatus entries; an unsharded
         // device ships one synthesized status (exactly what a fleet
         // member attaches) so thresholds and occupancy survive the
-        // merge. Sharded reports already carry theirs.
-        core::Report shipped = report;
-        if (shipped.shards.empty()) {
-          shipped.shards.assign(
+        // merge. Sharded reports already carry theirs. The report is
+        // not read after this, so it moves into the channel uncopied.
+        if (report.shards.empty()) {
+          report.shards.assign(
               1, core::make_shard_status(
-                     shipped, session.device().flow_memory_capacity(),
+                     report, session.device().flow_memory_capacity(),
                      0, 0));
         }
         const reporting::DeliveryOutcome outcome =
-            channel->send(shipped, metrics_line);
+            channel->send(std::move(report), metrics_line);
         // In spool mode an undelivered report is waiting, not lost —
         // the only permanent spool loss is a budget drop, accounted
         // from the spool's own stats at exit.

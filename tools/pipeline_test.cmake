@@ -21,6 +21,32 @@ endif()
 if(NOT EXISTS ${WORKDIR}/smoke_reports.bin)
   message(FATAL_ERROR "ndtm measure produced no export")
 endif()
+# Golden listings: `ndtm measure` stdout on the smoke capture, with
+# default flags and with `--shards 4 --shard-usage 1`, must match the
+# checked-in files byte for byte, so the per-interval listing (header,
+# shard-usage lines, flow lines) cannot drift silently.
+foreach(golden "default" "shards4_usage")
+  if(golden STREQUAL "default")
+    set(golden_flags "")
+  else()
+    set(golden_flags --shards 4 --shard-usage 1)
+  endif()
+  execute_process(
+    COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap ${golden_flags}
+    RESULT_VARIABLE rv OUTPUT_FILE ${WORKDIR}/measure_smoke_${golden}.stdout)
+  if(NOT rv EQUAL 0)
+    message(FATAL_ERROR "ndtm measure (${golden} golden) failed: ${rv}")
+  endif()
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${CMAKE_CURRENT_LIST_DIR}/testdata/measure_smoke_${golden}.stdout
+            ${WORKDIR}/measure_smoke_${golden}.stdout
+    RESULT_VARIABLE rv)
+  if(NOT rv EQUAL 0)
+    message(FATAL_ERROR "ndtm measure stdout (${golden}) differs from "
+            "tools/testdata/measure_smoke_${golden}.stdout")
+  endif()
+endforeach()
 # Same capture through the RSS-style sharded pipeline with telemetry on:
 # exercises ShardedDevice + ThreadPool + the interval-aligned metrics
 # exporter end to end from the CLI.
