@@ -35,6 +35,13 @@ class MeasurementSession {
   /// already-closed interval is counted into the current one).
   void observe(const packet::PacketRecord& packet);
 
+  /// Whether observe(packet) would close at least one interval before
+  /// counting the packet (the test close_intervals_until applies).
+  [[nodiscard]] bool closes_interval(
+      const packet::PacketRecord& packet) const {
+    return started_ && packet.timestamp_ns >= current_end_ns_;
+  }
+
   /// Reports of all intervals closed so far (drained).
   [[nodiscard]] std::vector<Report> drain_reports();
 

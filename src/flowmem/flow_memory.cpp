@@ -80,10 +80,13 @@ void FlowMemory::clear_tags() {
 void FlowMemory::end_interval(const EndIntervalPolicy& policy) {
   // Collect survivors, then rebuild the table. A rebuild once per
   // interval keeps the open-addressing invariant (no holes inside probe
-  // chains) without tombstones on the per-packet fast path.
-  std::vector<FlowEntry> survivors;
-  for (const FlowEntry& entry : slots_) {
-    if (!entry.occupied) continue;
+  // chains) without tombstones on the per-packet fast path. Empty slots
+  // already hold FlowEntry{}, so resetting the occupied ones leaves the
+  // same table a full wipe would.
+  survivors_.clear();
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (tags_[slot] == 0) continue;
+    FlowEntry& entry = slots_[slot];
     bool keep = false;
     switch (policy.policy) {
       case PreservePolicy::kClear:
@@ -99,13 +102,13 @@ void FlowMemory::end_interval(const EndIntervalPolicy& policy) {
                 entry.bytes_current >= policy.early_removal_threshold);
         break;
     }
-    if (keep) survivors.push_back(entry);
+    if (keep) survivors_.push_back(entry);
+    entry = FlowEntry{};
   }
 
-  std::fill(slots_.begin(), slots_.end(), FlowEntry{});
   clear_tags();
   used_ = 0;
-  for (FlowEntry survivor : survivors) {
+  for (FlowEntry& survivor : survivors_) {
     survivor.bytes_current = 0;
     survivor.created_this_interval = false;
     survivor.exact_this_interval = true;
@@ -126,14 +129,10 @@ void FlowMemory::save_state(common::StateWriter& out) const {
   out.put_u64(static_cast<std::uint64_t>(used_));
   out.put_u64(static_cast<std::uint64_t>(high_water_));
   out.put_u64(accesses_);
-  std::uint64_t occupied = 0;
-  for (const FlowEntry& entry : slots_) {
-    if (entry.occupied) ++occupied;
-  }
-  out.put_u64(occupied);
+  out.put_u64(static_cast<std::uint64_t>(used_));
   for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (tags_[slot] == 0) continue;
     const FlowEntry& entry = slots_[slot];
-    if (!entry.occupied) continue;
     out.put_u64(static_cast<std::uint64_t>(slot));
     packet::save_flow_key(out, entry.key);
     out.put_u64(entry.bytes_current);
@@ -185,13 +184,6 @@ void FlowMemory::restore_state(common::StateReader& in) {
   used_ = static_cast<std::size_t>(used);
   high_water_ = static_cast<std::size_t>(high_water);
   accesses_ = accesses;
-}
-
-void FlowMemory::for_each(
-    const std::function<void(const FlowEntry&)>& visit) const {
-  for (const FlowEntry& entry : slots_) {
-    if (entry.occupied) visit(entry);
-  }
 }
 
 }  // namespace nd::flowmem

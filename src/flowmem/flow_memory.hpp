@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/state_buffer.hpp"
@@ -41,8 +40,8 @@ namespace nd::flowmem {
 
 /// One payload slot, aligned so a probe that does touch a payload
 /// touches exactly one cache line. `occupied` is kept redundantly with
-/// the tag array for cold-path visitors (for_each, save_state) and
-/// external tests; the hot probe path never reads it.
+/// the tag array for external tests; FlowMemory itself reads occupancy
+/// only from the tags. An empty slot always holds FlowEntry{}.
 struct alignas(64) FlowEntry {
   packet::FlowKey key;
   /// Bytes counted during the current measurement interval.
@@ -216,10 +215,21 @@ class FlowMemory {
 
   /// Apply an end-of-interval policy: surviving entries have
   /// bytes_current zeroed and become exact for the next interval.
+  /// Visits only occupied slots (found from the tags): survivors are
+  /// copied out in slot order into a reused buffer, only the slots that
+  /// were occupied are reset, and the survivors are reinserted in the
+  /// same order. The result — placement included — is exactly that of
+  /// wiping the table and reinserting, so checkpoints are unchanged.
   void end_interval(const EndIntervalPolicy& policy);
 
-  /// Visit every occupied entry (order unspecified).
-  void for_each(const std::function<void(const FlowEntry&)>& visit) const;
+  /// Visit every occupied entry in slot order. Walks the tag array and
+  /// reads only the payload lines of occupied slots.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+      if (tags_[slot] != 0) visit(slots_[slot]);
+    }
+  }
 
   [[nodiscard]] std::size_t entries_used() const { return used_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -267,6 +277,8 @@ class FlowMemory {
   /// Parallel occupancy/fingerprint tags, slots_.size() + kTagGroupWidth
   /// bytes (mirrored head; see set_tag).
   std::vector<std::uint8_t> tags_;
+  /// end_interval's survivor buffer, kept to reuse its allocation.
+  std::vector<FlowEntry> survivors_;
   std::size_t slot_mask_;
   std::size_t capacity_;
   std::size_t used_{0};

@@ -49,6 +49,22 @@ TEST(MeasurementSession, BoundaryClosesInterval) {
   EXPECT_EQ(reports[0].flows[0].estimated_bytes, 100u);
 }
 
+TEST(MeasurementSession, ClosesIntervalPredictsEveryClose) {
+  // ndtm waits for its report stage exactly when closes_interval says
+  // the next observe closes; it must agree with observe on every packet,
+  // including the first, exact boundaries and multi-interval gaps.
+  auto session = oracle_session();
+  const common::TimestampNs stamps[] = {
+      7 * kSecond, 9 * kSecond,  10 * kSecond - 1, 10 * kSecond,
+      12 * kSecond, 31 * kSecond, 31 * kSecond, 35 * kSecond};
+  for (const common::TimestampNs ts : stamps) {
+    const packet::PacketRecord p = packet_at(ts, 1, 10);
+    const bool predicted = session.closes_interval(p);
+    session.observe(p);
+    EXPECT_EQ(predicted, !session.drain_reports().empty()) << ts;
+  }
+}
+
 TEST(MeasurementSession, BoundariesAnchoredToClock) {
   // First packet at t=7s: interval [5s,10s); a packet at 9.9s stays in
   // it, one at 10s closes it.

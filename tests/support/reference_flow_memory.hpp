@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/state_buffer.hpp"
@@ -121,6 +120,14 @@ class ReferenceFlowMemory {
       out.put_u8(static_cast<std::uint8_t>(
           (entry.created_this_interval ? 1U : 0U) |
           (entry.exact_this_interval ? 2U : 0U)));
+    }
+  }
+
+  /// Visit every occupied entry in slot order.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (const flowmem::FlowEntry& entry : slots_) {
+      if (entry.occupied) visit(entry);
     }
   }
 

@@ -186,6 +186,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -882,7 +883,12 @@ int cmd_measure(const Args& args) {
   // handed to stdout with a single fwrite, which keeps it in order with
   // the printf lines around it.
   std::string listing;
-  auto handle_reports = [&](std::vector<core::Report> reports) {
+  // The report stage never calls into the device, which belongs to the
+  // packet thread; the capacity it stamps on shipped reports is fixed at
+  // construction.
+  const std::size_t memory_capacity =
+      session.device().flow_memory_capacity();
+  auto handle_reports = [&](std::vector<core::Report>& reports) {
     for (auto& report : reports) {
       core::sort_by_size(report);
       // Under adaptation the operative cutoff is the report's effective
@@ -931,9 +937,7 @@ int cmd_measure(const Args& args) {
         // not read after this, so it moves into the channel uncopied.
         if (report.shards.empty()) {
           report.shards.assign(
-              1, core::make_shard_status(
-                     report, session.device().flow_memory_capacity(),
-                     0, 0));
+              1, core::make_shard_status(report, memory_capacity, 0, 0));
         }
         const reporting::DeliveryOutcome outcome =
             channel->send(std::move(report), metrics_line);
@@ -945,6 +949,23 @@ int cmd_measure(const Args& args) {
     }
   };
 
+  // The report stage: one worker runs handle_reports for interval k
+  // while this thread reads interval k+1's packets, with at most one
+  // report task in flight. Declared after everything the task touches,
+  // so its destructor joins the task before any of that is destroyed.
+  // await_reports() joins it and rethrows its exception here, inside the
+  // try below, so exit codes keep their meaning. It is called before
+  // anything that can close an interval (devices and the session publish
+  // telemetry at close; each report's snapshot must not see the next
+  // close), before a checkpoint (it must not precede the delivery or
+  // spooling of its report) and before any line printed after the
+  // listings.
+  common::ThreadPool report_stage(1);
+  std::future<void> report_done;
+  const auto await_reports = [&report_done] {
+    if (report_done.valid()) report_done.get();
+  };
+
   // Checkpoint after every closed interval: the reports are already
   // drained, so a resume replays from the exact interval boundary.
   // --pace-ms then throttles the replay to a live-capture cadence —
@@ -952,13 +973,17 @@ int cmd_measure(const Args& args) {
   const auto pace =
       std::chrono::milliseconds(args.get_u64("pace-ms", 0));
   auto process = [&](std::vector<core::Report> reports) {
-    const bool closed = !reports.empty();
-    handle_reports(std::move(reports));
-    if (closed && !checkpoint_path.empty()) {
+    if (reports.empty()) return;
+    report_done = report_stage.submit(
+        [&handle_reports, reports = std::move(reports)]() mutable {
+          handle_reports(reports);
+        });
+    if (!checkpoint_path.empty()) {
+      await_reports();
       core::save_checkpoint_file(checkpoint_path, session.checkpoint(),
                                  tracer.get());
     }
-    if (closed && pace.count() > 0) std::this_thread::sleep_for(pace);
+    if (pace.count() > 0) std::this_thread::sleep_for(pace);
   };
 
   install_stop_handlers();
@@ -967,42 +992,52 @@ int cmd_measure(const Args& args) {
   std::uint64_t pcap_records = 0;
   std::uint64_t pcap_skipped = 0;
   try {
-    pcap::PcapReader reader(stream);
-    reader.attach_fault_injector(faults.get());
-    // --resume: fast-forward past the records the checkpoint already
-    // accounted for (checkpoint.packets counts every observed record).
-    for (std::uint64_t skipped = 0; skipped < skip_records; ++skipped) {
-      if (!reader.next_record()) break;
-    }
-    while (!(stopped = g_stop_requested != 0)) {
-      const auto record = reader.next_record();
-      if (!record) break;
-      session.observe(*record);
-      fed_any = true;
-      process(session.drain_reports());
-    }
-    pcap_records = reader.records_read();
-    pcap_skipped = reader.frames_skipped();
-    if (stopped) {
-      // Graceful SIGINT/SIGTERM: do not close the in-progress interval
-      // (that would fabricate an interval boundary mid-stream) —
-      // checkpoint the exact position instead, so a --resume run
-      // continues bit-identically.
-      if (!checkpoint_path.empty()) {
-        core::save_checkpoint_file(checkpoint_path, session.checkpoint(),
-                                   tracer.get());
+    try {
+      pcap::PcapReader reader(stream);
+      reader.attach_fault_injector(faults.get());
+      // --resume: fast-forward past the records the checkpoint already
+      // accounted for (checkpoint.packets counts every observed record).
+      for (std::uint64_t skipped = 0; skipped < skip_records; ++skipped) {
+        if (!reader.next_record()) break;
       }
-      std::printf(
-          "measure: stop signal at %llu packets, %u intervals closed%s\n",
-          static_cast<unsigned long long>(session.packets_observed()),
-          session.intervals_closed(),
-          checkpoint_path.empty() ? "" : " (checkpointed)");
-    } else if (fed_any || !resumed) {
-      // A resumed run that found nothing left to feed must not re-close
-      // the trailing interval: the previous incarnation's reports are
-      // already spooled or delivered, and a fabricated empty close
-      // would disagree with them.
-      process(session.finish());
+      while (!(stopped = g_stop_requested != 0)) {
+        const auto record = reader.next_record();
+        if (!record) break;
+        if (session.closes_interval(*record)) await_reports();
+        session.observe(*record);
+        fed_any = true;
+        process(session.drain_reports());
+      }
+      pcap_records = reader.records_read();
+      pcap_skipped = reader.frames_skipped();
+      await_reports();
+      if (stopped) {
+        // Graceful SIGINT/SIGTERM: do not close the in-progress interval
+        // (that would fabricate an interval boundary mid-stream) —
+        // checkpoint the exact position instead, so a --resume run
+        // continues bit-identically.
+        if (!checkpoint_path.empty()) {
+          core::save_checkpoint_file(checkpoint_path, session.checkpoint(),
+                                     tracer.get());
+        }
+        std::printf(
+            "measure: stop signal at %llu packets, %u intervals closed%s\n",
+            static_cast<unsigned long long>(session.packets_observed()),
+            session.intervals_closed(),
+            checkpoint_path.empty() ? "" : " (checkpointed)");
+      } else if (fed_any || !resumed) {
+        // A resumed run that found nothing left to feed must not re-close
+        // the trailing interval: the previous incarnation's reports are
+        // already spooled or delivered, and a fabricated empty close
+        // would disagree with them.
+        process(session.finish());
+        await_reports();
+      }
+    } catch (...) {
+      // Every closed interval is reported before the process exits; a
+      // report-stage failure, being the earlier one, wins over this one.
+      await_reports();
+      throw;
     }
   } catch (const pcap::PcapError& error) {
     std::fprintf(stderr, "decode error: %s\n", error.what());

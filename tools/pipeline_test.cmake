@@ -119,6 +119,32 @@ execute_process(
 if(NOT rv EQUAL 3 OR NOT err MATCHES "truncated packet header")
   message(FATAL_ERROR "3 stray tail bytes should exit 3, got ${rv}: ${err}")
 endif()
+# The same cut tail after several closed intervals: still exit 3, and
+# every interval closed before the bad record is listed, exactly as in
+# the clean run (only the trailing interval, closed at end of stream,
+# is missing).
+execute_process(
+  COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap --interval 1
+  RESULT_VARIABLE rv OUTPUT_VARIABLE clean_out)
+if(NOT rv EQUAL 0 OR NOT clean_out MATCHES "packet[s]?[^\n]*, ([0-9]+) intervals\n$")
+  message(FATAL_ERROR "measure --interval 1 failed: ${rv}")
+endif()
+math(EXPR last_interval "${CMAKE_MATCH_1} - 1")
+if(last_interval LESS 2)
+  message(FATAL_ERROR "smoke capture closes too few 1 s intervals")
+endif()
+string(FIND "${clean_out}" "interval ${last_interval}: " last_at)
+string(SUBSTRING "${clean_out}" 0 ${last_at} closed_listings)
+execute_process(
+  COMMAND ${NDTM} measure --in ${WORKDIR}/stray_tail.pcap --interval 1
+  RESULT_VARIABLE rv OUTPUT_VARIABLE stray_out ERROR_VARIABLE err)
+if(NOT rv EQUAL 3 OR NOT err MATCHES "truncated packet header")
+  message(FATAL_ERROR "cut tail after closed intervals should exit 3, "
+          "got ${rv}: ${err}")
+endif()
+if(NOT stray_out STREQUAL closed_listings)
+  message(FATAL_ERROR "a decode error lost closed intervals' listings")
+endif()
 execute_process(
   COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap --shards 4
           --fault-plan pool.task:throw:at=0
@@ -202,6 +228,78 @@ file(STRINGS ${WORKDIR}/collect_metrics.jsonl collect_lines)
 list(GET collect_lines 0 collect_snapshot)
 if(NOT collect_snapshot MATCHES "nd_net_reports_total")
   message(FATAL_ERROR "collector metrics snapshot is missing net series")
+endif()
+
+# Report-stage determinism: the report thread overlaps the packet
+# thread, yet two identical --connect runs must merge to the same
+# export and write the same metrics once the timing histograms (*_ns)
+# are stripped, and a --checkpoint run must save a checkpoint after
+# every closed interval (one checkpoint.save span per interval.close)
+# and merge to the same export as well.
+foreach(run a b c)
+  set(run_flags "")
+  if(run STREQUAL "c")
+    file(REMOVE ${WORKDIR}/det_c.ndck)
+    set(run_flags "--checkpoint '${WORKDIR}/det_c.ndck' \
+      --trace '${WORKDIR}/det_c_trace.json'")
+  endif()
+  execute_process(
+    COMMAND bash -c "\
+      set -u; \
+      rm -f '${WORKDIR}/det_${run}.port'; \
+      '${NDTM}' collect --listen 0 --devices 1 --timeout-ms 30000 \
+        --port-file '${WORKDIR}/det_${run}.port' \
+        --export '${WORKDIR}/det_${run}_merged.bin' \
+        > '${WORKDIR}/det_${run}_collect.log' 2>&1 & \
+      collect_pid=$!; \
+      for i in $(seq 1 100); do \
+        [ -s '${WORKDIR}/det_${run}.port' ] && break; sleep 0.1; \
+      done; \
+      [ -s '${WORKDIR}/det_${run}.port' ] || { echo 'no port file'; exit 90; }; \
+      port=$(cat '${WORKDIR}/det_${run}.port'); \
+      '${NDTM}' measure --in '${WORKDIR}/smoke.pcap' --interval 1 \
+        --algorithm multistage --flow-def dstip --threshold 100000 \
+        --metrics '${WORKDIR}/det_${run}_metrics.jsonl' \
+        --connect 127.0.0.1:$port ${run_flags} \
+        > '${WORKDIR}/det_${run}_device.log' || exit 91; \
+      wait $collect_pid"
+    RESULT_VARIABLE rv)
+  if(NOT rv EQUAL 0)
+    message(FATAL_ERROR "determinism run ${run} failed: ${rv}")
+  endif()
+endforeach()
+foreach(run b c)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORKDIR}/det_a_merged.bin ${WORKDIR}/det_${run}_merged.bin
+    RESULT_VARIABLE rv)
+  if(NOT rv EQUAL 0)
+    message(FATAL_ERROR "determinism run ${run} merged different flows")
+  endif()
+endforeach()
+foreach(run a b)
+  file(READ ${WORKDIR}/det_${run}_metrics.jsonl det_${run}_metrics)
+  string(REGEX REPLACE
+         "{\"name\":\"[a-z0-9_]+_ns\"(,\"labels\":{[^}]*})?[^}]*},?"
+         "" det_${run}_metrics "${det_${run}_metrics}")
+endforeach()
+if(NOT det_a_metrics MATCHES "nd_session_intervals_total")
+  message(FATAL_ERROR "determinism run wrote no metrics snapshots")
+endif()
+if(NOT det_a_metrics STREQUAL det_b_metrics)
+  message(FATAL_ERROR "two identical runs wrote different metrics")
+endif()
+if(NOT EXISTS ${WORKDIR}/det_c.ndck)
+  message(FATAL_ERROR "--checkpoint determinism run left no checkpoint")
+endif()
+file(READ ${WORKDIR}/det_c_trace.json det_trace)
+string(REGEX MATCHALL "\"interval\\.close\"" det_closes "${det_trace}")
+string(REGEX MATCHALL "\"checkpoint\\.save\"" det_saves "${det_trace}")
+list(LENGTH det_closes det_close_count)
+list(LENGTH det_saves det_save_count)
+if(det_close_count LESS 2 OR NOT det_save_count EQUAL det_close_count)
+  message(FATAL_ERROR "expected one checkpoint per closed interval, got "
+          "${det_save_count} saves for ${det_close_count} closes")
 endif()
 
 # Exit-code contract, networked additions: 5 = transport failure.

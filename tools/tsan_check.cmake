@@ -16,10 +16,12 @@ endif()
 # The concurrency suites plus the tag-layout / affinity suites added
 # with the cache-conscious flow memory, the CRC-32 tiers, the
 # observability plane (HTTP exporter poll loop, lock-free trace ring,
-# registry seqlock), and the durability layer (spool WAL, crash-recovery journal, on-disk fuzz
-# tables, and the kill-level soak over the instrumented ndtm binary).
+# registry seqlock), the durability layer (spool WAL, crash-recovery journal, on-disk fuzz
+# tables, and the kill-level soak over the instrumented ndtm binary), and
+# ndtm_pipeline, whose `ndtm measure` runs hand every report from the
+# packet thread to the report thread.
 set(ND_SANITIZE_TEST_REGEX
-    "ThreadPool|Sharded|BatchEquivalence|DriverParallel|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardWatchdog|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|ShardAffinity|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "ndtm_pipeline|ThreadPool|Sharded|BatchEquivalence|DriverParallel|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardWatchdog|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|ShardAffinity|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 
 # Sanitized binaries run ~10x slower: cap the soak's kill cycles so the
 # instrumented pass stays CI-sized (still two real kill/restart cycles).
