@@ -248,32 +248,6 @@ void BM_ShardedDevice(benchmark::State& state) {
 BENCHMARK(BM_ShardedDevice)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->MeasureProcessCPUTime()->UseRealTime();
 
-/// BM_ShardedDevice with the full locality stack on: pinned workers,
-/// shard->worker affinity (submit_on), first-touch replica
-/// construction. Compare with BM_ShardedDevice at the same Arg — the
-/// merged output is bit-identical, only wall clock may move (expect no
-/// difference on single-socket/single-core boxes).
-void BM_ShardedDevicePinned(benchmark::State& state) {
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  common::ThreadPoolConfig pool_config;
-  pool_config.threads = shards > 1 ? shards - 1 : 0;
-  pool_config.pin = true;
-  common::ThreadPool pool(pool_config);
-  core::ShardedDeviceConfig sharded;
-  sharded.shards = shards;
-  sharded.seed = 1;
-  sharded.pool = shards > 1 ? &pool : nullptr;
-  sharded.shard_affinity = true;
-  core::ShardedDevice device(
-      sharded, [&](std::uint32_t, std::uint64_t shard_seed_value) {
-        return make_shard_filter(shards, shard_seed_value);
-      });
-  run_device_batched(state, device);
-  report_shard_usage(state, device.end_interval());
-}
-BENCHMARK(BM_ShardedDevicePinned)->Arg(2)->Arg(4)->Arg(8)
-    ->MeasureProcessCPUTime()->UseRealTime();
-
 /// Same device with per-shard threshold adaptation on — the adaptors
 /// run only at interval boundaries, so per-packet throughput should
 /// match BM_ShardedDevice; the counters track where adaptation steers

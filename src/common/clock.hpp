@@ -2,8 +2,8 @@
 // pacing) or timestamp (trace spans): production code uses the system
 // clock, tests substitute a FakeClock that only records the requested
 // delays and advances a virtual now — so timing behaviour (exponential
-// backoff schedules, watchdog budgets, span timestamps) is asserted
-// exactly, with zero wall-clock cost and no flakiness under sanitizers.
+// backoff schedules, span timestamps) is asserted exactly, with zero
+// wall-clock cost and no flakiness under sanitizers.
 // The seam stays tiny: sleeping and reading a monotonic timestamp are
 // the only operations the pipeline ever derives from time, and the
 // measurement data path depends on neither — determinism never hinges

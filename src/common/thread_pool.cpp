@@ -1,53 +1,14 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace nd::common {
 
-namespace {
-
-/// Best-effort pinning of the calling thread to one CPU. Failure (e.g.
-/// a containerized affinity mask that excludes the CPU) is tolerated:
-/// the worker simply runs unpinned, which changes wall clock only.
-void pin_current_thread(int cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu), &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
-}
-
-}  // namespace
-
-ThreadPool::ThreadPool(const ThreadPoolConfig& config)
-    : pin_(config.pin && config.threads > 0) {
-  const std::size_t threads = config.threads;
-  // The core map is fixed before any thread starts, so worker_core()
-  // and the telemetry labels never race with the workers.
-  worker_cores_.assign(threads, -1);
-  if (pin_) {
-    const std::size_t hw = default_thread_count();
-    for (std::size_t i = 0; i < threads; ++i) {
-      worker_cores_[i] =
-          config.topology.empty()
-              ? static_cast<int>(i % hw)
-              : config.topology[i % config.topology.size()];
-    }
-  }
-  worker_queues_.resize(threads);
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+ThreadPool::ThreadPool(const ThreadPoolConfig& config) {
+  workers_.reserve(config.threads);
+  for (std::size_t i = 0; i < config.threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -67,50 +28,15 @@ void ThreadPool::attach_telemetry(telemetry::MetricsRegistry* registry,
   telemetry::Gauge* depth = nullptr;
   telemetry::Counter* tasks = nullptr;
   telemetry::Histogram* latency = nullptr;
-  std::vector<telemetry::Counter*> worker_tasks;
-  std::vector<telemetry::Histogram*> worker_latency;
-  std::vector<telemetry::Gauge*> worker_depth;
   if (registry != nullptr) {
     depth = &registry->gauge("nd_pool_queue_depth", labels);
     tasks = &registry->counter("nd_pool_tasks_total", labels);
     latency = &registry->histogram("nd_pool_task_ns", labels);
-    if (pin_) {
-      // Split the per-task series per pinned core so queue-depth and
-      // task-latency imbalance between cores is directly visible.
-      worker_tasks.reserve(workers_.size());
-      worker_latency.reserve(workers_.size());
-      worker_depth.reserve(workers_.size());
-      for (std::size_t i = 0; i < workers_.size(); ++i) {
-        telemetry::Labels core_labels = labels;
-        core_labels.emplace_back("core",
-                                 std::to_string(worker_cores_[i]));
-        worker_tasks.push_back(
-            &registry->counter("nd_pool_tasks_total", core_labels));
-        worker_latency.push_back(
-            &registry->histogram("nd_pool_task_ns", core_labels));
-        worker_depth.push_back(&registry->gauge(
-            "nd_pool_worker_queue_depth", std::move(core_labels)));
-      }
-    }
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   tm_queue_depth_ = depth;
   tm_tasks_ = tasks;
   tm_task_ns_ = latency;
-  tm_worker_tasks_ = std::move(worker_tasks);
-  tm_worker_task_ns_ = std::move(worker_latency);
-  tm_worker_queue_depth_ = std::move(worker_depth);
-}
-
-void ThreadPool::run_inline(std::packaged_task<void()>& task) {
-  telemetry::Histogram* latency;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    latency = tm_task_ns_;
-    if (tm_tasks_ != nullptr) tm_tasks_->increment();
-  }
-  const telemetry::ScopedTimer timer(latency);
-  task();  // packaged_task captures exceptions into the future
 }
 
 void ThreadPool::attach_fault_injector(robustness::FaultInjector* faults) {
@@ -118,7 +44,7 @@ void ThreadPool::attach_fault_injector(robustness::FaultInjector* faults) {
   faults_ = faults;
 }
 
-std::function<void()> ThreadPool::wrap_faults(std::function<void()> task) {
+std::future<void> ThreadPool::submit(std::function<void()> task) {
   robustness::FaultInjector* faults;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -135,14 +61,18 @@ std::function<void()> ThreadPool::wrap_faults(std::function<void()> task) {
       };
     }
   }
-  return task;
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(wrap_faults(std::move(task)));
+  std::packaged_task<void()> packaged(std::move(task));
   std::future<void> future = packaged.get_future();
   if (workers_.empty()) {
-    run_inline(packaged);  // inline mode
+    // Inline mode.
+    telemetry::Histogram* latency;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      latency = tm_task_ns_;
+      if (tm_tasks_ != nullptr) tm_tasks_->increment();
+    }
+    const telemetry::ScopedTimer timer(latency);
+    packaged();  // packaged_task captures exceptions into the future
     return future;
   }
   {
@@ -156,66 +86,20 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
-std::future<void> ThreadPool::submit_on(std::size_t worker,
-                                        std::function<void()> task) {
-  std::packaged_task<void()> packaged(wrap_faults(std::move(task)));
-  std::future<void> future = packaged.get_future();
-  if (workers_.empty()) {
-    run_inline(packaged);  // inline mode
-    return future;
-  }
-  const std::size_t index = worker % workers_.size();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    worker_queues_[index].push_back(std::move(packaged));
-    if (!tm_worker_queue_depth_.empty()) {
-      tm_worker_queue_depth_[index]->set(
-          static_cast<double>(worker_queues_[index].size()));
-    }
-  }
-  // The task is only runnable by one worker; notify_all because a
-  // single notify could land on a different (also waiting) worker.
-  wake_.notify_all();
-  return future;
-}
-
-void ThreadPool::worker_loop(std::size_t index) {
-  if (pin_) pin_current_thread(worker_cores_[index]);
+void ThreadPool::worker_loop() {
   for (;;) {
     std::packaged_task<void()> task;
     telemetry::Histogram* latency = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this, index] {
-        return stopping_ || !queue_.empty() ||
-               !worker_queues_[index].empty();
-      });
-      std::deque<std::packaged_task<void()>>* source = nullptr;
-      // Private (affinity) work first, so a shard routed to this worker
-      // is never stolen by way of the shared queue.
-      if (!worker_queues_[index].empty()) {
-        source = &worker_queues_[index];
-      } else if (!queue_.empty()) {
-        source = &queue_;
-      } else {
-        return;  // stopping, all queues drained
-      }
-      task = std::move(source->front());
-      source->pop_front();
-      const bool per_worker = !tm_worker_tasks_.empty();
-      latency = per_worker ? tm_worker_task_ns_[index] : tm_task_ns_;
-      if (per_worker) {
-        tm_worker_tasks_[index]->increment();
-      } else if (tm_tasks_ != nullptr) {
-        tm_tasks_->increment();
-      }
-      if (source == &queue_) {
-        if (tm_queue_depth_ != nullptr) {
-          tm_queue_depth_->set(static_cast<double>(queue_.size()));
-        }
-      } else if (!tm_worker_queue_depth_.empty()) {
-        tm_worker_queue_depth_[index]->set(
-            static_cast<double>(worker_queues_[index].size()));
+      wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, queue drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
+      latency = tm_task_ns_;
+      if (tm_tasks_ != nullptr) tm_tasks_->increment();
+      if (tm_queue_depth_ != nullptr) {
+        tm_queue_depth_->set(static_cast<double>(queue_.size()));
       }
     }
     const telemetry::ScopedTimer timer(latency);

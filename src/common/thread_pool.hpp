@@ -1,25 +1,17 @@
 // A small reusable worker pool for the sharded/batched pipeline.
 //
-// The measurement pipeline needs exactly three kinds of parallelism —
-// shard fan-out inside a ShardedDevice, device fan-out inside the
-// experiment driver, and background synthesis of the next interval — and
-// all three are fork/join over a handful of tasks. This pool keeps the
-// threads alive across intervals so the per-interval cost is one mutex
-// round trip per task, not thread creation.
-//
-// Core affinity (ThreadPoolConfig::pin, off by default): each worker is
-// pinned to one CPU so shard state built and touched by that worker
-// stays in that core's private caches — and, on multi-socket boxes, on
-// that socket's NUMA node (first-touch allocation follows the pinned
-// worker). submit_on() routes a task to a specific worker, which is how
-// ShardedDevice keeps shard s on the same core every interval.
+// The pipeline's parallelism is fork/join over a handful of tasks: the
+// shard interval close inside a ShardedDevice, device fan-out inside the
+// experiment driver, background synthesis of the next interval, and
+// `ndtm measure`'s report thread. This pool keeps the threads alive
+// across intervals so the per-interval cost is one mutex round trip per
+// task, not thread creation.
 //
 // Determinism contract: the pool never reorders results. Callers submit
 // tasks that own disjoint state, keep the returned futures, and join in
 // submission order; every consumer in this repo merges in a fixed
 // (shard/device) order afterwards, so outputs are identical for any pool
-// size, including 0 (inline execution on the caller's thread), and for
-// any pinning/topology configuration.
+// size, including 0 (inline execution on the caller's thread).
 #pragma once
 
 #include <condition_variable>
@@ -39,16 +31,6 @@ namespace nd::common {
 struct ThreadPoolConfig {
   /// Worker count; 0 degrades to inline execution on the caller.
   std::size_t threads{0};
-  /// Pin worker i to a fixed CPU. Off by default so pool behaviour (and
-  /// CI machines with constrained affinity masks) is unchanged; outputs
-  /// are identical either way — pinning moves wall clock only.
-  bool pin{false};
-  /// Explicit CPU ids per worker (worker i -> topology[i % size]). An
-  /// empty topology with pin=true uses the identity mapping
-  /// worker i -> CPU (i % hardware_concurrency) — one worker per core
-  /// on a single-socket box; pass an explicit list to spread workers
-  /// across NUMA nodes (e.g. {0, 16, 1, 17, ...}).
-  std::vector<int> topology{};
 };
 
 class ThreadPool {
@@ -56,7 +38,7 @@ class ThreadPool {
   /// `threads == 0` degrades to inline execution: submit() runs the task
   /// on the calling thread and returns a ready future.
   explicit ThreadPool(std::size_t threads)
-      : ThreadPool(ThreadPoolConfig{threads, false, {}}) {}
+      : ThreadPool(ThreadPoolConfig{threads}) {}
   explicit ThreadPool(const ThreadPoolConfig& config);
   ~ThreadPool();
 
@@ -67,37 +49,14 @@ class ThreadPool {
   /// its exception).
   std::future<void> submit(std::function<void()> task);
 
-  /// Enqueue a task on one specific worker's private queue (index taken
-  /// modulo size). The worker drains its private queue before taking
-  /// shared work, and private tasks run in submission order. With
-  /// pinning on, this is the shard -> core affinity primitive: state a
-  /// task allocates or touches stays local to that worker's CPU (and
-  /// NUMA node) on every subsequent submit_on to the same index.
-  /// Degrades to inline execution when the pool has no workers.
-  std::future<void> submit_on(std::size_t worker,
-                              std::function<void()> task);
-
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
-
-  /// Whether workers were asked to pin (ThreadPoolConfig::pin with at
-  /// least one worker).
-  [[nodiscard]] bool pinned() const { return pin_; }
-  /// The CPU id worker `index` is pinned to, or -1 when unpinned. The
-  /// mapping is fixed at construction (it never races with workers).
-  [[nodiscard]] int worker_core(std::size_t index) const {
-    return worker_cores_[index];
-  }
 
   /// Export pool telemetry into `registry` (nd_pool_queue_depth gauge,
   /// nd_pool_tasks_total counter, nd_pool_task_ns latency histogram),
-  /// optionally tagged with `labels`. When the pool is pinned, the
-  /// per-task series are additionally split per worker with a
-  /// core="<cpu>" label (plus an nd_pool_worker_queue_depth gauge per
-  /// core for the private queues), so per-core imbalance is visible in
-  /// ndtm --metrics. The instrument pointers are published under the
-  /// queue mutex, so attaching is safe while tasks run; nullptr
-  /// detaches. Updates happen at submit/execute time — never on a path
-  /// a caller's packet loop touches.
+  /// optionally tagged with `labels`. The instrument pointers are
+  /// published under the queue mutex, so attaching is safe while tasks
+  /// run; nullptr detaches. Updates happen at submit/execute time —
+  /// never on a path a caller's packet loop touches.
   void attach_telemetry(telemetry::MetricsRegistry* registry,
                         telemetry::Labels labels = {});
 
@@ -114,19 +73,10 @@ class ThreadPool {
   [[nodiscard]] static std::size_t default_thread_count();
 
  private:
-  void worker_loop(std::size_t index);
-  void run_inline(std::packaged_task<void()>& task);
-  [[nodiscard]] std::function<void()> wrap_faults(
-      std::function<void()> task);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
-  /// Planned CPU per worker (-1 unpinned); fixed before threads start.
-  std::vector<int> worker_cores_;
-  bool pin_{false};
   std::deque<std::packaged_task<void()>> queue_;
-  /// Private per-worker queues fed by submit_on; drained before the
-  /// shared queue so affinity work is never stolen.
-  std::vector<std::deque<std::packaged_task<void()>>> worker_queues_;
   std::mutex mutex_;
   std::condition_variable wake_;
   bool stopping_{false};
@@ -136,11 +86,6 @@ class ThreadPool {
   telemetry::Gauge* tm_queue_depth_{nullptr};
   telemetry::Counter* tm_tasks_{nullptr};
   telemetry::Histogram* tm_task_ns_{nullptr};
-  /// Per-worker (core-labelled) instruments; empty when the pool is
-  /// unpinned or no registry is attached.
-  std::vector<telemetry::Counter*> tm_worker_tasks_;
-  std::vector<telemetry::Histogram*> tm_worker_task_ns_;
-  std::vector<telemetry::Gauge*> tm_worker_queue_depth_;
   /// Fault injector; null when off. Guarded by mutex_ for publication.
   robustness::FaultInjector* faults_{nullptr};
 };

@@ -46,12 +46,6 @@ struct ShardStatus {
   /// what the load-imbalance diagnostics summarize.
   std::uint64_t packets{0};
   common::ByteCount bytes{0};
-  /// True when the shard missed the interval-close watchdog deadline:
-  /// its flows are absent from the merged report and entries_used /
-  /// smoothed_usage are unknown (reported 0), but packets/bytes still
-  /// tally what it received — the exact-loss accounting the chaos
-  /// differential suite checks.
-  bool degraded{false};
 };
 
 struct Report {
@@ -94,8 +88,8 @@ void append_flow_line(std::string& out, const ReportedFlow& flow);
 
 /// The ShardStatus a non-adaptive merge derives for one member report:
 /// threshold carried forward unchanged, smoothed usage = instantaneous
-/// entries/capacity. ShardedDevice uses this for every healthy shard
-/// (its adaptor then overrides next_threshold/smoothed_usage); a fleet
+/// entries/capacity. ShardedDevice uses this for every shard (its
+/// adaptor then overrides next_threshold/smoothed_usage); a fleet
 /// member (net::FleetMember) uses it to annotate the report it ships to
 /// a collector, so the two paths stay bit-identical by construction.
 [[nodiscard]] ShardStatus make_shard_status(const Report& report,

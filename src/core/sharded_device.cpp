@@ -1,12 +1,8 @@
 #include "core/sharded_device.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <future>
-#include <memory>
-#include <optional>
-#include <utility>
 
 #include "hash/hash.hpp"
 
@@ -21,41 +17,19 @@ ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
                              const Factory& factory)
     : route_salt_(hash::splitmix64(config.seed ^ 0x5AD0FF5E7ULL)),
       pool_(config.pool),
-      affinity_(config.shard_affinity && config.pool != nullptr &&
-                config.pool->size() > 0),
-      watchdog_timeout_(config.watchdog_timeout),
-      faults_(config.faults),
-      trace_(config.trace),
-      trace_batch_sample_(config.trace_batch_sample) {
+      trace_(config.trace) {
   const std::uint32_t shards = std::max<std::uint32_t>(config.shards, 1);
-  shards_.resize(shards);
+  shards_.reserve(shards);
   shard_batches_.resize(shards);
   interval_packets_.assign(shards, 0);
   interval_bytes_.assign(shards, 0);
-  stuck_.resize(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
-    const std::uint64_t seed = shard_seed(config.seed, s);
-    if (affinity_ && s > 0) {
-      // Build the replica ON the worker that will run it: with pinned
-      // workers, first-touch allocation places the shard's flow memory
-      // and stage counters on that core's NUMA node. Serialized
-      // (.get() per shard) so factories need not be thread-safe and
-      // construction order stays deterministic.
-      pool_->submit_on(worker_of(s),
-                       [this, &factory, s, seed] {
-                         shards_[s] = factory(s, seed);
-                       })
-          .get();
-    } else {
-      shards_[s] = factory(s, seed);
-    }
+    shards_.push_back(factory(s, shard_seed(config.seed, s)));
   }
   baseline_thresholds_.reserve(shards);
-  shard_capacity_.reserve(shards);
   last_thresholds_.reserve(shards);
   for (const auto& replica : shards_) {
     baseline_thresholds_.push_back(replica->threshold());
-    shard_capacity_.push_back(replica->flow_memory_capacity());
     last_thresholds_.push_back(replica->threshold());
   }
   if (config.adaptor) {
@@ -73,7 +47,6 @@ ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
     tm_effective_threshold_ =
         &registry.gauge("nd_sharded_effective_threshold", base);
     tm_merge_ns_ = &registry.histogram("nd_shard_merge_ns", base);
-    tm_degraded_ = &registry.counter("nd_shard_degraded_total", base);
     tm_shard_packets_.reserve(shards);
     tm_shard_bytes_.reserve(shards);
     tm_shard_threshold_.reserve(shards);
@@ -93,21 +66,6 @@ ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
   }
 }
 
-ShardedDevice::~ShardedDevice() { drain_stuck(); }
-
-void ShardedDevice::drain_stuck_slow() {
-  for (std::future<void>& future : stuck_) {
-    if (!future.valid()) continue;
-    try {
-      future.get();
-    } catch (...) {
-      // The shard's report was already discarded as degraded; whatever
-      // the stale close threw is of no further interest either.
-    }
-  }
-  any_stuck_ = false;
-}
-
 void ShardedDevice::enable_adaptation(const ThresholdAdaptorConfig& config) {
   adaptors_.assign(shards_.size(), ThresholdAdaptor(config));
 }
@@ -121,7 +79,6 @@ std::uint32_t ShardedDevice::shard_of(std::uint64_t fingerprint) const {
 
 void ShardedDevice::observe(const packet::FlowKey& key,
                             std::uint32_t bytes) {
-  drain_stuck();
   const std::uint32_t s = shard_of(key.fingerprint());
   ++interval_packets_[s];
   interval_bytes_[s] += bytes;
@@ -130,17 +87,6 @@ void ShardedDevice::observe(const packet::FlowKey& key,
 
 void ShardedDevice::observe_batch(
     std::span<const packet::ClassifiedPacket> batch) {
-  drain_stuck();
-  // Sampled 1-in-N so the span's clock reads never dominate the batch
-  // path they measure; a null recorder short-circuits before sampling.
-  const bool traced =
-      trace_ != nullptr && trace_->sample(trace_batch_sample_);
-  telemetry::ScopedTraceSpan span(
-      traced ? trace_ : nullptr, "observe_batch", "device",
-      telemetry::TraceArgs{-1, -1,
-                           static_cast<std::int64_t>(interval_index_),
-                           static_cast<std::int64_t>(batch.size())},
-      "packets");
   if (shards_.size() == 1) {
     interval_packets_[0] += batch.size();
     for (const packet::ClassifiedPacket& packet : batch) {
@@ -160,57 +106,12 @@ void ShardedDevice::observe_batch(
     interval_bytes_[s] += packet.bytes;
     shard_batches_[s].push_back(packet);
   }
-  if (pool_ == nullptr || pool_->size() == 0) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s]->observe_batch(shard_batches_[s]);
-    }
-    return;
-  }
-  // Fan shards 1..N-1 out to the pool and run shard 0 on this thread,
-  // so the caller contributes a core instead of blocking idle. Every
-  // future is joined even after a failure — abandoning one would leave
-  // its task racing against whatever the unwound caller does next — and
-  // the first failure (lowest shard index) resurfaces as ShardError.
-  std::vector<std::future<void>> pending;
-  pending.reserve(shards_.size() - 1);
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    pending.push_back(dispatch(s, [this, s] {
-      shards_[s]->observe_batch(shard_batches_[s]);
-    }));
-  }
-  std::exception_ptr error;
-  std::uint32_t error_shard = 0;
-  try {
-    shards_.front()->observe_batch(shard_batches_.front());
-  } catch (...) {
-    error = std::current_exception();
-  }
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    try {
-      pending[s - 1].get();
-    } catch (...) {
-      if (!error) {
-        error = std::current_exception();
-        error_shard = static_cast<std::uint32_t>(s);
-      }
-    }
-  }
-  if (error) {
-    try {
-      std::rethrow_exception(error);
-    } catch (const ShardError&) {
-      throw;
-    } catch (const std::exception& e) {
-      throw ShardError(error_shard, e.what());
-    }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s]->observe_batch(shard_batches_[s]);
   }
 }
 
 Report ShardedDevice::end_interval() {
-  // Close every shard's interval (in parallel when a pool is attached —
-  // the per-shard flow-memory rebuilds are independent), then merge in
-  // shard order so the merged report is deterministic.
-  drain_stuck();
   const telemetry::ScopedTimer merge_timer(tm_merge_ns_);
   telemetry::ScopedTraceSpan merge_span(
       trace_, "shard.merge", "device",
@@ -219,97 +120,46 @@ Report ShardedDevice::end_interval() {
                            static_cast<std::int64_t>(shards_.size())},
       "shards");
   const std::size_t n = shards_.size();
-  // Heap-allocated report slots: each close task co-owns its slot, so a
-  // watchdog-abandoned task writes into memory that outlives this frame
-  // instead of a dead stack vector.
-  std::vector<std::shared_ptr<Report>> slots;
-  slots.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    slots.push_back(std::make_shared<Report>());
-  }
-  std::vector<char> degraded(n, 0);
-
-  // Consult the fault plan for every shard on this thread in shard
-  // order, so occurrence indices are deterministic under any pool size.
-  std::vector<std::optional<robustness::FaultDecision>> stalls(n);
-  if (faults_ != nullptr) {
-    for (std::size_t s = 0; s < n; ++s) {
-      stalls[s] = faults_->next("shard.stall");
-    }
-  }
-
-  std::exception_ptr error;
-  std::uint32_t error_shard = 0;
-  const auto capture_first = [&error, &error_shard](std::size_t s) {
-    if (!error) {
-      error = std::current_exception();
-      error_shard = static_cast<std::uint32_t>(s);
-    }
+  std::vector<Report> reports(n);
+  const auto close = [this, &reports](std::size_t s) {
+    reports[s] = shards_[s]->end_interval();
   };
-  const bool parallel = pool_ != nullptr && pool_->size() > 0 && n > 1;
-  const auto make_task = [this, &slots, &stalls](std::size_t s) {
-    return [this, s, slot = slots[s], stall = stalls[s]] {
-      if (stall) robustness::apply_compute_fault(*stall, "shard.stall");
-      *slot = shards_[s]->end_interval();
-    };
-  };
-
-  if (parallel && watchdog_timeout_.count() > 0) {
-    // Watchdog mode: all shards go to the pool (so any of them, not
-    // just 1..N-1, can be timed out) and share one deadline. A shard
-    // that misses it is merged as degraded; its future moves to stuck_
-    // and is joined before the shard is touched again.
-    std::vector<std::future<void>> pending;
-    pending.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      pending.push_back(dispatch(s, make_task(s)));
-    }
-    const auto deadline =
-        std::chrono::steady_clock::now() + watchdog_timeout_;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (pending[s].wait_until(deadline) == std::future_status::timeout) {
-        degraded[s] = 1;
-        stuck_[s] = std::move(pending[s]);
-        any_stuck_ = true;
-        if (tm_degraded_ != nullptr) tm_degraded_->increment();
-        continue;
-      }
-      try {
-        pending[s].get();
-      } catch (...) {
-        capture_first(s);
-      }
-    }
-  } else if (parallel) {
-    std::vector<std::future<void>> pending;
+  // Fork/join close (the per-shard flow-memory rebuilds are
+  // independent): shards 1..N-1 go to the pool while shard 0 closes on
+  // this thread. Without a pool every shard closes inline. Either way
+  // every shard closes, even after a failure, so the replicas' interval
+  // counters stay aligned; the first failure (lowest shard index)
+  // resurfaces as ShardError.
+  std::vector<std::future<void>> pending;
+  if (pool_ != nullptr) {
     pending.reserve(n - 1);
     for (std::size_t s = 1; s < n; ++s) {
-      pending.push_back(dispatch(s, make_task(s)));
+      pending.push_back(pool_->submit([&close, s] { close(s); }));
     }
+  }
+  std::exception_ptr error;
+  std::uint32_t error_shard = 0;
+  for (std::size_t s = 0; s < n; ++s) {
     try {
-      make_task(0)();
-    } catch (...) {
-      capture_first(0);
-    }
-    for (std::size_t s = 1; s < n; ++s) {
-      try {
+      if (s == 0 || pool_ == nullptr) {
+        close(s);
+      } else {
         pending[s - 1].get();
-      } catch (...) {
-        capture_first(s);
       }
-    }
-  } else {
-    for (std::size_t s = 0; s < n; ++s) {
-      try {
-        make_task(s)();
-      } catch (...) {
-        // Keep closing the remaining shards so their interval counters
-        // stay aligned; only the first failure resurfaces.
-        capture_first(s);
+    } catch (...) {
+      if (!error) {
+        error = std::current_exception();
+        error_shard = static_cast<std::uint32_t>(s);
       }
     }
   }
   if (error) {
+    // Every shard has closed, so the interval is over even though its
+    // report is lost: advance the index and drop the tallies so the
+    // next close lines up with the replicas.
+    ++interval_index_;
+    std::fill(interval_packets_.begin(), interval_packets_.end(), 0);
+    std::fill(interval_bytes_.begin(), interval_bytes_.end(), 0);
     try {
       std::rethrow_exception(error);
     } catch (const ShardError&) {
@@ -319,35 +169,19 @@ Report ShardedDevice::end_interval() {
     }
   }
 
-  // Per-shard adaptation: each shard's private adaptor sees only that
-  // shard's usage, so skewed slices of the flow space settle on their
-  // own thresholds instead of inheriting a global compromise. Degraded
-  // shards are merged from cached capacity and last-known thresholds —
-  // never from the shard itself, which the stalled close still owns —
-  // and skip adaptation for the interval.
-  Report merged;
-  merged.interval = interval_index_++;
-  merged.shards.resize(n);
-  std::size_t flows = 0;
+  // Annotate each shard's report with the status a fleet member
+  // attaches to the report it ships to a collector (make_shard_status),
+  // then merge with the collector's own merge_member_reports, so the
+  // in-process and over-the-wire merges agree bit for bit. Per-shard
+  // adaptation then overrides the carried-forward threshold and usage:
+  // each shard's private adaptor sees only that shard's usage, so
+  // skewed slices of the flow space settle on their own thresholds
+  // instead of inheriting a global compromise.
   for (std::size_t s = 0; s < n; ++s) {
-    ShardStatus& status = merged.shards[s];
-    status.capacity = shard_capacity_[s];
-    status.packets = interval_packets_[s];
-    status.bytes = interval_bytes_[s];
-    if (degraded[s]) {
-      status.degraded = true;
-      status.threshold = last_thresholds_[s];
-      status.next_threshold = last_thresholds_[s];
-      merged.threshold = std::max(merged.threshold, last_thresholds_[s]);
-      continue;
-    }
-    const Report& report = *slots[s];
-    // The healthy-shard status is exactly what a fleet member attaches
-    // to the report it ships to a collector (make_shard_status), so the
-    // in-process and over-the-wire merges agree bit for bit; adaptation
-    // then overrides the carried-forward threshold and usage.
-    status = make_shard_status(report, shard_capacity_[s],
-                               interval_packets_[s], interval_bytes_[s]);
+    Report& report = reports[s];
+    ShardStatus status =
+        make_shard_status(report, shards_[s]->flow_memory_capacity(),
+                          interval_packets_[s], interval_bytes_[s]);
     if (adaptive()) {
       const common::ByteCount previous = shards_[s]->threshold();
       const common::ByteCount next = adaptors_[s].update(
@@ -364,16 +198,9 @@ Report ShardedDevice::end_interval() {
       }
     }
     last_thresholds_[s] = status.next_threshold;
-    merged.threshold = std::max(merged.threshold, report.threshold);
-    flows += report.flows.size();
-    merged.entries_used += report.entries_used;
+    report.shards.assign(1, status);
   }
-  merged.flows.reserve(flows);
-  for (std::size_t s = 0; s < n; ++s) {
-    if (degraded[s]) continue;
-    merged.flows.insert(merged.flows.end(), slots[s]->flows.begin(),
-                        slots[s]->flows.end());
-  }
+  Report merged = merge_member_reports(interval_index_++, reports);
 
   // Mirror the interval tallies into the registry (interval deltas into
   // counters, instantaneous state into gauges), then reset them. The
@@ -423,7 +250,6 @@ void ShardedDevice::set_threshold(common::ByteCount threshold) {
 
 void ShardedDevice::set_shard_threshold(std::uint32_t index,
                                         common::ByteCount threshold) {
-  drain_stuck();
   baseline_thresholds_[index] = threshold;
   last_thresholds_[index] = threshold;
   shards_[index]->set_threshold(threshold);
@@ -459,7 +285,6 @@ std::uint64_t ShardedDevice::packets_processed() const {
 }
 
 bool ShardedDevice::can_checkpoint() const {
-  if (any_stuck_) return false;
   for (const auto& replica : shards_) {
     if (!replica->can_checkpoint()) return false;
   }
@@ -467,11 +292,6 @@ bool ShardedDevice::can_checkpoint() const {
 }
 
 void ShardedDevice::save_state(common::StateWriter& out) const {
-  if (any_stuck_) {
-    throw common::StateError(
-        "sharded device: cannot checkpoint while a watchdog-abandoned "
-        "shard task is still running");
-  }
   out.put_u8(1);  // layout version
   out.put_u32(shard_count());
   out.put_u32(interval_index_);
@@ -489,7 +309,6 @@ void ShardedDevice::save_state(common::StateWriter& out) const {
 }
 
 void ShardedDevice::restore_state(common::StateReader& in) {
-  drain_stuck();
   if (in.u8() != 1) {
     throw common::StateError("sharded device: unknown checkpoint layout");
   }

@@ -14,22 +14,24 @@
 // pure function of the input stream — shard routing is a seeded hash of
 // the flow fingerprint, each shard owns a deterministic per-shard seed,
 // batches are partitioned in arrival order, and reports are merged in
-// shard order. Running shards on a ThreadPool (or none) changes wall
-// clock only, never output; the repeated-run determinism test enforces
-// this. Per-shard threshold adaptation (Section 6 run once per replica)
-// keeps that determinism — the adaptors are fed the deterministic
-// per-shard usage — but intentionally breaks bit-equality with a
-// globally-adapted scalar device: each shard carries its own threshold
-// into the next interval, so the merged report is only bound-checked
-// (no false negatives above the effective threshold, usage steered into
-// the target band) against the scalar adaptive path. The differential
-// harness (tests/support/differential_harness.hpp) pins down both
-// halves of this contract.
+// shard order. Shards never talk between interval closes, so the packet
+// path runs on the caller: observe() routes one packet, observe_batch()
+// partitions and then calls each shard's observe_batch in shard order.
+// Only the interval close forks: with a ThreadPool attached, shards
+// 1..N-1 close on the pool while shard 0 closes on the caller. The pool
+// changes wall clock only, never output; the repeated-run determinism
+// test enforces this. Per-shard threshold adaptation (Section 6 run once
+// per replica) keeps that determinism — the adaptors are fed the
+// deterministic per-shard usage — but intentionally breaks bit-equality
+// with a globally-adapted scalar device: each shard carries its own
+// threshold into the next interval, so the merged report is only
+// bound-checked (no false negatives above the effective threshold,
+// usage steered into the target band) against the scalar adaptive path.
+// The differential harness (tests/support/differential_harness.hpp)
+// pins down both halves of this contract.
 #pragma once
 
-#include <chrono>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -38,16 +40,15 @@
 #include "common/thread_pool.hpp"
 #include "core/device.hpp"
 #include "core/threshold_adaptor.hpp"
-#include "robustness/fault.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace nd::core {
 
-/// A shard task failed during fan-out; carries the shard index so the
-/// operator knows which replica to look at. Every merge path joins all
-/// futures before throwing, so no task is left running against freed
-/// state.
+/// A shard failed to close its interval; carries the shard index so the
+/// operator knows which replica to look at. end_interval closes (and
+/// joins) every shard before throwing, so no task is left running
+/// against freed state and the shards' interval counters stay aligned.
 class ShardError : public std::runtime_error {
  public:
   ShardError(std::uint32_t shard, const std::string& reason)
@@ -66,18 +67,9 @@ struct ShardedDeviceConfig {
   /// Salts the fingerprint->shard routing hash and derives the
   /// per-shard seeds handed to the factory.
   std::uint64_t seed{1};
-  /// Worker pool for shard fan-out; nullptr runs shards on the calling
-  /// thread. Not owned; must outlive the device.
+  /// Worker pool for the interval close; nullptr closes every shard on
+  /// the calling thread. Not owned; must outlive the device.
   common::ThreadPool* pool{nullptr};
-  /// Route shard s to the same pool worker every time (submit_on)
-  /// instead of the shared queue, and *construct* each shard's replica
-  /// on that worker so its flow memory and stage counters are
-  /// first-touch allocated on the NUMA node of the core that will run
-  /// it (pair with ThreadPoolConfig::pin). Off by default: the shared
-  /// queue reproduces the historical scheduling. Merged output is
-  /// bit-identical either way — affinity moves wall clock and memory
-  /// locality only, which the equivalence tests pin down.
-  bool shard_affinity{false};
   /// When set, every shard runs a private ThresholdAdaptor on its own
   /// entries_used/capacity at interval boundaries and carries a
   /// heterogeneous threshold into the next interval. Unset reproduces
@@ -92,25 +84,9 @@ struct ShardedDeviceConfig {
   telemetry::MetricsRegistry* metrics{nullptr};
   /// Extra labels for every series this layer registers.
   telemetry::Labels metric_labels{};
-  /// Interval-close watchdog: when > 0 and shards fan out to a pool,
-  /// end_interval waits at most this long (one shared deadline) for the
-  /// shard close tasks. A shard that misses the deadline is merged as
-  /// ShardStatus::degraded — its flows are lost from that report but
-  /// its packet/byte tallies still account the loss — and the abandoned
-  /// task is drained before the shard is touched again. 0 (the default)
-  /// waits forever, reproducing the pre-watchdog behaviour bit for bit.
-  std::chrono::milliseconds watchdog_timeout{0};
-  /// Fault-injection hook (site "shard.stall" delays a shard's interval
-  /// close; combine with watchdog_timeout to exercise degraded merges).
-  /// Not owned; null — the default — is zero-cost.
-  robustness::FaultInjector* faults{nullptr};
-  /// Optional trace recorder (not owned): a span per sampled
-  /// observe_batch call and per end_interval merge. Null — the default
-  /// — costs one branch per batch.
+  /// Optional trace recorder (not owned): a span per end_interval
+  /// merge. Null — the default — records nothing.
   telemetry::TraceRecorder* trace{nullptr};
-  /// 1-in-N decimation of observe_batch spans (the hot path must not
-  /// pay a clock read per batch); <= 1 records every batch.
-  std::uint32_t trace_batch_sample{64};
 };
 
 class ShardedDevice final : public MeasurementDevice {
@@ -123,9 +99,6 @@ class ShardedDevice final : public MeasurementDevice {
       std::uint32_t shard, std::uint64_t shard_seed)>;
 
   ShardedDevice(const ShardedDeviceConfig& config, const Factory& factory);
-  /// Joins any watchdog-abandoned shard task before the replicas are
-  /// destroyed (a stalled close may still be writing shard state).
-  ~ShardedDevice() override;
 
   void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
   void observe_batch(
@@ -153,8 +126,7 @@ class ShardedDevice final : public MeasurementDevice {
   [[nodiscard]] std::uint64_t memory_accesses() const override;
   [[nodiscard]] std::uint64_t packets_processed() const override;
 
-  /// Checkpointable iff every replica is. save_state refuses while a
-  /// watchdog-abandoned task may still be mutating a shard.
+  /// Checkpointable iff every replica is.
   [[nodiscard]] bool can_checkpoint() const override;
   void save_state(common::StateWriter& out) const override;
   void restore_state(common::StateReader& in) override;
@@ -188,30 +160,10 @@ class ShardedDevice final : public MeasurementDevice {
   }
 
  private:
-  /// Join every watchdog-abandoned shard task (swallowing its result)
-  /// so the shard's state is quiescent again. Called before any path
-  /// that touches shard state; the fast path is one predicted branch.
-  void drain_stuck() {
-    if (any_stuck_) drain_stuck_slow();
-  }
-  void drain_stuck_slow();
-
-  /// The pool worker that owns shard `s` under shard_affinity (shard 0
-  /// runs on the caller outside watchdog mode, but keeps a stable owner
-  /// for the watchdog path). Only called when affinity_ is true.
-  [[nodiscard]] std::size_t worker_of(std::size_t s) const {
-    return s % pool_->size();
-  }
-  /// Fan a shard task out respecting the affinity mode.
-  std::future<void> dispatch(std::size_t s, std::function<void()> task) {
-    return affinity_ ? pool_->submit_on(worker_of(s), std::move(task))
-                     : pool_->submit(std::move(task));
-  }
-
   std::vector<std::unique_ptr<MeasurementDevice>> shards_;
   /// Always-on per-interval packet/byte tallies, indexed by shard.
-  /// Updated on the caller's thread (observe and the partition loop run
-  /// before any fan-out), reset at end_interval; they fill
+  /// Updated on the caller's thread by observe and the partition loop,
+  /// reset at end_interval; they fill
   /// ShardStatus::packets/bytes and feed the telemetry mirror.
   std::vector<std::uint64_t> interval_packets_;
   std::vector<common::ByteCount> interval_bytes_;
@@ -230,9 +182,6 @@ class ShardedDevice final : public MeasurementDevice {
   /// shard routing is independent of the devices' own stage hashes.
   std::uint64_t route_salt_;
   common::ThreadPool* pool_;
-  /// Shard->worker affinity on (config.shard_affinity with a usable
-  /// pool).
-  bool affinity_{false};
   /// Per-shard sub-batches, reused across observe_batch calls.
   std::vector<std::vector<packet::ClassifiedPacket>> shard_batches_;
   /// One private adaptor per shard when adaptation is on; empty
@@ -240,25 +189,12 @@ class ShardedDevice final : public MeasurementDevice {
   std::vector<ThresholdAdaptor> adaptors_;
   /// Per-shard manual baseline (see baseline_thresholds()).
   std::vector<common::ByteCount> baseline_thresholds_;
-  /// Per-shard flow-memory capacity, cached at construction so a
-  /// degraded merge never queries a shard a stalled task may still own.
-  std::vector<std::size_t> shard_capacity_;
-  /// Each shard's threshold as of the last merge (or override); the
-  /// value a degraded merge reports without touching the shard.
+  /// Each shard's threshold as of the last merge (or override); kept
+  /// in the checkpoint (layout v1).
   std::vector<common::ByteCount> last_thresholds_;
-  /// Futures of shard tasks that missed the watchdog deadline, held
-  /// until drain_stuck() joins them; empty future = shard not stuck.
-  std::vector<std::future<void>> stuck_;
-  bool any_stuck_{false};
-  /// Index of the next interval to close. Mirrors the replicas' own
-  /// counters but survives a fully-degraded merge where no replica
-  /// report is available to copy the index from.
+  /// Index of the next interval to close; stamps the merged report.
   common::IntervalIndex interval_index_{0};
-  std::chrono::milliseconds watchdog_timeout_{0};
-  robustness::FaultInjector* faults_{nullptr};
-  telemetry::Counter* tm_degraded_{nullptr};
   telemetry::TraceRecorder* trace_{nullptr};
-  std::uint32_t trace_batch_sample_{64};
   /// Registry backing the handles above; kept so the end-of-interval
   /// mirror can publish under one generation stamp.
   telemetry::MetricsRegistry* metrics_{nullptr};

@@ -210,13 +210,6 @@ void Collector::ingest_report_payload(std::uint32_t device_id,
         static_cast<std::int64_t>(decoded.report.interval);
   }
   const common::IntervalIndex interval = decoded.report.interval;
-  for (const core::ShardStatus& shard : decoded.report.shards) {
-    if (shard.degraded) {
-      ++device.degraded_intervals;
-      degraded_seen_ = true;
-      break;
-    }
-  }
   const bool first_copy =
       device.reports.find(interval) == device.reports.end();
   if (first_copy && journal && journal_.has_value()) {
@@ -315,11 +308,6 @@ void Collector::ingest_metrics_trailer(std::uint32_t device_id,
   }
 }
 
-bool Collector::healthy() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return !degraded_seen_;
-}
-
 std::string Collector::status_text() const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto uptime =
@@ -348,14 +336,8 @@ std::string Collector::status_text() const {
     out += "  device " + std::to_string(id) + ": epoch " +
            std::to_string(device.epoch) + ", " +
            std::to_string(device.reports.size()) + " reports" +
-           (device.bye ? ", bye" : "") +
-           (device.degraded_intervals > 0
-                ? ", " + std::to_string(device.degraded_intervals) +
-                      " degraded intervals"
-                : "") +
-           "\n";
+           (device.bye ? ", bye" : "") + "\n";
   }
-  out += degraded_seen_ ? "health: DEGRADED\n" : "health: ok\n";
   return out;
 }
 

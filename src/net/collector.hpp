@@ -70,7 +70,7 @@ struct CollectorConfig {
   telemetry::TraceRecorder* trace{nullptr};
   /// Crash-recovery journal (net/journal.hpp). Non-empty: existing
   /// records are replayed through the normal ingestion path (dedup,
-  /// degraded scan, fleet aggregation) before the listener accepts
+  /// fleet aggregation) before the listener accepts
   /// anything, and every newly accepted first-copy report — and every
   /// bye — is journaled *before* it enters the merge state. A restarted
   /// collector therefore merges bit-identically to one that never died.
@@ -166,13 +166,8 @@ class Collector {
   /// Devices that have said bye.
   [[nodiscard]] std::uint32_t devices_done() const;
 
-  /// Health + status for the HTTP observability plane. healthy() is
-  /// true until any ingested report carries a degraded shard; once one
-  /// does, /healthz flips (and stays flipped — a degraded interval is
-  /// lost data the scrape must surface, not a transient).
-  [[nodiscard]] bool healthy() const;
-  /// Human-readable /statusz body: uptime, per-device table (epoch,
-  /// reports, bye, degraded intervals), aggregate stats.
+  /// Human-readable /statusz body for the HTTP observability plane:
+  /// uptime, per-device table (epoch, reports, bye), aggregate stats.
   [[nodiscard]] std::string status_text() const;
 
  private:
@@ -215,8 +210,6 @@ class Collector {
   struct DeviceState {
     std::uint32_t epoch{0};
     bool bye{false};
-    /// Ingested intervals whose reports carried a degraded shard.
-    std::uint64_t degraded_intervals{0};
     /// First-copy-wins interval reports.
     std::map<common::IntervalIndex, core::Report> reports;
   };
@@ -233,7 +226,6 @@ class Collector {
   std::vector<std::uint8_t> journal_scratch_;
   CollectorStats stats_;
   bool stop_requested_{false};
-  bool degraded_seen_{false};
   std::optional<telemetry::FleetAggregator> aggregator_;
   std::chrono::steady_clock::time_point started_{
       std::chrono::steady_clock::now()};

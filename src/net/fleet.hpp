@@ -5,7 +5,7 @@
 // seeded flow->member routing (core::shard_route — identical math to
 // ShardedDevice::shard_of), runs an inner replica built from the same
 // factory and per-member seed (core::shard_seed), and annotates each
-// interval report with the same ShardStatus a healthy in-process shard
+// interval report with the same ShardStatus an in-process shard
 // would carry (core::make_shard_status). The collector daemon then
 // merges member reports in member order with core::merge_member_reports
 // — the function ShardedDevice::end_interval itself uses — so the

@@ -97,9 +97,7 @@ void encode_append(std::vector<std::uint8_t>& out, const core::Report& report,
     // 1e6 bounds the value and u32 is ample.
     put_u32(out, static_cast<std::uint32_t>(shard.smoothed_usage * 1e6 +
                                             0.5));
-    // Former reserved word; bit 0 now carries the degraded flag (older
-    // encoders always wrote 0 here, so no version bump is needed).
-    put_u32(out, shard.degraded ? 1U : 0U);
+    put_u32(out, 0);  // reserved; the decoder rejects nonzero
     put_u64(out, shard.packets);
     put_u64(out, shard.bytes);
   }
@@ -208,7 +206,9 @@ DecodedReport decode_full(std::span<const std::uint8_t> data) {
     status.entries_used = get_u64(data, off + 16);
     status.capacity = get_u64(data, off + 24);
     status.smoothed_usage = static_cast<double>(get_u32(data, off + 32)) / 1e6;
-    status.degraded = (get_u32(data, off + 36) & 1U) != 0;
+    if (get_u32(data, off + 36) != 0) {
+      throw CodecError("reporting: nonzero reserved word in shard record");
+    }
     status.packets = get_u64(data, off + 40);
     status.bytes = get_u64(data, off + 48);
     report.shards.push_back(status);

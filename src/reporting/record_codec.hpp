@@ -15,7 +15,7 @@
 //   shard record (56 bytes, version 3, one per shard after the flow
 //                      records): threshold, next threshold, entries
 //                      used, capacity, smoothed usage in micro-units,
-//                      packets, bytes
+//                      a reserved word that must be 0, packets, bytes
 //   metrics trailer (version 3, optional, after the shard records):
 //                      u32 length + that many bytes of one JSON-lines
 //                      telemetry snapshot (telemetry/export.hpp). The

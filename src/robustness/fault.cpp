@@ -203,6 +203,11 @@ FaultPlan parse_fault_plan(std::string_view text, std::uint64_t seed) {
                                   " in '" +
                                   std::string(entry) + "'");
     }
+    if (std::find(kFaultSites.begin(), kFaultSites.end(), fields[0]) ==
+        kFaultSites.end()) {
+      throw std::invalid_argument("fault plan: unknown site '" +
+                                  std::string(fields[0]) + "'");
+    }
     FaultSpec spec;
     spec.kind = parse_kind(fields[1]);
     for (std::size_t i = 2; i < fields.size(); ++i) {

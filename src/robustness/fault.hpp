@@ -3,7 +3,7 @@
 // The paper's setting is measurement that must survive hostile
 // conditions — Section 2 cites NetFlow collection loss rates "up to
 // 90%". This layer lets tests (and the ndtm CLI) inject those
-// conditions on purpose: a stalled or throwing shard task, a dropped
+// conditions on purpose: a stalled or throwing pool task, a dropped
 // or bit-corrupted report, a truncated capture. Every
 // recovery path in the repo is exercised against it by the chaos
 // differential suite in tests/robustness/.
@@ -17,25 +17,13 @@
 // (plan seed, site name, occurrence index). Two injectors built from
 // the same plan fire at exactly the same occurrences with the same
 // salts, regardless of wall clock or thread interleaving — callers on
-// concurrent paths (ShardedDevice, ThreadPool) consult the injector on
-// the submitting thread, in a fixed order, so chaos runs replay.
+// concurrent paths (ThreadPool) consult the injector on the submitting
+// thread, in a fixed order, so chaos runs replay.
 //
-// Well-known sites:
-//   pool.task       common::ThreadPool — submitted task throws/stalls
-//   shard.stall     core::ShardedDevice — shard interval-close stalls
-//   channel.drop    reporting::ResilientChannel — one send attempt lost
-//   channel.corrupt reporting::ResilientChannel — wire-copy byte flipped
-//   pcap.truncate   pcap::PcapReader — captured bytes truncated
-//   pcap.corrupt    pcap::PcapReader — captured byte flipped
-//   net.connect     net::TcpTransport — one connect attempt refused
-//   net.disconnect  net::TcpTransport — connection dropped mid-frame
-//   net.short_write net::TcpTransport — sends shrunk to tiny chunks
-//   spool.disk_full    reporting::SpoolWal — append writes nothing
-//   spool.torn_record  reporting::SpoolWal — record cut mid-write
-//   spool.short_write  reporting::SpoolWal — record lands in 1-byte writes
-//   journal.torn_record net::JournalWriter — journal record cut mid-write
+// The sites some component consults are listed in kFaultSites below.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -51,9 +39,27 @@
 
 namespace nd::robustness {
 
+/// Every fault site a component consults; parse_fault_plan rejects any
+/// other name, so a typo or a retired site is a usage error instead of
+/// a plan that silently never fires.
+inline constexpr std::array<std::string_view, 12> kFaultSites = {
+    "pool.task",            // common::ThreadPool — task throws/stalls
+    "channel.drop",         // reporting::ResilientChannel — attempt lost
+    "channel.corrupt",      // reporting::ResilientChannel — byte flipped
+    "pcap.truncate",        // pcap::PcapReader — captured bytes truncated
+    "pcap.corrupt",         // pcap::PcapReader — captured byte flipped
+    "net.connect",          // net::TcpTransport — connect refused
+    "net.disconnect",       // net::TcpTransport — dropped mid-frame
+    "net.short_write",      // net::TcpTransport — sends shrunk to chunks
+    "spool.disk_full",      // reporting::SpoolWal — append writes nothing
+    "spool.torn_record",    // reporting::SpoolWal — record cut mid-write
+    "spool.short_write",    // reporting::SpoolWal — 1-byte writes
+    "journal.torn_record",  // net::JournalWriter — record cut mid-write
+};
+
 enum class FaultKind : std::uint8_t {
   kThrow,     // raise FaultInjectedError at a compute site
-  kStall,     // sleep at a compute site (watchdog fodder)
+  kStall,     // sleep at a compute site
   kDrop,      // lose a payload entirely
   kCorrupt,   // flip a payload byte
   kTruncate,  // shorten a payload
@@ -107,9 +113,9 @@ class FaultPlan {
 
 /// Parse a CLI fault-plan spec. Grammar (comma-separated entries):
 ///   <site>:<kind>[:p=<prob>][:at=<i+j+k>][:stall=<ms>][:max=<n>]
-/// e.g. "channel.drop:drop:p=0.3,shard.stall:stall:at=1:stall=50".
-/// Kinds: throw, stall, drop, corrupt, truncate. Throws
-/// std::invalid_argument on a malformed spec.
+/// e.g. "channel.drop:drop:p=0.3,pool.task:stall:at=1:stall=50".
+/// Sites: kFaultSites. Kinds: throw, stall, drop, corrupt, truncate.
+/// Throws std::invalid_argument on a malformed spec or an unknown site.
 [[nodiscard]] FaultPlan parse_fault_plan(std::string_view text,
                                          std::uint64_t seed = 1);
 

@@ -5,8 +5,8 @@
 //                  live registry; the format is telemetry/export.hpp's
 //                  to_prometheus)
 //   GET /healthz   200 "ok" while the healthy() callback returns true,
-//                  503 once it does not (a collector flips on degraded
-//                  shards)
+//                  503 once it does not (a device flips while its spool
+//                  holds a backlog)
 //   GET /statusz   human-readable status: uptime, device table,
 //                  reconnect epochs — whatever the status callback
 //                  renders

@@ -1,19 +1,24 @@
 // ShardedDevice contract tests: a 1-shard device reproduces the
 // unsharded device bit-for-bit, and for any fixed shard count the merged
 // output is deterministic — identical across repeated runs and identical
-// with or without a worker pool.
+// with or without a worker pool. A shard that fails its interval close
+// surfaces as ShardError with its index, after every other shard has
+// closed.
 #include "core/sharded_device.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "../support/report_testing.hpp"
 #include "common/thread_pool.hpp"
 #include "core/multistage_filter.hpp"
 #include "core/sample_and_hold.hpp"
+#include "robustness/fault.hpp"
 
 namespace nd::core {
 namespace {
@@ -241,6 +246,129 @@ TEST(ShardedDevice, WorksWithSampleAndHoldInner) {
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     expect_reports_equal(first[i], second[i]);
+  }
+}
+
+/// A multistage-filter replica that logs every interval it closes and,
+/// when armed, throws after closing its inner filter — so its own
+/// interval counter advances exactly like a healthy replica's.
+class FailingCloseDevice final : public MeasurementDevice {
+ public:
+  FailingCloseDevice(std::uint64_t seed, bool fail_first_close)
+      : inner_(filter_config(seed)), fail_next_(fail_first_close) {}
+
+  void observe(const packet::FlowKey& key, std::uint32_t bytes) override {
+    inner_.observe(key, bytes);
+  }
+  Report end_interval() override {
+    Report report = inner_.end_interval();
+    closed_.push_back(report.interval);
+    if (fail_next_) {
+      fail_next_ = false;
+      throw std::runtime_error("close failed");
+    }
+    return report;
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] common::ByteCount threshold() const override {
+    return inner_.threshold();
+  }
+  void set_threshold(common::ByteCount threshold) override {
+    inner_.set_threshold(threshold);
+  }
+  [[nodiscard]] std::size_t flow_memory_capacity() const override {
+    return inner_.flow_memory_capacity();
+  }
+  [[nodiscard]] std::uint64_t memory_accesses() const override {
+    return inner_.memory_accesses();
+  }
+  [[nodiscard]] std::uint64_t packets_processed() const override {
+    return inner_.packets_processed();
+  }
+
+  [[nodiscard]] const std::vector<common::IntervalIndex>& closed() const {
+    return closed_;
+  }
+
+ private:
+  MultistageFilter inner_;
+  bool fail_next_;
+  std::vector<common::IntervalIndex> closed_;
+};
+
+TEST(ShardFailures, ThrowingShardTaskSurfacesAsShardErrorOnClose) {
+  // Every close future is joined and the first failure is rethrown
+  // with its shard index.
+  common::ThreadPool pool(3);
+  robustness::FaultSpec spec;
+  spec.kind = robustness::FaultKind::kThrow;
+  spec.schedule = {0};  // first pool submit = end_interval's shard 1
+  robustness::FaultInjector faults(
+      robustness::FaultPlan(17).inject("pool.task", spec));
+  pool.attach_fault_injector(&faults);
+
+  ShardedDeviceConfig config;
+  config.shards = 4;
+  config.seed = 17;
+  config.pool = &pool;
+  ShardedDevice device(config, filter_factory());
+  try {
+    (void)device.end_interval();
+    FAIL() << "expected ShardError";
+  } catch (const ShardError& error) {
+    EXPECT_EQ(error.shard(), 1u);
+    EXPECT_NE(std::string(error.what()).find("shard 1"),
+              std::string::npos);
+  }
+  pool.attach_fault_injector(nullptr);
+}
+
+TEST(ShardFailures, ThrowingReplicaCloseKeepsShardsAligned) {
+  // Shard 2's replica throws on its first close. With or without a
+  // pool, the failure surfaces as ShardError(2) only after every other
+  // shard has closed, so the next merged report and every replica agree
+  // on the interval index.
+  constexpr std::uint32_t kFailing = 2;
+  common::ThreadPool pool(3);
+  for (common::ThreadPool* maybe_pool : {static_cast<common::ThreadPool*>(
+                                             nullptr),
+                                         &pool}) {
+    SCOPED_TRACE(maybe_pool == nullptr ? "no pool" : "pool");
+    ShardedDeviceConfig config;
+    config.shards = 4;
+    config.seed = 5;
+    config.pool = maybe_pool;
+    ShardedDevice device(config, [](std::uint32_t shard,
+                                    std::uint64_t seed) {
+      return std::make_unique<FailingCloseDevice>(seed, shard == kFailing);
+    });
+    const auto intervals =
+        classify_trace(small_trace(), packet::FlowDefinition::five_tuple());
+    device.observe_batch(intervals[0]);
+    try {
+      (void)device.end_interval();
+      FAIL() << "expected ShardError";
+    } catch (const ShardError& error) {
+      EXPECT_EQ(error.shard(), kFailing);
+      EXPECT_NE(std::string(error.what()).find("shard 2: close failed"),
+                std::string::npos)
+          << error.what();
+    }
+    device.observe_batch(intervals[1]);
+    const Report next = device.end_interval();
+    EXPECT_EQ(next.interval, 1u);
+    ASSERT_EQ(next.shards.size(), 4u);
+    std::uint64_t packets = 0;
+    for (std::uint32_t s = 0; s < device.shard_count(); ++s) {
+      const auto& replica =
+          dynamic_cast<const FailingCloseDevice&>(device.shard(s));
+      EXPECT_EQ(replica.closed(),
+                (std::vector<common::IntervalIndex>{0, 1}))
+          << "shard " << s;
+      packets += next.shards[s].packets;
+    }
+    // The failed interval's tallies were dropped with its report.
+    EXPECT_EQ(packets, intervals[1].size());
   }
 }
 

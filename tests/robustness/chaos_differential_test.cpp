@@ -9,21 +9,17 @@
 // run (the recovery paths healed the faults), or the missing interval
 // is accounted for — in ResilientChannelStats for sender-side losses,
 // in the collector's resyncs or undecoded buffered bytes for frames
-// corrupted on the wire, in ShardStatus::degraded plus the shard
-// routing function for watchdog losses — and whatever did survive is a
+// corrupted on the wire — and whatever did survive is a
 // largest-flow-first prefix. Nothing is ever lost silently.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "../support/collector_sink.hpp"
 #include "../support/report_testing.hpp"
-#include "common/thread_pool.hpp"
 #include "core/multistage_filter.hpp"
-#include "core/sharded_device.hpp"
 #include "reporting/record_codec.hpp"
 #include "reporting/resilient_channel.hpp"
 #include "robustness/fault.hpp"
@@ -237,89 +233,6 @@ TEST(ChaosDifferential, BudgetPressureShedsLargestFirstWithExactCounts) {
   EXPECT_EQ(squeezed.channel.records_offered -
                 squeezed.channel.records_delivered,
             shed_total);
-}
-
-TEST(ChaosDifferential, WatchdogLossIsAttributedAndSurvivesTheWire) {
-  // The sharded end of the property: a stalled shard degrades instead
-  // of hanging the merge; every flow missing versus the fault-free run
-  // routes to that shard; and the degraded bit rides the framed wire
-  // format to the collector.
-  common::ThreadPool pool(3);
-  auto factory = [](std::uint32_t, std::uint64_t shard_seed) {
-    core::MultistageFilterConfig inner;
-    inner.flow_memory_entries = 128;
-    inner.depth = 2;
-    inner.buckets_per_stage = 128;
-    inner.threshold = 30'000;
-    inner.preserve = flowmem::PreservePolicy::kPreserve;
-    inner.seed = shard_seed;
-    return std::make_unique<core::MultistageFilter>(inner);
-  };
-  core::ShardedDeviceConfig clean_config;
-  clean_config.shards = 4;
-  clean_config.seed = 19;
-  clean_config.pool = &pool;
-
-  // Fault-free run first: it tells us which shard owns the largest
-  // heavy hitter, so the stall provably removes at least one flow.
-  core::ShardedDevice clean(clean_config, factory);
-  const auto intervals = chaos_trace();
-  clean.observe_batch(intervals[0]);
-  core::Report clean_report = clean.end_interval();
-  core::sort_by_size(clean_report);
-  ASSERT_FALSE(clean_report.flows.empty());
-  const std::uint32_t stuck =
-      clean.shard_of(clean_report.flows[0].key.fingerprint());
-
-  robustness::FaultSpec stall;
-  stall.kind = robustness::FaultKind::kStall;
-  // shard.stall occurrences run in shard order during the first
-  // interval close, so occurrence `stuck` is exactly that shard.
-  stall.schedule = {stuck};
-  stall.stall = std::chrono::milliseconds(300);
-  robustness::FaultInjector faults(
-      robustness::FaultPlan(19).inject("shard.stall", stall));
-  core::ShardedDeviceConfig chaos_config = clean_config;
-  chaos_config.watchdog_timeout = std::chrono::milliseconds(40);
-  chaos_config.faults = &faults;
-
-  core::ShardedDevice chaotic(chaos_config, factory);
-  chaotic.observe_batch(intervals[0]);
-  core::Report degraded_report = chaotic.end_interval();
-  core::sort_by_size(degraded_report);
-
-  ASSERT_TRUE(degraded_report.shards[stuck].degraded);
-  std::size_t lost = 0;
-  for (const auto& flow : clean_report.flows) {
-    const bool on_stuck =
-        chaotic.shard_of(flow.key.fingerprint()) == stuck;
-    lost += on_stuck ? 1 : 0;
-    EXPECT_EQ(core::find_flow(degraded_report, flow.key) != nullptr,
-              !on_stuck)
-        << flow.key.to_string();
-  }
-  EXPECT_GT(lost, 0u);
-  EXPECT_EQ(degraded_report.flows.size(),
-            clean_report.flows.size() - lost);
-  // The degraded shard's traffic tallies still account what it saw.
-  EXPECT_EQ(degraded_report.shards[stuck].packets,
-            clean_report.shards[stuck].packets);
-  EXPECT_EQ(degraded_report.shards[stuck].bytes,
-            clean_report.shards[stuck].bytes);
-
-  // Ship it: the degraded flag must reach the collector through the
-  // framed codec so the loss stays visible end to end.
-  testing::CollectorSink sink;
-  reporting::ResilientChannelConfig channel_config;
-  channel_config.transport = &sink;
-  reporting::ResilientChannel channel(channel_config);
-  (void)channel.send(degraded_report);
-  ASSERT_EQ(sink.reports.size(), 1u);
-  const core::Report& arrived = sink.reports[0].report;
-  ASSERT_EQ(arrived.shards.size(), 4u);
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(arrived.shards[s].degraded, s == stuck) << "shard " << s;
-  }
 }
 
 }  // namespace

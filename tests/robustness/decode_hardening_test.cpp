@@ -134,15 +134,24 @@ TEST(CodecHardening, HugeRecordCountIsRejectedNotAllocated) {
   EXPECT_THROW((void)reporting::decode(payload), CodecError);
 }
 
-TEST(CodecHardening, DegradedBitRoundTripsOnTheWire) {
-  core::Report report = sample_report(1, 3);
-  report.shards[1].degraded = true;
-  const auto decoded = reporting::decode(
-      reporting::encode(report, packet::FlowKeyKind::kFiveTuple));
-  ASSERT_EQ(decoded.shards.size(), 3u);
-  EXPECT_FALSE(decoded.shards[0].degraded);
-  EXPECT_TRUE(decoded.shards[1].degraded);
-  EXPECT_FALSE(decoded.shards[2].degraded);
+TEST(CodecHardening, NonzeroShardReservedWordIsRejected) {
+  // Each shard record's word at offset 36 is reserved: the encoder
+  // writes 0 and the decoder rejects anything else, in every shard.
+  const auto payload =
+      reporting::encode(sample_report(1, 3), packet::FlowKeyKind::kFiveTuple);
+  for (std::size_t s = 0; s < 3; ++s) {
+    const std::size_t word = reporting::kHeaderBytes +
+                             reporting::kRecordBytes +
+                             s * reporting::kShardRecordBytes + 36;
+    for (std::size_t b = 0; b < 4; ++b) {
+      ASSERT_EQ(payload[word + b], 0u) << "shard " << s << " byte " << b;
+      auto patched = payload;
+      patched[word + b] = 0x01;
+      EXPECT_THROW((void)reporting::decode(patched), CodecError)
+          << "shard " << s << " byte " << b;
+    }
+  }
+  EXPECT_EQ(reporting::decode(payload).shards.size(), 3u);
 }
 
 TEST(FrameHardening, EveryTruncationIsRejected) {

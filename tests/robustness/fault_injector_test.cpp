@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -171,34 +173,50 @@ TEST(FaultInjectorHelpers, TruncatedSizeIsStrictlySmaller) {
 
 TEST(FaultInjectorParser, ParsesFullGrammar) {
   const FaultPlan plan = parse_fault_plan(
-      "channel.drop:drop:p=0.25,shard.stall:stall:at=1+3:stall=50:max=2,"
-      "pool.task:throw",
+      "channel.drop:drop:p=0.25,pool.task:stall:at=1+3:stall=50:max=2,"
+      "pcap.truncate:truncate",
       11);
   EXPECT_EQ(plan.seed(), 11u);
   ASSERT_EQ(plan.sites().size(), 3u);
   const FaultSpec& drop = plan.sites().at("channel.drop");
   EXPECT_EQ(drop.kind, FaultKind::kDrop);
   EXPECT_DOUBLE_EQ(drop.probability, 0.25);
-  const FaultSpec& stall = plan.sites().at("shard.stall");
+  const FaultSpec& stall = plan.sites().at("pool.task");
   EXPECT_EQ(stall.kind, FaultKind::kStall);
   EXPECT_EQ(stall.schedule, (std::vector<std::uint64_t>{1, 3}));
   EXPECT_EQ(stall.stall.count(), 50);
   EXPECT_EQ(stall.max_fires, 2u);
-  const FaultSpec& task = plan.sites().at("pool.task");
-  EXPECT_EQ(task.kind, FaultKind::kThrow);
-  EXPECT_DOUBLE_EQ(task.probability, 1.0);
+  const FaultSpec& truncate = plan.sites().at("pcap.truncate");
+  EXPECT_EQ(truncate.kind, FaultKind::kTruncate);
+  EXPECT_DOUBLE_EQ(truncate.probability, 1.0);
 }
 
 TEST(FaultInjectorParser, RejectsMalformedSpecs) {
   EXPECT_THROW((void)parse_fault_plan("bogus"), std::invalid_argument);
-  EXPECT_THROW((void)parse_fault_plan("site:"), std::invalid_argument);
-  EXPECT_THROW((void)parse_fault_plan("site:unknown-kind"),
+  EXPECT_THROW((void)parse_fault_plan("channel.drop:"),
                std::invalid_argument);
-  EXPECT_THROW((void)parse_fault_plan("site:drop:p=nope"),
+  EXPECT_THROW((void)parse_fault_plan("channel.drop:unknown-kind"),
                std::invalid_argument);
-  EXPECT_THROW((void)parse_fault_plan("site:drop:what=1"),
+  EXPECT_THROW((void)parse_fault_plan("channel.drop:drop:p=nope"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_plan("channel.drop:drop:what=1"),
                std::invalid_argument);
   EXPECT_THROW((void)parse_fault_plan(""), std::invalid_argument);
+}
+
+TEST(FaultInjectorParser, RejectsSitesNoCodeConsults) {
+  // A retired site (the old shard close stall) and a typo are usage
+  // errors, not plans that silently never fire.
+  EXPECT_THROW((void)parse_fault_plan("shard.stall:stall:at=0"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_plan("pool.tsk:throw"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_plan("channel.drop:drop,bogus.site:drop"),
+               std::invalid_argument);
+  for (const std::string_view site : kFaultSites) {
+    const FaultPlan plan = parse_fault_plan(std::string(site) + ":drop");
+    EXPECT_EQ(plan.sites().count(site), 1u) << site;
+  }
 }
 
 TEST(FaultInjectorTelemetry, CountersExistAtZeroAndCountFires) {

@@ -10,8 +10,7 @@
 //                --threshold 100000 --interval 5 [--export reports.bin]
 //                [--shards N] [--adaptive 1] [--shard-usage 1]
 //                [--metrics[=path]] [--fault-plan spec] [--fault-seed N]
-//                [--watchdog-ms N] [--checkpoint path] [--pin 1]
-//                [--http-port N] [--trace path]
+//                [--checkpoint path] [--http-port N] [--trace path]
 //       Stream a pcap through a measurement device in fixed intervals
 //       and print (and optionally export) the heavy hitters per
 //       interval, then a `pcap:` line counting the records read and
@@ -19,12 +18,14 @@
 //       `done:` summary. Algorithms: sample-and-hold, multistage, netflow.
 //       Flow definitions: 5tuple, dstip, netpair:<prefixlen>.
 //       --shards N > 1 partitions the flow space RSS-style across N
-//       replicas of the device running on a worker pool; --threshold is
-//       only the starting point, not a fixed global value. With
-//       --adaptive 1 each shard steers its own threshold toward 90%
-//       flow-memory usage (Section 6 run per replica; with one shard a
-//       single global adaptor runs instead), and the printed cutoff is
-//       the effective — maximum per-shard — threshold. --shard-usage 1
+//       replicas of the device; each packet goes to its shard on the
+//       packet thread, and only the interval close forks the shards
+//       out to a worker pool. --threshold is only the starting point,
+//       not a fixed global value. With --adaptive 1 each shard steers
+//       its own threshold toward 90% flow-memory usage (Section 6 run
+//       per replica; with one shard a single global adaptor runs
+//       instead), and the printed cutoff is the effective — maximum
+//       per-shard — threshold. --shard-usage 1
 //       dumps each shard's threshold, entries, smoothed usage and
 //       traffic (plus max/mean load-imbalance ratios) per interval.
 //       --metrics turns the zero-overhead-when-off telemetry layer on
@@ -36,16 +37,10 @@
 //       their series at interval close, so each snapshot counts exactly
 //       the closed intervals.
 //       --fault-plan injects deterministic chaos (grammar in
-//       robustness/fault.hpp, seeded by --fault-seed) into the pool,
-//       shards and pcap reader; --watchdog-ms bounds each shard's
-//       interval close, merging overruns as degraded instead of
-//       hanging; --checkpoint writes a crash-safe session checkpoint
-//       after every closed interval (resumable via core/checkpoint).
-//       --pin 1 pins each pool worker to a core and routes every shard
-//       to a fixed worker (first-touch/NUMA-friendly); output is
-//       bit-identical either way, and with --metrics the pool's
-//       per-task series gain a core="<cpu>" label so per-core
-//       imbalance shows up in the snapshots.
+//       robustness/fault.hpp, seeded by --fault-seed) into the pool
+//       and pcap reader; --checkpoint writes a crash-safe session
+//       checkpoint after every closed interval (resumable via
+//       core/checkpoint).
 //       The CRC-32 tier that checksums frames, spool records and
 //       checkpoints is picked per CPU; ND_SIMD=scalar|neon|avx2 in the
 //       environment caps it. Output bytes are identical under every
@@ -59,8 +54,7 @@
 //       the last closed interval. Implies the telemetry layer even
 //       without --metrics; with neither flag the packet path carries
 //       zero telemetry cost.
-//       --trace path records spans (observe_batch chunks sampled
-//       1-in-N per --trace-sample, shard merges, interval closes,
+//       --trace path records spans (shard merges, interval closes,
 //       checkpoint saves, channel send/backoff, transport connects)
 //       into a lock-free ring and writes a chrome://tracing /
 //       Perfetto JSON file at exit; span args carry device/epoch/
@@ -151,8 +145,8 @@
 //       observability plane: /metrics re-exports every member's v3
 //       metrics trailer under a device="<id>" label plus device="fleet"
 //       rollups (counters/histograms summed, gauges maxed), /healthz
-//       flips to 503 once any ingested report carries a degraded
-//       shard, /statusz renders the live device table. --trace path
+//       answers 200 while the daemon runs, /statusz renders the live
+//       device table. --trace path
 //       writes the collector-side chrome-trace spans (frame decodes,
 //       duplicate drops, fleet merges) at exit.
 //       --journal path makes the merge state crash-durable: every
@@ -682,13 +676,6 @@ int cmd_measure(const Args& args) {
     }
     faults->attach_telemetry(metrics);
   }
-  const auto watchdog_ms = args.get_u64("watchdog-ms", 0);
-  if (watchdog_ms > 0 && shards <= 1) {
-    std::fprintf(stderr,
-                 "measure: --watchdog-ms needs --shards > 1 (the "
-                 "watchdog guards shard interval closes)\n");
-    return 2;
-  }
   const std::string checkpoint_path = args.get("checkpoint", "");
   const bool resume_requested = args.has("resume");
   if (resume_requested && checkpoint_path.empty()) {
@@ -698,14 +685,12 @@ int cmd_measure(const Args& args) {
     return 2;
   }
 
-  const bool pin = args.get_u64("pin", 0) != 0;
   std::unique_ptr<common::ThreadPool> pool;  // outlives the session
   std::unique_ptr<core::MeasurementDevice> device;
   if (shards > 1) {
     common::ThreadPoolConfig pool_config;
     pool_config.threads = std::min<std::size_t>(
         shards - 1, common::ThreadPool::default_thread_count());
-    pool_config.pin = pin;
     pool = std::make_unique<common::ThreadPool>(pool_config);
     pool->attach_telemetry(metrics);
     pool->attach_fault_injector(faults.get());
@@ -713,13 +698,8 @@ int cmd_measure(const Args& args) {
     sharded.shards = shards;
     sharded.seed = seed;
     sharded.pool = pool.get();
-    sharded.shard_affinity = pin;
     sharded.metrics = metrics;
     sharded.trace = tracer.get();
-    sharded.trace_batch_sample =
-        static_cast<std::uint32_t>(args.get_u64("trace-sample", 64));
-    sharded.faults = faults.get();
-    sharded.watchdog_timeout = std::chrono::milliseconds(watchdog_ms);
     if (adaptive) sharded.adaptor = adaptor_config;
     // Split the memory budget across shards (>= 64 entries each).
     const std::size_t per_shard =
@@ -1255,9 +1235,6 @@ int cmd_collect(const Args& args) {
     http_config.status_text = [daemon = collector.get()] {
       return daemon->status_text();
     };
-    http_config.healthy = [daemon = collector.get()] {
-      return daemon->healthy();
-    };
     http = start_http_exporter(args, std::move(http_config), "collect");
     if (http == nullptr) return 1;
     http_port_guard.arm(args.get("http-port-file", ""));
@@ -1431,10 +1408,9 @@ const Command kCommands[] = {
       "entries", "export", "fault-plan", "fault-seed", "fleet-size",
       "flow-def", "http-port", "http-port-file", "in", "interval",
       "metrics", "net-attempts", "net-backoff-us", "net-budget",
-      "net-jitter", "pace-ms", "pin", "resume", "seed", "shard-usage",
-      "shards", "spool-dir", "spool-fsync", "spool-fsync-batch",
-      "spool-max-bytes", "threshold", "trace", "trace-sample",
-      "watchdog-ms"}},
+      "net-jitter", "pace-ms", "resume", "seed", "shard-usage", "shards",
+      "spool-dir", "spool-fsync", "spool-fsync-batch", "spool-max-bytes",
+      "threshold", "trace"}},
     {"collect", cmd_collect,
      {"devices", "export", "fault-plan", "fault-seed", "http-port",
       "http-port-file", "journal", "journal-fsync", "journal-fsync-batch",

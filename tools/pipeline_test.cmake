@@ -87,8 +87,9 @@ if(NOT rv EQUAL 2)
   message(FATAL_ERROR "bad algorithm should exit 2, got ${rv}")
 endif()
 # A flag the subcommand does not read is a usage error naming the flag,
-# never a silent run with defaults: a typo, and a removed flag.
-foreach(bad_flag "--treshold;1" "--hugepages")
+# never a silent run with defaults: a typo, and removed flags.
+foreach(bad_flag "--treshold;1" "--hugepages" "--pin;1" "--watchdog-ms;5000"
+                 "--trace-sample;8")
   execute_process(
     COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap ${bad_flag}
     RESULT_VARIABLE rv ERROR_VARIABLE err OUTPUT_QUIET)
@@ -152,9 +153,11 @@ execute_process(
 if(NOT rv EQUAL 4)
   message(FATAL_ERROR "injected pool fault should exit 4, got ${rv}")
 endif()
-# A malformed plan, and one naming the removed reorder kind, are usage
+# A malformed plan, one naming the removed reorder kind, and one naming
+# a site no code consults (the removed shard close stall) are usage
 # errors rather than silent no-ops.
-foreach(bad_plan "bogus" "channel.reorder:reorder:at=0")
+foreach(bad_plan "bogus" "channel.reorder:reorder:at=0"
+                 "shard.stall:stall:at=0")
   execute_process(
     COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap
             --fault-plan ${bad_plan}
@@ -171,7 +174,7 @@ endforeach()
 execute_process(
   COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap
           --algorithm multistage --flow-def dstip --shards 4
-          --watchdog-ms 5000 --threshold 100000
+          --threshold 100000
           --fault-plan channel.drop:drop:p=0.5 --fault-seed 9
           --checkpoint ${WORKDIR}/smoke.ndck
           --metrics ${WORKDIR}/chaos_metrics.jsonl

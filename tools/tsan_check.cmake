@@ -1,6 +1,6 @@
 # Configure, build and run the concurrency tests (ThreadPool,
 # ShardedDevice, batched driver) under ThreadSanitizer in a nested build
-# tree, then run the flow-memory/pinning suites under Address- and
+# tree, then run the flow-memory suites under Address- and
 # UndefinedBehaviorSanitizer as well — the tag-partitioned probe is
 # word-at-a-time pointer arithmetic, exactly what asan/ubsan are for.
 # Driven by the `tsan_check` custom target so the instrumented builds
@@ -13,15 +13,15 @@ if(NOT DEFINED SOURCE_DIR OR NOT DEFINED BUILD_DIR)
   message(FATAL_ERROR "tsan_check.cmake needs -DSOURCE_DIR and -DBUILD_DIR")
 endif()
 
-# The concurrency suites plus the tag-layout / affinity suites added
-# with the cache-conscious flow memory, the CRC-32 tiers, the
+# The concurrency suites plus the tag-layout suites added with the
+# cache-conscious flow memory, the CRC-32 tiers, the
 # observability plane (HTTP exporter poll loop, lock-free trace ring,
 # registry seqlock), the durability layer (spool WAL, crash-recovery journal, on-disk fuzz
 # tables, and the kill-level soak over the instrumented ndtm binary), and
 # ndtm_pipeline, whose `ndtm measure` runs hand every report from the
 # packet thread to the report thread.
 set(ND_SANITIZE_TEST_REGEX
-    "ndtm_pipeline|ThreadPool|Sharded|BatchEquivalence|DriverParallel|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardWatchdog|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|ShardAffinity|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "ndtm_pipeline|ThreadPool|Sharded|BatchEquivalence|DriverParallel|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 
 # Sanitized binaries run ~10x slower: cap the soak's kill cycles so the
 # instrumented pass stays CI-sized (still two real kill/restart cycles).
@@ -80,21 +80,20 @@ function(run_sanitized sanitizer subdir regex)
 endfunction()
 
 # The telemetry label covers the registry's multi-writer hot path and
-# the instrumented pool/sharded fan-out; the regex keeps the original
+# the instrumented pool and sharded close; the regex keeps the original
 # concurrency suites plus the robustness layer's concurrent paths
-# (injector hammering, watchdog-abandoned tasks, chaos pipeline) and the
-# new tag-layout/pinning suites. `.` keeps the tsan tree at BUILD_DIR
+# (injector hammering, shard close failures, chaos pipeline) and the
+# tag-layout suites. `.` keeps the tsan tree at BUILD_DIR
 # itself so existing caches keep working.
 run_sanitized(thread . "${ND_SANITIZE_TEST_REGEX}")
 
-# The flow-memory probe and the pinned-pool/affinity paths again under
-# asan (OOB on the tag array, use-after-free across worker handoff) and
+# The flow-memory probe again under asan (OOB on the tag array) and
 # ubsan (misaligned/overflowing SWAR arithmetic), plus the durability
 # formats — wal scan/resync and journal replay are byte-level parsers
 # over attacker-shaped input, and the soak exercises the whole
 # fork/exec + kill + recover loop under the instrumented runtime.
 set(ND_FLOWMEM_TEST_REGEX
-    "TagProbe|TagLayout|FlowMemory|ShardAffinity|ThreadPoolPinning|CpuFeatures|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "TagProbe|TagLayout|FlowMemory|CpuFeatures|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 run_sanitized(address asan-check "${ND_FLOWMEM_TEST_REGEX}")
 run_sanitized(undefined ubsan-check "${ND_FLOWMEM_TEST_REGEX}")
 
