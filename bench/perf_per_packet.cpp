@@ -66,19 +66,6 @@ const auto& stream() {
   return s;
 }
 
-/// The same stream pre-classified for the observe_batch benches.
-const std::vector<packet::ClassifiedPacket>& classified_stream() {
-  static const auto s = [] {
-    std::vector<packet::ClassifiedPacket> classified;
-    classified.reserve(stream().size());
-    for (const auto& [key, size] : stream()) {
-      classified.push_back(packet::ClassifiedPacket::from(key, size));
-    }
-    return classified;
-  }();
-  return s;
-}
-
 template <typename Device>
 void run_device(benchmark::State& state, Device& device) {
   std::size_t i = 0;
@@ -98,31 +85,6 @@ void run_device(benchmark::State& state, Device& device) {
     i = (i + 1) & (packets.size() - 1);
   }
   state.SetItemsProcessed(state.iterations());
-}
-
-/// Batched counterpart of run_device: sweeps the classified stream in
-/// chunks through observe_batch. Items processed = packets, so items/sec
-/// is directly comparable with the scalar benches.
-template <typename Device>
-void run_device_batched(benchmark::State& state, Device& device,
-                        std::size_t chunk = 1024) {
-  const auto& packets = classified_stream();
-  if (!std::has_single_bit(packets.size())) {
-    std::fprintf(stderr,
-                 "run_device_batched: stream size %zu is not a power of "
-                 "two\n",
-                 packets.size());
-    std::abort();
-  }
-  std::size_t offset = 0;
-  for (auto _ : state) {
-    device.observe_batch(
-        std::span<const packet::ClassifiedPacket>(packets).subspan(offset,
-                                                                   chunk));
-    offset = (offset + chunk) & (packets.size() - 1);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(chunk));
 }
 
 void BM_SampleAndHold(benchmark::State& state) {
@@ -173,32 +135,6 @@ void BM_MultistageSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_MultistageSerial);
 
-// Batched fast path of the parallel filter — same configuration as
-// BM_MultistageParallel, so the scalar/batch delta is the virtual-call
-// amortization + flow-memory prefetch.
-void BM_MultistageParallelBatch(benchmark::State& state) {
-  core::MultistageFilterConfig config;
-  config.flow_memory_entries = 8192;
-  config.depth = static_cast<std::uint32_t>(state.range(0));
-  config.buckets_per_stage = 4096;
-  config.threshold = 1'000'000;
-  config.conservative_update = false;
-  config.shielding = false;
-  core::MultistageFilter device(config);
-  run_device_batched(state, device);
-}
-BENCHMARK(BM_MultistageParallelBatch)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_SampleAndHoldBatch(benchmark::State& state) {
-  core::SampleAndHoldConfig config;
-  config.flow_memory_entries = 8192;
-  config.threshold = 1'000'000;
-  config.oversampling = 4.0;
-  core::SampleAndHold device(config);
-  run_device_batched(state, device);
-}
-BENCHMARK(BM_SampleAndHoldBatch);
-
 std::unique_ptr<core::MeasurementDevice> make_shard_filter(
     std::uint32_t shards, std::uint64_t shard_seed_value) {
   core::MultistageFilterConfig config;
@@ -242,7 +178,7 @@ void BM_ShardedDevice(benchmark::State& state) {
       sharded, [&](std::uint32_t, std::uint64_t shard_seed_value) {
         return make_shard_filter(shards, shard_seed_value);
       });
-  run_device_batched(state, device);
+  run_device(state, device);
   report_shard_usage(state, device.end_interval());
 }
 BENCHMARK(BM_ShardedDevice)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
@@ -264,13 +200,15 @@ void BM_ShardedAdaptiveDevice(benchmark::State& state) {
       sharded, [&](std::uint32_t, std::uint64_t shard_seed_value) {
         return make_shard_filter(shards, shard_seed_value);
       });
-  run_device_batched(state, device);
+  run_device(state, device);
   // Replay the stream as whole intervals so the per-shard adaptors walk
   // the (deliberately high) bench threshold to equilibrium; the counters
   // then record where adaptation steered each shard's usage.
   core::Report report;
   for (int i = 0; i < 30; ++i) {
-    device.observe_batch(classified_stream());
+    for (const auto& [key, size] : stream()) {
+      device.observe(key, size);
+    }
     report = device.end_interval();
   }
   report_shard_usage(state, report);
@@ -347,7 +285,7 @@ void BM_ShardedDeviceTelemetry(benchmark::State& state) {
         config.metric_labels = {{"shard", std::to_string(shard)}};
         return std::make_unique<core::MultistageFilter>(config);
       });
-  run_device_batched(state, device);
+  run_device(state, device);
   report_shard_usage(state, device.end_interval());
   state.counters["telemetry_series"] =
       static_cast<double>(registry.size());

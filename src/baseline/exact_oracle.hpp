@@ -20,14 +20,6 @@ class ExactOracle final : public core::MeasurementDevice {
     bytes_[key] += bytes;
   }
 
-  void observe_batch(
-      std::span<const packet::ClassifiedPacket> batch) override {
-    packets_ += batch.size();
-    for (const packet::ClassifiedPacket& packet : batch) {
-      bytes_[packet.key] += packet.bytes;
-    }
-  }
-
   core::Report end_interval() override;
 
   [[nodiscard]] std::string name() const override { return "exact-oracle"; }

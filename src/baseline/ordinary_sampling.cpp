@@ -38,15 +38,6 @@ void OrdinarySampling::observe(const packet::FlowKey& key,
   flowmem::FlowMemory::add_bytes(*entry, samples_in_packet);
 }
 
-void OrdinarySampling::observe_batch(
-    std::span<const packet::ClassifiedPacket> batch) {
-  // Most packets contain no sampled byte and never touch the flow
-  // memory, so no prefetch: the hot state is just the skip counter.
-  for (const packet::ClassifiedPacket& packet : batch) {
-    observe(packet.key, packet.bytes);  // non-virtual: class is final
-  }
-}
-
 core::Report OrdinarySampling::end_interval() {
   core::Report report;
   report.interval = interval_;

@@ -27,8 +27,6 @@ class OrdinarySampling final : public core::MeasurementDevice {
   explicit OrdinarySampling(const OrdinarySamplingConfig& config);
 
   void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
-  void observe_batch(
-      std::span<const packet::ClassifiedPacket> batch) override;
   core::Report end_interval() override;
 
   [[nodiscard]] std::string name() const override {

@@ -26,13 +26,6 @@ void SampledNetFlow::observe(const packet::FlowKey& key,
   high_water_ = std::max(high_water_, sampled_bytes_.size());
 }
 
-void SampledNetFlow::observe_batch(
-    std::span<const packet::ClassifiedPacket> batch) {
-  for (const packet::ClassifiedPacket& packet : batch) {
-    observe(packet.key, packet.bytes);  // non-virtual: class is final
-  }
-}
-
 core::Report SampledNetFlow::end_interval() {
   core::Report report;
   report.interval = interval_;

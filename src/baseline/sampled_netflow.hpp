@@ -31,8 +31,6 @@ class SampledNetFlow final : public core::MeasurementDevice {
   explicit SampledNetFlow(const SampledNetFlowConfig& config);
 
   void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
-  void observe_batch(
-      std::span<const packet::ClassifiedPacket> batch) override;
   core::Report end_interval() override;
 
   [[nodiscard]] std::string name() const override {

@@ -32,13 +32,6 @@ void SmallestCounterEviction::observe(const packet::FlowKey& key,
   table_.emplace(key, slot);
 }
 
-void SmallestCounterEviction::observe_batch(
-    std::span<const packet::ClassifiedPacket> batch) {
-  for (const packet::ClassifiedPacket& packet : batch) {
-    observe(packet.key, packet.bytes);  // non-virtual: class is final
-  }
-}
-
 core::Report SmallestCounterEviction::end_interval() {
   core::Report report;
   report.interval = interval_;

@@ -30,8 +30,6 @@ class SmallestCounterEviction final : public core::MeasurementDevice {
       : config_(config) {}
 
   void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
-  void observe_batch(
-      std::span<const packet::ClassifiedPacket> batch) override;
   core::Report end_interval() override;
 
   [[nodiscard]] std::string name() const override {

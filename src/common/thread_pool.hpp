@@ -1,16 +1,15 @@
-// A small reusable worker pool for the sharded/batched pipeline.
+// A small reusable worker pool for the sharded pipeline.
 //
 // The pipeline's parallelism is fork/join over a handful of tasks: the
-// shard interval close inside a ShardedDevice, device fan-out inside the
-// experiment driver, background synthesis of the next interval, and
-// `ndtm measure`'s report thread. This pool keeps the threads alive
+// shard interval close inside a ShardedDevice and `ndtm measure`'s
+// report thread. This pool keeps the threads alive
 // across intervals so the per-interval cost is one mutex round trip per
 // task, not thread creation.
 //
 // Determinism contract: the pool never reorders results. Callers submit
 // tasks that own disjoint state, keep the returned futures, and join in
 // submission order; every consumer in this repo merges in a fixed
-// (shard/device) order afterwards, so outputs are identical for any pool
+// (shard) order afterwards, so outputs are identical for any pool
 // size, including 0 (inline execution on the caller's thread).
 #pragma once
 

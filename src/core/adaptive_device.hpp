@@ -27,11 +27,6 @@ class AdaptiveDevice final : public MeasurementDevice {
     device_->observe(key, bytes);
   }
 
-  void observe_batch(
-      std::span<const packet::ClassifiedPacket> batch) override {
-    device_->observe_batch(batch);  // keep the inner device's fast path
-  }
-
   Report end_interval() override;
 
   [[nodiscard]] std::string name() const override {

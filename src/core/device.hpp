@@ -14,7 +14,6 @@
 
 #include "common/state_buffer.hpp"
 #include "common/types.hpp"
-#include "packet/classified_packet.hpp"
 #include "packet/flow_key.hpp"
 
 namespace nd::core {
@@ -90,8 +89,9 @@ void append_flow_line(std::string& out, const ReportedFlow& flow);
 /// threshold carried forward unchanged, smoothed usage = instantaneous
 /// entries/capacity. ShardedDevice uses this for every shard (its
 /// adaptor then overrides next_threshold/smoothed_usage); a fleet
-/// member (net::FleetMember) uses it to annotate the report it ships to
-/// a collector, so the two paths stay bit-identical by construction.
+/// member (net::FleetSliceDevice) uses it to annotate the report it
+/// ships to a collector, so the two paths stay bit-identical by
+/// construction.
 [[nodiscard]] ShardStatus make_shard_status(const Report& report,
                                             std::size_t capacity,
                                             std::uint64_t packets,
@@ -120,20 +120,10 @@ class MeasurementDevice {
  public:
   virtual ~MeasurementDevice() = default;
 
-  /// Process one packet of `bytes` bytes belonging to flow `key`.
+  /// Process one packet of `bytes` bytes belonging to flow `key`. This
+  /// is a device's only packet entry point; callers feed packets one at
+  /// a time, in arrival order.
   virtual void observe(const packet::FlowKey& key, std::uint32_t bytes) = 0;
-
-  /// Process a batch of pre-classified packets, in order. Semantically
-  /// identical to calling observe() per packet — overrides MUST produce
-  /// bit-identical state (the equivalence tests enforce this) — but one
-  /// virtual call amortizes over the whole batch and implementations run
-  /// tight non-virtual inner loops with software prefetch.
-  virtual void observe_batch(
-      std::span<const packet::ClassifiedPacket> batch) {
-    for (const packet::ClassifiedPacket& packet : batch) {
-      observe(packet.key, packet.bytes);
-    }
-  }
 
   /// Close the current measurement interval and report.
   virtual Report end_interval() = 0;

@@ -38,7 +38,6 @@ MultistageFilter::MultistageFilter(const MultistageFilterConfig& config)
   stages_.assign(static_cast<std::size_t>(config_.depth) *
                      config_.buckets_per_stage,
                  0);
-  bucket_ring_.assign(kPrefetchDistance * config_.depth, 0);
   set_threshold(config_.threshold);
 }
 
@@ -62,82 +61,12 @@ void MultistageFilter::admit(const packet::FlowKey& key,
 
 void MultistageFilter::observe(const packet::FlowKey& key,
                                std::uint32_t bytes) {
-  observe_impl(key, key.fingerprint(), bytes,
-               memory_.hash_of(key.fingerprint()), nullptr);
-}
-
-// Flattened: the per-packet helpers (observe_impl, bucket_all, the
-// flow-memory probe) otherwise stay out-of-line calls, and their
-// call/spill overhead plus re-loading the table base pointers each
-// packet is measurable at batch rates.
-[[gnu::flatten]] void MultistageFilter::observe_batch(
-    std::span<const packet::ClassifiedPacket> batch) {
-  const std::size_t n = batch.size();
-  // Distance-k prefetch pipeline (see SampleAndHold::observe_batch):
-  // tag words kPrefetchDistance ahead — the filter's common case is a
-  // shielded/filtered packet whose probe never leaves the tag array —
-  // and the home payload line one packet ahead for the hits. The stage
-  // lookups between the prefetch and the find() give the tag line ample
-  // time in flight.
-  // Each packet's placement hash is computed exactly once and carried
-  // in a small ring shared by both prefetch stages and the lookup.
-  //
-  // Without shielding every packet also reads its d stage counters at
-  // hash-scattered buckets, so the bucket indices are computed
-  // kPrefetchDistance ahead as well (into a second ring) and the
-  // counter words themselves prefetched — by the packet's turn the RMW
-  // hits cache. Bucket values and the counter update order are
-  // untouched, so results stay bit-identical. With shielding on, most
-  // packets never reach the stages, so the buckets stay lazy
-  // (observe_impl computes them only when needed). At depth 1 the
-  // counter prefetch is skipped: a single 32 KB stage row rides the
-  // cache well enough that the extra prefetch op per packet costs more
-  // than the (rare) miss it hides.
-  const bool precompute_buckets = !config_.shielding;
-  const std::size_t depth = config_.depth;
-  std::uint64_t ring[kPrefetchDistance];
-  for (std::size_t i = 0; i < std::min(kPrefetchDistance, n); ++i) {
-    ring[i] = memory_.hash_of(batch[i].fingerprint);
-    memory_.prefetch_tags_hashed(ring[i]);
-    if (precompute_buckets) {
-      std::uint64_t* row = &bucket_ring_[i * depth];
-      hashes_.bucket_all(batch[i].fingerprint, row);
-      if (depth > 1) prefetch_stage_counters(row);
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t slot = i % kPrefetchDistance;
-    if (i + 1 < n) {
-      memory_.prefetch_payload_hashed(ring[(i + 1) % kPrefetchDistance]);
-    }
-    const packet::ClassifiedPacket& packet = batch[i];
-    observe_impl(packet.key, packet.fingerprint, packet.bytes, ring[slot],
-                 precompute_buckets ? &bucket_ring_[slot * depth]
-                                    : nullptr);
-    // Refill slot i with packet i+k (it is done being read) and start
-    // its lines on their way.
-    if (i + kPrefetchDistance < n) {
-      const packet::ClassifiedPacket& ahead =
-          batch[i + kPrefetchDistance];
-      const std::uint64_t ahead_hash = memory_.hash_of(ahead.fingerprint);
-      ring[slot] = ahead_hash;
-      memory_.prefetch_tags_hashed(ahead_hash);
-      if (precompute_buckets) {
-        std::uint64_t* row = &bucket_ring_[slot * depth];
-        hashes_.bucket_all(ahead.fingerprint, row);
-        if (depth > 1) prefetch_stage_counters(row);
-      }
-    }
-  }
-}
-
-void MultistageFilter::observe_impl(const packet::FlowKey& key,
-                                    std::uint64_t fp, std::uint32_t bytes,
-                                    std::uint64_t hash,
-                                    const std::uint64_t* buckets) {
   ++packets_;
   if (tm_.enabled()) tm_.on_packet(bytes);
-  if (flowmem::FlowEntry* entry = memory_.find_hashed(key, hash)) {
+  // The stage buckets are hashed lazily: a shielded hit never needs
+  // them.
+  std::uint64_t* buckets = bucket_scratch_.data();
+  if (flowmem::FlowEntry* entry = memory_.find(key)) {
     flowmem::FlowMemory::add_bytes(*entry, bytes);
     if (tm_.enabled()) tm_.on_hit();
     if (config_.shielding) {
@@ -145,20 +74,14 @@ void MultistageFilter::observe_impl(const packet::FlowKey& key,
     }
     // Without shielding the packet still feeds the stage counters (it
     // can never "pass" again — the flow is already tracked).
-    if (buckets == nullptr) {
-      hashes_.bucket_all(fp, bucket_scratch_.data());
-      buckets = bucket_scratch_.data();
-    }
+    hashes_.bucket_all(key.fingerprint(), buckets);
     for (std::uint32_t d = 0; d < config_.depth; ++d) {
       stage_at(d, buckets[d]) += bytes;
     }
     counter_accesses_ += config_.depth;
     return;
   }
-  if (buckets == nullptr) {
-    hashes_.bucket_all(fp, bucket_scratch_.data());
-    buckets = bucket_scratch_.data();
-  }
+  hashes_.bucket_all(key.fingerprint(), buckets);
   if (config_.serial) {
     observe_serial(key, bytes, buckets);
   } else {

@@ -62,8 +62,6 @@ class MultistageFilter final : public MeasurementDevice {
   explicit MultistageFilter(const MultistageFilterConfig& config);
 
   void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
-  void observe_batch(
-      std::span<const packet::ClassifiedPacket> batch) override;
   Report end_interval() override;
 
   [[nodiscard]] std::string name() const override {
@@ -106,35 +104,13 @@ class MultistageFilter final : public MeasurementDevice {
   }
 
  private:
-  /// Tag-word prefetch distance for observe_batch (payload prefetch
-  /// stays at distance 1); see SampleAndHold::kPrefetchDistance.
-  static constexpr std::size_t kPrefetchDistance = 8;
-
-  /// Shared scalar/batch packet path; `fp` is the caller-cached
-  /// key.fingerprint() and `hash` the caller-cached flow-memory
-  /// placement hash (memory_.hash_of(fp)) — the batched loop computes
-  /// it once per packet for the prefetch stages and the lookup alike.
-  /// `buckets` is either the packet's precomputed stage bucket indices
-  /// (the batched loop hashes them ahead of time so the counter lines
-  /// can be prefetched) or nullptr, in which case they are computed
-  /// lazily — only if the packet actually reaches the stages.
-  void observe_impl(const packet::FlowKey& key, std::uint64_t fp,
-                    std::uint32_t bytes, std::uint64_t hash,
-                    const std::uint64_t* buckets);
+  /// The stage paths for a packet that missed the flow memory;
+  /// `buckets` holds its d stage bucket indices.
   void observe_parallel(const packet::FlowKey& key,
                         std::uint32_t bytes,
                         const std::uint64_t* buckets);
   void observe_serial(const packet::FlowKey& key, std::uint32_t bytes,
                       const std::uint64_t* buckets);
-  /// Request the d counter words a packet will touch (one per stage row)
-  /// ahead of its turn in the batched loop.
-  void prefetch_stage_counters(const std::uint64_t* buckets) const {
-    for (std::uint32_t d = 0; d < config_.depth; ++d) {
-      __builtin_prefetch(
-          &stages_[stage_offset(d) + static_cast<std::size_t>(buckets[d])],
-          /*rw=*/1, /*locality=*/2);
-    }
-  }
   void admit(const packet::FlowKey& key, std::uint32_t bytes);
 
   MultistageFilterConfig config_;
@@ -167,9 +143,6 @@ class MultistageFilter final : public MeasurementDevice {
   std::vector<common::ByteCount> stages_;
   /// Scratch bucket indices, sized depth (avoids per-packet allocation).
   std::vector<std::uint64_t> bucket_scratch_;
-  /// Batched-path bucket ring: kPrefetchDistance rows of depth indices,
-  /// filled when a packet's stage hashes are computed ahead of its turn.
-  std::vector<std::uint64_t> bucket_ring_;
   common::ByteCount serial_stage_threshold_{0};
   common::IntervalIndex interval_{0};
   std::uint64_t packets_{0};

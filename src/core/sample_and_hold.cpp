@@ -60,51 +60,10 @@ bool SampleAndHold::sample_packet(std::uint32_t bytes) {
   return rng_.bernoulli(ps);
 }
 
-// Flattened for the same reason as MultistageFilter::observe_batch:
-// keep the whole per-packet path (hashing, probe, sampling) inlined in
-// the batch loop instead of a call per packet.
-[[gnu::flatten]] void SampleAndHold::observe_batch(
-    std::span<const packet::ClassifiedPacket> batch) {
-  const std::size_t n = batch.size();
-  // Distance-k prefetch pipeline over the tag-partitioned flow memory:
-  // the L1-friendly tag word is requested kPrefetchDistance packets
-  // ahead (it is the first — and for a miss the only — line a probe
-  // touches), while the fat home payload line, needed only on a hit, is
-  // requested one packet ahead so it never evicts tags that a run of
-  // misses would want. Warm the tag pipe before the loop so the first
-  // packets are covered too.
-  // Each packet is hashed exactly once: the ring holds the placement
-  // hashes for packets [i, i+k), shared by both prefetch stages and the
-  // lookup itself.
-  std::uint64_t ring[kPrefetchDistance];
-  for (std::size_t i = 0; i < std::min(kPrefetchDistance, n); ++i) {
-    ring[i] = memory_.hash_of(batch[i].fingerprint);
-    memory_.prefetch_tags_hashed(ring[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t hash = ring[i % kPrefetchDistance];
-    if (i + 1 < n) {
-      memory_.prefetch_payload_hashed(ring[(i + 1) % kPrefetchDistance]);
-    }
-    if (i + kPrefetchDistance < n) {
-      const std::uint64_t ahead =
-          memory_.hash_of(batch[i + kPrefetchDistance].fingerprint);
-      ring[i % kPrefetchDistance] = ahead;  // slot i is done being read
-      memory_.prefetch_tags_hashed(ahead);
-    }
-    observe_hashed(batch[i].key, batch[i].bytes, hash);
-  }
-}
-
 void SampleAndHold::observe(const packet::FlowKey& key, std::uint32_t bytes) {
-  observe_hashed(key, bytes, memory_.hash_of(key.fingerprint()));
-}
-
-void SampleAndHold::observe_hashed(const packet::FlowKey& key,
-                                   std::uint32_t bytes, std::uint64_t hash) {
   ++packets_;
   if (tm_.enabled()) tm_.on_packet(bytes);
-  if (flowmem::FlowEntry* entry = memory_.find_hashed(key, hash)) {
+  if (flowmem::FlowEntry* entry = memory_.find(key)) {
     flowmem::FlowMemory::add_bytes(*entry, bytes);
     if (tm_.enabled()) tm_.on_hit();
     return;

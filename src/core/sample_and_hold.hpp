@@ -64,8 +64,6 @@ class SampleAndHold final : public MeasurementDevice {
   explicit SampleAndHold(const SampleAndHoldConfig& config);
 
   void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
-  void observe_batch(
-      std::span<const packet::ClassifiedPacket> batch) override;
   Report end_interval() override;
 
   [[nodiscard]] std::string name() const override { return "sample-and-hold"; }
@@ -98,19 +96,8 @@ class SampleAndHold final : public MeasurementDevice {
   }
 
  private:
-  /// How many packets ahead observe_batch requests the next flow's tag
-  /// word (the short-distance payload prefetch stays at 1). Far enough
-  /// to cover an LLC miss at a few ns per packet of loop work; small
-  /// enough that a batch tail is mostly covered.
-  static constexpr std::size_t kPrefetchDistance = 8;
-
   void refresh_probability();
   [[nodiscard]] bool sample_packet(std::uint32_t bytes);
-  /// observe() with the flow-memory placement hash already computed;
-  /// the batched loop hashes each packet exactly once and shares the
-  /// value between the prefetch stages and the lookup.
-  void observe_hashed(const packet::FlowKey& key, std::uint32_t bytes,
-                      std::uint64_t hash);
 
   SampleAndHoldConfig config_;
   common::Rng rng_;

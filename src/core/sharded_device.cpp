@@ -20,7 +20,6 @@ ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
       trace_(config.trace) {
   const std::uint32_t shards = std::max<std::uint32_t>(config.shards, 1);
   shards_.reserve(shards);
-  shard_batches_.resize(shards);
   interval_packets_.assign(shards, 0);
   interval_bytes_.assign(shards, 0);
   for (std::uint32_t s = 0; s < shards; ++s) {
@@ -83,32 +82,6 @@ void ShardedDevice::observe(const packet::FlowKey& key,
   ++interval_packets_[s];
   interval_bytes_[s] += bytes;
   shards_[s]->observe(key, bytes);
-}
-
-void ShardedDevice::observe_batch(
-    std::span<const packet::ClassifiedPacket> batch) {
-  if (shards_.size() == 1) {
-    interval_packets_[0] += batch.size();
-    for (const packet::ClassifiedPacket& packet : batch) {
-      interval_bytes_[0] += packet.bytes;
-    }
-    shards_.front()->observe_batch(batch);
-    return;
-  }
-  // Partition in arrival order: each shard sees its flows' packets in
-  // the same relative order as the unsharded stream would.
-  for (auto& shard_batch : shard_batches_) {
-    shard_batch.clear();
-  }
-  for (const packet::ClassifiedPacket& packet : batch) {
-    const std::uint32_t s = shard_of(packet.fingerprint);
-    ++interval_packets_[s];
-    interval_bytes_[s] += packet.bytes;
-    shard_batches_[s].push_back(packet);
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->observe_batch(shard_batches_[s]);
-  }
 }
 
 Report ShardedDevice::end_interval() {

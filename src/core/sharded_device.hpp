@@ -13,10 +13,10 @@
 // Determinism contract: for a fixed shard count the merged output is a
 // pure function of the input stream — shard routing is a seeded hash of
 // the flow fingerprint, each shard owns a deterministic per-shard seed,
-// batches are partitioned in arrival order, and reports are merged in
-// shard order. Shards never talk between interval closes, so the packet
-// path runs on the caller: observe() routes one packet, observe_batch()
-// partitions and then calls each shard's observe_batch in shard order.
+// each shard sees its flows' packets in arrival order, and reports are
+// merged in shard order. Shards never talk between interval closes, so
+// the packet path runs on the caller: observe() routes one packet to
+// its shard.
 // Only the interval close forks: with a ThreadPool attached, shards
 // 1..N-1 close on the pool while shard 0 closes on the caller. The pool
 // changes wall clock only, never output; the repeated-run determinism
@@ -101,8 +101,6 @@ class ShardedDevice final : public MeasurementDevice {
   ShardedDevice(const ShardedDeviceConfig& config, const Factory& factory);
 
   void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
-  void observe_batch(
-      std::span<const packet::ClassifiedPacket> batch) override;
   Report end_interval() override;
 
   [[nodiscard]] std::string name() const override;
@@ -162,9 +160,8 @@ class ShardedDevice final : public MeasurementDevice {
  private:
   std::vector<std::unique_ptr<MeasurementDevice>> shards_;
   /// Always-on per-interval packet/byte tallies, indexed by shard.
-  /// Updated on the caller's thread by observe and the partition loop,
-  /// reset at end_interval; they fill
-  /// ShardStatus::packets/bytes and feed the telemetry mirror.
+  /// Updated on the caller's thread by observe, reset at end_interval;
+  /// they fill ShardStatus::packets/bytes and feed the telemetry mirror.
   std::vector<std::uint64_t> interval_packets_;
   std::vector<common::ByteCount> interval_bytes_;
   /// Telemetry handles; null/empty when no registry. Written only at
@@ -182,8 +179,6 @@ class ShardedDevice final : public MeasurementDevice {
   /// shard routing is independent of the devices' own stage hashes.
   std::uint64_t route_salt_;
   common::ThreadPool* pool_;
-  /// Per-shard sub-batches, reused across observe_batch calls.
-  std::vector<std::vector<packet::ClassifiedPacket>> shard_batches_;
   /// One private adaptor per shard when adaptation is on; empty
   /// otherwise.
   std::vector<ThresholdAdaptor> adaptors_;

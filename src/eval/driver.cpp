@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
 
 #include "common/format.hpp"
 #include "eval/table.hpp"
@@ -33,7 +32,9 @@ void Driver::add_device(std::string label, core::MeasurementDevice& device) {
 }
 
 void Driver::process_slot(DeviceSlot& slot, bool evaluated) {
-  slot.device->observe_batch(batch_);
+  for (const packet::ClassifiedPacket& packet : classified_) {
+    slot.device->observe(packet.key, packet.bytes);
+  }
   const common::ByteCount device_threshold = slot.device->threshold();
   core::Report report = slot.device->end_interval();
   if (!evaluated) return;
@@ -87,44 +88,24 @@ void Driver::process_slot(DeviceSlot& slot, bool evaluated) {
 void Driver::observe_interval(
     std::span<const packet::PacketRecord> packets) {
   const telemetry::ScopedTimer interval_timer(tm_interval_ns_);
-  // Classify once, into the reusable batch buffer; all devices see the
-  // identical classified stream through the batched fast path.
-  batch_.clear();
-  batch_.reserve(packets.size());
+  // Classify once; every device sees the identical classified stream.
+  classified_.clear();
+  classified_.reserve(packets.size());
   truth_.clear();
   for (const auto& packet : packets) {
     if (const auto key = definition_.classify(packet)) {
-      batch_.push_back(
-          packet::ClassifiedPacket::from(*key, packet.size_bytes));
+      classified_.push_back({*key, packet.size_bytes});
       truth_[*key] += packet.size_bytes;
     }
   }
 
   const bool evaluated = interval_index_ >= options_.warmup_intervals;
-  common::ThreadPool* pool = options_.pool;
-  if (pool == nullptr || pool->size() == 0 || devices_.size() <= 1) {
-    for (DeviceSlot& slot : devices_) {
-      process_slot(slot, evaluated);
-    }
-  } else {
-    // Devices are independent (own state, own metric accumulators, and
-    // only read truth_/batch_): fan them out and keep one on this
-    // thread. Per-slot work is identical to the sequential path, so
-    // results are too.
-    std::vector<std::future<void>> pending;
-    pending.reserve(devices_.size() - 1);
-    for (std::size_t d = 1; d < devices_.size(); ++d) {
-      pending.push_back(pool->submit(
-          [this, d, evaluated] { process_slot(devices_[d], evaluated); }));
-    }
-    process_slot(devices_.front(), evaluated);
-    for (std::future<void>& future : pending) {
-      future.get();
-    }
+  for (DeviceSlot& slot : devices_) {
+    process_slot(slot, evaluated);
   }
   if (tm_intervals_ != nullptr) {
     tm_intervals_->increment();
-    tm_packets_->add(batch_.size());
+    tm_packets_->add(classified_.size());
     // Interval-aligned snapshot: every device has closed its interval,
     // so the registry state is a consistent end-of-interval view.
     if (options_.snapshot_sink) {
@@ -135,26 +116,10 @@ void Driver::observe_interval(
 }
 
 void Driver::run(trace::TraceSynthesizer& synthesizer) {
-  common::ThreadPool* pool = options_.pool;
-  if (pool == nullptr || pool->size() == 0) {
-    while (true) {
-      const auto packets = synthesizer.next_interval();
-      if (packets.empty()) break;
-      observe_interval(packets);
-    }
-    return;
-  }
-  // Double-buffered synthesis: generate interval k+1 on a pool worker
-  // while the devices consume interval k. The synthesizer is only ever
-  // touched by one task at a time (the future is joined before the next
-  // submit), so the packet stream is identical to the sequential path.
-  std::vector<packet::PacketRecord> next = synthesizer.next_interval();
-  while (!next.empty()) {
-    const std::vector<packet::PacketRecord> current = std::move(next);
-    std::future<void> synthesis = pool->submit(
-        [&synthesizer, &next] { next = synthesizer.next_interval(); });
-    observe_interval(current);
-    synthesis.get();
+  while (true) {
+    const auto packets = synthesizer.next_interval();
+    if (packets.empty()) break;
+    observe_interval(packets);
   }
 }
 

@@ -2,15 +2,10 @@
 // measurement devices interval by interval, classifying packets once and
 // computing ground truth once per interval.
 //
-// The interval pipeline is production-shaped: each interval is classified
-// exactly once into a reusable batch of ClassifiedPackets, devices
-// consume it through the batched observe_batch fast path, and — when a
-// ThreadPool is attached via DriverOptions::pool — independent devices
-// fan out across workers while interval k+1 is synthesized on a
-// background worker (double buffering). Results are bit-identical with
-// and without a pool: every device owns its state, metrics accumulate
-// per device slot, and the shared ground-truth map is read-only during
-// the fan-out.
+// Each interval is classified exactly once into a reusable buffer of
+// ClassifiedPackets; every device then sees that stream through
+// observe(), one packet at a time — the path `ndtm measure` runs — and
+// closes the interval before the next device starts.
 #pragma once
 
 #include <functional>
@@ -19,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/device.hpp"
 #include "eval/metrics.hpp"
 #include "eval/time_series.hpp"
@@ -42,11 +36,6 @@ struct DriverOptions {
   std::vector<GroupSpec> groups{};
   /// Record a per-interval TimePoint for each device (post-warmup).
   bool record_time_series{false};
-  /// Optional worker pool: fans independent devices out per interval and
-  /// overlaps synthesis of interval k+1 with measurement of interval k.
-  /// Purely a throughput knob — results are identical with or without
-  /// it. Not owned; must outlive the driver.
-  common::ThreadPool* pool{nullptr};
   /// Export driver telemetry (interval latency histogram, packet and
   /// interval counters) into this registry. Not owned; must outlive the
   /// driver. Telemetry never feeds back into measurement, so results
@@ -118,7 +107,7 @@ class Driver {
   };
 
   /// Run one device over the already-classified current interval:
-  /// observe_batch, end_interval, then metric accumulation.
+  /// observe per packet, end_interval, then metric accumulation.
   void process_slot(DeviceSlot& slot, bool evaluated);
 
   packet::FlowDefinition definition_;
@@ -129,9 +118,9 @@ class Driver {
   telemetry::Counter* tm_intervals_{nullptr};
   telemetry::Counter* tm_packets_{nullptr};
   telemetry::Histogram* tm_interval_ns_{nullptr};
-  /// Reusable classified-batch buffer and ground truth for the interval
-  /// being processed (truth_ is read-only while devices fan out).
-  std::vector<packet::ClassifiedPacket> batch_;
+  /// Reusable classified-packet buffer and ground truth for the
+  /// interval being processed.
+  std::vector<packet::ClassifiedPacket> classified_;
   TruthMap truth_;
 };
 

@@ -73,23 +73,15 @@ class FlowMemory {
   /// seeds the placement hash.
   FlowMemory(std::size_t capacity, std::uint64_t seed);
 
-  /// Placement hash for a flow fingerprint. The batched device loops
-  /// compute it once per packet and feed the same value to the prefetch
-  /// stages and to find_hashed, instead of re-scrambling at every
-  /// pipeline stage.
+  /// Placement hash for a flow fingerprint: its low bits pick the home
+  /// slot. Exposed so tests can choose keys by where they land.
   [[nodiscard]] std::uint64_t hash_of(std::uint64_t fingerprint) const {
     return family_.scramble(fingerprint);
   }
 
   /// Find the entry for `key`, or nullptr. Counts one memory access.
   [[nodiscard]] FlowEntry* find(const packet::FlowKey& key) {
-    return find_hashed(key, family_.scramble(key.fingerprint()));
-  }
-
-  /// find() with the placement hash already computed (see hash_of).
-  /// Identical results and memory-access accounting to find().
-  [[nodiscard]] FlowEntry* find_hashed(const packet::FlowKey& key,
-                                       std::uint64_t hash) {
+    const std::uint64_t hash = family_.scramble(key.fingerprint());
     ++accesses_;
     const std::size_t mask = slot_mask_;
     std::size_t slot = static_cast<std::size_t>(hash) & mask;
@@ -144,61 +136,6 @@ class FlowMemory {
     }
 #endif
     return nullptr;
-  }
-
-  /// Hint that the flow with this fingerprint is about to be looked up:
-  /// pulls the home tag word AND the home payload line toward the
-  /// cache (a probe resolves in the home tag word for almost every
-  /// lookup, and a hit's payload is almost always the home slot). Does
-  /// not count as a memory access (it is a hint, not a probe) and never
-  /// changes state — the batched device loops issue it a short distance
-  /// ahead of the packet being processed.
-  void prefetch(std::uint64_t fingerprint) const {
-    prefetch_hashed(family_.scramble(fingerprint));
-  }
-
-  /// prefetch() with the placement hash already computed (see hash_of).
-  void prefetch_hashed(std::uint64_t hash) const {
-#if defined(__GNUC__) || defined(__clang__)
-    const std::size_t slot = static_cast<std::size_t>(hash) & slot_mask_;
-    __builtin_prefetch(tags_.data() + slot, 0, 1);
-    __builtin_prefetch(slots_.data() + slot, 0, 1);
-#else
-    (void)hash;
-#endif
-  }
-
-  /// Payload-line-only prefetch: the short-distance stage of a batched
-  /// loop whose long-distance stage already requested the tag word
-  /// (prefetch_tags_hashed), so re-requesting it here would be a wasted
-  /// slot in the load pipe.
-  void prefetch_payload_hashed(std::uint64_t hash) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(
-        slots_.data() + (static_cast<std::size_t>(hash) & slot_mask_), 0, 1);
-#else
-    (void)hash;
-#endif
-  }
-
-  /// Tag-word-only prefetch: the long-distance stage of the devices'
-  /// distance-k prefetch pipeline. The 8-byte tag group is the first
-  /// (and for negative lookups the only) line a probe touches, so it is
-  /// requested many packets ahead; the fatter payload line is left to
-  /// the short-distance prefetch() to avoid evicting tags with payloads
-  /// that may never be read.
-  void prefetch_tags(std::uint64_t fingerprint) const {
-    prefetch_tags_hashed(family_.scramble(fingerprint));
-  }
-
-  /// prefetch_tags() with the placement hash already computed.
-  void prefetch_tags_hashed(std::uint64_t hash) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(
-        tags_.data() + (static_cast<std::size_t>(hash) & slot_mask_), 0, 3);
-#else
-    (void)hash;
-#endif
   }
 
   /// Insert a new entry (bytes zeroed). Returns nullptr when the table

@@ -234,7 +234,7 @@ class HashFamily {
   [[nodiscard]] StageHash make_stage(std::uint64_t buckets);
 
   /// A raw seeded 64->64 function (used by the flow memory). Inline:
-  /// this runs once per packet in every batched hot loop (it is the
+  /// this runs once per packet in every device's observe (it is the
   /// flow-memory placement hash), and as an out-of-line call its ~8
   /// arithmetic ops cost less than the call itself.
   [[nodiscard]] std::uint64_t scramble(std::uint64_t key) const {

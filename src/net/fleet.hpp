@@ -1,4 +1,4 @@
-// FleetMember: one process's slice of a measurement fleet.
+// FleetSliceDevice: one process's slice of a measurement fleet.
 //
 // A fleet of M separate devices reproduces one M-sharded device
 // (core::ShardedDevice) over the wire: every member applies the same
@@ -17,83 +17,19 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/device.hpp"
 #include "core/sharded_device.hpp"
-#include "packet/classified_packet.hpp"
 
 namespace nd::net {
 
-class FleetMember {
- public:
-  /// `member` in [0, fleet_size); `device` is the inner replica, built
-  /// by the caller from factory(member, core::shard_seed(seed, member))
-  /// — the exact arguments ShardedDevice hands its factory for shard
-  /// `member`.
-  FleetMember(std::uint32_t member, std::uint32_t fleet_size,
-              std::uint64_t seed,
-              std::unique_ptr<core::MeasurementDevice> device)
-      : member_(member),
-        fleet_size_(fleet_size),
-        seed_(seed),
-        device_(std::move(device)),
-        capacity_(device_->flow_memory_capacity()) {}
-
-  /// Whether this member's slice of the flow space owns `fingerprint`.
-  [[nodiscard]] bool owns(std::uint64_t fingerprint) const {
-    return core::shard_route(seed_, fleet_size_, fingerprint) == member_;
-  }
-
-  /// Feed the full packet stream; the member keeps only its own flows,
-  /// in arrival order — exactly the sub-batch ShardedDevice would have
-  /// partitioned out for shard `member`.
-  void observe_batch(std::span<const packet::ClassifiedPacket> batch) {
-    owned_.clear();
-    for (const packet::ClassifiedPacket& packet : batch) {
-      if (!owns(packet.fingerprint)) continue;
-      ++interval_packets_;
-      interval_bytes_ += packet.bytes;
-      owned_.push_back(packet);
-    }
-    device_->observe_batch(owned_);
-  }
-
-  /// Close the interval and annotate the report with this member's
-  /// ShardStatus — the report is ready to frame and ship.
-  [[nodiscard]] core::Report end_interval() {
-    core::Report report = device_->end_interval();
-    report.shards.assign(
-        1, core::make_shard_status(report, capacity_, interval_packets_,
-                                   interval_bytes_));
-    interval_packets_ = 0;
-    interval_bytes_ = 0;
-    return report;
-  }
-
-  [[nodiscard]] std::uint32_t member() const { return member_; }
-  [[nodiscard]] const core::MeasurementDevice& device() const {
-    return *device_;
-  }
-
- private:
-  std::uint32_t member_;
-  std::uint32_t fleet_size_;
-  std::uint64_t seed_;
-  std::unique_ptr<core::MeasurementDevice> device_;
-  std::size_t capacity_;
-  std::uint64_t interval_packets_{0};
-  common::ByteCount interval_bytes_{0};
-  /// This member's sub-batch, reused across observe_batch calls.
-  std::vector<packet::ClassifiedPacket> owned_;
-};
-
-/// FleetMember's routing-and-annotation, as a MeasurementDevice
-/// decorator — the shape `ndtm measure --fleet-size M --device-id m`
-/// needs: a MeasurementSession drives it like any other device, it
+/// The fleet member as a MeasurementDevice decorator — the shape
+/// `ndtm measure --fleet-size M --device-id m` needs: `inner` is built
+/// from factory(member, core::shard_seed(seed, member)), the exact
+/// arguments ShardedDevice hands its factory for shard `member`. A
+/// MeasurementSession drives it like any other device, it
 /// silently ignores every flow another member owns, and each interval
 /// report leaves annotated with this member's ShardStatus, ready for
 /// the collector's fleet merge. M such sessions over TCP therefore
@@ -125,18 +61,6 @@ class FleetSliceDevice final : public core::MeasurementDevice {
     ++interval_packets_;
     interval_bytes_ += bytes;
     inner_->observe(key, bytes);
-  }
-
-  void observe_batch(
-      std::span<const packet::ClassifiedPacket> batch) override {
-    owned_.clear();
-    for (const packet::ClassifiedPacket& packet : batch) {
-      if (!owns(packet.fingerprint)) continue;
-      ++interval_packets_;
-      interval_bytes_ += packet.bytes;
-      owned_.push_back(packet);
-    }
-    inner_->observe_batch(owned_);
   }
 
   [[nodiscard]] core::Report end_interval() override {
@@ -197,7 +121,6 @@ class FleetSliceDevice final : public core::MeasurementDevice {
   std::size_t capacity_;
   std::uint64_t interval_packets_{0};
   common::ByteCount interval_bytes_{0};
-  std::vector<packet::ClassifiedPacket> owned_;
 };
 
 }  // namespace nd::net

@@ -1,11 +1,8 @@
-// A packet after flow classification — the unit of the batched fast path.
+// A packet after flow classification: its FlowKey and its size.
 //
-// The scalar device API re-derives everything per packet per device; the
-// batch pipeline classifies each packet exactly once (FlowDefinition ->
-// FlowKey) and carries the two values every device hot loop needs — the
-// 64-bit key fingerprint and the byte count — adjacent in memory so a
-// batch sweep touches one cache line per packet instead of chasing the
-// full PacketRecord again.
+// eval::Driver classifies each interval once into a buffer of these and
+// replays that buffer into every device through observe(); the test
+// support helpers build the same per-interval streams.
 #pragma once
 
 #include <cstdint>
@@ -16,15 +13,7 @@ namespace nd::packet {
 
 struct ClassifiedPacket {
   FlowKey key;
-  /// Cached key.fingerprint(); hoisted so inner loops (stage hashing,
-  /// flow-memory placement, shard routing) never touch the key itself.
-  std::uint64_t fingerprint{0};
   std::uint32_t bytes{0};
-
-  [[nodiscard]] static ClassifiedPacket from(const FlowKey& key,
-                                             std::uint32_t bytes) {
-    return ClassifiedPacket{key, key.fingerprint(), bytes};
-  }
 };
 
 }  // namespace nd::packet

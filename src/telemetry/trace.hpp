@@ -14,9 +14,7 @@
 //     branch (ScopedTraceSpan skips even the clock reads).
 //   * on: recording an event is one relaxed fetch_add to claim a slot,
 //     plain stores into it, and one release store to publish — no
-//     locks, no allocation. Hot-path sites (observe_batch chunks)
-//     additionally sample 1-in-N so tracing never dominates the path
-//     it measures.
+//     locks, no allocation.
 //   * full: the buffer does not wrap; events past capacity are dropped
 //     and counted (dropped()), so a long run degrades to a truncated
 //     trace instead of a torn one.
@@ -89,13 +87,6 @@ class TraceRecorder {
   void instant(const char* name, const char* category,
                TraceArgs args = {}, const char* value_key = "");
 
-  /// 1-in-`n` decimation for hot-path sites: true on the 1st, n+1th,
-  /// ... call. n <= 1 keeps everything.
-  [[nodiscard]] bool sample(std::uint32_t n) noexcept {
-    if (n <= 1) return true;
-    return sample_ticks_.fetch_add(1, std::memory_order_relaxed) % n == 0;
-  }
-
   /// Published events in claim order. Safe while writers run: only
   /// slots whose release store landed are returned.
   [[nodiscard]] std::vector<TraceEvent> events() const;
@@ -118,7 +109,6 @@ class TraceRecorder {
   std::vector<Slot> slots_;
   std::atomic<std::uint64_t> next_{0};
   std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> sample_ticks_{0};
 };
 
 /// RAII complete-span: stamps begin at construction, records at scope

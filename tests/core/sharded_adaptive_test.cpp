@@ -28,6 +28,7 @@ namespace {
 
 using nd::testing::DifferentialTrace;
 using nd::testing::make_differential_trace;
+using nd::testing::observe_all;
 
 constexpr std::size_t kTotalEntries = 512;
 constexpr std::uint32_t kTotalBuckets = 1024;
@@ -75,12 +76,12 @@ std::vector<packet::ClassifiedPacket> skewed_interval(
     ++found;
     // Every hot-shard flow is an elephant; it will demand entries there.
     for (int burst = 0; burst < 4; ++burst) {
-      packets.push_back(packet::ClassifiedPacket::from(key, 30'000));
+      packets.push_back(packet::ClassifiedPacket{key, 30'000});
     }
   }
   for (std::uint32_t ip = 100'000; ip < 100'400; ++ip) {
-    packets.push_back(packet::ClassifiedPacket::from(
-        packet::FlowKey::destination_ip(ip), 2'000));
+    packets.push_back(packet::ClassifiedPacket{
+        packet::FlowKey::destination_ip(ip), 2'000});
   }
   return packets;
 }
@@ -91,7 +92,7 @@ TEST(ShardedAdaptive, ThresholdsDivergeOnSkewedTraffic) {
   const auto interval = skewed_interval(*device, 0);
   Report report;
   for (int i = 0; i < 12; ++i) {
-    device->observe_batch(interval);
+    observe_all(*device, interval);
     report = device->end_interval();
   }
   ASSERT_EQ(report.shards.size(), 4u);
@@ -114,7 +115,7 @@ TEST(ShardedAdaptive, GlobalOverrideResetsBaselineAndAdaptors) {
   const auto device = make_adaptive(4);
   const auto interval = skewed_interval(*device, 0);
   for (int i = 0; i < 12; ++i) {
-    device->observe_batch(interval);
+    observe_all(*device, interval);
     (void)device->end_interval();
   }
   ASSERT_FALSE(device->shard_adaptor(0).usage_history().empty());
@@ -146,7 +147,7 @@ TEST(ShardedAdaptive, PerShardOverrideComposesWithAdaptation) {
   // baseline: flood it and the threshold must move off the override.
   const auto interval = skewed_interval(*device, 2);
   for (int i = 0; i < 8; ++i) {
-    device->observe_batch(interval);
+    observe_all(*device, interval);
     (void)device->end_interval();
   }
   EXPECT_NE(device->shard(2).threshold(), 10'000u);
@@ -158,7 +159,7 @@ TEST(ShardedAdaptive, UniformDeviceReportsInstantaneousShardUsage) {
   ShardedDevice device(config, split_factory(4));
   EXPECT_FALSE(device.adaptive());
   const auto interval = skewed_interval(device, 1);
-  device.observe_batch(interval);
+  observe_all(device, interval);
   const Report report = device.end_interval();
   ASSERT_EQ(report.shards.size(), 4u);
   for (const ShardStatus& shard : report.shards) {
@@ -184,7 +185,7 @@ TEST(ShardedAdaptive, AdaptiveDeviceDelegatesToShardedPath) {
   const auto interval = skewed_interval(*device.sharded(), 0);
   Report report;
   for (int i = 0; i < 12; ++i) {
-    device.observe_batch(interval);
+    observe_all(device, interval);
     report = device.end_interval();
   }
   // Delegation means heterogeneous thresholds survive end_interval: the
@@ -268,7 +269,7 @@ void run_sweep(const char* preset) {
     std::size_t eligible = 0;
     std::size_t checked = 0;
     for (std::size_t i = 0; i < trace.intervals.size(); ++i) {
-      device->observe_batch(trace.intervals[i]);
+      observe_all(*device, trace.intervals[i]);
       reports.push_back(device->end_interval());
       if (i + 1 < kSweepWarmup) continue;
       SCOPED_TRACE("interval " + std::to_string(i));

@@ -25,6 +25,7 @@ namespace {
 
 using nd::testing::classify_trace;
 using nd::testing::expect_reports_equal;
+using nd::testing::observe_all;
 
 trace::TraceConfig small_trace() {
   trace::TraceConfig config;
@@ -51,13 +52,13 @@ ShardedDevice::Factory filter_factory() {
   };
 }
 
-/// Run the classified trace through a device via observe_batch and
+/// Run the classified trace through a device packet by packet and
 /// collect the per-interval reports.
-std::vector<Report> run_batched(MeasurementDevice& device) {
+std::vector<Report> run_trace(MeasurementDevice& device) {
   std::vector<Report> reports;
   for (const auto& interval :
        classify_trace(small_trace(), packet::FlowDefinition::five_tuple())) {
-    device.observe_batch(interval);
+    observe_all(device, interval);
     reports.push_back(device.end_interval());
   }
   return reports;
@@ -76,14 +77,16 @@ TEST(ShardedDevice, OneShardMatchesUnshardedExactly) {
   const auto intervals =
       classify_trace(small_trace(), packet::FlowDefinition::five_tuple());
   for (const auto& interval : intervals) {
-    sharded.observe_batch(interval);
-    unsharded.observe_batch(interval);
+    observe_all(sharded, interval);
+    observe_all(unsharded, interval);
     expect_reports_equal(sharded.end_interval(), unsharded.end_interval());
   }
   EXPECT_EQ(sharded.packets_processed(), unsharded.packets_processed());
 }
 
 TEST(ShardedDevice, OneShardObserveMatchesUnshardedToo) {
+  // Same property, driven through the concrete types' observe rather
+  // than through a MeasurementDevice reference.
   ShardedDeviceConfig config;
   config.shards = 1;
   ShardedDevice sharded(config, [](std::uint32_t, std::uint64_t) {
@@ -108,7 +111,7 @@ TEST(ShardedDevice, RepeatedRunsAreDeterministic) {
     config.shards = 8;
     config.seed = 4;
     ShardedDevice device(config, filter_factory());
-    return run_batched(device);
+    return run_trace(device);
   };
   const auto first = run_once();
   const auto second = run_once();
@@ -127,7 +130,7 @@ TEST(ShardedDevice, PoolDoesNotChangeOutput) {
     config.seed = 4;
     config.pool = pool;
     ShardedDevice device(config, filter_factory());
-    return run_batched(device);
+    return run_trace(device);
   };
   const auto serial = run_with_pool(nullptr);
   common::ThreadPool one(1);
@@ -139,23 +142,6 @@ TEST(ShardedDevice, PoolDoesNotChangeOutput) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_reports_equal(serial[i], single[i]);
     expect_reports_equal(serial[i], parallel[i]);
-  }
-}
-
-TEST(ShardedDevice, ObserveAndBatchAgree) {
-  ShardedDeviceConfig config;
-  config.shards = 4;
-  config.seed = 2;
-  ShardedDevice scalar(config, filter_factory());
-  ShardedDevice batched(config, filter_factory());
-  const auto intervals =
-      classify_trace(small_trace(), packet::FlowDefinition::five_tuple());
-  for (const auto& interval : intervals) {
-    for (const auto& packet : interval) {
-      scalar.observe(packet.key, packet.bytes);
-    }
-    batched.observe_batch(interval);
-    expect_reports_equal(scalar.end_interval(), batched.end_interval());
   }
 }
 
@@ -200,7 +186,7 @@ TEST(ShardedDevice, AccessorsAggregateOverShards) {
 
   const auto intervals =
       classify_trace(small_trace(), packet::FlowDefinition::five_tuple());
-  device.observe_batch(intervals.front());
+  observe_all(device, intervals.front());
   std::uint64_t per_shard_packets = 0;
   for (std::uint32_t s = 0; s < device.shard_count(); ++s) {
     per_shard_packets += device.shard(s).packets_processed();
@@ -218,7 +204,7 @@ TEST(ShardedDevice, MergedReportPartitionsTheFlowSpace) {
   ShardedDevice device(config, filter_factory());
   const auto intervals =
       classify_trace(small_trace(), packet::FlowDefinition::five_tuple());
-  device.observe_batch(intervals.front());
+  observe_all(device, intervals.front());
   const Report merged = device.end_interval();
   ASSERT_FALSE(merged.flows.empty());
   std::set<std::uint64_t> fingerprints;
@@ -241,8 +227,8 @@ TEST(ShardedDevice, WorksWithSampleAndHoldInner) {
   };
   ShardedDevice a(config, factory);
   ShardedDevice b(config, factory);
-  const auto first = run_batched(a);
-  const auto second = run_batched(b);
+  const auto first = run_trace(a);
+  const auto second = run_trace(b);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     expect_reports_equal(first[i], second[i]);
@@ -344,7 +330,7 @@ TEST(ShardFailures, ThrowingReplicaCloseKeepsShardsAligned) {
     });
     const auto intervals =
         classify_trace(small_trace(), packet::FlowDefinition::five_tuple());
-    device.observe_batch(intervals[0]);
+    observe_all(device, intervals[0]);
     try {
       (void)device.end_interval();
       FAIL() << "expected ShardError";
@@ -354,7 +340,7 @@ TEST(ShardFailures, ThrowingReplicaCloseKeepsShardsAligned) {
                 std::string::npos)
           << error.what();
     }
-    device.observe_batch(intervals[1]);
+    observe_all(device, intervals[1]);
     const Report next = device.end_interval();
     EXPECT_EQ(next.interval, 1u);
     ASSERT_EQ(next.shards.size(), 4u);

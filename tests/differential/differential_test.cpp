@@ -1,5 +1,5 @@
 // The differential suite (ctest label `differential`): replays identical
-// synthesized traces through scalar, batched, sharded-uniform and
+// synthesized traces through scalar, sharded-uniform and
 // sharded-adaptive devices and locks down the revised determinism
 // contract — bit-equality where it is still promised, paper bounds
 // (no false negatives above the effective threshold, usage steered into
@@ -13,6 +13,10 @@
 #include <vector>
 
 #include "../support/differential_harness.hpp"
+#include "baseline/exact_oracle.hpp"
+#include "baseline/ordinary_sampling.hpp"
+#include "baseline/sampled_netflow.hpp"
+#include "baseline/smallest_counter_eviction.hpp"
 #include "core/multistage_filter.hpp"
 #include "core/sample_and_hold.hpp"
 #include "trace/presets.hpp"
@@ -78,11 +82,89 @@ const DifferentialTrace& ind_differential_trace() {
   return trace;
 }
 
-TEST(Differential, ScalarAndBatchedAreBitIdentical) {
-  const auto& trace = ind_differential_trace();
-  const auto config = multistage_config(4);
-  expect_equal_series(run_mode(config, trace, DeviceMode::kScalar),
-                      run_mode(config, trace, DeviceMode::kBatched));
+TEST(Differential, EveryDeviceIsDeterministicPerSeed) {
+  // Two instances of each device, built from the same config and seed,
+  // must report identically interval by interval and agree on their
+  // packet and memory-access tallies — including the RNG-driven
+  // samplers, whose random streams must be consumed identically.
+  trace::TraceConfig small;
+  small.flow_count = 600;
+  small.bytes_per_interval = 3'000'000;
+  small.num_intervals = 3;
+  small.seed = 77;
+  const auto intervals =
+      classify_trace(small, packet::FlowDefinition::five_tuple());
+
+  core::MultistageFilterConfig filter;
+  filter.flow_memory_entries = 256;
+  filter.depth = 3;
+  filter.buckets_per_stage = 128;
+  filter.threshold = 40'000;
+  filter.seed = 9;
+  auto plain = filter;
+  plain.conservative_update = false;
+  plain.shielding = false;
+  auto serial = filter;
+  serial.serial = true;
+  serial.preserve = flowmem::PreservePolicy::kPreserve;
+  auto multiply_shift = filter;
+  multiply_shift.hash_kind = hash::HashKind::kMultiplyShift;
+  multiply_shift.preserve = flowmem::PreservePolicy::kEarlyRemoval;
+  core::SampleAndHoldConfig hold;
+  hold.flow_memory_entries = 256;
+  hold.threshold = 40'000;
+  hold.preserve = flowmem::PreservePolicy::kEarlyRemoval;
+  hold.seed = 5;
+  baseline::OrdinarySamplingConfig ordinary;
+  ordinary.flow_memory_entries = 256;
+  ordinary.byte_sampling_probability = 1e-4;
+  ordinary.seed = 3;
+  baseline::SampledNetFlowConfig netflow;
+  netflow.sampling_divisor = 16;
+  netflow.seed = 11;
+  auto every_xth = netflow;
+  every_xth.sampling_divisor = 8;
+  every_xth.deterministic = true;
+  baseline::SmallestCounterEvictionConfig eviction;
+  eviction.flow_memory_entries = 128;
+
+  const std::vector<
+      std::function<std::unique_ptr<core::MeasurementDevice>()>>
+      factories = {
+          [&] { return std::make_unique<core::MultistageFilter>(filter); },
+          [&] { return std::make_unique<core::MultistageFilter>(plain); },
+          [&] { return std::make_unique<core::MultistageFilter>(serial); },
+          [&] {
+            return std::make_unique<core::MultistageFilter>(multiply_shift);
+          },
+          [&] { return std::make_unique<core::SampleAndHold>(hold); },
+          [&] {
+            return std::make_unique<core::AdaptiveDevice>(
+                std::make_unique<core::SampleAndHold>(hold),
+                core::ThresholdAdaptorConfig{});
+          },
+          [&] {
+            return std::make_unique<baseline::OrdinarySampling>(ordinary);
+          },
+          [&] { return std::make_unique<baseline::SampledNetFlow>(netflow); },
+          [&] {
+            return std::make_unique<baseline::SampledNetFlow>(every_xth);
+          },
+          [&] {
+            return std::make_unique<baseline::SmallestCounterEviction>(
+                eviction);
+          },
+          [] { return std::make_unique<baseline::ExactOracle>(); },
+      };
+  for (std::size_t i = 0; i < factories.size(); ++i) {
+    const auto first = factories[i]();
+    const auto second = factories[i]();
+    SCOPED_TRACE("device " + std::to_string(i) + " " + first->name());
+    expect_equal_series(replay(*first, intervals),
+                        replay(*second, intervals));
+    EXPECT_EQ(first->packets_processed(), second->packets_processed());
+    EXPECT_EQ(first->memory_accesses(), second->memory_accesses());
+  }
 }
 
 TEST(Differential, ShardedUniformIsDeterministicAndPoolInvariant) {
@@ -211,7 +293,7 @@ TEST(Differential, MagAdaptiveShardsEndInBandWhereUniformBaselineDoesNot) {
   core::ThresholdAdaptor global(config.adaptor);
   std::vector<core::Report> uniform;
   for (const auto& interval : trace.intervals) {
-    device->observe_batch(interval);
+    observe_all(*device, interval);
     uniform.push_back(device->end_interval());
     device->set_threshold(global.update(device->threshold(),
                                         uniform.back().entries_used,

@@ -2,8 +2,7 @@
 // primitives (including the documented borrow caveat), the edge cases of
 // the word-at-a-time probe (wraparound, table-full, 7-bit tag collisions)
 // and — the load-bearing contract — bit-identical behaviour against a
-// self-contained copy of the pre-tag layout, down to checkpoint bytes
-// and device reports on the paper's trace presets.
+// self-contained copy of the pre-tag layout, down to checkpoint bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,13 +10,9 @@
 #include <vector>
 
 #include "../support/reference_flow_memory.hpp"
-#include "../support/report_testing.hpp"
-#include "core/multistage_filter.hpp"
-#include "core/sample_and_hold.hpp"
 #include "flowmem/flow_memory.hpp"
 #include "flowmem/tag_probe.hpp"
 #include "hash/hash.hpp"
-#include "trace/presets.hpp"
 
 namespace nd::flowmem {
 namespace {
@@ -389,54 +384,6 @@ TEST(TagLayout, CheckpointRoundTripRebuildsTags) {
   common::StateWriter original;
   memory.save_state(original);
   EXPECT_EQ(resaved.bytes(), original.bytes());
-}
-
-// --- Device-level equivalence on the paper's presets -------------------
-
-template <typename Device>
-void expect_scalar_and_batched_reports_identical(
-    const trace::TraceConfig& trace_config, Device make_device) {
-  const auto intervals = nd::testing::classify_trace(
-      trace_config, packet::FlowDefinition::five_tuple());
-  auto scalar = make_device();
-  auto batched = make_device();
-  for (const auto& interval : intervals) {
-    for (const auto& packet : interval) {
-      scalar->observe(packet.key, packet.bytes);
-    }
-    batched->observe_batch(interval);
-    nd::testing::expect_reports_equal(scalar->end_interval(),
-                                      batched->end_interval());
-  }
-}
-
-TEST(TagLayout, ScalarAndBatchedReportsIdenticalOnPresets) {
-  // The distance-k tag prefetch pipeline is hints only: on each scaled
-  // Table 3 preset, per-packet observe and the prefetching observe_batch
-  // must produce bit-identical interval reports for both devices.
-  const auto presets = {trace::scaled(trace::Presets::mag(3), 0.02),
-                        trace::scaled(trace::Presets::ind(3), 0.05),
-                        trace::scaled(trace::Presets::cos(3), 0.25)};
-  for (const auto& preset : presets) {
-    expect_scalar_and_batched_reports_identical(preset, [] {
-      core::SampleAndHoldConfig config;
-      config.flow_memory_entries = 512;
-      config.threshold = 60'000;
-      config.preserve = PreservePolicy::kEarlyRemoval;
-      config.seed = 77;
-      return std::make_unique<core::SampleAndHold>(config);
-    });
-    expect_scalar_and_batched_reports_identical(preset, [] {
-      core::MultistageFilterConfig config;
-      config.flow_memory_entries = 512;
-      config.depth = 3;
-      config.buckets_per_stage = 256;
-      config.threshold = 60'000;
-      config.preserve = PreservePolicy::kPreserve;
-      config.seed = 77;
-      return std::make_unique<core::MultistageFilter>(config);
-    });
-  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // The loopback integration suite: M in-process device threads, each a
-// FleetMember shipping interval reports through a real ResilientChannel
+// FleetSliceDevice shipping interval reports through a real ResilientChannel
 // + TcpTransport over 127.0.0.1, against one collector daemon. The
 // acceptance bar is the collapse-the-distributed-system guarantee: the
 // collector's fleet merge is bit-identical to a single-process
@@ -34,6 +34,7 @@ namespace {
 
 using nd::testing::classify_trace;
 using nd::testing::expect_reports_equal;
+using nd::testing::observe_all;
 
 constexpr std::uint32_t kFleetSize = 4;
 constexpr std::uint64_t kSeed = 7;
@@ -71,20 +72,20 @@ std::vector<core::Report> sharded_reference(
       });
   std::vector<core::Report> reports;
   for (const auto& interval : intervals) {
-    device.observe_batch(interval);
+    observe_all(device, interval);
     reports.push_back(device.end_interval());
   }
   return reports;
 }
 
-/// One device thread: a FleetMember over the full stream, shipping each
+/// One device thread: a FleetSliceDevice over the full stream, shipping each
 /// interval through ResilientChannel + TcpTransport. `faults` may carry
 /// a per-member chaos plan (null = clean run).
 void run_member(std::uint32_t member, std::uint16_t port,
                 const std::vector<std::vector<packet::ClassifiedPacket>>&
                     intervals,
                 robustness::FaultInjector* faults) {
-  FleetMember fleet_member(
+  FleetSliceDevice fleet_member(
       member, kFleetSize, kSeed,
       std::make_unique<core::MultistageFilter>(
           filter_config(core::shard_seed(kSeed, member))));
@@ -104,7 +105,7 @@ void run_member(std::uint32_t member, std::uint16_t port,
   reporting::ResilientChannel channel(channel_config);
 
   for (const auto& interval : intervals) {
-    fleet_member.observe_batch(interval);
+    observe_all(fleet_member, interval);
     const core::Report report = fleet_member.end_interval();
     EXPECT_TRUE(channel.send(report).delivered)
         << "member " << member << " interval " << report.interval;
@@ -196,7 +197,7 @@ std::string http_get(std::uint16_t port, const std::string& path) {
 void run_member_with_metrics(
     std::uint32_t member, std::uint16_t port,
     const std::vector<std::vector<packet::ClassifiedPacket>>& intervals) {
-  FleetMember fleet_member(
+  FleetSliceDevice fleet_member(
       member, kFleetSize, kSeed,
       std::make_unique<core::MultistageFilter>(
           filter_config(core::shard_seed(kSeed, member))));
@@ -221,7 +222,7 @@ void run_member_with_metrics(
   telemetry::Histogram& flows =
       registry.histogram("nd_member_report_flows");
   for (const auto& interval : intervals) {
-    fleet_member.observe_batch(interval);
+    observe_all(fleet_member, interval);
     const core::Report report = fleet_member.end_interval();
     packets.add(report.shards.front().packets);
     entries.set(

@@ -72,19 +72,6 @@ TEST(TraceRecorder, InstantEventsStampNowWithZeroDuration) {
   EXPECT_EQ(events[0].dur_ns, 0u);
 }
 
-TEST(TraceRecorder, SampleKeepsOneInN) {
-  common::FakeClock clock;
-  TraceRecorder recorder(16, &clock);
-  std::vector<bool> kept;
-  for (int i = 0; i < 9; ++i) kept.push_back(recorder.sample(4));
-  const std::vector<bool> expected{true,  false, false, false, true,
-                                   false, false, false, true};
-  EXPECT_EQ(kept, expected);
-  // n <= 1 keeps everything and burns no tick state.
-  EXPECT_TRUE(recorder.sample(0));
-  EXPECT_TRUE(recorder.sample(1));
-}
-
 TEST(TraceRecorder, FullBufferDropsAndCountsInsteadOfWrapping) {
   common::FakeClock clock;
   TraceRecorder recorder(4, &clock);

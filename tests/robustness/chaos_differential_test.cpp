@@ -76,8 +76,8 @@ PipelineResult run_pipeline(
 
   auto device = make_device();
   PipelineResult result;
-  for (const auto& batch : intervals) {
-    device->observe_batch(batch);
+  for (const auto& interval : intervals) {
+    testing::observe_all(*device, interval);
     core::Report report = device->end_interval();
     core::sort_by_size(report);
     const std::size_t reports_before = sink.reports.size();

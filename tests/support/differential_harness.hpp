@@ -1,17 +1,16 @@
 // Differential-testing harness for the sharded/scalar device contract.
 //
-// Replays identical synthesized traces through the four device
-// configurations the pipeline supports —
+// Replays identical synthesized traces, packet by packet, through the
+// three device configurations the pipeline supports —
 //
-//   kScalar          per-packet observe() on the unsharded device
-//   kBatched         observe_batch() on the unsharded device
+//   kScalar          the unsharded device
 //   kShardedUniform  ShardedDevice, one fixed threshold everywhere
 //   kShardedAdaptive ShardedDevice, a private ThresholdAdaptor per shard
 //
 // — and provides the assertions that define the contract between them:
 //
 //   (a) bit-identical reports wherever equality is still promised
-//       (scalar vs batched; sharded runs across pools and repetitions);
+//       (same-seed repetitions; sharded runs across pools);
 //   (b) paper-derived bounds where it is not: heterogeneous per-shard
 //       thresholds intentionally break bit-equality with the globally
 //       adapted scalar device, so the adaptive configurations are
@@ -78,19 +77,17 @@ inline core::ThresholdAdaptorConfig damped_multistage_adaptor() {
 
 enum class DeviceMode {
   kScalar,
-  kBatched,
   kShardedUniform,
   kShardedAdaptive,
 };
 
 inline constexpr DeviceMode kAllDeviceModes[] = {
-    DeviceMode::kScalar, DeviceMode::kBatched, DeviceMode::kShardedUniform,
+    DeviceMode::kScalar, DeviceMode::kShardedUniform,
     DeviceMode::kShardedAdaptive};
 
 inline const char* mode_name(DeviceMode mode) {
   switch (mode) {
     case DeviceMode::kScalar: return "scalar";
-    case DeviceMode::kBatched: return "batched";
     case DeviceMode::kShardedUniform: return "sharded-uniform";
     case DeviceMode::kShardedAdaptive: return "sharded-adaptive";
   }
@@ -106,7 +103,7 @@ struct DifferentialConfig {
   /// Optional worker pool for the sharded modes (wall clock only).
   common::ThreadPool* pool{nullptr};
   /// Builds the inner device. `shards` is 1 (with shard 0) for the
-  /// unsharded modes so the factory can split its memory budget the way
+  /// unsharded mode so the factory can split its memory budget the way
   /// a deployment would.
   std::function<std::unique_ptr<core::MeasurementDevice>(
       std::uint32_t shard, std::uint32_t shards, std::uint64_t seed)>
@@ -115,7 +112,7 @@ struct DifferentialConfig {
 
 inline std::unique_ptr<core::MeasurementDevice> make_device(
     const DifferentialConfig& config, DeviceMode mode) {
-  if (mode == DeviceMode::kScalar || mode == DeviceMode::kBatched) {
+  if (mode == DeviceMode::kScalar) {
     return config.factory(0, 1, config.seed);
   }
   core::ShardedDeviceConfig sharded;
@@ -131,21 +128,14 @@ inline std::unique_ptr<core::MeasurementDevice> make_device(
       });
 }
 
-/// Replay the whole trace; kScalar feeds packets one at a time, every
-/// other mode uses the batched fast path.
-inline std::vector<core::Report> replay(core::MeasurementDevice& device,
-                                        const DifferentialTrace& trace,
-                                        bool per_packet) {
+/// Replay the whole trace packet by packet, one report per interval.
+inline std::vector<core::Report> replay(
+    core::MeasurementDevice& device,
+    const std::vector<std::vector<packet::ClassifiedPacket>>& intervals) {
   std::vector<core::Report> reports;
-  reports.reserve(trace.intervals.size());
-  for (const auto& interval : trace.intervals) {
-    if (per_packet) {
-      for (const auto& packet : interval) {
-        device.observe(packet.key, packet.bytes);
-      }
-    } else {
-      device.observe_batch(interval);
-    }
+  reports.reserve(intervals.size());
+  for (const auto& interval : intervals) {
+    observe_all(device, interval);
     reports.push_back(device.end_interval());
   }
   return reports;
@@ -155,7 +145,7 @@ inline std::vector<core::Report> run_mode(const DifferentialConfig& config,
                                           const DifferentialTrace& trace,
                                           DeviceMode mode) {
   const auto device = make_device(config, mode);
-  return replay(*device, trace, mode == DeviceMode::kScalar);
+  return replay(*device, trace.intervals);
 }
 
 /// Contract (a): bit-identical interval-by-interval reports, including

@@ -1,5 +1,6 @@
-// Shared helpers for the batch/shard equivalence tests: build classified
-// streams from the synthesizer and compare device reports bit-for-bit.
+// Shared helpers for the determinism and shard equivalence tests: build
+// classified streams from the synthesizer, feed them to devices and
+// compare device reports bit-for-bit.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -22,8 +23,7 @@ inline std::vector<packet::ClassifiedPacket> classify_interval(
   classified.reserve(packets.size());
   for (const auto& packet : packets) {
     if (const auto key = definition.classify(packet)) {
-      classified.push_back(
-          packet::ClassifiedPacket::from(*key, packet.size_bytes));
+      classified.push_back({*key, packet.size_bytes});
     }
   }
   return classified;
@@ -41,6 +41,14 @@ inline std::vector<std::vector<packet::ClassifiedPacket>> classify_trace(
     intervals.push_back(classify_interval(packets, definition));
   }
   return intervals;
+}
+
+/// Feed `packets` to `device` one at a time, in order.
+inline void observe_all(core::MeasurementDevice& device,
+                        const std::vector<packet::ClassifiedPacket>& packets) {
+  for (const packet::ClassifiedPacket& packet : packets) {
+    device.observe(packet.key, packet.bytes);
+  }
 }
 
 /// Bit-for-bit report equality: same interval, threshold, usage, and the

@@ -35,6 +35,7 @@ namespace {
 
 using nd::testing::classify_trace;
 using nd::testing::expect_reports_equal;
+using nd::testing::observe_all;
 
 trace::TraceConfig small_trace(std::uint64_t seed = 11) {
   trace::TraceConfig config;
@@ -216,7 +217,7 @@ TEST(DeviceInstruments, MultistageStagePassCountsAreMonotone) {
   core::MultistageFilter device(filter_config(&registry));
   for (const auto& interval :
        classify_trace(small_trace(), packet::FlowDefinition::five_tuple())) {
-    device.observe_batch(interval);
+    observe_all(device, interval);
     (void)device.end_interval();
   }
 
@@ -271,19 +272,19 @@ TEST(DeviceInstruments, TelemetryNeverChangesReports) {
   core::MultistageFilter pfilter_off(plain_off);
 
   for (const auto& interval : intervals) {
-    sah_on.observe_batch(interval);
-    sah_off.observe_batch(interval);
+    observe_all(sah_on, interval);
+    observe_all(sah_off, interval);
     expect_reports_equal(sah_on.end_interval(), sah_off.end_interval());
-    filter_on.observe_batch(interval);
-    filter_off.observe_batch(interval);
+    observe_all(filter_on, interval);
+    observe_all(filter_off, interval);
     expect_reports_equal(filter_on.end_interval(),
                          filter_off.end_interval());
-    sfilter_on.observe_batch(interval);
-    sfilter_off.observe_batch(interval);
+    observe_all(sfilter_on, interval);
+    observe_all(sfilter_off, interval);
     expect_reports_equal(sfilter_on.end_interval(),
                          sfilter_off.end_interval());
-    pfilter_on.observe_batch(interval);
-    pfilter_off.observe_batch(interval);
+    observe_all(pfilter_on, interval);
+    observe_all(pfilter_off, interval);
     expect_reports_equal(pfilter_on.end_interval(),
                          pfilter_off.end_interval());
   }
@@ -376,19 +377,19 @@ TEST(DeviceInstruments, MultistageSeriesAdvanceOnlyAtIntervalClose) {
       std::unordered_set<std::uint64_t> held;
       for (const auto& packet : interval) {
         tally.add(packet.bytes);
-        if (held.count(packet.fingerprint) != 0) {
+        if (held.count(packet.key.fingerprint()) != 0) {
           ++shielded;
         } else {
           common::ByteCount min_counter = ~common::ByteCount{0};
           for (std::uint32_t d = 0; d < config.depth; ++d) {
             const common::ByteCount counter =
-                device.counter(d, stages[d].bucket(packet.fingerprint));
+                device.counter(d, stages[d].bucket(packet.key.fingerprint()));
             if (counter + packet.bytes >= config.threshold) ++passes[d];
             min_counter = std::min(min_counter, counter);
           }
           if (min_counter + packet.bytes >= config.threshold) {
             ++admitted;
-            held.insert(packet.fingerprint);
+            held.insert(packet.key.fingerprint());
           }
         }
         device.observe(packet.key, packet.bytes);
@@ -437,9 +438,9 @@ TEST(ShardedInstruments, ParallelShardClosesPublishExactTallies) {
        classify_trace(small_trace(), packet::FlowDefinition::five_tuple())) {
     std::array<IntervalTally, 3> tallies;
     for (const auto& packet : interval) {
-      tallies[device.shard_of(packet.fingerprint)].add(packet.bytes);
+      tallies[device.shard_of(packet.key.fingerprint())].add(packet.bytes);
     }
-    device.observe_batch(interval);
+    observe_all(device, interval);
     expect_device_series_unchanged(closed, registry.snapshot());
 
     // Shards 1 and 2 close (and publish) on pool workers.
@@ -485,7 +486,7 @@ TEST(ShardedInstruments, PerShardTalliesMatchShardStatus) {
   core::Report last;
   for (const auto& interval :
        classify_trace(small_trace(), packet::FlowDefinition::five_tuple())) {
-    device.observe_batch(interval);
+    observe_all(device, interval);
     total_packets += interval.size();
     for (const auto& packet : interval) {
       total_bytes += packet.bytes;
@@ -560,8 +561,8 @@ TEST(ShardedInstruments, TelemetryNeverChangesShardedReports) {
                                        core::MultistageFilter>(inner);
                                  });
   for (const auto& interval : intervals) {
-    device_on.observe_batch(interval);
-    device_off.observe_batch(interval);
+    observe_all(device_on, interval);
+    observe_all(device_off, interval);
     expect_reports_equal(device_on.end_interval(),
                          device_off.end_interval());
   }

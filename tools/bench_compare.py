@@ -59,11 +59,11 @@ def main():
     parser.add_argument("candidate")
     parser.add_argument(
         "--filter",
-        default=(r"^BM_.*Batch|^BM_ShardedDevice"
+        default=(r"^BM_ShardedDevice"
                  r"|^BM_Crc32|^BM_FrameStream"
                  r"|^BM_SpoolAppend|^BM_JournalReplay"),
         help="regex of benchmark names the gate applies to "
-             "(default: the batched-device, sharded and collection "
+             "(default: the sharded-device and collection "
              "data-plane series)")
     parser.add_argument(
         "--ignore",

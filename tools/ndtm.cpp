@@ -1,7 +1,12 @@
 // ndtm — the command-line front end to the library.
 //
 // Every subcommand rejects a flag it does not read (exit code 2, the
-// message names the flag), so a typo never runs with a default.
+// message names the flag), so a typo never runs with a default. Numeric
+// flags are checked before the subcommand starts: a value that is not
+// a whole number (or, for --scale/--oversampling/--flows, a number),
+// --interval 0, a --connect port outside 1-65535, or a --listen /
+// --http-port outside 0-65535 (0 = ephemeral) also exits 2 naming the
+// flag.
 //
 //   ndtm synthesize --preset mag --scale 0.1 --intervals 6 --out t.pcap
 //       Write a calibrated synthetic trace as a standard pcap file.
@@ -174,8 +179,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -223,6 +230,86 @@
 using namespace nd;
 
 namespace {
+
+/// What a flag's value must look like. Flags not in kValueKinds take
+/// any text (paths, names, specs).
+enum class ValueKind {
+  kWhole,     // a whole number
+  kPositive,  // a whole number >= 1
+  kReal,      // a finite number
+  kPort,      // a whole number in 0..65535 (0 = ephemeral)
+  kEndpoint,  // HOST:PORT with PORT in 1..65535
+};
+
+/// Every numeric flag of every subcommand and what its value must be; a
+/// name means the same thing wherever it appears.
+const std::map<std::string, ValueKind> kValueKinds = [] {
+  std::map<std::string, ValueKind> kinds;
+  for (const char* flag :
+       {"adaptive", "buckets", "capacity", "depth", "device-id", "devices",
+        "entries", "fault-seed", "fleet-size", "intervals", "journal-fsync",
+        "journal-fsync-batch", "net-attempts", "net-backoff-us",
+        "net-budget", "net-jitter", "pace-ms", "seed", "shard-usage",
+        "shards", "snaplen", "spool-fsync", "spool-fsync-batch",
+        "spool-max-bytes", "threshold", "timeout-ms", "traffic"}) {
+    kinds[flag] = ValueKind::kWhole;
+  }
+  for (const char* flag : {"flows", "oversampling", "scale"}) {
+    kinds[flag] = ValueKind::kReal;
+  }
+  kinds["interval"] = ValueKind::kPositive;
+  kinds["http-port"] = ValueKind::kPort;
+  kinds["listen"] = ValueKind::kPort;
+  kinds["connect"] = ValueKind::kEndpoint;
+  return kinds;
+}();
+
+/// `text` as a whole number: digits only, fitting in 64 bits.
+std::optional<std::uint64_t> parse_whole(const std::string& text) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return std::nullopt;
+  }
+  errno = 0;
+  const std::uint64_t value = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno == ERANGE) return std::nullopt;
+  return value;
+}
+
+/// What `value` should have been, or nullopt when it fits `kind`.
+std::optional<std::string> value_error(ValueKind kind,
+                                       const std::string& value) {
+  switch (kind) {
+    case ValueKind::kWhole:
+      if (parse_whole(value)) return std::nullopt;
+      return "a whole number";
+    case ValueKind::kPositive:
+      if (parse_whole(value).value_or(0) >= 1) return std::nullopt;
+      return "a whole number >= 1";
+    case ValueKind::kReal: {
+      char* end = nullptr;
+      const double number = std::strtod(value.c_str(), &end);
+      if (!value.empty() && *end == '\0' && std::isfinite(number)) {
+        return std::nullopt;
+      }
+      return "a number";
+    }
+    case ValueKind::kPort:
+      if (parse_whole(value).value_or(65536) <= 65535) return std::nullopt;
+      return "a port in 0-65535";
+    case ValueKind::kEndpoint: {
+      const auto colon = value.rfind(':');
+      const auto port = colon == std::string::npos
+                            ? std::nullopt
+                            : parse_whole(value.substr(colon + 1));
+      if (colon != 0 && port && *port >= 1 && *port <= 65535) {
+        return std::nullopt;
+      }
+      return "HOST:PORT with a port in 1-65535";
+    }
+  }
+  return std::nullopt;
+}
 
 /// Minimal flag parser; every subcommand shares it. Accepts
 /// `--key value`, `--key=value`, and bare `--key` (stored with an empty
@@ -272,6 +359,19 @@ class Args {
       const std::set<std::string>& known) const {
     for (const auto& entry : values_) {
       if (known.count(entry.first) == 0) return entry.first;
+    }
+    return std::nullopt;
+  }
+  /// "--flag expects ..., got '...'" for the first flag whose value
+  /// does not fit its kValueKinds entry, if any.
+  [[nodiscard]] std::optional<std::string> invalid_value() const {
+    for (const auto& [key, value] : values_) {
+      const auto kind = kValueKinds.find(key);
+      if (kind == kValueKinds.end()) continue;
+      if (const auto expected = value_error(kind->second, value)) {
+        return "--" + key + " expects " + *expected + ", got '" + value +
+               "'";
+      }
     }
     return std::nullopt;
   }
@@ -788,10 +888,6 @@ int cmd_measure(const Args& args) {
   std::uint64_t net_reports_abandoned = 0;
   if (!connect.empty()) {
     const auto colon = connect.rfind(':');
-    if (colon == std::string::npos || colon + 1 == connect.size()) {
-      std::fprintf(stderr, "measure: --connect expects HOST:PORT\n");
-      return 2;
-    }
     net::TcpTransportConfig transport_config;
     transport_config.host = connect.substr(0, colon);
     transport_config.port = static_cast<std::uint16_t>(
@@ -1439,6 +1535,10 @@ int main(int argc, char** argv) {
     if (const auto flag = args.unknown_flag(candidate.flags)) {
       std::fprintf(stderr, "%s: unknown flag --%s\n", candidate.name,
                    flag->c_str());
+      return 2;
+    }
+    if (const auto error = args.invalid_value()) {
+      std::fprintf(stderr, "%s: %s\n", candidate.name, error->c_str());
       return 2;
     }
     return candidate.run(args);

@@ -101,6 +101,43 @@ foreach(bad_flag "--treshold;1" "--hugepages" "--pin;1" "--watchdog-ms;5000"
     message(FATAL_ERROR "measure ${flag_name} error does not name the flag")
   endif()
 endforeach()
+# A malformed number is a usage error naming the flag, checked before
+# any work starts: never a silent 0 (`--interval abc` used to become a
+# 1 ns interval), never a truncated port. TIMEOUT turns a regression
+# into a failure instead of a hang.
+foreach(bad_value
+    "measure;--interval;abc" "measure;--interval;0" "measure;--interval;"
+    "measure;--threshold;1e5" "measure;--shards;-2"
+    "measure;--connect;127.0.0.1:abc" "measure;--connect;127.0.0.1:0"
+    "measure;--connect;127.0.0.1:70000" "collect;--listen;70000"
+    "collect;--listen;abc" "collect;--http-port;65536"
+    "synthesize;--scale;abc" "bounds;--depth;four"
+    "dimension;--flows;lots")
+  list(GET bad_value 0 command)
+  list(GET bad_value 1 flag_name)
+  list(SUBLIST bad_value 1 -1 bad_args)
+  if(command STREQUAL "measure")
+    list(APPEND bad_args --in ${WORKDIR}/smoke.pcap)
+  elseif(command STREQUAL "collect")
+    list(APPEND bad_args --timeout-ms 2000)
+  elseif(command STREQUAL "synthesize")
+    list(APPEND bad_args --out ${WORKDIR}/never_written.pcap)
+  endif()
+  execute_process(
+    COMMAND ${NDTM} ${command} ${bad_args}
+    RESULT_VARIABLE rv ERROR_VARIABLE err OUTPUT_QUIET TIMEOUT 20)
+  if(NOT rv EQUAL 2)
+    message(FATAL_ERROR
+            "${command} ${bad_args} should exit 2, got ${rv}")
+  endif()
+  if(NOT err MATCHES "${flag_name}")
+    message(FATAL_ERROR
+            "${command} ${bad_args} error does not name ${flag_name}: ${err}")
+  endif()
+endforeach()
+if(EXISTS ${WORKDIR}/never_written.pcap)
+  message(FATAL_ERROR "synthesize wrote output despite a bad --scale")
+endif()
 file(WRITE ${WORKDIR}/garbage.pcap "this is not a capture file at all")
 execute_process(
   COMMAND ${NDTM} measure --in ${WORKDIR}/garbage.pcap

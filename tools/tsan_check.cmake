@@ -1,6 +1,7 @@
 # Configure, build and run the concurrency tests (ThreadPool,
-# ShardedDevice, batched driver) under ThreadSanitizer in a nested build
-# tree, then run the flow-memory suites under Address- and
+# ShardedDevice's forked interval close, the ndtm report thread) under
+# ThreadSanitizer in a nested build tree, then run the flow-memory
+# suites under Address- and
 # UndefinedBehaviorSanitizer as well — the tag-partitioned probe is
 # word-at-a-time pointer arithmetic, exactly what asan/ubsan are for.
 # Driven by the `tsan_check` custom target so the instrumented builds
@@ -21,7 +22,7 @@ endif()
 # ndtm_pipeline, whose `ndtm measure` runs hand every report from the
 # packet thread to the report thread.
 set(ND_SANITIZE_TEST_REGEX
-    "ndtm_pipeline|ThreadPool|Sharded|BatchEquivalence|DriverParallel|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "ndtm_pipeline|ThreadPool|Sharded|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 
 # Sanitized binaries run ~10x slower: cap the soak's kill cycles so the
 # instrumented pass stays CI-sized (still two real kill/restart cycles).
