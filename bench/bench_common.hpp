@@ -5,15 +5,22 @@
 //   --seed N       master seed                    (default 42)
 //   --runs N       independent runs to average    (default per bench)
 //   --intervals N  measurement intervals          (default per bench)
-// Unknown flags abort with a usage message. Defaults are sized so the
-// whole bench suite runs in well under a minute; pass --scale 1 (and
-// more runs/intervals) to reproduce at the paper's full trace sizes.
+// Unknown flags, and a value that is malformed, not finite or (for all
+// but --seed) not positive, exit 2 with a usage message. Defaults are
+// sized so the whole bench suite runs in well under a minute; pass
+// --scale 1 (and more runs/intervals) to reproduce at the paper's full
+// trace sizes.
 #pragma once
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 namespace nd::bench {
 
@@ -23,6 +30,26 @@ struct Options {
   std::uint32_t runs{3};
   std::uint32_t intervals{12};
 };
+
+/// All of `text` as a T (finite, and above 0 when `positive`), or exit
+/// 2 naming the flag.
+template <typename T>
+T parse_value(const char* flag, const char* text, bool positive) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, value);
+  bool ok = error == std::errc() && stop == end && stop != text;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value);
+  }
+  if (ok && positive) ok = value > 0;
+  if (!ok) {
+    std::fprintf(stderr, "%s expects a %s number, got '%s'\n", flag,
+                 positive ? "positive" : "whole", text);
+    std::exit(2);
+  }
+  return value;
+}
 
 inline Options parse_options(int argc, char** argv, Options defaults) {
   Options options = defaults;
@@ -35,16 +62,17 @@ inline Options parse_options(int argc, char** argv, Options defaults) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--scale") == 0) {
-      options.scale = std::atof(need_value("--scale"));
+      options.scale =
+          parse_value<double>("--scale", need_value("--scale"), true);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      options.seed = static_cast<std::uint64_t>(
-          std::strtoull(need_value("--seed"), nullptr, 10));
+      options.seed = parse_value<std::uint64_t>(
+          "--seed", need_value("--seed"), false);
     } else if (std::strcmp(argv[i], "--runs") == 0) {
-      options.runs = static_cast<std::uint32_t>(
-          std::atoi(need_value("--runs")));
+      options.runs = parse_value<std::uint32_t>(
+          "--runs", need_value("--runs"), true);
     } else if (std::strcmp(argv[i], "--intervals") == 0) {
-      options.intervals = static_cast<std::uint32_t>(
-          std::atoi(need_value("--intervals")));
+      options.intervals = parse_value<std::uint32_t>(
+          "--intervals", need_value("--intervals"), true);
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: %s [--scale S] [--seed N] [--runs N] [--intervals N]\n",

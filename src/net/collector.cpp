@@ -11,6 +11,7 @@
 #include <array>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -128,6 +129,9 @@ Collector::Collector(const CollectorConfig& config) : config_(config) {
     tm_reports_ = &registry.counter("nd_net_reports_total", labels);
     tm_duplicates_ =
         &registry.counter("nd_net_duplicate_reports_total", labels);
+    tm_late_ = &registry.counter("nd_net_late_reports_total", labels);
+    tm_missing_ =
+        &registry.counter("nd_net_missing_intervals_total", labels);
     tm_decode_errors_ =
         &registry.counter("nd_net_decode_errors_total", labels);
     tm_resyncs_ = &registry.counter("nd_net_resync_total", labels);
@@ -159,6 +163,12 @@ Collector::Collector(const CollectorConfig& config) : config_(config) {
                             .metric_labels = config_.metric_labels});
   }
   ingest_buffer_.resize(64 * 1024);
+  std::vector<core::Report> replayed;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    replayed = take_complete_locked();
+  }
+  deliver(std::move(replayed));
 }
 
 void Collector::replay_journal_file() {
@@ -210,9 +220,39 @@ void Collector::ingest_report_payload(std::uint32_t device_id,
         static_cast<std::int64_t>(decoded.report.interval);
   }
   const common::IntervalIndex interval = decoded.report.interval;
-  const bool first_copy =
-      device.reports.find(interval) == device.reports.end();
-  if (first_copy && journal && journal_.has_value()) {
+  if (interval < next_interval_ &&
+      !(interval < device.merged.size() && device.merged[interval])) {
+    // Its interval was merged without this device (released by a bye):
+    // too late to join, and a replay must not see it either.
+    ++stats_.late_reports;
+    if (tm_late_ != nullptr) tm_late_->increment();
+    if (config_.trace != nullptr) {
+      config_.trace->instant(
+          "report.late", "collector",
+          telemetry::TraceArgs{device_id, device.epoch,
+                               static_cast<std::int64_t>(interval)});
+    }
+    return;
+  }
+  if (interval < next_interval_ ||
+      device.reports.find(interval) != device.reports.end()) {
+    // A reconnecting device re-ships intervals it cannot prove
+    // arrived; first-copy-wins keeps the merge exactly-once — and
+    // keeps the fleet aggregation exactly-once too (the duplicate's
+    // trailer is discarded with it).
+    ++stats_.duplicate_reports;
+    if (tm_duplicates_ != nullptr) {
+      tm_duplicates_->increment();
+    }
+    if (config_.trace != nullptr) {
+      config_.trace->instant(
+          "report.duplicate", "collector",
+          telemetry::TraceArgs{device_id, device.epoch,
+                               static_cast<std::int64_t>(interval)});
+    }
+    return;
+  }
+  if (journal && journal_.has_value()) {
     // Journal before merge: once this report can influence the fleet
     // merge, it must survive a crash. Only first copies are written —
     // a duplicate adds nothing a replay needs.
@@ -236,31 +276,13 @@ void Collector::ingest_report_payload(std::uint32_t device_id,
       }
     }
   }
-  const auto [it, inserted] = device.reports.try_emplace(
-      interval, std::move(decoded.report));
-  (void)it;
-  if (inserted) {
-    ++stats_.reports_ingested;
-    if (tm_reports_ != nullptr) {
-      tm_reports_->increment();
-    }
-    ingest_metrics_trailer(device_id, decoded.metrics_json);
-  } else {
-    // A reconnecting device re-ships intervals it cannot prove
-    // arrived; first-copy-wins keeps the merge exactly-once — and
-    // keeps the fleet aggregation exactly-once too (the duplicate's
-    // trailer is discarded with it).
-    ++stats_.duplicate_reports;
-    if (tm_duplicates_ != nullptr) {
-      tm_duplicates_->increment();
-    }
-    if (config_.trace != nullptr) {
-      config_.trace->instant(
-          "report.duplicate", "collector",
-          telemetry::TraceArgs{device_id, device.epoch,
-                               static_cast<std::int64_t>(interval)});
-    }
+  device.reports.emplace(interval, std::move(decoded.report));
+  ++device.reports_ingested;
+  ++stats_.reports_ingested;
+  if (tm_reports_ != nullptr) {
+    tm_reports_->increment();
   }
+  ingest_metrics_trailer(device_id, decoded.metrics_json);
 }
 
 void Collector::mark_bye(std::uint32_t device_id, std::uint32_t intervals,
@@ -268,6 +290,7 @@ void Collector::mark_bye(std::uint32_t device_id, std::uint32_t intervals,
   DeviceState& device = devices_[device_id];
   const bool first_bye = !device.bye;
   device.bye = true;
+  if (first_bye) record_gaps_locked(device_id, device, intervals);
   if (first_bye && journal && journal_.has_value()) {
     const std::vector<std::uint8_t> record =
         encode_journal_bye(device_id, device.epoch, intervals);
@@ -283,6 +306,97 @@ void Collector::mark_bye(std::uint32_t device_id, std::uint32_t intervals,
       }
     }
   }
+}
+
+void Collector::record_gaps_locked(std::uint32_t device_id,
+                                   const DeviceState& device,
+                                   common::IntervalIndex intervals) {
+  // Walk the delivered intervals below the bye's count in ascending
+  // order (merged bits, then the open window, whose keys all lie above
+  // the watermark); every hole between two of them is a gap.
+  std::uint64_t expected = 0;
+  std::uint64_t missing = 0;
+  const auto delivered = [&](std::uint64_t interval) {
+    if (interval > expected) {
+      gaps_.push_back(IntervalGap{
+          device_id, static_cast<common::IntervalIndex>(expected),
+          static_cast<common::IntervalIndex>(interval - 1)});
+      missing += interval - expected;
+    }
+    expected = interval + 1;
+  };
+  const std::size_t merged_below =
+      std::min<std::size_t>(device.merged.size(), intervals);
+  for (std::size_t interval = 0; interval < merged_below; ++interval) {
+    if (device.merged[interval]) delivered(interval);
+  }
+  for (const auto& [interval, report] : device.reports) {
+    if (interval >= intervals) break;
+    delivered(interval);
+  }
+  delivered(intervals);
+  stats_.missing_intervals += missing;
+  if (tm_missing_ != nullptr) tm_missing_->add(missing);
+}
+
+bool Collector::interval_complete_locked(
+    common::IntervalIndex interval) const {
+  bool reported = false;
+  for (const auto& [id, device] : devices_) {
+    if (device.reports.count(interval) != 0) {
+      reported = true;
+    } else if (!device.bye) {
+      return false;
+    }
+  }
+  return reported;
+}
+
+std::vector<core::Report> Collector::take_complete_locked() {
+  std::vector<core::Report> ready;
+  // Nothing is complete until the whole fleet is known: an interval
+  // every member seen so far has reported may still wait for one that
+  // has not dialed in yet.
+  if (config_.expected_devices == 0 ||
+      devices_.size() < config_.expected_devices) {
+    return ready;
+  }
+  std::vector<core::Report> members;
+  while (next_interval_ <= std::numeric_limits<common::IntervalIndex>::max()) {
+    const auto interval = static_cast<common::IntervalIndex>(next_interval_);
+    if (!interval_complete_locked(interval)) break;
+    members.clear();
+    for (auto& [id, device] : devices_) {
+      auto node = device.reports.extract(interval);
+      device.merged.resize(interval, false);
+      device.merged.push_back(!node.empty());
+      if (!node.empty()) members.push_back(std::move(node.mapped()));
+    }
+    ++next_interval_;
+    core::Report merged = merge_members(interval, members);
+    if (config_.on_interval) {
+      ready.push_back(std::move(merged));
+    } else {
+      emitted_.push_back(std::move(merged));
+    }
+  }
+  return ready;
+}
+
+void Collector::deliver(std::vector<core::Report> merged) {
+  for (core::Report& report : merged) config_.on_interval(std::move(report));
+}
+
+core::Report Collector::merge_members(
+    common::IntervalIndex interval,
+    std::span<const core::Report> members) const {
+  const telemetry::ScopedTimer timer(tm_merge_ns_);
+  telemetry::ScopedTraceSpan span(
+      config_.trace, "fleet.merge", "collector",
+      telemetry::TraceArgs{-1, -1, static_cast<std::int64_t>(interval),
+                           static_cast<std::int64_t>(members.size())},
+      "members");
+  return core::merge_member_reports(interval, members);
 }
 
 void Collector::ingest_metrics_trailer(std::uint32_t device_id,
@@ -323,7 +437,9 @@ std::string Collector::status_text() const {
          std::to_string(stats_.decode_errors) + " decode errors\n";
   out += "reports: " + std::to_string(stats_.reports_ingested) +
          " ingested, " + std::to_string(stats_.duplicate_reports) +
-         " duplicates\n";
+         " duplicates, " + std::to_string(stats_.late_reports) +
+         " late, " + std::to_string(stats_.missing_intervals) +
+         " missing\n";
   if (journal_.has_value()) {
     out += "journal: " + std::to_string(stats_.journal_records) +
            " appended, " + std::to_string(stats_.journal_replayed) +
@@ -335,8 +451,20 @@ std::string Collector::status_text() const {
   for (const auto& [id, device] : devices_) {
     out += "  device " + std::to_string(id) + ": epoch " +
            std::to_string(device.epoch) + ", " +
-           std::to_string(device.reports.size()) + " reports" +
-           (device.bye ? ", bye" : "") + "\n";
+           std::to_string(device.reports_ingested) + " reports" +
+           (device.bye ? ", bye" : "");
+    const char* separator = ", missing intervals ";
+    for (const IntervalGap& gap : gaps_) {
+      if (gap.device_id != id) continue;
+      out += separator;
+      out += std::to_string(gap.first);
+      if (gap.last != gap.first) {
+        out += '-';
+        out += std::to_string(gap.last);
+      }
+      separator = ",";
+    }
+    out += "\n";
   }
   return out;
 }
@@ -430,14 +558,22 @@ bool Collector::run() {
   const auto deadline = std::chrono::steady_clock::now() + config_.timeout;
   std::vector<pollfd> fds;
   for (;;) {
+    // Once per poll wake, after every ready connection was serviced, so
+    // an interval a bye releases cannot overtake a report still queued
+    // on another connection in the same wake.
+    bool done = false;
+    bool stopped = false;
+    std::vector<core::Report> complete;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (all_done_locked()) {
-        drain_remaining_locked();
-        return true;
-      }
-      if (stop_requested_) return false;
+      done = all_done_locked();
+      if (done) drain_remaining_locked();
+      stopped = stop_requested_;
+      complete = take_complete_locked();
     }
+    deliver(std::move(complete));
+    if (done) return true;
+    if (stopped) return false;
     int timeout_ms = -1;
     if (bounded) {
       const auto remaining =
@@ -502,7 +638,7 @@ bool Collector::wait() {
 
 std::vector<core::Report> Collector::merged_reports() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Every interval any device reported, ascending.
+  // Every interval still open on any device, ascending.
   std::vector<common::IntervalIndex> intervals;
   for (const auto& [id, device] : devices_) {
     for (const auto& [interval, report] : device.reports) {
@@ -513,23 +649,18 @@ std::vector<core::Report> Collector::merged_reports() const {
   intervals.erase(std::unique(intervals.begin(), intervals.end()),
                   intervals.end());
 
-  std::vector<core::Report> merged;
-  merged.reserve(intervals.size());
+  std::vector<core::Report> merged = emitted_;
+  merged.reserve(emitted_.size() + intervals.size());
+  std::vector<core::Report> members;
   for (const common::IntervalIndex interval : intervals) {
     // Member order is ascending device id (std::map iteration), the
     // fleet analogue of ShardedDevice's merge-in-shard-order.
-    std::vector<core::Report> members;
+    members.clear();
     for (const auto& [id, device] : devices_) {
       const auto it = device.reports.find(interval);
       if (it != device.reports.end()) members.push_back(it->second);
     }
-    const telemetry::ScopedTimer timer(tm_merge_ns_);
-    telemetry::ScopedTraceSpan span(
-        config_.trace, "fleet.merge", "collector",
-        telemetry::TraceArgs{-1, -1, static_cast<std::int64_t>(interval),
-                             static_cast<std::int64_t>(members.size())},
-        "members");
-    merged.push_back(core::merge_member_reports(interval, members));
+    merged.push_back(merge_members(interval, members));
   }
   return merged;
 }
@@ -537,6 +668,11 @@ std::vector<core::Report> Collector::merged_reports() const {
 CollectorStats Collector::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
+}
+
+std::vector<IntervalGap> Collector::gaps() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return gaps_;
 }
 
 std::uint32_t Collector::devices_done() const {

@@ -17,16 +17,29 @@
 // loopback suite enforces: M devices over TCP merge bit-identically to
 // one M-sharded device in process.
 //
+// The merge streams. Once expected_devices distinct ids are known (by
+// hello or by journal replay), an interval is complete when every known
+// device has reported it or has said bye. A watermark merges complete
+// intervals in ascending order, hands each merge to
+// CollectorConfig::on_interval and drops the member copies, so the
+// collector holds only the open window, not the whole run. A copy that
+// arrives for an interval already merged is never merged again: it is a
+// duplicate when its device had delivered the interval, a late report
+// otherwise. At bye, the intervals the bye counts but that never arrived
+// are recorded as gaps (gaps(), stats().missing_intervals).
+//
 // Lifecycle: construct (binds and listens; port() reports the bound
 // port so tests and the CLI can use an ephemeral one), then either
 // run() on the current thread or start()/stop() with a background
 // thread. run() returns true when every expected device said bye,
 // false on stop() or timeout — the CLI maps that to its
-// transport-failure exit code.
+// transport-failure exit code. Intervals still open when run() returns
+// are merged by merged_reports().
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -86,6 +99,20 @@ struct CollectorConfig {
   std::size_t max_drain_bytes_per_wake{256 * 1024};
   /// Fault hook for "journal.torn_record". Not owned.
   robustness::FaultInjector* faults{nullptr};
+  /// Sink for each completed interval's fleet merge, in ascending
+  /// interval order, called without the collector's lock: from the
+  /// constructor for intervals journal replay completes, then from the
+  /// thread that runs run(). Unset: merges are kept for
+  /// merged_reports().
+  std::function<void(core::Report&&)> on_interval{};
+};
+
+/// Intervals [first, last] that a device's bye counted but whose
+/// reports never arrived.
+struct IntervalGap {
+  std::uint32_t device_id{0};
+  common::IntervalIndex first{0};
+  common::IntervalIndex last{0};
 };
 
 struct CollectorStats {
@@ -103,6 +130,11 @@ struct CollectorStats {
   /// reconnect path re-ships whole intervals; dedup keeps the merge
   /// exactly-once).
   std::uint64_t duplicate_reports{0};
+  /// Reports for an interval already merged without that device: too
+  /// late to join the merge, so dropped (and not journaled).
+  std::uint64_t late_reports{0};
+  /// Intervals a device's bye counted that never arrived (see gaps()).
+  std::uint64_t missing_intervals{0};
   /// Frames that passed the CRC but whose payload failed the report
   /// codec, and report frames from a connection that never said hello.
   std::uint64_t decode_errors{0};
@@ -155,23 +187,29 @@ class Collector {
   /// async-signal-safe — so SIGINT/SIGTERM can end run() gracefully.
   [[nodiscard]] int stop_fd() const { return stop_writer_.fd(); }
 
-  /// Per-interval fleet merge over everything ingested so far: for each
-  /// interval, member reports in ascending device-id order through
-  /// core::merge_member_reports. Ascending interval order. Safe to call
-  /// while the loop runs (snapshot under lock), but the intended use is
-  /// after run() returns.
+  /// The fleet merge of everything ingested so far, ascending by
+  /// interval: the merges already emitted (none when on_interval is set,
+  /// since the sink took them), then a merge of each interval still
+  /// open, member reports in ascending device-id order through
+  /// core::merge_member_reports. Safe to call while the loop runs
+  /// (snapshot under lock), but the intended use is after run()
+  /// returns.
   [[nodiscard]] std::vector<core::Report> merged_reports() const;
 
   [[nodiscard]] CollectorStats stats() const;
+  /// Every gap recorded so far, in the order the byes arrived.
+  [[nodiscard]] std::vector<IntervalGap> gaps() const;
   /// Devices that have said bye.
   [[nodiscard]] std::uint32_t devices_done() const;
 
   /// Human-readable /statusz body for the HTTP observability plane:
-  /// uptime, per-device table (epoch, reports, bye), aggregate stats.
+  /// uptime, per-device table (epoch, reports, bye, missing intervals),
+  /// aggregate stats.
   [[nodiscard]] std::string status_text() const;
 
  private:
   struct Connection;
+  struct DeviceState;
   class ConnectionEvents;
   class JournalReplay;
 
@@ -183,6 +221,22 @@ class Collector {
                              bool journal);
   void mark_bye(std::uint32_t device_id, std::uint32_t intervals,
                 bool journal);
+  /// Record as gaps the intervals below `intervals` that `device_id`
+  /// never delivered.
+  void record_gaps_locked(std::uint32_t device_id, const DeviceState& device,
+                          common::IntervalIndex intervals);
+  [[nodiscard]] bool interval_complete_locked(
+      common::IntervalIndex interval) const;
+  /// Advance the watermark: merge every complete interval in ascending
+  /// order and drop its member copies. Returns the merges for
+  /// on_interval (empty when no sink is set: they go to emitted_).
+  [[nodiscard]] std::vector<core::Report> take_complete_locked();
+  /// Hand merges from take_complete_locked() to on_interval; called
+  /// without the lock.
+  void deliver(std::vector<core::Report> merged);
+  [[nodiscard]] core::Report merge_members(
+      common::IntervalIndex interval,
+      std::span<const core::Report> members) const;
   void replay_journal_file();
 
   void accept_ready();
@@ -210,13 +264,22 @@ class Collector {
   struct DeviceState {
     std::uint32_t epoch{0};
     bool bye{false};
-    /// First-copy-wins interval reports.
+    /// First copies ingested, merged or still open.
+    std::uint64_t reports_ingested{0};
+    /// The open window: first-copy reports of intervals not yet merged.
     std::map<common::IntervalIndex, core::Report> reports;
+    /// One bit per merged interval: this device's report was in it.
+    std::vector<bool> merged;
   };
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
   std::map<std::uint32_t, DeviceState> devices_;
+  /// The watermark: every interval below it has been merged.
+  std::uint64_t next_interval_{0};
+  /// Merges kept for merged_reports() when no on_interval sink is set.
+  std::vector<core::Report> emitted_;
+  std::vector<IntervalGap> gaps_;
   std::optional<JournalWriter> journal_;
   /// Reusable ingest read buffer (service()) — one 64 KiB block per
   /// collector instead of per poll wake on the stack.
@@ -237,6 +300,8 @@ class Collector {
   telemetry::Counter* tm_frames_{nullptr};
   telemetry::Counter* tm_reports_{nullptr};
   telemetry::Counter* tm_duplicates_{nullptr};
+  telemetry::Counter* tm_late_{nullptr};
+  telemetry::Counter* tm_missing_{nullptr};
   telemetry::Counter* tm_decode_errors_{nullptr};
   telemetry::Counter* tm_resyncs_{nullptr};
   telemetry::Counter* tm_reconnects_{nullptr};

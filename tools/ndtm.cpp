@@ -143,10 +143,15 @@
 //       127.0.0.1:PORT (0 = ephemeral; --port-file writes the bound
 //       port for harnesses), ingest framed reports with per-device
 //       sequence/reconnect tracking and first-copy-wins dedup, and
-//       when all N devices have said bye, fleet-merge each interval in
-//       device-id order — the same bit-deterministic merge a sharded
-//       device uses — printing a summary and optionally exporting the
-//       merged reports. While running, --http-port N serves the fleet
+//       fleet-merge each interval in device-id order — the same
+//       bit-deterministic merge a sharded device uses — as soon as all
+//       N devices are known and each has reported it or said bye,
+//       printing its `interval N:` line and appending it to the
+//       --export file (written as path.partial, renamed into place at
+//       exit); the collector only holds intervals still open. A bye
+//       whose interval count covers intervals that never arrived is a
+//       loss: one stderr line per gap names the device and intervals.
+//       While running, --http-port N serves the fleet
 //       observability plane: /metrics re-exports every member's v3
 //       metrics trailer under a device="<id>" label plus device="fleet"
 //       rollups (counters/histograms summed, gauges maxed), /healthz
@@ -169,7 +174,8 @@
 //       gracefully: accepted reports are already journaled, and the
 //       merged export, metrics and trace files are still written.
 //       Exit codes: 0 all devices completed, 1 IO error, 2 bad
-//       arguments, 5 timed out (or stopped) first.
+//       arguments, 5 timed out (or stopped) first, or a device's bye
+//       counted intervals that never arrived.
 //
 //   ndtm bounds --threshold 1000000 --capacity 100000000
 //                --oversampling 20 --buckets 1000 --depth 4
@@ -442,19 +448,19 @@ bool write_port_file(const std::string& path, std::uint16_t port) {
   return true;
 }
 
-/// Removes a published port file when the process leaves the scope that
-/// wrote it — normal return or exception unwind alike — so harnesses
-/// never pick up a stale port from a dead incarnation.
-class PortFileGuard {
+/// Removes a file when the process leaves the scope that wrote it —
+/// normal return or exception unwind alike — so harnesses never pick up
+/// a stale port from a dead incarnation, nor a half-built export.
+class RemoveAtExit {
  public:
-  PortFileGuard() = default;
-  ~PortFileGuard() {
+  RemoveAtExit() = default;
+  ~RemoveAtExit() {
     if (path_.empty()) return;
     std::error_code discard;
     std::filesystem::remove(path_, discard);
   }
-  PortFileGuard(const PortFileGuard&) = delete;
-  PortFileGuard& operator=(const PortFileGuard&) = delete;
+  RemoveAtExit(const RemoveAtExit&) = delete;
+  RemoveAtExit& operator=(const RemoveAtExit&) = delete;
   void arm(std::string path) { path_ = std::move(path); }
 
  private:
@@ -731,7 +737,7 @@ int cmd_measure(const Args& args) {
   std::unique_ptr<reporting::SpoolWal> spool;
   std::unique_ptr<reporting::ResilientChannel> channel;
   std::unique_ptr<telemetry::HttpExporter> http;
-  PortFileGuard http_port_guard;
+  RemoveAtExit http_port_guard;
   if (http_on) {
     telemetry::HttpExporterConfig http_config;
     http_config.metrics_text = [&registry] {
@@ -1277,6 +1283,43 @@ int cmd_collect(const Args& args) {
   }
   config.trace = tracer.get();
 
+  // The fleet merge streams: each interval is printed and exported the
+  // moment every device has it. The export goes to <path>.partial and
+  // is renamed over <path> at exit, so a killed collector never leaves
+  // a truncated export under the final name. It is opened before the
+  // Collector exists because journal replay already completes
+  // intervals: a restart rebuilds the export from the journal.
+  const std::string export_path = args.get("export", "");
+  const std::string partial_path = export_path + ".partial";
+  std::ofstream export_stream;
+  RemoveAtExit partial_guard;
+  if (!export_path.empty()) {
+    export_stream.open(partial_path, std::ios::binary | std::ios::trunc);
+    if (!export_stream) {
+      std::fprintf(stderr, "cannot open %s for export\n",
+                   partial_path.c_str());
+      return 1;
+    }
+    partial_guard.arm(partial_path);
+  }
+  common::IntervalIndex last_interval = 0;  // the metrics line's interval
+  const auto write_interval = [&](core::Report&& report) {
+    // Same largest-first order a measure export writes, so a merged
+    // export is byte-comparable against a single-process --shards run.
+    core::sort_by_size(report);
+    std::printf("interval %u: %zu members, %zu flows, %zu entries\n",
+                report.interval, report.shards.size(),
+                report.flows.size(), report.entries_used);
+    if (export_stream.is_open() && !report.flows.empty()) {
+      const auto encoded =
+          reporting::encode(report, report.flows.front().key.kind());
+      export_stream.write(reinterpret_cast<const char*>(encoded.data()),
+                          static_cast<std::streamsize>(encoded.size()));
+    }
+    last_interval = report.interval;
+  };
+  config.on_interval = write_interval;
+
   std::unique_ptr<net::Collector> collector;
   try {
     collector = std::make_unique<net::Collector>(config);
@@ -1309,7 +1352,7 @@ int cmd_collect(const Args& args) {
   // a harness can hand it to the measure processes; removed at exit so
   // a later poller never dials a dead incarnation's port.
   const std::string port_file = args.get("port-file", "");
-  PortFileGuard port_guard;
+  RemoveAtExit port_guard;
   if (!port_file.empty()) {
     if (!write_port_file(port_file, collector->port())) return 1;
     port_guard.arm(port_file);
@@ -1321,7 +1364,7 @@ int cmd_collect(const Args& args) {
   // The observability plane serves scrapes from its own thread for as
   // long as the daemon runs; destroyed (joined) before the collector.
   std::unique_ptr<telemetry::HttpExporter> http;
-  PortFileGuard http_port_guard;
+  RemoveAtExit http_port_guard;
   if (http_on) {
     telemetry::HttpExporterConfig http_config;
     http_config.metrics_text = [&registry] {
@@ -1337,31 +1380,22 @@ int cmd_collect(const Args& args) {
   }
 
   const bool complete = collector->run();
+  // Intervals still open (a device that never said bye, or a gap no
+  // device filled) are merged as they stand.
+  for (core::Report& report : collector->merged_reports()) {
+    write_interval(std::move(report));
+  }
   const net::CollectorStats stats = collector->stats();
-  std::vector<core::Report> merged = collector->merged_reports();
-
-  std::ofstream export_stream;
-  const std::string export_path = args.get("export", "");
-  if (!export_path.empty()) {
-    export_stream.open(export_path, std::ios::binary);
-    if (!export_stream) {
-      std::fprintf(stderr, "cannot open %s for export\n",
+  if (export_stream.is_open()) {
+    export_stream.close();
+    std::error_code error;
+    if (!export_stream.fail()) {
+      std::filesystem::rename(partial_path, export_path, error);
+    }
+    if (export_stream.fail() || error) {
+      std::fprintf(stderr, "cannot write export %s\n",
                    export_path.c_str());
       return 1;
-    }
-  }
-  for (core::Report& report : merged) {
-    // Same largest-first order a measure export writes, so a merged
-    // export is byte-comparable against a single-process --shards run.
-    core::sort_by_size(report);
-    std::printf("interval %u: %zu members, %zu flows, %zu entries\n",
-                report.interval, report.shards.size(),
-                report.flows.size(), report.entries_used);
-    if (export_stream.is_open() && !report.flows.empty()) {
-      const auto encoded =
-          reporting::encode(report, report.flows.front().key.kind());
-      export_stream.write(reinterpret_cast<const char*>(encoded.data()),
-                          static_cast<std::streamsize>(encoded.size()));
     }
   }
   std::printf(
@@ -1395,9 +1429,7 @@ int cmd_collect(const Args& args) {
     }
     telemetry::JsonLinesExporter exporter(metrics_stream);
     common::sync_crc32_metrics(registry);
-    (void)exporter.write(registry, merged.empty()
-                                       ? 0
-                                       : merged.back().interval);
+    (void)exporter.write(registry, last_interval);
     std::printf("metrics: %zu series -> %s\n", registry.size(),
                 metrics_path.c_str());
   }
@@ -1405,6 +1437,18 @@ int cmd_collect(const Args& args) {
   if (!complete) {
     std::fprintf(stderr,
                  "collect: gave up before all devices completed\n");
+    exit_code = 5;
+  }
+  // A device whose bye counted intervals that never arrived: the merge
+  // lacks them, which is a loss, not a success.
+  for (const net::IntervalGap& gap : collector->gaps()) {
+    if (gap.first == gap.last) {
+      std::fprintf(stderr, "collect: device %u missing interval %u\n",
+                   gap.device_id, gap.first);
+    } else {
+      std::fprintf(stderr, "collect: device %u missing intervals %u-%u\n",
+                   gap.device_id, gap.first, gap.last);
+    }
     exit_code = 5;
   }
   if (tracer &&

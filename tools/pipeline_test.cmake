@@ -342,6 +342,140 @@ if(det_close_count LESS 2 OR NOT det_save_count EQUAL det_close_count)
           "${det_save_count} saves for ${det_close_count} closes")
 endif()
 
+# export_records(<path> <intervals_var> <records_var>): split a merged
+# export (concatenated v3 reports, no metrics trailer: a 24-byte header
+# carrying the shard count at byte 7, the interval at 8 and the flow
+# count at 12, then 24-byte flow and 56-byte shard records) into its
+# interval indices and its records as hex strings.
+function(export_records path intervals_var records_var)
+  file(READ ${path} hex HEX)
+  string(LENGTH "${hex}" hex_length)
+  set(offset 0)
+  set(intervals "")
+  set(records "")
+  while(offset LESS hex_length)
+    math(EXPR shards_at "${offset} + 14")
+    math(EXPR interval_at "${offset} + 16")
+    math(EXPR count_at "${offset} + 24")
+    string(SUBSTRING "${hex}" ${shards_at} 2 shards_hex)
+    string(SUBSTRING "${hex}" ${interval_at} 8 interval_hex)
+    string(SUBSTRING "${hex}" ${count_at} 8 count_hex)
+    math(EXPR interval "0x${interval_hex}")
+    math(EXPR length
+         "2 * (24 + 24 * 0x${count_hex} + 56 * 0x${shards_hex})")
+    string(SUBSTRING "${hex}" ${offset} ${length} record)
+    list(APPEND intervals ${interval})
+    list(APPEND records ${record})
+    math(EXPR offset "${offset} + ${length}")
+  endwhile()
+  set(${intervals_var} "${intervals}" PARENT_SCOPE)
+  set(${records_var} "${records}" PARENT_SCOPE)
+endfunction()
+
+# A lost report is a loss at the collector too. The device's channel
+# drops interval 1's only attempt (--net-attempts 1), so the device
+# exits 5 and its bye still counts every interval; the collector must
+# exit 5, name the device and the interval, and export every other
+# interval exactly as the clean determinism run did.
+execute_process(
+  COMMAND bash -c "\
+    set -u; \
+    rm -f '${WORKDIR}/lossy.port'; \
+    '${NDTM}' collect --listen 0 --devices 1 --timeout-ms 30000 \
+      --port-file '${WORKDIR}/lossy.port' \
+      --export '${WORKDIR}/lossy_merged.bin' \
+      > '${WORKDIR}/lossy_collect.log' \
+      2> '${WORKDIR}/lossy_collect.err' & \
+    collect_pid=$!; \
+    for i in $(seq 1 100); do \
+      [ -s '${WORKDIR}/lossy.port' ] && break; sleep 0.1; \
+    done; \
+    [ -s '${WORKDIR}/lossy.port' ] || { echo 'no port file'; exit 90; }; \
+    port=$(cat '${WORKDIR}/lossy.port'); \
+    '${NDTM}' measure --in '${WORKDIR}/smoke.pcap' --interval 1 \
+      --algorithm multistage --flow-def dstip --threshold 100000 \
+      --fault-plan channel.drop:drop:at=1 --net-attempts 1 \
+      --connect 127.0.0.1:$port > '${WORKDIR}/lossy_device.log' 2>&1; \
+    [ $? -eq 5 ] || exit 91; \
+    wait $collect_pid"
+  RESULT_VARIABLE rv)
+if(NOT rv EQUAL 5)
+  message(FATAL_ERROR "collector that lost an interval should exit 5, "
+          "got ${rv}")
+endif()
+file(READ ${WORKDIR}/lossy_collect.err lossy_err)
+if(NOT lossy_err MATCHES "device 0 missing interval 1\n")
+  message(FATAL_ERROR "collector did not name the lost interval: "
+          "${lossy_err}")
+endif()
+export_records(${WORKDIR}/det_a_merged.bin clean_intervals clean_records)
+export_records(${WORKDIR}/lossy_merged.bin lossy_intervals lossy_records)
+list(FIND clean_intervals 1 lost_at)
+if(lost_at EQUAL -1)
+  message(FATAL_ERROR "the clean export has no interval 1 to lose")
+endif()
+list(REMOVE_AT clean_intervals ${lost_at})
+list(REMOVE_AT clean_records ${lost_at})
+if(NOT lossy_intervals STREQUAL clean_intervals OR
+   NOT lossy_records STREQUAL clean_records)
+  message(FATAL_ERROR "lossy export is not the clean export minus "
+          "interval 1: intervals ${lossy_intervals} vs ${clean_intervals}")
+endif()
+
+# The distributed system collapses through the CLI: two concurrent
+# `--fleet-size 2` members (one paced, so intervals wait for the slower
+# member) merge to the very bytes one `--shards 2` process exports.
+execute_process(
+  COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap --interval 1
+          --algorithm multistage --flow-def dstip --threshold 20000
+          --shards 2 --export ${WORKDIR}/shards2_reference.bin
+  RESULT_VARIABLE rv OUTPUT_QUIET)
+if(NOT rv EQUAL 0)
+  message(FATAL_ERROR "ndtm measure --shards 2 failed: ${rv}")
+endif()
+execute_process(
+  COMMAND bash -c "\
+    set -u; \
+    rm -f '${WORKDIR}/fleet2.port'; \
+    '${NDTM}' collect --listen 0 --devices 2 --timeout-ms 30000 \
+      --port-file '${WORKDIR}/fleet2.port' \
+      --export '${WORKDIR}/fleet2_merged.bin' \
+      > '${WORKDIR}/fleet2_collect.log' 2>&1 & \
+    collect_pid=$!; \
+    for i in $(seq 1 100); do \
+      [ -s '${WORKDIR}/fleet2.port' ] && break; sleep 0.1; \
+    done; \
+    [ -s '${WORKDIR}/fleet2.port' ] || { echo 'no port file'; exit 90; }; \
+    port=$(cat '${WORKDIR}/fleet2.port'); \
+    '${NDTM}' measure --in '${WORKDIR}/smoke.pcap' --interval 1 \
+      --algorithm multistage --flow-def dstip --threshold 20000 \
+      --fleet-size 2 --device-id 0 --connect 127.0.0.1:$port \
+      > '${WORKDIR}/fleet2_device0.log' 2>&1 & \
+    first_pid=$!; \
+    '${NDTM}' measure --in '${WORKDIR}/smoke.pcap' --interval 1 \
+      --algorithm multistage --flow-def dstip --threshold 20000 \
+      --fleet-size 2 --device-id 1 --pace-ms 20 \
+      --connect 127.0.0.1:$port \
+      > '${WORKDIR}/fleet2_device1.log' 2>&1 & \
+    second_pid=$!; \
+    wait $first_pid || exit 91; \
+    wait $second_pid || exit 92; \
+    wait $collect_pid"
+  RESULT_VARIABLE rv)
+if(NOT rv EQUAL 0)
+  message(FATAL_ERROR "--fleet-size 2 collect/measure pipeline failed: ${rv}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${WORKDIR}/shards2_reference.bin ${WORKDIR}/fleet2_merged.bin
+  RESULT_VARIABLE rv)
+if(NOT rv EQUAL 0)
+  message(FATAL_ERROR "--fleet-size 2 merge differs from --shards 2")
+endif()
+if(EXISTS ${WORKDIR}/fleet2_merged.bin.partial)
+  message(FATAL_ERROR "collector left its .partial export behind")
+endif()
+
 # Exit-code contract, networked additions: 5 = transport failure.
 # A measure pointed at a dead port abandons every report after its
 # retry budget and must say so distinctly.
