@@ -430,8 +430,7 @@ BENCHMARK(BM_ReportDecode);
 /// Collector-side frame parsing: a hello plus a burst of CRC-framed
 /// interval reports fed through FrameStreamParser in fixed-size chunks
 /// (the collector's read granularity). items/sec is report frames
-/// verified+delivered per second. Gated against the committed
-/// baseline by bench_compare.py — CRC verification dominates, so this
+/// verified+delivered per second. CRC verification dominates, so this
 /// is the end-to-end witness for the hardware CRC dispatch.
 void BM_FrameStream(benchmark::State& state) {
   struct NullEvents final : net::FrameStreamParser::Events {

@@ -64,28 +64,17 @@ void MeasurementSession::on_interval_closed(const Report& report) {
 
 void MeasurementSession::close_intervals_until(
     common::TimestampNs timestamp_ns) {
+  if (!started_) {
+    started_ = true;
+    // Anchor interval boundaries at multiples of the duration, like a
+    // router clock, not at the first packet's arrival.
+    current_end_ns_ = (timestamp_ns / interval_ns_ + 1) * interval_ns_;
+  }
   while (timestamp_ns >= current_end_ns_) {
     pending_.push_back(device_->end_interval());
     on_interval_closed(pending_.back());
     ++intervals_closed_;
     current_end_ns_ += interval_ns_;
-  }
-}
-
-void MeasurementSession::observe(const packet::PacketRecord& packet) {
-  if (!started_) {
-    started_ = true;
-    // Anchor interval boundaries at multiples of the duration, like a
-    // router clock, not at the first packet's arrival.
-    current_end_ns_ =
-        (packet.timestamp_ns / interval_ns_ + 1) * interval_ns_;
-  }
-  close_intervals_until(packet.timestamp_ns);
-  ++packets_;
-  if (const auto key = definition_.classify(packet)) {
-    device_->observe(*key, packet.size_bytes);
-  } else {
-    ++unclassified_;
   }
 }
 

@@ -32,8 +32,21 @@ class MeasurementSession {
 
   /// Feed one packet. Timestamps must be non-decreasing (out-of-order
   /// packets within the current interval are fine; a packet from an
-  /// already-closed interval is counted into the current one).
-  void observe(const packet::PacketRecord& packet);
+  /// already-closed interval is counted into the current one). Inline,
+  /// with classify, so the per-packet path reaches device().observe
+  /// without another call; only the first packet and interval closes
+  /// take the out-of-line close_intervals_until.
+  void observe(const packet::PacketRecord& packet) {
+    if (!started_ || packet.timestamp_ns >= current_end_ns_) {
+      close_intervals_until(packet.timestamp_ns);
+    }
+    ++packets_;
+    if (const auto key = definition_.classify(packet)) {
+      device_->observe(*key, packet.size_bytes);
+    } else {
+      ++unclassified_;
+    }
+  }
 
   /// Whether observe(packet) would close at least one interval before
   /// counting the packet (the test close_intervals_until applies).
@@ -92,6 +105,8 @@ class MeasurementSession {
   }
 
  private:
+  /// Anchor the interval clock on the first packet, then close every
+  /// interval that ends at or before `timestamp_ns`.
   void close_intervals_until(common::TimestampNs timestamp_ns);
   /// Telemetry hook, called after each interval's report is queued.
   void on_interval_closed(const Report& report);

@@ -1,30 +1,8 @@
 #include "packet/flow_key.hpp"
 
-#include <array>
-
 #include "common/format.hpp"
-#include "hash/hash.hpp"
 
 namespace nd::packet {
-
-namespace {
-
-std::uint64_t fingerprint_fields(FlowKeyKind kind, std::uint32_t a,
-                                 std::uint32_t b, std::uint16_t c,
-                                 std::uint16_t d, IpProtocol proto) {
-  // Pack the discriminating fields into two words and mix. The kind tag
-  // participates so a dst-IP key never collides with a 5-tuple key for
-  // the same address.
-  const std::uint64_t w0 =
-      (static_cast<std::uint64_t>(a) << 32) | static_cast<std::uint64_t>(b);
-  const std::uint64_t w1 = (static_cast<std::uint64_t>(c) << 48) |
-                           (static_cast<std::uint64_t>(d) << 32) |
-                           (static_cast<std::uint64_t>(proto) << 8) |
-                           static_cast<std::uint64_t>(kind);
-  return hash::splitmix64(hash::splitmix64(w0) ^ w1);
-}
-
-}  // namespace
 
 const char* to_string(FlowKeyKind kind) {
   switch (kind) {
@@ -38,39 +16,6 @@ const char* to_string(FlowKeyKind kind) {
       return "network pair";
   }
   return "unknown";
-}
-
-FlowKey::FlowKey(FlowKeyKind kind, std::uint32_t a, std::uint32_t b,
-                 std::uint16_t c, std::uint16_t d, IpProtocol proto)
-    : kind_(kind),
-      a_(a),
-      b_(b),
-      c_(c),
-      d_(d),
-      proto_(proto),
-      fingerprint_(fingerprint_fields(kind, a, b, c, d, proto)) {}
-
-FlowKey FlowKey::five_tuple(std::uint32_t src_ip, std::uint32_t dst_ip,
-                            std::uint16_t src_port, std::uint16_t dst_port,
-                            IpProtocol protocol) {
-  return FlowKey(FlowKeyKind::kFiveTuple, src_ip, dst_ip, src_port, dst_port,
-                 protocol);
-}
-
-FlowKey FlowKey::destination_ip(std::uint32_t dst_ip) {
-  return FlowKey(FlowKeyKind::kDestinationIp, 0, dst_ip, 0, 0,
-                 IpProtocol::kTcp);
-}
-
-FlowKey FlowKey::as_pair(std::uint32_t src_as, std::uint32_t dst_as) {
-  return FlowKey(FlowKeyKind::kAsPair, src_as, dst_as, 0, 0, IpProtocol::kTcp);
-}
-
-FlowKey FlowKey::network_pair(std::uint32_t src_network,
-                              std::uint32_t dst_network,
-                              std::uint8_t prefix_len) {
-  return FlowKey(FlowKeyKind::kNetworkPair, src_network, dst_network,
-                 prefix_len, 0, IpProtocol::kTcp);
 }
 
 void save_flow_key(common::StateWriter& out, const FlowKey& key) {

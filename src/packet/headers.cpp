@@ -18,25 +18,13 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v & 0xFF));
 }
 
-std::uint16_t get_u16(std::span<const std::uint8_t> d, std::size_t off) {
-  return static_cast<std::uint16_t>((static_cast<std::uint16_t>(d[off]) << 8) |
-                                    d[off + 1]);
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> d, std::size_t off) {
-  return (static_cast<std::uint32_t>(d[off]) << 24) |
-         (static_cast<std::uint32_t>(d[off + 1]) << 16) |
-         (static_cast<std::uint32_t>(d[off + 2]) << 8) |
-         static_cast<std::uint32_t>(d[off + 3]);
-}
-
 }  // namespace
 
 std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
   std::uint32_t sum = 0;
   std::size_t i = 0;
   for (; i + 1 < data.size(); i += 2) {
-    sum += static_cast<std::uint32_t>(get_u16(data, i));
+    sum += static_cast<std::uint32_t>(common::load_be16(data.data() + i));
   }
   if (i < data.size()) {
     sum += static_cast<std::uint32_t>(data[i]) << 8;
@@ -125,50 +113,6 @@ std::vector<std::uint8_t> build_frame(const PacketRecord& record) {
 
   frame.resize(kEthernetHeaderSize + ip_total, 0);
   return frame;
-}
-
-std::optional<PacketRecord> parse_frame(std::span<const std::uint8_t> captured,
-                                        common::TimestampNs timestamp_ns) {
-  // One pass over the frame bytes; each read is preceded by the bounds
-  // check that covers it. Ethernet then a minimal IPv4 header is the
-  // fixed prefix every accepted frame has.
-  constexpr std::size_t kIpv4MinHeader = 20;
-  const std::size_t size = captured.size();
-  if (size < kEthernetHeaderSize + kIpv4MinHeader) return std::nullopt;
-  if (get_u16(captured, 12) != kEtherTypeIpv4) return std::nullopt;
-
-  const std::size_t ip = kEthernetHeaderSize;
-  const std::uint8_t version_ihl = captured[ip];
-  const std::size_t ip_header_bytes =
-      static_cast<std::size_t>(version_ihl & 0x0F) * 4;
-  if ((version_ihl >> 4) != 4 || ip_header_bytes < kIpv4MinHeader) {
-    return std::nullopt;
-  }
-  const std::size_t l4 = ip + ip_header_bytes;
-  if (size < l4) return std::nullopt;
-
-  PacketRecord record;
-  record.timestamp_ns = timestamp_ns;
-  record.size_bytes = get_u16(captured, ip + 2);
-  const std::uint8_t protocol = captured[ip + 9];
-  record.protocol = static_cast<IpProtocol>(protocol);
-  record.src_ip = get_u32(captured, ip + 12);
-  record.dst_ip = get_u32(captured, ip + 16);
-
-  // TCP and UDP must carry their full fixed header; any other protocol
-  // (ICMP) keeps ports 0.
-  std::size_t l4_header_bytes = 0;
-  if (protocol == static_cast<std::uint8_t>(IpProtocol::kTcp)) {
-    l4_header_bytes = 20;
-  } else if (protocol == static_cast<std::uint8_t>(IpProtocol::kUdp)) {
-    l4_header_bytes = 8;
-  } else {
-    return record;
-  }
-  if (size < l4 + l4_header_bytes) return std::nullopt;
-  record.src_port = get_u16(captured, l4);
-  record.dst_port = get_u16(captured, l4 + 2);
-  return record;
 }
 
 }  // namespace nd::packet

@@ -5,7 +5,8 @@
 // packet bytes (via the pcap module) instead of only abstract records.
 // All multi-byte fields are kept in host order in the structs; the
 // serializers do the network-order conversion. Parsing goes straight
-// from frame bytes to a PacketRecord (parse_frame), never through the
+// from frame bytes to a PacketRecord (parse_frame, inline here so it
+// compiles into the pcap reader's record loop), never through the
 // structs.
 #pragma once
 
@@ -15,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "common/byte_order.hpp"
 #include "packet/packet.hpp"
 
 namespace nd::packet {
@@ -88,8 +90,54 @@ void serialize(const UdpHeader& h, std::vector<std::uint8_t>& out);
 /// non-IPv4 frames, an IHL under 5, or truncated headers (a TCP header
 /// under 20 bytes or a UDP header under 8); IP options are skipped and
 /// other protocols (ICMP) parse with ports 0.
-[[nodiscard]] std::optional<PacketRecord> parse_frame(
+///
+/// Inline so the pcap reader's per-record loop compiles into one pass
+/// from record header to PacketRecord; each field is one unaligned
+/// memcpy load plus a byte swap, and every read is preceded by the
+/// bounds check that covers it.
+[[nodiscard]] inline std::optional<PacketRecord> parse_frame(
     std::span<const std::uint8_t> captured,
-    common::TimestampNs timestamp_ns);
+    common::TimestampNs timestamp_ns) {
+  // Ethernet then a minimal IPv4 header is the fixed prefix every
+  // accepted frame has.
+  constexpr std::size_t kIpv4MinHeader = 20;
+  const std::uint8_t* frame = captured.data();
+  const std::size_t size = captured.size();
+  if (size < kEthernetHeaderSize + kIpv4MinHeader) return std::nullopt;
+  if (common::load_be16(frame + 12) != kEtherTypeIpv4) return std::nullopt;
+
+  const std::uint8_t* ip = frame + kEthernetHeaderSize;
+  const std::uint8_t version_ihl = ip[0];
+  const std::size_t ip_header_bytes =
+      static_cast<std::size_t>(version_ihl & 0x0F) * 4;
+  if ((version_ihl >> 4) != 4 || ip_header_bytes < kIpv4MinHeader) {
+    return std::nullopt;
+  }
+  const std::size_t l4 = kEthernetHeaderSize + ip_header_bytes;
+  if (size < l4) return std::nullopt;
+
+  PacketRecord record;
+  record.timestamp_ns = timestamp_ns;
+  record.size_bytes = common::load_be16(ip + 2);
+  const std::uint8_t protocol = ip[9];
+  record.protocol = static_cast<IpProtocol>(protocol);
+  record.src_ip = common::load_be32(ip + 12);
+  record.dst_ip = common::load_be32(ip + 16);
+
+  // TCP and UDP must carry their full fixed header; any other protocol
+  // (ICMP) keeps ports 0.
+  std::size_t l4_header_bytes = 0;
+  if (protocol == static_cast<std::uint8_t>(IpProtocol::kTcp)) {
+    l4_header_bytes = 20;
+  } else if (protocol == static_cast<std::uint8_t>(IpProtocol::kUdp)) {
+    l4_header_bytes = 8;
+  } else {
+    return record;
+  }
+  if (size < l4 + l4_header_bytes) return std::nullopt;
+  record.src_port = common::load_be16(frame + l4);
+  record.dst_port = common::load_be16(frame + l4 + 2);
+  return record;
+}
 
 }  // namespace nd::packet

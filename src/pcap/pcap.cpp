@@ -25,14 +25,8 @@ void put_u16le(std::ostream& out, std::uint16_t v) {
 
 // Little-endian field load, byte-reversed for a swapped capture.
 std::uint32_t load_u32(const std::uint8_t* p, bool swapped) {
-  return swapped ? (static_cast<std::uint32_t>(p[0]) << 24) |
-                       (static_cast<std::uint32_t>(p[1]) << 16) |
-                       (static_cast<std::uint32_t>(p[2]) << 8) |
-                       static_cast<std::uint32_t>(p[3])
-                 : static_cast<std::uint32_t>(p[0]) |
-                       (static_cast<std::uint32_t>(p[1]) << 8) |
-                       (static_cast<std::uint32_t>(p[2]) << 16) |
-                       (static_cast<std::uint32_t>(p[3]) << 24);
+  const std::uint32_t v = common::load_le32(p);
+  return swapped ? common::byteswap32(v) : v;
 }
 
 std::uint16_t load_u16(const std::uint8_t* p, bool swapped) {
@@ -122,61 +116,25 @@ bool PcapReader::fill(std::size_t need) {
   return end_ >= need;
 }
 
-bool PcapReader::next_view(RecordView& view) {
-  if (!fill(kRecordHeaderSize)) {
-    if (begin_ == end_) return false;  // clean EOF
-    throw PcapError("pcap: truncated packet header");
+void PcapReader::apply_faults(RecordView& view) {
+  // Capture-damage sites, applied after the full record is consumed so
+  // the stream stays aligned on the next packet header.
+  if (const auto fault = faults_->next("pcap.truncate")) {
+    view.data = view.data.first(
+        robustness::truncated_size(view.data.size(), fault->salt));
   }
-  const std::uint8_t* header = buffer_.data() + begin_;
-  const std::uint32_t ts_sec = load_u32(header, swapped_);
-  const std::uint32_t ts_usec = load_u32(header + 4, swapped_);
-  const std::uint32_t caplen = load_u32(header + 8, swapped_);
-  view.original_length = load_u32(header + 12, swapped_);
-  // Strict bound: a capture can never exceed the file's own snaplen,
-  // which also caps the buffer at kRecordHeaderSize + kMaxSnapLen.
-  if (caplen > snaplen_) {
-    throw PcapError("pcap: capture length exceeds snaplen");
+  if (const auto fault = faults_->next("pcap.corrupt")) {
+    robustness::corrupt_bytes(view.data, fault->salt);
   }
-  if (!fill(kRecordHeaderSize + caplen)) {
-    throw PcapError("pcap: truncated packet body");
-  }
-  view.timestamp_ns =
-      static_cast<common::TimestampNs>(ts_sec) * 1'000'000'000ULL +
-      static_cast<common::TimestampNs>(ts_usec) * 1000ULL;
-  view.data = std::span<std::uint8_t>(
-      buffer_.data() + begin_ + kRecordHeaderSize, caplen);
-  begin_ += kRecordHeaderSize + caplen;
-  ++records_;
-  if (faults_ != nullptr) {
-    // Capture-damage sites, applied after the full record is consumed
-    // so the stream stays aligned on the next packet header.
-    if (const auto fault = faults_->next("pcap.truncate")) {
-      view.data = view.data.first(
-          robustness::truncated_size(view.data.size(), fault->salt));
-    }
-    if (const auto fault = faults_->next("pcap.corrupt")) {
-      robustness::corrupt_bytes(view.data, fault->salt);
-    }
-  }
-  return true;
 }
+
+void PcapReader::fail(const char* message) { throw PcapError(message); }
 
 std::optional<PcapPacket> PcapReader::next() {
   RecordView view;
   if (!next_view(view)) return std::nullopt;
   return PcapPacket{view.timestamp_ns, view.original_length,
                     {view.data.begin(), view.data.end()}};
-}
-
-std::optional<packet::PacketRecord> PcapReader::next_record() {
-  RecordView view;
-  while (next_view(view)) {
-    if (auto record = packet::parse_frame(view.data, view.timestamp_ns)) {
-      return record;
-    }
-    ++skipped_;
-  }
-  return std::nullopt;
 }
 
 std::uint64_t write_pcap_file(const std::string& path,

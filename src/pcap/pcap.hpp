@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_order.hpp"
 #include "packet/headers.hpp"
 #include "packet/packet.hpp"
 #include "robustness/fault.hpp"
@@ -72,6 +73,13 @@ class PcapWriter {
 /// it, never past kRecordHeaderSize + kMaxSnapLen), and each record is
 /// decoded in place. next_record() parses straight from the buffer with
 /// no per-packet allocation; next() returns an owning copy.
+///
+/// The per-record path is inline: the 16-byte record header is four
+/// memcpy loads (byte-swapped only for a swapped capture), and with
+/// parse_frame inline too, next_record() compiles into the caller's
+/// loop. Only the cold paths stay out of line: fill() when the buffer
+/// lacks the next header or body, the capture-damage sites when a
+/// fault injector is attached, and throwing PcapError.
 class PcapReader {
  public:
   static constexpr std::size_t kRecordHeaderSize = 16;
@@ -83,7 +91,16 @@ class PcapReader {
   [[nodiscard]] std::optional<PcapPacket> next();
 
   /// Next packet parsed to a PacketRecord, skipping non-IPv4 frames.
-  [[nodiscard]] std::optional<packet::PacketRecord> next_record();
+  [[nodiscard]] std::optional<packet::PacketRecord> next_record() {
+    RecordView view;
+    while (next_view(view)) {
+      if (auto record = packet::parse_frame(view.data, view.timestamp_ns)) {
+        return record;
+      }
+      ++skipped_;
+    }
+    return std::nullopt;
+  }
 
   [[nodiscard]] bool swapped() const { return swapped_; }
   [[nodiscard]] std::uint32_t snaplen() const { return snaplen_; }
@@ -113,10 +130,46 @@ class PcapReader {
   };
 
   /// Decode the next record into `view`; false at clean end-of-file.
-  bool next_view(RecordView& view);
+  bool next_view(RecordView& view) {
+    if (end_ - begin_ < kRecordHeaderSize && !fill(kRecordHeaderSize)) {
+      if (begin_ == end_) return false;  // clean EOF
+      fail("pcap: truncated packet header");
+    }
+    const std::uint8_t* header = buffer_.data() + begin_;
+    std::uint32_t ts_sec = common::load_le32(header);
+    std::uint32_t ts_usec = common::load_le32(header + 4);
+    std::uint32_t caplen = common::load_le32(header + 8);
+    std::uint32_t original_length = common::load_le32(header + 12);
+    if (swapped_) {
+      ts_sec = common::byteswap32(ts_sec);
+      ts_usec = common::byteswap32(ts_usec);
+      caplen = common::byteswap32(caplen);
+      original_length = common::byteswap32(original_length);
+    }
+    // Strict bound: a capture can never exceed the file's own snaplen,
+    // which also caps the buffer at kRecordHeaderSize + kMaxSnapLen.
+    if (caplen > snaplen_) fail("pcap: capture length exceeds snaplen");
+    const std::size_t record_bytes = kRecordHeaderSize + caplen;
+    if (end_ - begin_ < record_bytes && !fill(record_bytes)) {
+      fail("pcap: truncated packet body");
+    }
+    view.timestamp_ns =
+        static_cast<common::TimestampNs>(ts_sec) * 1'000'000'000ULL +
+        static_cast<common::TimestampNs>(ts_usec) * 1000ULL;
+    view.original_length = original_length;
+    view.data = std::span<std::uint8_t>(
+        buffer_.data() + begin_ + kRecordHeaderSize, caplen);
+    begin_ += record_bytes;
+    ++records_;
+    if (faults_ != nullptr) apply_faults(view);
+    return true;
+  }
   /// Make at least `need` unconsumed bytes available in buffer_; false
   /// if the stream ends first.
   bool fill(std::size_t need);
+  /// Apply the capture-damage sites to a consumed record.
+  void apply_faults(RecordView& view);
+  [[noreturn]] static void fail(const char* message);
 
   std::istream& in_;
   std::vector<std::uint8_t> buffer_;

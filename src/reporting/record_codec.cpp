@@ -242,7 +242,7 @@ std::array<std::uint8_t, kFrameHeaderBytes> frame_header(
   std::array<std::uint8_t, kFrameHeaderBytes> header;
   const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t crc = common::crc32(payload);
-  for (int i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < 4; ++i) {
     header[i] = static_cast<std::uint8_t>(kFrameMagic >> (24 - 8 * i));
     header[4 + i] = static_cast<std::uint8_t>(length >> (24 - 8 * i));
     header[8 + i] = static_cast<std::uint8_t>(crc >> (24 - 8 * i));

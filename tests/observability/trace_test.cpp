@@ -81,7 +81,9 @@ TEST(TraceRecorder, FullBufferDropsAndCountsInsteadOfWrapping) {
   const auto events = recorder.events();
   ASSERT_EQ(events.size(), 4u);
   // The first four survive untouched — truncation, never overwrite.
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(events[i].args.interval, i);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(events[i].args.interval, static_cast<std::int64_t>(i));
+  }
   EXPECT_EQ(recorder.dropped(), 3u);
 }
 

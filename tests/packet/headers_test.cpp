@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 namespace nd::packet {
@@ -288,6 +290,42 @@ TEST(Frame, EveryTruncationLengthOfABuiltFrame) {
       } else {
         ASSERT_TRUE(parsed.has_value()) << "len " << len;
         EXPECT_EQ(*parsed, record) << "len " << len;
+      }
+    }
+  }
+}
+
+TEST(Headers, ParseFrameAtAnyBufferOffsetAndLength) {
+  // parse_frame reads each field with an unaligned load. A frame placed
+  // at any offset and cut to any length, held in an allocation of
+  // exactly that size (so a sanitizer flags a read past the capture),
+  // parses like the aligned whole frame once its headers fit.
+  for (const auto protocol :
+       {IpProtocol::kTcp, IpProtocol::kUdp, IpProtocol::kIcmp}) {
+    const auto record = sample_record(protocol, 120);
+    const auto frame = build_frame(record);
+    const auto expected = parse_frame(frame, record.timestamp_ns);
+    ASSERT_TRUE(expected.has_value());
+    const std::size_t l4_header = protocol == IpProtocol::kTcp   ? 20
+                                  : protocol == IpProtocol::kUdp ? 8
+                                                                 : 0;
+    const std::size_t headers = kEthernetHeaderSize + 20 + l4_header;
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= frame.size(); ++len) {
+        auto storage = std::make_unique<std::uint8_t[]>(offset + len);
+        std::copy_n(frame.begin(), len, storage.get() + offset);
+        const auto parsed = parse_frame(
+            std::span<const std::uint8_t>(storage.get() + offset, len),
+            record.timestamp_ns);
+        if (len < headers) {
+          EXPECT_FALSE(parsed.has_value())
+              << "offset " << offset << " len " << len;
+        } else {
+          ASSERT_TRUE(parsed.has_value())
+              << "offset " << offset << " len " << len;
+          EXPECT_EQ(*parsed, *expected)
+              << "offset " << offset << " len " << len;
+        }
       }
     }
   }

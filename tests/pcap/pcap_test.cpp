@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <streambuf>
 #include <string>
 #include <vector>
+
+#include "robustness/fault.hpp"
 
 namespace nd::pcap {
 namespace {
@@ -283,6 +286,105 @@ TEST(Pcap, MaxSnaplenRecordGrowsTheBuffer) {
   EXPECT_EQ(big->data, jumbo);
   EXPECT_EQ(*last, make_record(2));
   EXPECT_FALSE(reader.next().has_value());
+}
+
+// Appends one record to a capture, storing only the first `caplen`
+// bytes of `frame` (a snaplen cut) while recording the full length.
+void append_record(std::string& capture, std::uint32_t ts_usec,
+                   const std::vector<std::uint8_t>& frame,
+                   std::size_t caplen) {
+  auto put_le32 = [&](std::uint32_t v) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      capture.push_back(static_cast<char>((v >> shift) & 0xFF));
+    }
+  };
+  put_le32(ts_usec / 1'000'000);
+  put_le32(ts_usec % 1'000'000);
+  put_le32(static_cast<std::uint32_t>(caplen));
+  put_le32(static_cast<std::uint32_t>(frame.size()));
+  capture.append(reinterpret_cast<const char*>(frame.data()), caplen);
+}
+
+// A capture mixing every kind of record the reader has to frame and
+// parse: ~1 KiB TCP/UDP frames (so records straddle the 64 KiB refills),
+// non-IPv4 frames, ICMP, IP options, and snaplen cuts both past and
+// inside the headers.
+std::string mixed_capture(std::uint32_t packets) {
+  std::stringstream header;
+  { PcapWriter writer(header, /*snaplen=*/2048); }
+  std::string capture = header.str();
+  for (std::uint32_t i = 0; i < packets; ++i) {
+    auto record = large_record(i);
+    if (i % 9 == 3) record.protocol = packet::IpProtocol::kIcmp;
+    std::vector<std::uint8_t> frame = packet::build_frame(record);
+    if (i % 7 == 0) {
+      frame[12] = 0x86;  // EtherType IPv6
+      frame[13] = 0xDD;
+    } else if (i % 11 == 5) {
+      // IP options: IHL 6..15, option words spliced in after the
+      // minimal header.
+      const std::uint32_t ihl = 6 + i % 10;
+      frame[packet::kEthernetHeaderSize] =
+          static_cast<std::uint8_t>(0x40 | ihl);
+      frame.insert(frame.begin() + static_cast<std::ptrdiff_t>(
+                                       packet::kEthernetHeaderSize + 20),
+                   (ihl - 5) * 4, std::uint8_t{0xAB});
+    }
+    std::size_t caplen = frame.size();
+    if (i % 5 == 1) caplen = std::min<std::size_t>(caplen, 20 + i % 60);
+    append_record(capture, 1'000 * i, frame, caplen);
+  }
+  return capture;
+}
+
+// next_record() is next() + parse_frame in one inline pass: on the same
+// bytes the two must agree record for record, count the same skips and
+// consult an attached fault injector in the same order.
+void expect_next_record_matches_parse_of_next(const std::string& capture,
+                                              const char* fault_plan) {
+  std::optional<robustness::FaultInjector> record_faults;
+  std::optional<robustness::FaultInjector> packet_faults;
+  if (fault_plan != nullptr) {
+    record_faults.emplace(robustness::parse_fault_plan(fault_plan, 7));
+    packet_faults.emplace(robustness::parse_fault_plan(fault_plan, 7));
+  }
+  std::stringstream record_stream(capture);
+  PcapReader record_reader(record_stream);
+  std::stringstream packet_stream(capture);
+  PcapReader packet_reader(packet_stream);
+  if (fault_plan != nullptr) {
+    record_reader.attach_fault_injector(&*record_faults);
+    packet_reader.attach_fault_injector(&*packet_faults);
+  }
+  std::vector<packet::PacketRecord> records;
+  while (auto record = record_reader.next_record()) records.push_back(*record);
+  std::vector<packet::PacketRecord> parsed;
+  std::uint64_t rejected = 0;
+  while (const auto packet = packet_reader.next()) {
+    if (auto record = packet::parse_frame(packet->data, packet->timestamp_ns)) {
+      parsed.push_back(*record);
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(records, parsed);
+  EXPECT_EQ(record_reader.frames_skipped(), rejected);
+  EXPECT_EQ(record_reader.records_read(), packet_reader.records_read());
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(records.size(), rejected);
+}
+
+TEST(Pcap, NextRecordEqualsParseFrameOfNextInBothByteOrders) {
+  const std::string native = mixed_capture(600);
+  ASSERT_GT(native.size(), 4 * PcapReader::kReadBufferBytes);
+  const std::string swapped = byte_swapped(native);
+  for (const char* plan :
+       {static_cast<const char*>(nullptr),
+        "pcap.truncate:truncate:p=0.2,pcap.corrupt:corrupt:p=0.3"}) {
+    SCOPED_TRACE(plan == nullptr ? "no fault injector" : plan);
+    expect_next_record_matches_parse_of_next(native, plan);
+    expect_next_record_matches_parse_of_next(swapped, plan);
+  }
 }
 
 TEST(Pcap, ByteSwappedCaptureReadsTheSameRecords) {

@@ -213,8 +213,8 @@ TEST(Checkpoint, TruncationIsDetected) {
   checkpoint.device_state = {1, 2, 3, 4};
   const auto bytes = encode_checkpoint(checkpoint);
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    const std::vector<std::uint8_t> cut(bytes.begin(),
-                                        bytes.begin() + len);
+    const std::vector<std::uint8_t> cut(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_THROW((void)decode_checkpoint(cut), common::StateError)
         << "prefix of " << len << " bytes accepted";
   }

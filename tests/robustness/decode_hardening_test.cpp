@@ -79,7 +79,8 @@ void expect_all_prefixes_rejected(
 /// return normally — anything else (crash, sanitizer report) fails.
 void expect_all_flips_contained(const std::vector<std::uint8_t>& payload) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
-    for (const std::uint8_t pattern : {0x01, 0x80, 0xFF}) {
+    for (const std::uint8_t pattern :
+         {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
       auto corrupt = payload;
       corrupt[i] ^= pattern;
       try {
@@ -173,7 +174,8 @@ TEST(FrameHardening, EverySingleByteFlipIsRejected) {
       reporting::encode(sample_report(3, 2), packet::FlowKeyKind::kFiveTuple,
                         "{\"interval\":4,\"metrics\":[]}"));
   for (std::size_t i = 0; i < frame.size(); ++i) {
-    for (const std::uint8_t pattern : {0x01, 0x80, 0xFF}) {
+    for (const std::uint8_t pattern :
+         {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
       auto corrupt = frame;
       corrupt[i] ^= pattern;
       EXPECT_THROW(

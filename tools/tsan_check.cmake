@@ -49,6 +49,7 @@ function(run_sanitized sanitizer subdir regex)
     COMMAND ${CMAKE_COMMAND} --build ${san_build} --parallel
             --target common_tests core_tests eval_tests telemetry_tests
             robustness_tests flowmem_tests hash_tests net_tests observability_tests durability_tests soak_tests
+            packet_tests pcap_tests
     RESULT_VARIABLE rv)
   if(NOT rv EQUAL 0)
     message(FATAL_ERROR "tsan_check[${sanitizer}]: build failed: ${rv}")
@@ -92,9 +93,11 @@ run_sanitized(thread . "${ND_SANITIZE_TEST_REGEX}")
 # ubsan (misaligned/overflowing SWAR arithmetic), plus the durability
 # formats — wal scan/resync and journal replay are byte-level parsers
 # over attacker-shaped input, and the soak exercises the whole
-# fork/exec + kill + recover loop under the instrumented runtime.
+# fork/exec + kill + recover loop under the instrumented runtime — and
+# the inline pcap reader and parse_frame, whose memcpy loads read
+# record and frame fields at arbitrary buffer offsets.
 set(ND_FLOWMEM_TEST_REGEX
-    "TagProbe|TagLayout|FlowMemory|CpuFeatures|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "TagProbe|TagLayout|FlowMemory|CpuFeatures|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak|Pcap|Headers")
 run_sanitized(address asan-check "${ND_FLOWMEM_TEST_REGEX}")
 run_sanitized(undefined ubsan-check "${ND_FLOWMEM_TEST_REGEX}")
 
