@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
                  bool serial) {
     if (serial) {
       core::MultistageFilterConfig msf;
-      msf.flow_memory_entries = 1u << 20;
+      msf.flow_memory_entries = bench::unbounded_entries(config);
       msf.depth = 4;
       msf.buckets_per_stage = 3 * 4096;
       msf.threshold = threshold;
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
     }
     {
       core::SampleAndHoldConfig sh;
-      sh.flow_memory_entries = 1u << 20;
+      sh.flow_memory_entries = bench::unbounded_entries(config);
       sh.threshold = threshold;
       sh.oversampling = 4.0;
       sh.seed = options.seed;
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
     }
     {
       core::MultistageFilterConfig msf;
-      msf.flow_memory_entries = 1u << 20;
+      msf.flow_memory_entries = bench::unbounded_entries(config);
       msf.depth = 4;
       msf.buckets_per_stage = 3 * 4096;
       msf.threshold = threshold;

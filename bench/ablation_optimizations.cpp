@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   {
     core::SampleAndHoldConfig sh;
-    sh.flow_memory_entries = 1u << 20;
+    sh.flow_memory_entries = bench::unbounded_entries(config);
     sh.threshold = threshold;
     sh.oversampling = 4.0;
     sh.seed = options.seed;
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   }
   {
     core::MultistageFilterConfig msf;
-    msf.flow_memory_entries = 1u << 20;
+    msf.flow_memory_entries = bench::unbounded_entries(config);
     msf.depth = 4;
     // Deliberately weak stages (k ~ 1.5 over the actual traffic) so the
     // effect of conservative update and shielding is visible.

@@ -22,6 +22,8 @@
 #include <system_error>
 #include <type_traits>
 
+#include "trace/synthesizer.hpp"
+
 namespace nd::bench {
 
 struct Options {
@@ -84,6 +86,14 @@ inline Options parse_options(int argc, char** argv, Options defaults) {
     }
   }
   return options;
+}
+
+/// Flow-memory entries a device fed `config`'s trace can never fill:
+/// one interval's flows plus the entries preserved from the interval
+/// before. Benches that report true memory usage size their tables with
+/// it, so the table (and its cost) scales with --scale.
+inline std::size_t unbounded_entries(const trace::TraceConfig& config) {
+  return 2 * static_cast<std::size_t>(config.flow_count);
 }
 
 inline void print_header(const char* title, const Options& options) {

@@ -93,7 +93,8 @@ int main(int argc, char** argv) {
     for (const auto depth : kDepths) {
       for (const auto& variant : kVariants) {
         core::MultistageFilterConfig filter;
-        filter.flow_memory_entries = 1u << 20;
+        filter.flow_memory_entries =
+            bench::unbounded_entries(trace_config);
         filter.depth = depth;
         filter.buckets_per_stage = buckets;
         filter.threshold = threshold;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "baseline/ordinary_sampling.hpp"
-#include "flowmem/cam_flow_memory.hpp"
 #include "reporting/record_codec.hpp"
 #include "trace/zipf.hpp"
 #include "baseline/sampled_netflow.hpp"
@@ -378,25 +377,6 @@ void BM_FlowMemoryFindMiss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlowMemoryFindMiss);
-
-void BM_CamFlowMemoryFindHit(benchmark::State& state) {
-  flowmem::CamFlowMemoryConfig config;
-  config.hash_slots = 8192;
-  config.max_probe = 4;
-  config.cam_entries = 64;
-  flowmem::CamFlowMemory memory(config);
-  std::vector<packet::FlowKey> keys;
-  for (std::uint32_t i = 0; i < 4096; ++i) {
-    keys.push_back(packet::FlowKey::destination_ip(i));
-    (void)memory.insert(keys.back(), 0);
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(memory.find(keys[i]));
-    i = (i + 1) & 4095;
-  }
-}
-BENCHMARK(BM_CamFlowMemoryFindHit);
 
 void BM_ReportEncode(benchmark::State& state) {
   core::Report report;

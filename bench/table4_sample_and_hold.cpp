@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
       config.seed = options.seed + run;
 
       core::SampleAndHoldConfig base;
-      base.flow_memory_entries = 1u << 20;  // measure true usage
+      base.flow_memory_entries = bench::unbounded_entries(config);
       base.threshold = threshold;
       base.oversampling = 4.0;
       base.seed = options.seed * 977 + run;

@@ -10,14 +10,7 @@
 namespace nd::eval {
 
 Driver::Driver(packet::FlowDefinition definition, DriverOptions options)
-    : definition_(std::move(definition)), options_(std::move(options)) {
-  if (options_.metrics != nullptr) {
-    tm_intervals_ = &options_.metrics->counter("nd_driver_intervals_total");
-    tm_packets_ = &options_.metrics->counter("nd_driver_packets_total");
-    tm_interval_ns_ =
-        &options_.metrics->histogram("nd_driver_interval_ns");
-  }
-}
+    : definition_(std::move(definition)), options_(std::move(options)) {}
 
 void Driver::add_device(std::string label, core::MeasurementDevice& device) {
   DeviceSlot slot;
@@ -72,22 +65,10 @@ void Driver::process_slot(DeviceSlot& slot, bool evaluated) {
   if (slot.groups) {
     slot.groups->observe(report, truth_);
   }
-  if (options_.record_time_series) {
-    TimePoint point;
-    point.interval = report.interval;
-    point.threshold = device_threshold;
-    point.entries_used = report.entries_used;
-    point.false_negative_fraction = metrics.false_negative_fraction();
-    point.false_positive_percentage =
-        metrics.false_positive_percentage;
-    point.avg_error_over_threshold = metrics.avg_error_over_threshold;
-    result.time_series.push_back(point);
-  }
 }
 
 void Driver::observe_interval(
     std::span<const packet::PacketRecord> packets) {
-  const telemetry::ScopedTimer interval_timer(tm_interval_ns_);
   // Classify once; every device sees the identical classified stream.
   classified_.clear();
   classified_.reserve(packets.size());
@@ -102,15 +83,6 @@ void Driver::observe_interval(
   const bool evaluated = interval_index_ >= options_.warmup_intervals;
   for (DeviceSlot& slot : devices_) {
     process_slot(slot, evaluated);
-  }
-  if (tm_intervals_ != nullptr) {
-    tm_intervals_->increment();
-    tm_packets_->add(classified_.size());
-    // Interval-aligned snapshot: every device has closed its interval,
-    // so the registry state is a consistent end-of-interval view.
-    if (options_.snapshot_sink) {
-      options_.snapshot_sink(options_.metrics->snapshot(interval_index_));
-    }
   }
   ++interval_index_;
 }

@@ -6,9 +6,11 @@
 // ClassifiedPackets; every device then sees that stream through
 // observe(), one packet at a time — the path `ndtm measure` runs — and
 // closes the interval before the next device starts.
+//
+// The driver is the paper benches' harness: it returns the per-device
+// means they print and exports no telemetry.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -16,10 +18,8 @@
 
 #include "core/device.hpp"
 #include "eval/metrics.hpp"
-#include "eval/time_series.hpp"
 #include "packet/classified_packet.hpp"
 #include "packet/flow_definition.hpp"
-#include "telemetry/metrics.hpp"
 #include "trace/synthesizer.hpp"
 
 namespace nd::eval {
@@ -34,18 +34,6 @@ struct DriverOptions {
   /// Link capacity for the Section 7.2 groups; 0 disables group metrics.
   common::ByteCount link_capacity{0};
   std::vector<GroupSpec> groups{};
-  /// Record a per-interval TimePoint for each device (post-warmup).
-  bool record_time_series{false};
-  /// Export driver telemetry (interval latency histogram, packet and
-  /// interval counters) into this registry. Not owned; must outlive the
-  /// driver. Telemetry never feeds back into measurement, so results
-  /// are identical with or without it.
-  telemetry::MetricsRegistry* metrics{nullptr};
-  /// When set together with `metrics`, the driver takes one registry
-  /// snapshot after every interval (interval-aligned, after all devices
-  /// closed) and hands it here — wire a JsonLinesExporter::write or any
-  /// other consumer in.
-  std::function<void(const telemetry::Snapshot&)> snapshot_sink{};
 };
 
 struct DeviceResult {
@@ -62,8 +50,6 @@ struct DeviceResult {
   std::uint64_t packets{0};
   std::uint64_t memory_accesses{0};
   std::vector<GroupAccuracyAccumulator::Result> groups;
-  /// Present when DriverOptions::record_time_series is set.
-  std::vector<TimePoint> time_series;
 
   /// Per-shard threshold/usage trajectory, filled for devices whose
   /// reports carry core::ShardStatus annotations (empty otherwise).
@@ -114,10 +100,6 @@ class Driver {
   DriverOptions options_;
   std::vector<DeviceSlot> devices_;
   std::uint32_t interval_index_{0};
-  /// Driver-level instruments; null when DriverOptions::metrics unset.
-  telemetry::Counter* tm_intervals_{nullptr};
-  telemetry::Counter* tm_packets_{nullptr};
-  telemetry::Histogram* tm_interval_ns_{nullptr};
   /// Reusable classified-packet buffer and ground truth for the
   /// interval being processed.
   std::vector<packet::ClassifiedPacket> classified_;

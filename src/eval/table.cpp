@@ -43,21 +43,4 @@ std::string TextTable::to_string() const {
   return out.str();
 }
 
-std::string TextTable::to_csv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ',';
-      const bool quote = row[c].find(',') != std::string::npos;
-      if (quote) out << '"';
-      out << row[c];
-      if (quote) out << '"';
-    }
-    out << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 }  // namespace nd::eval

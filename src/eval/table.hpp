@@ -16,9 +16,6 @@ class TextTable {
   /// Aligned ASCII rendering with a header separator.
   [[nodiscard]] std::string to_string() const;
 
-  /// Comma-separated rendering (header first) for machine consumption.
-  [[nodiscard]] std::string to_csv() const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

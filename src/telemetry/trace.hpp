@@ -25,9 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -152,21 +150,8 @@ class ScopedTraceSpan {
 /// `[{"name":...,"cat":...,"ph":"X","ts":µs,"dur":µs,"pid":P,"tid":T,
 /// "args":{...}}, ...]` with a trailing newline. Timestamps keep full
 /// nanosecond precision as fractional microseconds (3 decimals), so the
-/// format round-trips exactly through from_chrome_trace.
+/// format round-trips exactly (tests/support/chrome_trace_parser.hpp).
 [[nodiscard]] std::string to_chrome_trace(
     const std::vector<TraceEvent>& events, std::uint32_t pid);
-
-/// Strict parser for the exact subset to_chrome_trace emits; throws
-/// std::invalid_argument on anything else. Returns the events and, via
-/// `pid`, the process id they were exported under. Name/category/
-/// value_key strings are interned into storage owned by the parser's
-/// caller via the returned vector's backing pool.
-struct ParsedTrace {
-  std::uint32_t pid{0};
-  std::vector<TraceEvent> events;
-  /// Owns the strings TraceEvent's const char* members point into.
-  std::vector<std::unique_ptr<std::string>> strings;
-};
-[[nodiscard]] ParsedTrace from_chrome_trace(std::string_view json);
 
 }  // namespace nd::telemetry

@@ -1,13 +1,14 @@
 // Monte-Carlo validation that the paper's closed forms are genuine
 // upper bounds (and that the exact expectations match simulation).
-#include "analysis/monte_carlo.hpp"
-
 #include <gtest/gtest.h>
 
+#include "../support/monte_carlo.hpp"
 #include "analysis/zipf_bounds.hpp"
 
 namespace nd::analysis {
 namespace {
+
+using namespace nd::testing;
 
 TEST(MonteCarloLemma1, BoundHoldsOnAdversarialMix) {
   // The mix that makes Lemma 1 nearly tight: many flows of size T-s

@@ -16,7 +16,6 @@
 #include "baseline/exact_oracle.hpp"
 #include "baseline/ordinary_sampling.hpp"
 #include "baseline/sampled_netflow.hpp"
-#include "baseline/smallest_counter_eviction.hpp"
 #include "core/multistage_filter.hpp"
 #include "core/sample_and_hold.hpp"
 #include "trace/presets.hpp"
@@ -125,8 +124,6 @@ TEST(Differential, EveryDeviceIsDeterministicPerSeed) {
   auto every_xth = netflow;
   every_xth.sampling_divisor = 8;
   every_xth.deterministic = true;
-  baseline::SmallestCounterEvictionConfig eviction;
-  eviction.flow_memory_entries = 128;
 
   const std::vector<
       std::function<std::unique_ptr<core::MeasurementDevice>()>>
@@ -149,10 +146,6 @@ TEST(Differential, EveryDeviceIsDeterministicPerSeed) {
           [&] { return std::make_unique<baseline::SampledNetFlow>(netflow); },
           [&] {
             return std::make_unique<baseline::SampledNetFlow>(every_xth);
-          },
-          [&] {
-            return std::make_unique<baseline::SmallestCounterEviction>(
-                eviction);
           },
           [] { return std::make_unique<baseline::ExactOracle>(); },
       };

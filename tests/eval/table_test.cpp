@@ -22,21 +22,6 @@ TEST(TextTable, ShortRowsPadded) {
   EXPECT_NE(out.find("only"), std::string::npos);
 }
 
-TEST(TextTable, CsvEscapesCommas) {
-  TextTable table({"k", "v"});
-  table.add_row({"x,y", "1"});
-  const std::string csv = table.to_csv();
-  EXPECT_NE(csv.find("\"x,y\",1"), std::string::npos);
-  EXPECT_EQ(csv.find('|'), std::string::npos);
-}
-
-TEST(TextTable, CsvHeaderFirst) {
-  TextTable table({"h1", "h2"});
-  table.add_row({"r1", "r2"});
-  const std::string csv = table.to_csv();
-  EXPECT_EQ(csv.substr(0, 6), "h1,h2\n");
-}
-
 TEST(TextTable, EmptyTableStillRendersHeader) {
   TextTable table({"x"});
   EXPECT_NE(table.to_string().find("| x |"), std::string::npos);

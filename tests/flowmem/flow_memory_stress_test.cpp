@@ -1,14 +1,11 @@
-// Randomized reference-model stress tests: FlowMemory and CamFlowMemory
-// must agree with a plain std::unordered_map across long random
-// insert/update/end-interval workloads (as long as capacity is never the
-// binding constraint), and with each other when the CAM window covers
-// the whole table.
+// Randomized reference-model stress tests: FlowMemory must agree with a
+// plain std::unordered_map across long random insert/update/end-interval
+// workloads (as long as capacity is never the binding constraint).
 #include <gtest/gtest.h>
 
 #include <unordered_map>
 
 #include "common/rng.hpp"
-#include "flowmem/cam_flow_memory.hpp"
 #include "flowmem/flow_memory.hpp"
 
 namespace nd::flowmem {
@@ -86,44 +83,6 @@ TEST_P(FlowMemoryStress, AgreesWithReferenceModel) {
                                   : PreservePolicy::kEarlyRemoval;
       policy.threshold = 20'000;
       policy.early_removal_threshold = 3'000;
-      memory.end_interval(policy);
-      reference_end_interval(reference, policy);
-      ASSERT_EQ(memory.entries_used(), reference.size());
-    }
-  }
-}
-
-TEST_P(FlowMemoryStress, CamMemoryAgreesWithReferenceModel) {
-  common::Rng rng(GetParam() ^ 0x77);
-  CamFlowMemoryConfig config;
-  config.hash_slots = 8192;  // roomy: window rarely overflows
-  config.max_probe = 8;
-  config.cam_entries = 256;
-  config.seed = GetParam();
-  CamFlowMemory memory(config);
-  Reference reference;
-
-  for (int step = 0; step < 20'000; ++step) {
-    const auto id = static_cast<std::uint32_t>(rng.uniform(1500));
-    const auto bytes = static_cast<std::uint32_t>(40 + rng.uniform(1460));
-
-    FlowEntry* entry = memory.find(key(id));
-    auto ref_it = reference.find(id);
-    ASSERT_EQ(entry != nullptr, ref_it != reference.end()) << id;
-
-    if (entry == nullptr) {
-      entry = memory.insert(key(id), 0);
-      ASSERT_NE(entry, nullptr);
-      ref_it = reference.emplace(id, ReferenceEntry{}).first;
-    }
-    FlowMemory::add_bytes(*entry, bytes);
-    ref_it->second.current += bytes;
-    ref_it->second.lifetime += bytes;
-
-    if (step % 4000 == 3999) {
-      EndIntervalPolicy policy;
-      policy.policy = PreservePolicy::kPreserve;
-      policy.threshold = 25'000;
       memory.end_interval(policy);
       reference_end_interval(reference, policy);
       ASSERT_EQ(memory.entries_used(), reference.size());

@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
 
 #include "baseline/exact_oracle.hpp"
 #include "core/measurement_session.hpp"
 #include "core/multistage_filter.hpp"
 #include "eval/driver.hpp"
 #include "pcap/pcap.hpp"
-#include "reporting/aggregator.hpp"
 #include "reporting/record_codec.hpp"
 #include "trace/presets.hpp"
 #include "trace/stats.hpp"
@@ -60,7 +60,7 @@ TEST(CrossComponent, SerialEqualsParallelAtDepthOne) {
 }
 
 TEST(CrossComponent, AggregatedOracleMatchesNativeDefinition) {
-  // Aggregating an exact 5-tuple report to destination-IP must equal an
+  // Summing an exact 5-tuple report by destination IP must equal an
   // oracle run natively at destination-IP granularity.
   trace::TraceSynthesizer synth(tiny_trace());
   const auto packets = synth.next_interval();
@@ -73,15 +73,20 @@ TEST(CrossComponent, AggregatedOracleMatchesNativeDefinition) {
     five_tuple_oracle.observe(*def5.classify(packet), packet.size_bytes);
     dst_oracle.observe(*defd.classify(packet), packet.size_bytes);
   }
-  const auto aggregated = reporting::aggregate_to_destination_ip(
-      five_tuple_oracle.end_interval());
+  std::unordered_map<packet::FlowKey, common::ByteCount,
+                     packet::FlowKeyHasher>
+      aggregated;
+  for (const auto& flow : five_tuple_oracle.end_interval().flows) {
+    aggregated[packet::FlowKey::destination_ip(flow.key.dst_ip())] +=
+        flow.estimated_bytes;
+  }
   const auto native = dst_oracle.end_interval();
 
-  ASSERT_EQ(aggregated.flows.size(), native.flows.size());
-  for (const auto& flow : aggregated.flows) {
-    const auto* match = core::find_flow(native, flow.key);
-    ASSERT_NE(match, nullptr) << flow.key.to_string();
-    EXPECT_EQ(flow.estimated_bytes, match->estimated_bytes);
+  ASSERT_EQ(aggregated.size(), native.flows.size());
+  for (const auto& [key, bytes] : aggregated) {
+    const auto* match = core::find_flow(native, key);
+    ASSERT_NE(match, nullptr) << key.to_string();
+    EXPECT_EQ(bytes, match->estimated_bytes);
   }
 }
 

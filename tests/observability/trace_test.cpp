@@ -9,12 +9,15 @@
 #include <thread>
 #include <vector>
 
+#include "../support/chrome_trace_parser.hpp"
 #include "common/clock.hpp"
 #include "telemetry/trace.hpp"
 
 namespace nd::telemetry {
 namespace {
 
+using nd::testing::from_chrome_trace;
+using nd::testing::ParsedTrace;
 using std::chrono::nanoseconds;
 
 TEST(TraceRecorder, ScopedSpanStampsFakeClockTimesExactly) {

@@ -1,17 +1,41 @@
-#include "analysis/monte_carlo.hpp"
+// Monte-Carlo reference for the closed-form bounds.
+//
+// The paper's Section 4 proofs are worst-case; these simulators draw
+// random hash functions and flow mixes and measure the *actual*
+// probabilities, so tests can assert the closed forms really are upper
+// bounds (and see how loose they are on realistic mixes — the "orders of
+// magnitude better than predicted" observation of Section 7). The
+// analysis tests in tests/analysis/monte_carlo_test.cpp compare against
+// them; nothing outside the tests does.
+#pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "analysis/multistage_bounds.hpp"
+#include "analysis/sample_hold_bounds.hpp"
 #include "common/rng.hpp"
+#include "common/types.hpp"
 
-namespace nd::analysis {
+namespace nd::testing {
 
-namespace {
+using analysis::MultistageParams;
+using analysis::SampleHoldParams;
 
-MonteCarloResult from_bernoulli(std::uint64_t successes,
-                                std::uint64_t trials) {
+struct MonteCarloResult {
+  double estimate{0.0};
+  /// Standard error of the estimate (binomial / sample-mean).
+  double standard_error{0.0};
+  std::uint64_t trials{0};
+};
+
+namespace detail {
+
+inline MonteCarloResult from_bernoulli(std::uint64_t successes,
+                                       std::uint64_t trials) {
   MonteCarloResult result;
   result.trials = trials;
   result.estimate =
@@ -22,8 +46,8 @@ MonteCarloResult from_bernoulli(std::uint64_t successes,
   return result;
 }
 
-MonteCarloResult from_samples(double sum, double sum_sq,
-                              std::uint64_t trials) {
+inline MonteCarloResult from_samples(double sum, double sum_sq,
+                                     std::uint64_t trials) {
   MonteCarloResult result;
   result.trials = trials;
   result.estimate = sum / static_cast<double>(trials);
@@ -36,9 +60,13 @@ MonteCarloResult from_samples(double sum, double sum_sq,
   return result;
 }
 
-}  // namespace
+}  // namespace detail
 
-MonteCarloResult simulate_pass_probability(
+/// Probability that a flow of size `flow_size` passes a parallel
+/// multistage filter of shape `params`, when the remaining traffic is
+/// `background` (flow sizes in bytes, hashed to random buckets each
+/// trial). Compare against pass_probability_bound (Lemma 1).
+inline MonteCarloResult simulate_pass_probability(
     const MultistageParams& params, common::ByteCount flow_size,
     std::span<const common::ByteCount> background, std::uint64_t trials,
     std::uint64_t seed) {
@@ -64,10 +92,12 @@ MonteCarloResult simulate_pass_probability(
     }
     if (all_stages) ++passes;
   }
-  return from_bernoulli(passes, trials);
+  return detail::from_bernoulli(passes, trials);
 }
 
-MonteCarloResult simulate_flows_passing(
+/// Expected number of flows from `sizes` passing the filter (the
+/// quantity Theorem 3 bounds). Each trial draws fresh stage hashes.
+inline MonteCarloResult simulate_flows_passing(
     const MultistageParams& params,
     std::span<const common::ByteCount> sizes, std::uint64_t trials,
     std::uint64_t seed) {
@@ -100,14 +130,17 @@ MonteCarloResult simulate_flows_passing(
     sum += static_cast<double>(passing);
     sum_sq += static_cast<double>(passing) * static_cast<double>(passing);
   }
-  return from_samples(sum, sum_sq, trials);
+  return detail::from_samples(sum, sum_sq, trials);
 }
 
-MonteCarloResult simulate_sample_hold_undercount(
+/// Mean undercount E[s - c] of sample and hold for a flow of
+/// `flow_size` bytes sent in `packet_size`-byte packets (the quantity
+/// whose expectation is 1/p). Compare against expected_undercount.
+inline MonteCarloResult simulate_sample_hold_undercount(
     const SampleHoldParams& params, common::ByteCount flow_size,
     std::uint32_t packet_size, std::uint64_t trials, std::uint64_t seed) {
   common::Rng rng(seed);
-  const double p = byte_sampling_probability(params);
+  const double p = analysis::byte_sampling_probability(params);
   double sum = 0.0;
   double sum_sq = 0.0;
   for (std::uint64_t trial = 0; trial < trials; ++trial) {
@@ -128,14 +161,16 @@ MonteCarloResult simulate_sample_hold_undercount(
     sum_sq +=
         static_cast<double>(undercount) * static_cast<double>(undercount);
   }
-  return from_samples(sum, sum_sq, trials);
+  return detail::from_samples(sum, sum_sq, trials);
 }
 
-MonteCarloResult simulate_miss_probability(
+/// Probability that sample and hold misses a flow of `flow_size`
+/// entirely. Compare against miss_probability.
+inline MonteCarloResult simulate_miss_probability(
     const SampleHoldParams& params, common::ByteCount flow_size,
     std::uint32_t packet_size, std::uint64_t trials, std::uint64_t seed) {
   common::Rng rng(seed);
-  const double p = byte_sampling_probability(params);
+  const double p = analysis::byte_sampling_probability(params);
   std::uint64_t misses = 0;
   for (std::uint64_t trial = 0; trial < trials; ++trial) {
     common::ByteCount skip = rng.geometric(p);
@@ -144,7 +179,7 @@ MonteCarloResult simulate_miss_probability(
     }
     (void)packet_size;  // misses depend only on total bytes
   }
-  return from_bernoulli(misses, trials);
+  return detail::from_bernoulli(misses, trials);
 }
 
-}  // namespace nd::analysis
+}  // namespace nd::testing

@@ -4,9 +4,12 @@
 // message names the flag), so a typo never runs with a default. Numeric
 // flags are checked before the subcommand starts: a value that is not
 // a whole number (or, for --scale/--oversampling/--flows, a number),
-// --interval 0, a --connect port outside 1-65535, or a --listen /
-// --http-port outside 0-65535 (0 = ephemeral) also exits 2 naming the
-// flag.
+// --interval 0, a count above 4294967295 for a 32-bit flag (--buckets,
+// --depth, --device-id, --devices, --fleet-size, --intervals,
+// --journal-fsync-batch, --net-attempts, --shards, --snaplen,
+// --spool-fsync-batch), a --connect port outside 1-65535, or a
+// --listen / --http-port outside 0-65535 (0 = ephemeral) also exits 2
+// naming the flag.
 //
 //   ndtm synthesize --preset mag --scale 0.1 --intervals 6 --out t.pcap
 //       Write a calibrated synthetic trace as a standard pcap file.
@@ -241,6 +244,7 @@ namespace {
 /// any text (paths, names, specs).
 enum class ValueKind {
   kWhole,     // a whole number
+  kWhole32,   // a whole number that fits in 32 bits
   kPositive,  // a whole number >= 1
   kReal,      // a finite number
   kPort,      // a whole number in 0..65535 (0 = ephemeral)
@@ -252,13 +256,18 @@ enum class ValueKind {
 const std::map<std::string, ValueKind> kValueKinds = [] {
   std::map<std::string, ValueKind> kinds;
   for (const char* flag :
-       {"adaptive", "buckets", "capacity", "depth", "device-id", "devices",
-        "entries", "fault-seed", "fleet-size", "intervals", "journal-fsync",
-        "journal-fsync-batch", "net-attempts", "net-backoff-us",
-        "net-budget", "net-jitter", "pace-ms", "seed", "shard-usage",
-        "shards", "snaplen", "spool-fsync", "spool-fsync-batch",
-        "spool-max-bytes", "threshold", "timeout-ms", "traffic"}) {
+       {"adaptive", "capacity", "entries", "fault-seed", "journal-fsync",
+        "net-backoff-us", "net-budget", "net-jitter", "pace-ms", "seed",
+        "shard-usage", "spool-fsync", "spool-max-bytes", "threshold",
+        "timeout-ms", "traffic"}) {
     kinds[flag] = ValueKind::kWhole;
+  }
+  // Read into 32-bit fields: a larger value would silently wrap.
+  for (const char* flag :
+       {"buckets", "depth", "device-id", "devices", "fleet-size",
+        "intervals", "journal-fsync-batch", "net-attempts", "shards",
+        "snaplen", "spool-fsync-batch"}) {
+    kinds[flag] = ValueKind::kWhole32;
   }
   for (const char* flag : {"flows", "oversampling", "scale"}) {
     kinds[flag] = ValueKind::kReal;
@@ -289,6 +298,11 @@ std::optional<std::string> value_error(ValueKind kind,
     case ValueKind::kWhole:
       if (parse_whole(value)) return std::nullopt;
       return "a whole number";
+    case ValueKind::kWhole32:
+      if (parse_whole(value).value_or(1ULL << 32) <= 0xFFFFFFFFULL) {
+        return std::nullopt;
+      }
+      return "a whole number in 0-4294967295";
     case ValueKind::kPositive:
       if (parse_whole(value).value_or(0) >= 1) return std::nullopt;
       return "a whole number >= 1";

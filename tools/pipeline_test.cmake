@@ -103,11 +103,17 @@ foreach(bad_flag "--treshold;1" "--hugepages" "--pin;1" "--watchdog-ms;5000"
 endforeach()
 # A malformed number is a usage error naming the flag, checked before
 # any work starts: never a silent 0 (`--interval abc` used to become a
-# 1 ns interval), never a truncated port. TIMEOUT turns a regression
-# into a failure instead of a hang.
+# 1 ns interval), never a truncated port, never a 32-bit count that
+# wraps (`--device-id 4294967296` used to run as device 0, and
+# `--fleet-size 4294967296` as no fleet at all). TIMEOUT turns a
+# regression into a failure instead of a hang.
 foreach(bad_value
     "measure;--interval;abc" "measure;--interval;0" "measure;--interval;"
     "measure;--threshold;1e5" "measure;--shards;-2"
+    "measure;--shards;4294967296"
+    "measure;--device-id;4294967296;--fleet-size;2"
+    "measure;--fleet-size;4294967296;--device-id;1"
+    "collect;--devices;4294967297"
     "measure;--connect;127.0.0.1:abc" "measure;--connect;127.0.0.1:0"
     "measure;--connect;127.0.0.1:70000" "collect;--listen;70000"
     "collect;--listen;abc" "collect;--http-port;65536"
