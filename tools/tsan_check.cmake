@@ -18,11 +18,13 @@ endif()
 # cache-conscious flow memory, the CRC-32 tiers, the
 # observability plane (HTTP exporter poll loop, lock-free trace ring,
 # registry seqlock), the durability layer (spool WAL, crash-recovery journal, on-disk fuzz
-# tables, and the kill-level soak over the instrumented ndtm binary), and
+# tables, and the kill-level soak over the instrumented ndtm binary),
 # ndtm_pipeline, whose `ndtm measure` runs hand every report from the
-# packet thread to the report thread.
+# packet thread to the report thread, and the in-process Pipeline suite:
+# pipeline::Measure's packet and report threads, pipeline::Collect's
+# collector thread and both HTTP threads in one process.
 set(ND_SANITIZE_TEST_REGEX
-    "ndtm_pipeline|ThreadPool|Sharded|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "ndtm_pipeline|Pipeline|ThreadPool|Sharded|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 
 # Sanitized binaries run ~10x slower: cap the soak's kill cycles so the
 # instrumented pass stays CI-sized (still two real kill/restart cycles).
@@ -49,7 +51,7 @@ function(run_sanitized sanitizer subdir regex)
     COMMAND ${CMAKE_COMMAND} --build ${san_build} --parallel
             --target common_tests core_tests eval_tests telemetry_tests
             robustness_tests flowmem_tests hash_tests net_tests observability_tests durability_tests soak_tests
-            packet_tests pcap_tests
+            packet_tests pcap_tests pipeline_tests
     RESULT_VARIABLE rv)
   if(NOT rv EQUAL 0)
     message(FATAL_ERROR "tsan_check[${sanitizer}]: build failed: ${rv}")
