@@ -16,7 +16,6 @@
 #include "reporting/record_codec.hpp"
 #include "trace/zipf.hpp"
 #include "baseline/sampled_netflow.hpp"
-#include "common/cpu_features.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -460,34 +459,34 @@ void BM_FrameStream(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameStream)->Arg(512)->Arg(64 * 1024);
 
-/// The CRC-32 kernel itself, per (buffer size, forced dispatch level):
-/// bytes/sec is the ceiling every CRC consumer (framing, WAL, journal,
-/// checkpoint) inherits. Sizes bracket the real payloads: a control
-/// frame, an MTU, an interval report burst. The level is the REQUESTED
-/// common::SimdLevel (0 scalar, 2 avx2); a request the host cannot run
-/// clamps exactly like ND_SIMD=..., and the `simd_level` counter
-/// records what actually ran.
+/// The CRC-32 itself, per (buffer size, kernel): bytes/sec is the
+/// ceiling every CRC consumer (framing, WAL, journal, checkpoint)
+/// inherits. Sizes bracket the real payloads: a control frame, an MTU,
+/// an interval report burst. Kernel 1 is common::crc32 — PCLMULQDQ
+/// folding wherever the host runs it — and kernel 0 is slice-by-8
+/// alone (detail::crc32_slice8), what every other host runs.
 void BM_Crc32(benchmark::State& state) {
-  const common::ScopedSimdLevel forced(
-      static_cast<common::SimdLevel>(state.range(1)));
   const auto size = static_cast<std::size_t>(state.range(0));
+  const bool entry_point = state.range(1) != 0;
   common::Rng rng(11);
   std::vector<std::uint8_t> data(size);
   for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.word());
   std::uint32_t crc = 0;
   for (auto _ : state) {
-    crc = common::crc32(data, crc);
+    crc = entry_point
+              ? common::crc32(data, crc)
+              : ~common::detail::crc32_slice8(data.data(), size, ~crc);
     benchmark::DoNotOptimize(crc);
   }
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(size));
-  state.counters["simd_level"] = static_cast<double>(forced.applied());
+  state.SetLabel(entry_point ? "crc32" : "slice8");
 }
 BENCHMARK(BM_Crc32)
-    ->Args({64, 0})->Args({64, 2})
-    ->Args({1500, 0})->Args({1500, 2})
-    ->Args({65536, 0})->Args({65536, 2});
+    ->Args({64, 0})->Args({64, 1})
+    ->Args({1500, 0})->Args({1500, 1})
+    ->Args({65536, 0})->Args({65536, 1});
 
 /// Device-side spool append throughput per fsync policy: arg 0 is the
 /// group-commit batch (0 = fsync off entirely). Appended frames are
@@ -596,15 +595,5 @@ void BM_TabulationHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TabulationHash);
-
-void BM_MultiplyShiftHash(benchmark::State& state) {
-  common::Rng rng(3);
-  hash::MultiplyShiftHash h(rng);
-  std::uint64_t key = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(h(key++));
-  }
-}
-BENCHMARK(BM_MultiplyShiftHash);
 
 }  // namespace

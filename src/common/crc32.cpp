@@ -4,25 +4,16 @@
 
 #include "telemetry/metrics.hpp"
 
-#if defined(__aarch64__) && !defined(ND_DISABLE_SIMD) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define ND_HAVE_ARM_CRC 1
-#include <arm_acle.h>
-#if defined(__linux__)
-#include <sys/auxv.h>
-#endif
-#endif
-
 namespace nd::common {
 
 namespace {
 
 constexpr std::uint32_t kPoly = 0xEDB88320u;  // reflected IEEE CRC-32
 
-// Slice-by-8 tables, built at compile time (satellite: no lazily-built
-// static, no guard-variable branch per call). t[k][b] advances byte b
-// through k+1 zero bytes, so one 8-byte step is eight independent
-// lookups XORed together.
+// Slice-by-8 tables, built at compile time (no lazily-built static, no
+// guard-variable branch per call). t[k][b] advances byte b through k+1
+// zero bytes, so one 8-byte step is eight independent lookups XORed
+// together.
 struct Slice8Tables {
   std::uint32_t t[8][256];
 };
@@ -52,37 +43,9 @@ constexpr std::uint32_t load_u32le(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-enum ImplIndex : std::size_t { kImplSlice8 = 0, kImplPclmul = 1, kImplArmv8 = 2 };
+enum ImplIndex : std::size_t { kImplSlice8 = 0, kImplPclmul = 1 };
 
 std::atomic<std::uint64_t> g_bytes[kCrc32ImplCount];
-
-#if defined(ND_HAVE_ARM_CRC)
-
-bool crc32_armv8_supported() {
-#if defined(__ARM_FEATURE_CRC32)
-  return true;  // baseline ISA includes CRC32
-#elif defined(__linux__)
-  static const bool ok = (getauxval(AT_HWCAP) & (1u << 7 /* HWCAP_CRC32 */)) != 0;
-  return ok;
-#else
-  return false;
-#endif
-}
-
-__attribute__((target("+crc"))) std::uint32_t crc32_armv8(
-    const std::uint8_t* p, std::size_t n, std::uint32_t c) {
-  while (n >= 8) {
-    std::uint64_t word = static_cast<std::uint64_t>(load_u32le(p)) |
-                         static_cast<std::uint64_t>(load_u32le(p + 4)) << 32;
-    c = __crc32d(c, word);
-    p += 8;
-    n -= 8;
-  }
-  while (n-- > 0) c = __crc32b(c, *p++);
-  return c;
-}
-
-#endif  // ND_HAVE_ARM_CRC
 
 }  // namespace
 
@@ -110,41 +73,18 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes,
   std::uint32_t state = ~seed_crc;
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
-#if defined(ND_HAVE_AVX2)
-  if (n >= detail::kClmulMinBytes && active_simd() == SimdLevel::kAvx2 &&
-      detail::crc32_clmul_supported()) {
+  if (n >= detail::kClmulMinBytes && detail::crc32_clmul_supported()) {
     const std::size_t folded = n & ~static_cast<std::size_t>(15);
     state = detail::crc32_clmul(p, folded, state);
     g_bytes[kImplPclmul].fetch_add(folded, std::memory_order_relaxed);
     p += folded;
     n -= folded;
   }
-#elif defined(ND_HAVE_ARM_CRC)
-  if (n != 0 && active_simd() != SimdLevel::kScalar &&
-      crc32_armv8_supported()) {
-    state = crc32_armv8(p, n, state);
-    g_bytes[kImplArmv8].fetch_add(n, std::memory_order_relaxed);
-    n = 0;
-  }
-#endif
   if (n != 0) {
     state = detail::crc32_slice8(p, n, state);
     g_bytes[kImplSlice8].fetch_add(n, std::memory_order_relaxed);
   }
   return ~state;
-}
-
-const char* crc32_impl_name() {
-#if defined(ND_HAVE_AVX2)
-  if (active_simd() == SimdLevel::kAvx2 && detail::crc32_clmul_supported()) {
-    return kCrc32Impls[kImplPclmul];
-  }
-#elif defined(ND_HAVE_ARM_CRC)
-  if (active_simd() != SimdLevel::kScalar && crc32_armv8_supported()) {
-    return kCrc32Impls[kImplArmv8];
-  }
-#endif
-  return kCrc32Impls[kImplSlice8];
 }
 
 std::uint64_t crc32_bytes_processed(std::size_t impl_index) {

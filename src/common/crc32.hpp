@@ -1,43 +1,34 @@
-// Dispatch-layered CRC-32 (reflected IEEE polynomial 0xEDB88320) — the
-// one checksum every collection-plane byte passes through: NDFR frame
-// headers, spool WAL records, the collector journal, and checkpoint
-// trailers all carry this CRC, so its per-byte cost bounds the whole
-// store-and-forward path.
+// CRC-32 (reflected IEEE polynomial 0xEDB88320) — the one checksum
+// every collection-plane byte passes through: NDFR frame headers, spool
+// WAL records, the collector journal, and checkpoint trailers all carry
+// this CRC, so its per-byte cost bounds the whole store-and-forward
+// path.
 //
-// Three tiers behind the common::active_simd() switch (cpu_features):
+// Two kernels, picked on every call:
 //
-//   * slice-by-8 — constexpr-generated tables, eight bytes per step,
-//     always available; the portable/scalar tier and the oracle the
-//     differential suites compare against.
 //   * PCLMULQDQ — x86 128-bit carry-less-multiply folding (Intel's
 //     "Fast CRC Computation Using PCLMULQDQ" scheme, four 16-byte
-//     lanes per step). Note the SSE4.2 crc32 *instruction* computes
-//     CRC-32C (Castagnoli) and is deliberately NOT used: the wire and
-//     disk formats are IEEE, and bit-identity across tiers is a hard
-//     contract. Selected at SimdLevel::kAvx2 behind its own CPUID
-//     probe, compiled as target("pclmul,sse4.1") functions so the
-//     binary still runs on hosts without the instructions.
-//   * ARMv8 CRC32 — the __crc32d/__crc32b instructions, which
-//     implement the same reflected IEEE polynomial, so bytes on the
-//     wire stay identical. Selected at SimdLevel::kNeon on aarch64.
+//     lanes per step), for buffers of at least kClmulMinBytes when the
+//     one CPUID probe (detail::crc32_clmul_supported) says the host
+//     runs it. Compiled as a target("pclmul,sse4.1") function, so the
+//     binary still runs on hosts without the instructions. The SSE4.2
+//     crc32 *instruction* computes CRC-32C (Castagnoli) and is
+//     deliberately NOT used: the wire and disk formats are IEEE.
+//   * slice-by-8 — constexpr-generated tables, eight bytes per step:
+//     short buffers, the folding kernel's sub-16-byte tail, and every
+//     byte on hosts without PCLMULQDQ (aarch64 included).
 //
-// The tier is re-read from active_simd() on every call, so
-// ScopedSimdLevel/ND_SIMD steer it dynamically; CRC is the only code
-// those knobs reach. Results are bit-identical
-// across tiers by construction and proven by the exhaustive
-// differential suite (every length 0–512 × alignment 0–63 × chunked
-// vs one-shot × forced level).
+// Both kernels produce the same CRC; the differential suite proves each
+// against a bitwise oracle (every length 0–512 × alignment 0–63,
+// chunked vs one-shot).
 //
-// Seed chaining matches the legacy hash::crc32 contract: pass 0 to
-// start, pass the previous return value to continue a running CRC over
-// concatenated spans.
+// Seed chaining: pass 0 to start, pass the previous return value to
+// continue a running CRC over concatenated spans.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-
-#include "common/cpu_features.hpp"
 
 namespace nd::telemetry {
 class MetricsRegistry;
@@ -49,18 +40,14 @@ namespace nd::common {
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                                   std::uint32_t seed_crc = 0);
 
-/// The kernel a large buffer would hit right now, as a stable label:
-/// "slice8", "pclmul", or "armv8". Follows force_simd()/ND_SIMD.
-[[nodiscard]] const char* crc32_impl_name();
-
-/// Process-wide bytes checksummed per tier, indexed by kCrc32Impls.
-/// Small tails of a hardware-tier call are accounted to slice8 — the
+/// Process-wide bytes checksummed per kernel, indexed by kCrc32Impls.
+/// The sub-16-byte tail of a folded buffer is accounted to slice8 — the
 /// counters track which kernel actually touched the bytes.
-inline constexpr const char* kCrc32Impls[] = {"slice8", "pclmul", "armv8"};
-inline constexpr std::size_t kCrc32ImplCount = 3;
+inline constexpr const char* kCrc32Impls[] = {"slice8", "pclmul"};
+inline constexpr std::size_t kCrc32ImplCount = 2;
 [[nodiscard]] std::uint64_t crc32_bytes_processed(std::size_t impl_index);
 
-/// Publish the per-tier byte counters as nd_crc_bytes_total{impl=...}
+/// Publish the per-kernel byte counters as nd_crc_bytes_total{impl=...}
 /// into `registry` (delta-synced: safe to call repeatedly, e.g. from a
 /// /metrics render). Kept out of the hot path so crc32() itself only
 /// bumps a relaxed atomic.
@@ -68,20 +55,19 @@ void sync_crc32_metrics(telemetry::MetricsRegistry& registry);
 
 namespace detail {
 
-/// Portable state-domain kernel (state = ~running_crc): exposed so the
-/// differential tests can pit tiers against each other directly.
+/// The kernels in the state domain (state = ~running_crc), exposed so
+/// the differential tests can prove each one directly.
 [[nodiscard]] std::uint32_t crc32_slice8(const std::uint8_t* data,
                                          std::size_t len, std::uint32_t state);
 
-#if defined(ND_HAVE_AVX2)
-/// True when the host can run the PCLMULQDQ folding kernel.
+/// True when the host can run crc32_clmul (x86 CPUID: PCLMULQDQ and
+/// SSE4.1); always false on other architectures. Probed once.
 [[nodiscard]] bool crc32_clmul_supported();
-/// Folding kernel: requires len >= kClmulMinBytes and len % 16 == 0.
-/// State-domain like crc32_slice8.
+/// Folding kernel: requires crc32_clmul_supported(),
+/// len >= kClmulMinBytes and len % 16 == 0.
 [[nodiscard]] std::uint32_t crc32_clmul(const std::uint8_t* data,
                                         std::size_t len, std::uint32_t state);
 inline constexpr std::size_t kClmulMinBytes = 64;
-#endif
 
 }  // namespace detail
 

@@ -1,7 +1,8 @@
-// PCLMULQDQ folding tier of common::crc32 — its own TU so the rest of
+// PCLMULQDQ folding kernel of common::crc32 — its own TU so the rest of
 // nd_common compiles without any -m flags; the kernel itself is a
 // target("pclmul,sse4.1") function that only runs behind the runtime
-// CPUID probe below.
+// CPUID probe below. Off x86 the probe says no and crc32 runs
+// slice-by-8 alone.
 //
 // Implements the folding scheme from Intel's "Fast CRC Computation for
 // Generic Polynomials Using PCLMULQDQ Instruction" white paper for the
@@ -12,11 +13,15 @@
 // bit-reflected form the instruction wants.
 #include "common/crc32.hpp"
 
-#if defined(ND_HAVE_AVX2)
-
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define ND_CRC32_CLMUL 1
 #include <immintrin.h>
+#endif
 
 namespace nd::common::detail {
+
+#if defined(ND_CRC32_CLMUL)
 
 bool crc32_clmul_supported() {
   static const bool ok =
@@ -126,6 +131,15 @@ bool crc32_clmul_supported() {
   return static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
 }
 
-}  // namespace nd::common::detail
+#else
 
-#endif  // ND_HAVE_AVX2
+bool crc32_clmul_supported() { return false; }
+
+std::uint32_t crc32_clmul(const std::uint8_t* buf, std::size_t len,
+                          std::uint32_t state) {
+  return crc32_slice8(buf, len, state);
+}
+
+#endif
+
+}  // namespace nd::common::detail

@@ -28,7 +28,7 @@ MultistageFilter::MultistageFilter(const MultistageFilterConfig& config)
     }
     stage_pass_tally_.assign(config_.depth, 0);
   }
-  hash::HashFamily family(config_.seed, config_.hash_kind);
+  hash::HashFamily family(config_.seed);
   std::vector<hash::StageHash> stages;
   stages.reserve(config_.depth);
   for (std::uint32_t d = 0; d < config_.depth; ++d) {

@@ -47,7 +47,6 @@ struct MultistageFilterConfig {
   bool shielding{true};
   flowmem::PreservePolicy preserve{flowmem::PreservePolicy::kClear};
   double early_removal_fraction{0.15};
-  hash::HashKind hash_kind{hash::HashKind::kTabulation};
   std::uint64_t seed{1};
   /// Export runtime telemetry into this registry (not owned; must
   /// outlive the device). Null — the default — compiles the hot path

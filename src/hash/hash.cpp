@@ -11,58 +11,49 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
   return h;
 }
 
-MultiplyShiftHash::MultiplyShiftHash(common::Rng& seed_source)
-    : a_(seed_source.word() | 1ULL), b_(seed_source.word()) {}
-
-MultiplyShiftHash::MultiplyShiftHash(std::uint64_t a, std::uint64_t b)
-    : a_(a | 1ULL), b_(b) {}
-
-TabulationHash::TabulationHash(common::Rng& seed_source) {
-  for (auto& table : tables_) {
-    for (auto& cell : table) {
-      cell = seed_source.word();
-    }
+TabulationHash::TabulationHash(common::Rng& seed_source) : tables_(kCells) {
+  for (auto& cell : tables_) {
+    cell = seed_source.word();
   }
 }
 
-StageHash::StageHash(HashKind kind, common::Rng& seed_source,
-                     std::uint64_t buckets)
-    // The multiply-shift constants are always drawn first so the
-    // tabulation tables consume exactly the same seed words as before
-    // the active-only storage change — tabulation-mode experiments stay
-    // bit-identical across that refactor.
-    : ms_(seed_source),
-      tab_(kind == HashKind::kTabulation
-               ? std::make_shared<const TabulationHash>(seed_source)
-               : nullptr),
-      buckets_(buckets) {}
+namespace {
+
+/// Draws the two words every stage has always taken before its tables
+/// (once a multiply-shift multiplier and offset), so the tables — and
+/// every bucket, report and checkpoint built on them — keep the seed
+/// words they were first defined with.
+common::Rng& skip_legacy_words(common::Rng& seed_source) {
+  (void)seed_source.word();
+  (void)seed_source.word();
+  return seed_source;
+}
+
+}  // namespace
+
+StageHash::StageHash(common::Rng& seed_source, std::uint64_t buckets)
+    : buckets_(buckets), tab_(skip_legacy_words(seed_source)) {}
 
 StageHashBank::StageHashBank(std::vector<StageHash> stages)
     : stages_(std::move(stages)) {
   const std::size_t d = stages_.size();
   if (d == 0 || d > kMaxInterleavedDepth) return;
-  for (const StageHash& stage : stages_) {
-    if (stage.tabulation() == nullptr) return;
-  }
-  interleaved_.resize(8 * 256 * d);
+  interleaved_.resize(TabulationHash::kCells * d);
   for (std::size_t s = 0; s < d; ++s) {
-    const auto& tables = stages_[s].tabulation()->tables();
-    for (std::size_t i = 0; i < 8; ++i) {
-      for (std::size_t b = 0; b < 256; ++b) {
-        interleaved_[((i << 8) | b) * d + s] = tables[i][b];
-      }
+    const auto tables = stages_[s].tabulation().tables();
+    for (std::size_t cell = 0; cell < TabulationHash::kCells; ++cell) {
+      interleaved_[cell * d + s] = tables[cell];
     }
   }
 }
 
-HashFamily::HashFamily(std::uint64_t master_seed, HashKind kind)
-    : kind_(kind),
-      rng_(splitmix64(master_seed)),
+HashFamily::HashFamily(std::uint64_t master_seed)
+    : rng_(splitmix64(master_seed)),
       scramble_a_(rng_.word() | 1ULL),
       scramble_b_(rng_.word()) {}
 
 StageHash HashFamily::make_stage(std::uint64_t buckets) {
-  return StageHash(kind_, rng_, buckets);
+  return StageHash(rng_, buckets);
 }
 
 }  // namespace nd::hash

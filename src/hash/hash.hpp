@@ -5,12 +5,12 @@
 // one more for table placement. We provide:
 //
 //  * splitmix64 / fnv1a64 — stateless mixers for fingerprints;
-//  * MultiplyShiftHash    — a seeded 2-universal function, the family the
-//                           theory (Lemma 1) assumes;
-//  * TabulationHash       — 3-independent seeded tabulation hashing, a
-//                           stronger family used by default because its
-//                           empirical behaviour on low-entropy keys (e.g.
-//                           sequential IPs) is far better;
+//  * TabulationHash       — 3-independent seeded tabulation hashing, the
+//                           stage family. Lemma 1 assumes only a
+//                           2-universal family, which 3-independence
+//                           covers, and its behaviour on low-entropy
+//                           keys (e.g. sequential IPs) is far better
+//                           than multiply-shift's;
 //  * HashFamily           — derives any number of mutually independent
 //                           seeded functions from one master seed.
 //
@@ -19,13 +19,10 @@
 // modulo bias of `% b` for non-power-of-two stage sizes.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "common/crc32.hpp"
 #include "common/rng.hpp"
 
 namespace nd::hash {
@@ -41,19 +38,6 @@ namespace nd::hash {
 /// FNV-1a over raw bytes; used to fingerprint variable-length flow keys.
 [[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
 
-/// CRC-32 (reflected, polynomial 0xEDB88320 — the IEEE 802.3 CRC) over
-/// raw bytes. Frames every exported report so a corrupted payload is
-/// detected and re-requested instead of silently mis-decoded; detects
-/// all single-byte errors, which is what the chaos suite's bit-flip
-/// tables rely on. `seed_crc` chains incremental computations (pass the
-/// previous return value; 0 starts fresh). Delegates to the
-/// dispatch-layered kernel in common/crc32 (constexpr slice-by-8 /
-/// PCLMULQDQ / ARMv8 CRC — bit-identical across tiers).
-[[nodiscard]] inline std::uint32_t crc32(std::span<const std::uint8_t> bytes,
-                                         std::uint32_t seed_crc = 0) {
-  return common::crc32(bytes, seed_crc);
-}
-
 /// Map a 64-bit hash uniformly onto [0, range) without modulo bias
 /// (Lemire's multiply-high reduction).
 [[nodiscard]] constexpr std::uint64_t reduce_to_range(std::uint64_t h,
@@ -62,103 +46,69 @@ namespace nd::hash {
       (static_cast<unsigned __int128>(h) * range) >> 64);
 }
 
-/// Seeded 2-universal hash: h(x) = (a*x + b) with odd multiplier, taking
-/// the high bits. This is the classical multiply-shift family whose
-/// pairwise independence is what the paper's stage analysis requires.
-class MultiplyShiftHash {
- public:
-  explicit MultiplyShiftHash(common::Rng& seed_source);
-  MultiplyShiftHash(std::uint64_t a, std::uint64_t b);
-
-  [[nodiscard]] std::uint64_t operator()(std::uint64_t key) const {
-    return a_ * key + b_;
-  }
-
- private:
-  std::uint64_t a_;
-  std::uint64_t b_;
-};
-
 /// Seeded simple tabulation hashing over the 8 bytes of the key:
 /// h(x) = T0[x0] ^ T1[x1] ^ ... ^ T7[x7]. 3-independent, and known to
 /// behave like a fully random function for hashing-based sketches.
 class TabulationHash {
  public:
+  /// Cells in the eight 256-word tables.
+  static constexpr std::size_t kCells = 8 * 256;
+
   explicit TabulationHash(common::Rng& seed_source);
 
   [[nodiscard]] std::uint64_t operator()(std::uint64_t key) const {
     std::uint64_t h = 0;
     for (std::size_t i = 0; i < 8; ++i) {
-      h ^= tables_[i][static_cast<std::uint8_t>(key >> (8 * i))];
+      h ^= tables_[(i << 8) | ((key >> (8 * i)) & 0xFFU)];
     }
     return h;
   }
 
-  /// Raw seeded tables (exposed so StageHashBank can re-lay them out).
-  [[nodiscard]] const std::array<std::array<std::uint64_t, 256>, 8>&
-  tables() const {
+  /// Raw seeded words, T_i[b] at (i << 8) | b (exposed so StageHashBank
+  /// can re-lay them out).
+  [[nodiscard]] std::span<const std::uint64_t> tables() const {
     return tables_;
   }
 
  private:
-  std::array<std::array<std::uint64_t, 256>, 8> tables_;
+  /// On the heap, so a StageHash stays small to move and copy.
+  std::vector<std::uint64_t> tables_;
 };
 
-/// Which seeded family a HashFamily hands out.
-enum class HashKind { kMultiplyShift, kTabulation };
-
-/// A single stage hash: seeded function + bucket count.
-///
-/// Only the *active* family's state is stored: the multiply-shift
-/// constants live inline (16 bytes) and the ~16 KB tabulation tables are
-/// heap-allocated only in tabulation mode (shared on copy — they are
-/// immutable after seeding). A d-stage filter in multiply-shift mode
-/// used to drag d unused 16 KB tables through the cache on every packet
-/// walk of its hashes_ vector; now sizeof(StageHash) is a few dozen
-/// bytes regardless of kind.
+/// A single stage hash: a seeded tabulation function + bucket count.
 class StageHash {
  public:
-  StageHash(HashKind kind, common::Rng& seed_source, std::uint64_t buckets);
+  StageHash(common::Rng& seed_source, std::uint64_t buckets);
 
   /// Bucket index in [0, buckets()).
   [[nodiscard]] std::uint64_t bucket(std::uint64_t key_fingerprint) const {
-    const std::uint64_t h =
-        tab_ != nullptr ? (*tab_)(key_fingerprint) : ms_(key_fingerprint);
-    return reduce_to_range(h, buckets_);
+    return reduce_to_range(tab_(key_fingerprint), buckets_);
   }
 
   [[nodiscard]] std::uint64_t buckets() const { return buckets_; }
-  [[nodiscard]] HashKind kind() const {
-    return tab_ != nullptr ? HashKind::kTabulation
-                           : HashKind::kMultiplyShift;
-  }
-  /// The backing tabulation function, or nullptr in multiply-shift
-  /// mode (exposed so StageHashBank can re-lay the tables out).
-  [[nodiscard]] const TabulationHash* tabulation() const {
-    return tab_.get();
-  }
+  /// The backing tabulation function (exposed so StageHashBank can
+  /// re-lay the tables out).
+  [[nodiscard]] const TabulationHash& tabulation() const { return tab_; }
 
  private:
-  MultiplyShiftHash ms_;
-  /// Set only in tabulation mode.
-  std::shared_ptr<const TabulationHash> tab_;
   std::uint64_t buckets_;
+  TabulationHash tab_;
 };
 
 /// A bank of stage hashes evaluated together, one packet at a time.
 ///
-/// A d-stage filter in tabulation mode walks d disjoint 16 KB table
-/// sets per packet — 8*d scattered loads whose combined footprint
-/// (64 KB at d=4) blows past L1. The bank stores the SAME seeded table
+/// A d-stage filter walks d disjoint 16 KB table sets per packet —
+/// 8*d scattered loads whose combined footprint (64 KB at d=4) blows
+/// past L1. The bank stores the SAME seeded table
 /// words interleaved by stage: cell (i, b) holds stages 0..d-1's words
 /// contiguously, so the d stages share every cache line the packet's 8
 /// byte lanes touch — 8 line streams per packet instead of 8*d. Bucket
 /// values are bit-identical to evaluating the source StageHashes one by
 /// one (same words, same reduce), verified by the hash unit tests.
 ///
-/// Multiply-shift stages (and depths past kMaxInterleavedDepth, where a
-/// row would span multiple lines anyway) skip the re-layout and fall
-/// back to per-stage evaluation.
+/// Depths past kMaxInterleavedDepth, where a row would span multiple
+/// lines anyway, skip the re-layout and fall back to per-stage
+/// evaluation.
 class StageHashBank {
  public:
   /// Stages interleave only up to this depth: 8 words = one cache line
@@ -228,8 +178,7 @@ class StageHashBank {
 /// are mutually independent as the analysis assumes.
 class HashFamily {
  public:
-  explicit HashFamily(std::uint64_t master_seed,
-                      HashKind kind = HashKind::kTabulation);
+  explicit HashFamily(std::uint64_t master_seed);
 
   [[nodiscard]] StageHash make_stage(std::uint64_t buckets);
 
@@ -242,7 +191,6 @@ class HashFamily {
   }
 
  private:
-  HashKind kind_;
   common::Rng rng_;
   std::uint64_t scramble_a_;
   std::uint64_t scramble_b_;

@@ -94,7 +94,7 @@ HttpServer Observability::serve_http(telemetry::HttpExporterConfig config) {
   config.port = *config_.http_port;
   config.metrics_text = [this] {
     // Fold the process-global CRC byte counters into this scrape —
-    // nd_crc_bytes_total{impl=...} shows which kernel tier is live.
+    // nd_crc_bytes_total{impl=...} shows which CRC kernel is live.
     common::sync_crc32_metrics(registry_);
     return telemetry::to_prometheus(registry_.snapshot());
   };

@@ -1,23 +1,23 @@
-// Differential suite for the dispatch-layered CRC-32 kernel, plus the
-// cpu_features clamping rules that pick its tier.
+// Differential suite for common::crc32 and its two kernels.
 //
-// The contract under test is bit-identity: every tier (slice8, pclmul,
-// armv8) must produce exactly the bytes the portable reference does,
-// for every length, alignment, chunking, and forced dispatch level —
-// a CRC that differs by tier would corrupt every wire frame, WAL
-// record, journal record and checkpoint written on one host and read
-// on another.
+// The contract under test is bit-identity: slice-by-8, the PCLMULQDQ
+// folding kernel (on hosts that run it) and the crc32() entry point
+// that picks between them must each produce exactly the CRC a bitwise
+// oracle does, for every length, alignment and chunking — a CRC that
+// differs by kernel would corrupt every wire frame, WAL record,
+// journal record and checkpoint written on one host and read on
+// another.
 #include "common/crc32.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
+#include <functional>
 #include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "hash/hash.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace nd::common {
@@ -46,44 +46,45 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-// --- cpu_features dispatch rules ---------------------------------------
+/// One way to compute the CRC (in the CRC domain, seed-chained like
+/// crc32()) and the lengths it accepts: a multiple of `step`, at least
+/// `min_len`.
+struct Kernel {
+  const char* name;
+  std::function<std::uint32_t(const std::uint8_t*, std::size_t,
+                              std::uint32_t)>
+      crc;
+  std::size_t min_len = 0;
+  std::size_t step = 1;
 
-TEST(CpuFeatures, ForcedLevelClampsToWhatTheHostRuns) {
-  const SimdLevel detected = detected_simd();
-  {
-    ScopedSimdLevel scalar(SimdLevel::kScalar);
-    EXPECT_EQ(scalar.applied(), SimdLevel::kScalar);
-    EXPECT_EQ(active_simd(), SimdLevel::kScalar);
+  [[nodiscard]] bool accepts(std::size_t len) const {
+    return len >= min_len && len % step == 0;
   }
-  {
-    // Asking for the detected level (or stronger) resolves to detected;
-    // asking for a *different platform's* set resolves to scalar — a
-    // tier that was not compiled must never be dispatched.
-    ScopedSimdLevel forced(detected);
-    EXPECT_EQ(forced.applied(), detected);
-    EXPECT_EQ(active_simd(), detected);
+};
+
+/// The entry point, slice-by-8, and the folding kernel when the host
+/// runs it.
+std::vector<Kernel> kernels() {
+  std::vector<Kernel> out = {
+      {"crc32",
+       [](const std::uint8_t* p, std::size_t n, std::uint32_t seed) {
+         return crc32({p, n}, seed);
+       }},
+      {"slice8",
+       [](const std::uint8_t* p, std::size_t n, std::uint32_t seed) {
+         return ~detail::crc32_slice8(p, n, ~seed);
+       }},
+  };
+  if (detail::crc32_clmul_supported()) {
+    out.push_back({"pclmul",
+                   [](const std::uint8_t* p, std::size_t n,
+                      std::uint32_t seed) {
+                     return ~detail::crc32_clmul(p, n, ~seed);
+                   },
+                   detail::kClmulMinBytes, 16});
   }
-#if defined(ND_HAVE_AVX2)
-  if (detected == SimdLevel::kAvx2) {
-    ScopedSimdLevel neon(SimdLevel::kNeon);
-    EXPECT_EQ(neon.applied(), SimdLevel::kScalar);
-  }
-#endif
-#if defined(ND_HAVE_NEON)
-  {
-    ScopedSimdLevel avx2(SimdLevel::kAvx2);
-    EXPECT_EQ(avx2.applied(), detected);  // "stronger" clamps down
-  }
-#endif
+  return out;
 }
-
-TEST(CpuFeatures, NamesAreStable) {
-  EXPECT_STREQ(simd_name(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(simd_name(SimdLevel::kNeon), "neon");
-  EXPECT_STREQ(simd_name(SimdLevel::kAvx2), "avx2");
-}
-
-// --- CRC-32 -------------------------------------------------------------
 
 TEST(Crc32, KnownVector) {
   // The IEEE CRC-32 check value: CRC("123456789") = 0xCBF43926.
@@ -94,112 +95,82 @@ TEST(Crc32, KnownVector) {
   EXPECT_EQ(crc32({}), 0u);
 }
 
-TEST(Crc32, MatchesLegacyHashCrc32) {
-  // hash::crc32 delegates here; the seed-chaining contract must be the
-  // one its callers (stage hashing, tests) always had.
-  const std::vector<std::uint8_t> data = random_bytes(777, 11);
-  EXPECT_EQ(hash::crc32(data), crc32(data));
-  const std::uint32_t chained = crc32(
-      std::span(data).subspan(300), crc32(std::span(data).first(300)));
-  EXPECT_EQ(chained, crc32(data));
-  EXPECT_EQ(hash::crc32(data, 0xDEADBEEFu), crc32(data, 0xDEADBEEFu));
-}
-
-// Every length 0..512 x every alignment 0..63, each forced dispatch
-// level, against the bitwise oracle. This sweep crosses every kernel
+// Every length 0..512 x every alignment 0..63 each kernel accepts,
+// against the bitwise oracle. This sweep crosses every kernel
 // boundary: the <8-byte tail loop, the 8-byte slice8 step, the 64-byte
 // pclmul threshold, and the 16-byte folding remainder.
 TEST(Crc32, ExhaustiveLengthAlignmentDifferential) {
   const std::vector<std::uint8_t> pool = random_bytes(512 + 64, 42);
-  const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kNeon,
-                              SimdLevel::kAvx2};
-  for (std::size_t len = 0; len <= 512; ++len) {
-    for (std::size_t align = 0; align < 64; ++align) {
-      const std::uint8_t* p = pool.data() + align;
-      const std::uint32_t want = crc32_bitwise(p, len, 0);
-      for (const SimdLevel level : levels) {
-        ScopedSimdLevel forced(level);
-        ASSERT_EQ(crc32({p, len}), want)
-            << "len=" << len << " align=" << align
-            << " level=" << simd_name(forced.applied())
-            << " impl=" << crc32_impl_name();
+  for (const Kernel& kernel : kernels()) {
+    for (std::size_t len = 0; len <= 512; ++len) {
+      if (!kernel.accepts(len)) continue;
+      for (std::size_t align = 0; align < 64; ++align) {
+        const std::uint8_t* p = pool.data() + align;
+        ASSERT_EQ(kernel.crc(p, len, 0), crc32_bitwise(p, len, 0))
+            << kernel.name << " len=" << len << " align=" << align;
       }
     }
   }
 }
 
 // Chunked (seed-chained) evaluation must equal one-shot for every
-// split point, under every forced level: the frame parser and WAL
-// scanners chain CRCs over header + payload spans.
+// split point a kernel accepts: the frame parser and WAL scanners
+// chain CRCs over header + payload spans.
 TEST(Crc32, ChunkedEqualsOneShot) {
   const std::vector<std::uint8_t> data = random_bytes(1024, 7);
-  const std::uint32_t want = crc32(data);
-  const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kNeon,
-                              SimdLevel::kAvx2};
-  for (const SimdLevel level : levels) {
-    ScopedSimdLevel forced(level);
-    EXPECT_EQ(crc32(data), want) << simd_name(forced.applied());
+  const std::uint32_t want = crc32_bitwise(data.data(), data.size(), 0);
+  for (const Kernel& kernel : kernels()) {
+    EXPECT_EQ(kernel.crc(data.data(), data.size(), 0), want) << kernel.name;
     for (const std::size_t cut :
          {std::size_t{1}, std::size_t{7}, std::size_t{63}, std::size_t{64},
           std::size_t{65}, std::size_t{128}, std::size_t{500},
-          std::size_t{1023}}) {
-      const std::uint32_t first = crc32(std::span(data).first(cut));
-      const std::uint32_t chained =
-          crc32(std::span(data).subspan(cut), first);
-      ASSERT_EQ(chained, want)
-          << "cut=" << cut << " level=" << simd_name(forced.applied());
+          std::size_t{512}, std::size_t{960}, std::size_t{1023}}) {
+      if (!kernel.accepts(cut) || !kernel.accepts(data.size() - cut)) {
+        continue;
+      }
+      const std::uint32_t first = kernel.crc(data.data(), cut, 0);
+      ASSERT_EQ(kernel.crc(data.data() + cut, data.size() - cut, first),
+                want)
+          << kernel.name << " cut=" << cut;
     }
-    // Many tiny chunks: every byte its own call.
+    // Many tiny chunks: the smallest the kernel accepts, one per call.
+    const std::size_t chunk = std::max(kernel.min_len, kernel.step);
     std::uint32_t running = 0;
-    for (std::size_t i = 0; i < 256; ++i) {
-      running = crc32(std::span(data).subspan(i, 1), running);
+    for (std::size_t at = 0; at < data.size(); at += chunk) {
+      running = kernel.crc(data.data() + at, chunk, running);
     }
-    EXPECT_EQ(running, crc32(std::span(data).first(256)))
-        << simd_name(forced.applied());
+    EXPECT_EQ(running, want) << kernel.name << " chunk=" << chunk;
   }
 }
 
 // A CRC that misses flipped bits is not a CRC: every single-byte flip
-// and every truncation of a hardware-width buffer must change the sum.
+// and every truncation of a hardware-width buffer must change the sum,
+// whichever kernel computes it.
 TEST(Crc32, FlipAndTruncationFuzz) {
-  std::vector<std::uint8_t> data = random_bytes(256, 99);
-  const std::uint32_t clean = crc32(data);
-  Rng rng(1234);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t pos = rng.word() % data.size();
-    const std::uint8_t flip =
-        static_cast<std::uint8_t>(1u << (rng.word() % 8));
-    data[pos] ^= flip;
-    EXPECT_NE(crc32(data), clean) << "pos=" << pos;
-    data[pos] ^= flip;
-  }
-  EXPECT_EQ(crc32(data), clean);
-  for (std::size_t cut = 0; cut < data.size(); ++cut) {
-    ASSERT_NE(crc32(std::span(data).first(cut)), clean) << "cut=" << cut;
-  }
-}
-
-TEST(Crc32, ImplNameFollowsForcedLevel) {
-  {
-    ScopedSimdLevel forced(SimdLevel::kScalar);
-    EXPECT_STREQ(crc32_impl_name(), "slice8");
-  }
-#if defined(ND_HAVE_AVX2)
-  {
-    ScopedSimdLevel forced(SimdLevel::kAvx2);
-    if (forced.applied() == SimdLevel::kAvx2 &&
-        detail::crc32_clmul_supported()) {
-      EXPECT_STREQ(crc32_impl_name(), "pclmul");
-    } else {
-      EXPECT_STREQ(crc32_impl_name(), "slice8");
+  for (const Kernel& kernel : kernels()) {
+    std::vector<std::uint8_t> data = random_bytes(256, 99);
+    const std::uint32_t clean = kernel.crc(data.data(), data.size(), 0);
+    Rng rng(1234);
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::size_t pos = rng.word() % data.size();
+      const std::uint8_t flip =
+          static_cast<std::uint8_t>(1u << (rng.word() % 8));
+      data[pos] ^= flip;
+      EXPECT_NE(kernel.crc(data.data(), data.size(), 0), clean)
+          << kernel.name << " pos=" << pos;
+      data[pos] ^= flip;
+    }
+    EXPECT_EQ(kernel.crc(data.data(), data.size(), 0), clean) << kernel.name;
+    for (std::size_t cut = 0; cut < data.size(); ++cut) {
+      if (!kernel.accepts(cut)) continue;
+      ASSERT_NE(kernel.crc(data.data(), cut, 0), clean)
+          << kernel.name << " cut=" << cut;
     }
   }
-#endif
 }
 
-#if defined(ND_HAVE_AVX2)
 // Pit the folding kernel against slice8 directly in the state domain,
-// over every 16-byte-multiple length the dispatcher can hand it.
+// over every 16-byte-multiple length crc32() can hand it.
 TEST(Crc32, ClmulKernelMatchesSlice8Directly) {
   if (!detail::crc32_clmul_supported()) {
     GTEST_SKIP() << "host lacks PCLMULQDQ";
@@ -216,13 +187,13 @@ TEST(Crc32, ClmulKernelMatchesSlice8Directly) {
     }
   }
 }
-#endif
 
 TEST(Crc32, ByteCountersAndMetricsSync) {
   std::uint64_t before = 0;
   for (std::size_t i = 0; i < kCrc32ImplCount; ++i) {
     before += crc32_bytes_processed(i);
   }
+  const std::uint64_t pclmul_before = crc32_bytes_processed(1);
   const std::vector<std::uint8_t> data = random_bytes(4096, 5);
   (void)crc32(data);
   std::uint64_t after = 0;
@@ -230,6 +201,11 @@ TEST(Crc32, ByteCountersAndMetricsSync) {
     after += crc32_bytes_processed(i);
   }
   EXPECT_EQ(after - before, data.size());
+  // A 16-byte-multiple buffer goes wholly through the folding kernel
+  // wherever the host runs it, and never through it elsewhere.
+  EXPECT_STREQ(kCrc32Impls[1], "pclmul");
+  EXPECT_EQ(crc32_bytes_processed(1) - pclmul_before,
+            detail::crc32_clmul_supported() ? data.size() : 0u);
 
   telemetry::MetricsRegistry registry;
   sync_crc32_metrics(registry);

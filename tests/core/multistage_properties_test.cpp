@@ -142,7 +142,7 @@ TEST_P(ConservativeDominance, CountersStillUpperBoundFlowTraffic) {
     device.observe(key, size);
   }
 
-  hash::HashFamily family(config.seed, config.hash_kind);
+  hash::HashFamily family(config.seed);
   std::vector<hash::StageHash> hashes;
   for (std::uint32_t d = 0; d < config.depth; ++d) {
     hashes.push_back(family.make_stage(config.buckets_per_stage));

@@ -106,9 +106,8 @@ TEST(Differential, EveryDeviceIsDeterministicPerSeed) {
   auto serial = filter;
   serial.serial = true;
   serial.preserve = flowmem::PreservePolicy::kPreserve;
-  auto multiply_shift = filter;
-  multiply_shift.hash_kind = hash::HashKind::kMultiplyShift;
-  multiply_shift.preserve = flowmem::PreservePolicy::kEarlyRemoval;
+  auto early_removal = filter;
+  early_removal.preserve = flowmem::PreservePolicy::kEarlyRemoval;
   core::SampleAndHoldConfig hold;
   hold.flow_memory_entries = 256;
   hold.threshold = 40'000;
@@ -132,7 +131,7 @@ TEST(Differential, EveryDeviceIsDeterministicPerSeed) {
           [&] { return std::make_unique<core::MultistageFilter>(plain); },
           [&] { return std::make_unique<core::MultistageFilter>(serial); },
           [&] {
-            return std::make_unique<core::MultistageFilter>(multiply_shift);
+            return std::make_unique<core::MultistageFilter>(early_removal);
           },
           [&] { return std::make_unique<core::SampleAndHold>(hold); },
           [&] {

@@ -6,9 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "common/cpu_features.hpp"
+#include "common/crc32.hpp"
 #include "core/device.hpp"
 #include "packet/flow_key.hpp"
 #include "reporting/record_codec.hpp"
@@ -187,38 +188,40 @@ TEST(FrameStream, ResetDropsBufferedPartialFrame) {
 }
 
 TEST(FrameStream, HardwareCrcFramesParseUnderEveryDispatchTier) {
-  // A frame encoded with the hardware CRC kernel must verify (and a
-  // corrupted one must resync) no matter which tier the *parser's*
-  // process runs — the wire format cannot depend on the sender's CPU.
-  const common::SimdLevel tiers[] = {common::SimdLevel::kAvx2,
-                                     common::SimdLevel::kNeon,
-                                     common::SimdLevel::kScalar};
-  std::vector<std::uint8_t> hw_frame1, hw_frame2;
-  {
-    common::ScopedSimdLevel forced(common::SimdLevel::kAvx2);
-    // 600 flows: the payload is far past the 64-byte hardware-kernel
-    // threshold, so the frame CRC really comes from the wide path.
-    hw_frame1 = report_frame(0, 600);
-    hw_frame2 = report_frame(1, 600);
+  // A frame whose CRC came from the folding kernel must verify (and a
+  // corrupted one must resync) on any host — the wire format cannot
+  // depend on the sender's CPU. So the header CRC must equal slice-by-8's,
+  // the only kernel a host without PCLMULQDQ runs.
+  // 600 flows: the payload is far past the 64-byte folding threshold,
+  // so on a PCLMULQDQ host the frame CRC really comes from the wide path.
+  const std::vector<std::uint8_t> frame1 = report_frame(0, 600);
+  const std::vector<std::uint8_t> frame2 = report_frame(1, 600);
+  for (const auto* frame : {&frame1, &frame2}) {
+    const std::span<const std::uint8_t> payload =
+        std::span(*frame).subspan(reporting::kFrameHeaderBytes);
+    const std::uint32_t slice8 =
+        ~common::detail::crc32_slice8(payload.data(), payload.size(), ~0u);
+    const std::uint32_t header = std::uint32_t{(*frame)[8]} << 24 |
+                                 std::uint32_t{(*frame)[9]} << 16 |
+                                 std::uint32_t{(*frame)[10]} << 8 |
+                                 std::uint32_t{(*frame)[11]};
+    EXPECT_EQ(header, slice8);
   }
-  for (const common::SimdLevel tier : tiers) {
-    common::ScopedSimdLevel forced(tier);
-    std::vector<std::uint8_t> stream = hw_frame1;
-    std::vector<std::uint8_t> bad = hw_frame1;
-    bad[bad.size() / 2] ^= 0x40;  // mid-payload flip
-    stream.insert(stream.end(), bad.begin(), bad.end());
-    stream.insert(stream.end(), hw_frame2.begin(), hw_frame2.end());
 
-    FrameStreamParser parser;
-    RecordingEvents events;
-    feed_all(parser, stream, events);
+  std::vector<std::uint8_t> stream = frame1;
+  std::vector<std::uint8_t> bad = frame1;
+  bad[bad.size() / 2] ^= 0x40;  // mid-payload flip
+  stream.insert(stream.end(), bad.begin(), bad.end());
+  stream.insert(stream.end(), frame2.begin(), frame2.end());
 
-    ASSERT_EQ(events.payloads.size(), 2u)
-        << "parser tier=" << common::simd_name(forced.applied());
-    EXPECT_EQ(reporting::decode(events.payloads[0]).interval, 0u);
-    EXPECT_EQ(reporting::decode(events.payloads[1]).interval, 1u);
-    EXPECT_GE(events.resyncs.size(), 1u);
-  }
+  FrameStreamParser parser;
+  RecordingEvents events;
+  feed_all(parser, stream, events);
+
+  ASSERT_EQ(events.payloads.size(), 2u);
+  EXPECT_EQ(reporting::decode(events.payloads[0]).interval, 0u);
+  EXPECT_EQ(reporting::decode(events.payloads[1]).interval, 1u);
+  EXPECT_GE(events.resyncs.size(), 1u);
 }
 
 TEST(FrameStream, InterleavedControlAndDataAcrossSplitBoundary) {

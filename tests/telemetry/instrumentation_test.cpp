@@ -350,7 +350,7 @@ TEST(DeviceInstruments, MultistageSeriesAdvanceOnlyAtIntervalClose) {
     const Labels labels{{"device", "multistage-filter"}};
     // The filter's stage hashes, rebuilt from its seed, so the test can
     // read the counters a packet will see before observing it.
-    hash::HashFamily family(config.seed, config.hash_kind);
+    hash::HashFamily family(config.seed);
     std::vector<hash::StageHash> stages;
     for (std::uint32_t d = 0; d < config.depth; ++d) {
       stages.push_back(family.make_stage(config.buckets_per_stage));

@@ -12,16 +12,19 @@
 // --interval 0, a count above 4294967295 for a 32-bit flag (--buckets,
 // --depth, --device-id, --devices, --entries, --fleet-size,
 // --intervals, --journal-fsync-batch, --net-attempts, --shards,
-// --snaplen, --spool-fsync-batch), a --connect port outside 1-65535, a
-// --listen / --http-port outside 0-65535 (0 = ephemeral), or a --trace
-// without a path also exits 2 naming the flag.
+// --snaplen, --spool-fsync-batch), a 0/1 switch (--adaptive,
+// --journal-fsync, --net-jitter, --shard-usage, --spool-fsync) set to
+// anything but 0 or 1, a --connect that is not a numeric IPv4
+// HOST:PORT with the port in 1-65535, a --listen / --http-port outside
+// 0-65535 (0 = ephemeral), or a --trace without a path also exits 2
+// naming the flag.
 //
 //   ndtm synthesize --preset mag --scale 0.1 --intervals 6 --out t.pcap
 //       Write a calibrated synthetic trace as a standard pcap file.
 //
 //   ndtm measure --in t.pcap --algorithm multistage --flow-def dstip
 //                --threshold 100000 --interval 5 [--export reports.bin]
-//                [--shards N] [--adaptive 1] [--shard-usage 1]
+//                [--shards N] [--adaptive 0|1] [--shard-usage 0|1]
 //                [--metrics[=path]] [--fault-plan spec] [--fault-seed N]
 //                [--checkpoint path] [--http-port N] [--trace path]
 //       Stream a pcap through a measurement device in fixed intervals
@@ -55,10 +58,9 @@
 //       and pcap reader; --checkpoint writes a crash-safe session
 //       checkpoint after every closed interval (resumable via
 //       core/checkpoint).
-//       The CRC-32 tier that checksums frames, spool records and
-//       checkpoints is picked per CPU; ND_SIMD=scalar|neon|avx2 in the
-//       environment caps it. Output bytes are identical under every
-//       tier.
+//       The CRC-32 that checksums frames, spool records and
+//       checkpoints folds with PCLMULQDQ where the CPU has it and runs
+//       slice-by-8 elsewhere; the output bytes are the same either way.
 //
 //       --http-port N serves the live observability plane on
 //       127.0.0.1:N (0 = ephemeral; --http-port-file publishes the
@@ -74,18 +76,18 @@
 //       Perfetto JSON file at exit; span args carry device/epoch/
 //       interval ids that line up with the collector's --trace spans.
 //
-//       --connect HOST:PORT ships every interval report to a collector
+//       --connect IPV4:PORT ships every interval report to a collector
 //       daemon (see `ndtm collect`) through the resilient channel over
 //       a real TCP transport: retries with backoff on connect failures
 //       and mid-frame disconnects, announces itself with --device-id
 //       (default 0), and says bye when the capture ends. Backoff uses
 //       decorrelated jitter seeded per device so a fleet reconnecting
-//       after a collector restart spreads out (--net-jitter 0 restores
-//       the exact base*2^retry ladder). --net-attempts bounds delivery
-//       attempts per report, --net-backoff-us sets the base backoff,
-//       --net-budget the per-interval byte budget. The net.* fault
-//       sites (connect, disconnect, short_write) apply when a
-//       --fault-plan names them.
+//       after a collector restart spreads out (--net-jitter 0|1,
+//       default 1; 0 restores the exact base*2^retry ladder).
+//       --net-attempts bounds delivery attempts per report,
+//       --net-backoff-us sets the base backoff, --net-budget the
+//       per-interval byte budget. The net.* fault sites (connect,
+//       disconnect, short_write) apply when a --fault-plan names them.
 //
 //       --spool-dir DIR (requires --connect) turns transport loss into
 //       a wait: every shaped report is appended to a CRC-guarded WAL in
@@ -99,13 +101,13 @@
 //       64 MiB; over budget: sent frames evicted oldest-first, then
 //       smallest flows shed, and only a report that cannot fit at all
 //       is dropped — which is the one spool condition that still exits
-//       5). --spool-fsync 0 trades crash-durability for speed;
-//       --spool-fsync-batch N group-commits instead, fsyncing once per
-//       N appends (partial batches flush on rotation and shutdown, so
-//       only a power cut mid-batch can lose the last N-1 records — and
-//       those are re-sent from memory on drain). The spool.* fault
-//       sites (disk_full, torn_record, short_write) apply when a
-//       --fault-plan names them.
+//       5). --spool-fsync 0|1 (default 1): 0 trades crash-durability
+//       for speed; --spool-fsync-batch N group-commits instead,
+//       fsyncing once per N appends (partial batches flush on rotation
+//       and shutdown, so only a power cut mid-batch can lose the last
+//       N-1 records — and those are re-sent from memory on drain). The
+//       spool.* fault sites (disk_full, torn_record, short_write) apply
+//       when a --fault-plan names them.
 //
 //       --resume (requires --checkpoint) restarts from the checkpoint
 //       when the file exists (fresh start otherwise): the device state
@@ -166,10 +168,11 @@
 //       replays the journal through the normal ingestion path (dedup
 //       included) before accepting connections — so a collector killed
 //       mid-interval and restarted merges bit-identically to one that
-//       never died. --journal-fsync 0 trades per-record durability for
-//       speed; --journal-fsync-batch N group-commits, fsyncing once
-//       per N appends (a crash mid-batch loses at most N-1 records,
-//       which devices re-send from their spools and dedup absorbs);
+//       never died. --journal-fsync 0|1 (default 1): 0 trades
+//       per-record durability for speed; --journal-fsync-batch N
+//       group-commits, fsyncing once per N appends (a crash mid-batch
+//       loses at most N-1 records, which devices re-send from their
+//       spools and dedup absorbs);
 //       the journal.torn_record fault site applies when a
 //       --fault-plan names it. SIGINT/SIGTERM call
 //       pipeline::Collect::stop(): accepted reports are already
@@ -180,6 +183,7 @@
 //                --oversampling 20 --buckets 1000 --depth 4
 //                --flows 100000
 //       Evaluate the paper's analytical bounds for a configuration.
+#include <arpa/inet.h>
 #include <signal.h>
 
 #include <atomic>
@@ -216,8 +220,9 @@ enum class ValueKind {
   kWhole32,   // a whole number that fits in 32 bits
   kPositive,  // a whole number >= 1
   kReal,      // a finite number
+  kSwitch,    // 0 or 1
   kPort,      // a whole number in 0..65535 (0 = ephemeral)
-  kEndpoint,  // HOST:PORT with PORT in 1..65535
+  kEndpoint,  // IPV4:PORT, a numeric IPv4 host and PORT in 1..65535
   kPath,      // a non-empty file path
 };
 
@@ -226,11 +231,14 @@ enum class ValueKind {
 const std::map<std::string, ValueKind> kValueKinds = [] {
   std::map<std::string, ValueKind> kinds;
   for (const char* flag :
-       {"adaptive", "capacity", "fault-seed", "journal-fsync",
-        "net-backoff-us", "net-budget", "net-jitter", "pace-ms", "seed",
-        "shard-usage", "spool-fsync", "spool-max-bytes", "threshold",
-        "timeout-ms", "traffic"}) {
+       {"capacity", "fault-seed", "net-backoff-us", "net-budget",
+        "pace-ms", "seed", "spool-max-bytes", "threshold", "timeout-ms",
+        "traffic"}) {
     kinds[flag] = ValueKind::kWhole;
+  }
+  for (const char* flag : {"adaptive", "journal-fsync", "net-jitter",
+                           "shard-usage", "spool-fsync"}) {
+    kinds[flag] = ValueKind::kSwitch;
   }
   // Read into 32-bit fields: a larger value would silently wrap.
   for (const char* flag :
@@ -285,6 +293,9 @@ std::optional<std::string> value_error(ValueKind kind,
       }
       return "a number";
     }
+    case ValueKind::kSwitch:
+      if (value == "0" || value == "1") return std::nullopt;
+      return "0 or 1";
     case ValueKind::kPort:
       if (parse_whole(value).value_or(65536) <= 65535) return std::nullopt;
       return "a port in 0-65535";
@@ -293,10 +304,12 @@ std::optional<std::string> value_error(ValueKind kind,
       const auto port = colon == std::string::npos
                             ? std::nullopt
                             : parse_whole(value.substr(colon + 1));
-      if (colon != 0 && port && *port >= 1 && *port <= 65535) {
+      in_addr host{};
+      if (port && *port >= 1 && *port <= 65535 &&
+          ::inet_pton(AF_INET, value.substr(0, colon).c_str(), &host) == 1) {
         return std::nullopt;
       }
-      return "HOST:PORT with a port in 1-65535";
+      return "IPV4:PORT with a numeric IPv4 host and a port in 1-65535";
     }
     case ValueKind::kPath:
       if (!value.empty()) return std::nullopt;

@@ -113,8 +113,11 @@ endforeach()
 # wraps (`--device-id 4294967296` used to run as device 0, and
 # `--fleet-size 4294967296` as no fleet at all), never more shards than
 # max(1, --entries / 64) (`--shards 4294967295` used to die reserving
-# them; 65 exceeds the default 4096 entries' 64-entry floor). TIMEOUT
-# turns a regression into a failure instead of a hang.
+# them; 65 exceeds the default 4096 entries' 64-entry floor), never a
+# --connect host only the transport rejects (`foo:80` used to build the
+# device and session, then exit 1), never a 0/1 switch that reads any
+# non-zero value as on (`--adaptive 2`). TIMEOUT turns a regression
+# into a failure instead of a hang.
 foreach(bad_value
     "measure;--interval;abc" "measure;--interval;0" "measure;--interval;"
     "measure;--threshold;1e5" "measure;--shards;-2"
@@ -124,7 +127,9 @@ foreach(bad_value
     "measure;--fleet-size;4294967296;--device-id;1"
     "collect;--devices;4294967297"
     "measure;--connect;127.0.0.1:abc" "measure;--connect;127.0.0.1:0"
-    "measure;--connect;127.0.0.1:70000" "collect;--listen;70000"
+    "measure;--connect;127.0.0.1:70000" "measure;--connect;foo:80"
+    "measure;--connect;256.1.1.1:80" "measure;--adaptive;2"
+    "collect;--journal-fsync;2" "collect;--listen;70000"
     "collect;--listen;abc" "collect;--http-port;65536"
     "synthesize;--scale;abc" "bounds;--depth;four"
     "dimension;--flows;lots")

@@ -15,7 +15,7 @@ if(NOT DEFINED SOURCE_DIR OR NOT DEFINED BUILD_DIR)
 endif()
 
 # The concurrency suites plus the tag-layout suites added with the
-# cache-conscious flow memory, the CRC-32 tiers, the
+# cache-conscious flow memory, the CRC-32 kernels, the
 # observability plane (HTTP exporter poll loop, lock-free trace ring,
 # registry seqlock), the durability layer (spool WAL, crash-recovery journal, on-disk fuzz
 # tables, and the kill-level soak over the instrumented ndtm binary),
@@ -24,20 +24,15 @@ endif()
 # pipeline::Measure's packet and report threads, pipeline::Collect's
 # collector thread and both HTTP threads in one process.
 set(ND_SANITIZE_TEST_REGEX
-    "ndtm_pipeline|Pipeline|ThreadPool|Sharded|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "ndtm_pipeline|Pipeline|ThreadPool|Sharded|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 
 # Sanitized binaries run ~10x slower: cap the soak's kill cycles so the
 # instrumented pass stays CI-sized (still two real kill/restart cycles).
 set(ENV{ND_SOAK_CYCLES} 3)
 
-# The CRC consumers re-run under each forced ND_SIMD value: the env
-# override steers crc32's tier, so slice-by-8 and each hardware tier get
-# their own sanitized pass (tiers the host lacks clamp to scalar — a
-# safe, if redundant, run).
-set(ND_SIMD_FORCED_TEST_REGEX "Crc32|FrameStream")
-
 # run_sanitized(<sanitizer> <subdir> <ctest regex>): nested instrumented
-# configure + build + ctest, then the forced-dispatch passes.
+# configure + build + ctest. The Crc32 suite drives both CRC kernels
+# directly, so one pass covers slice-by-8 and PCLMULQDQ alike.
 function(run_sanitized sanitizer subdir regex)
   set(san_build ${BUILD_DIR}/${subdir})
   execute_process(
@@ -64,23 +59,7 @@ function(run_sanitized sanitizer subdir regex)
     message(FATAL_ERROR
             "tsan_check[${sanitizer}]: sanitized run failed: ${rv}")
   endif()
-  foreach(forced scalar avx2 neon)
-    set(ENV{ND_SIMD} ${forced})
-    execute_process(
-      COMMAND ${CMAKE_CTEST_COMMAND} --output-on-failure
-              -R "${ND_SIMD_FORCED_TEST_REGEX}"
-      WORKING_DIRECTORY ${san_build}
-      RESULT_VARIABLE rv)
-    unset(ENV{ND_SIMD})
-    if(NOT rv EQUAL 0)
-      message(FATAL_ERROR
-              "tsan_check[${sanitizer}]: ND_SIMD=${forced} run failed: "
-              "${rv}")
-    endif()
-  endforeach()
-  message(STATUS
-          "tsan_check[${sanitizer}]: tests clean (native + forced "
-          "scalar/avx2/neon CRC tiers)")
+  message(STATUS "tsan_check[${sanitizer}]: tests clean")
 endfunction()
 
 # The telemetry label covers the registry's multi-writer hot path and
@@ -99,40 +78,10 @@ run_sanitized(thread . "${ND_SANITIZE_TEST_REGEX}")
 # the inline pcap reader and parse_frame, whose memcpy loads read
 # record and frame fields at arbitrary buffer offsets.
 set(ND_FLOWMEM_TEST_REGEX
-    "TagProbe|TagLayout|FlowMemory|CpuFeatures|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak|Pcap|Headers")
+    "TagProbe|TagLayout|FlowMemory|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak|Pcap|Headers")
 run_sanitized(address asan-check "${ND_FLOWMEM_TEST_REGEX}")
 run_sanitized(undefined ubsan-check "${ND_FLOWMEM_TEST_REGEX}")
 
-# Fallback bit-rot check: a build with the hardware CRC tiers compiled
-# out (-DND_DISABLE_SIMD=ON) must still pass the CRC consumers — the
-# differential tests then prove slice-by-8 alone against the bitwise
-# oracle.
-set(nosimd_build ${BUILD_DIR}/nosimd-check)
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -S ${SOURCE_DIR} -B ${nosimd_build}
-          -DND_DISABLE_SIMD=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  RESULT_VARIABLE rv)
-if(NOT rv EQUAL 0)
-  message(FATAL_ERROR "tsan_check[nosimd]: configure failed: ${rv}")
-endif()
-execute_process(
-  COMMAND ${CMAKE_COMMAND} --build ${nosimd_build} --parallel
-          --target common_tests net_tests
-  RESULT_VARIABLE rv)
-if(NOT rv EQUAL 0)
-  message(FATAL_ERROR "tsan_check[nosimd]: build failed: ${rv}")
-endif()
-execute_process(
-  COMMAND ${CMAKE_CTEST_COMMAND} --output-on-failure
-          -R "${ND_SIMD_FORCED_TEST_REGEX}"
-  WORKING_DIRECTORY ${nosimd_build}
-  RESULT_VARIABLE rv)
-if(NOT rv EQUAL 0)
-  message(FATAL_ERROR "tsan_check[nosimd]: ND_DISABLE_SIMD run failed: ${rv}")
-endif()
-message(STATUS "tsan_check[nosimd]: scalar-only build clean")
-
 message(STATUS
         "tsan_check: concurrency + flow-memory + CRC tests clean under "
-        "thread/address/undefined sanitizers, forced CRC tiers, "
-        "and the ND_DISABLE_SIMD slice-by-8-only build")
+        "thread/address/undefined sanitizers")
