@@ -488,8 +488,8 @@ BENCHMARK(BM_Crc32)
     ->Args({1500, 0})->Args({1500, 1})
     ->Args({65536, 0})->Args({65536, 1});
 
-/// Device-side spool append throughput per fsync policy: arg 0 is the
-/// group-commit batch (0 = fsync off entirely). Appended frames are
+/// Device-side spool append throughput per fsync policy: arg 0 is
+/// SpoolWalConfig::fsync_every (0 = fsync off entirely). Appended frames are
 /// acked immediately so the disk-budget eviction keeps memory and disk
 /// bounded while the bench runs.
 void BM_SpoolAppend(benchmark::State& state) {
@@ -500,9 +500,7 @@ void BM_SpoolAppend(benchmark::State& state) {
   reporting::SpoolWalConfig config;
   config.directory = dir.string();
   config.max_total_bytes = 1ULL << 26;
-  const auto batch = static_cast<std::uint32_t>(state.range(0));
-  config.fsync = batch != 0;
-  config.fsync_batch = batch == 0 ? 1 : batch;
+  config.fsync_every = static_cast<std::uint32_t>(state.range(0));
   reporting::SpoolWal spool(config);
 
   core::Report report;
@@ -527,7 +525,7 @@ void BM_SpoolAppend(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(frame_size));
   state.counters["fsyncs"] =
-      static_cast<double>(spool.stats().fsyncs);
+      static_cast<double>(spool.write_stats().fsyncs);
   fs::remove_all(dir);
 }
 BENCHMARK(BM_SpoolAppend)->Arg(0)->Arg(1)->Arg(8)->Arg(64);
@@ -559,9 +557,8 @@ void BM_JournalReplay(benchmark::State& state) {
       reporting::encode(report, packet::FlowKeyKind::kDestinationIp);
   std::vector<std::uint8_t> journal;
   for (std::size_t r = 0; r < kRecords; ++r) {
-    reporting::wal::append_record(
-        journal, net::kJournalMagic,
-        net::encode_journal_report(1, 0, payload));
+    reporting::wal::append(journal, net::kJournalMagic,
+                           net::encode_journal_report(1, 0, payload));
   }
 
   NullEvents events;

@@ -1,14 +1,17 @@
-// Unaligned fixed-width loads from byte buffers in a stated byte order.
+// Unaligned fixed-width loads from byte buffers in a stated byte order,
+// and the big-endian appends every wire and disk format here writes.
 //
 // Each load is one memcpy (a single mov on any target that allows
 // unaligned access) plus a byte swap only when the stated order differs
 // from the host's, so decoders can read wire fields at arbitrary buffer
-// offsets without alignment or aliasing hazards.
+// offsets without alignment or aliasing hazards. Each append swaps to
+// big-endian once and inserts the bytes in one call.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 namespace nd::common {
 
@@ -18,6 +21,10 @@ namespace nd::common {
 
 [[nodiscard]] inline std::uint32_t byteswap32(std::uint32_t v) {
   return __builtin_bswap32(v);
+}
+
+[[nodiscard]] inline std::uint64_t byteswap64(std::uint64_t v) {
+  return __builtin_bswap64(v);
 }
 
 /// Big-endian (network order) u16 at `p`.
@@ -34,11 +41,50 @@ namespace nd::common {
   return std::endian::native == std::endian::big ? v : byteswap32(v);
 }
 
+/// Big-endian (network order) u64 at `p`.
+[[nodiscard]] inline std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return std::endian::native == std::endian::big ? v : byteswap64(v);
+}
+
 /// Little-endian u32 at `p`.
 [[nodiscard]] inline std::uint32_t load_le32(const std::uint8_t* p) {
   std::uint32_t v;
   std::memcpy(&v, p, sizeof v);
   return std::endian::native == std::endian::little ? v : byteswap32(v);
+}
+
+/// Store `v` big-endian (network order) at `p`.
+inline void store_be32(std::uint8_t* p, std::uint32_t v) {
+  if constexpr (std::endian::native != std::endian::big) v = byteswap32(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
+namespace detail {
+
+template <typename T>
+inline void append_raw(std::vector<std::uint8_t>& out, T v) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&v);
+  out.insert(out.end(), bytes, bytes + sizeof v);
+}
+
+}  // namespace detail
+
+/// Append `v` to `out` big-endian (network order).
+inline void append_be16(std::vector<std::uint8_t>& out, std::uint16_t v) {
+  if constexpr (std::endian::native != std::endian::big) v = byteswap16(v);
+  detail::append_raw(out, v);
+}
+
+inline void append_be32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  if constexpr (std::endian::native != std::endian::big) v = byteswap32(v);
+  detail::append_raw(out, v);
+}
+
+inline void append_be64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  if constexpr (std::endian::native != std::endian::big) v = byteswap64(v);
+  detail::append_raw(out, v);
 }
 
 }  // namespace nd::common

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_order.hpp"
+
 namespace nd::common {
 
 /// Checkpoint serialization/restore failure (truncation, bad magic or
@@ -27,18 +29,9 @@ class StateError : public std::runtime_error {
 class StateWriter {
  public:
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
-  void put_u16(std::uint16_t v) {
-    put_u8(static_cast<std::uint8_t>(v >> 8));
-    put_u8(static_cast<std::uint8_t>(v));
-  }
-  void put_u32(std::uint32_t v) {
-    put_u16(static_cast<std::uint16_t>(v >> 16));
-    put_u16(static_cast<std::uint16_t>(v));
-  }
-  void put_u64(std::uint64_t v) {
-    put_u32(static_cast<std::uint32_t>(v >> 32));
-    put_u32(static_cast<std::uint32_t>(v));
-  }
+  void put_u16(std::uint16_t v) { append_be16(buf_, v); }
+  void put_u32(std::uint32_t v) { append_be32(buf_, v); }
+  void put_u64(std::uint64_t v) { append_be64(buf_, v); }
   void put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
   /// Length-prefixed string (u32 length + raw bytes).
@@ -74,18 +67,21 @@ class StateReader {
   }
   [[nodiscard]] std::uint16_t u16() {
     need(2);
-    const auto v = static_cast<std::uint16_t>(
-        (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
+    const std::uint16_t v = load_be16(data_.data() + pos_);
     pos_ += 2;
     return v;
   }
   [[nodiscard]] std::uint32_t u32() {
-    const std::uint32_t hi = u16();
-    return (hi << 16) | u16();
+    need(4);
+    const std::uint32_t v = load_be32(data_.data() + pos_);
+    pos_ += 4;
+    return v;
   }
   [[nodiscard]] std::uint64_t u64() {
-    const std::uint64_t hi = u32();
-    return (hi << 32) | u32();
+    need(8);
+    const std::uint64_t v = load_be64(data_.data() + pos_);
+    pos_ += 8;
+    return v;
   }
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
   [[nodiscard]] bool boolean() { return u8() != 0; }

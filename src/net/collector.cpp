@@ -154,13 +154,16 @@ Collector::Collector(const CollectorConfig& config) : config_(config) {
     // Replay whatever a previous incarnation journaled, then open the
     // log for appending — recovery before the listener sees a byte.
     replay_journal_file();
-    journal_.emplace(
-        JournalWriterConfig{.path = config_.journal_path,
-                            .fsync = config_.journal_fsync,
-                            .fsync_batch = config_.journal_fsync_batch,
-                            .faults = config_.faults,
-                            .metrics = config_.metrics,
-                            .metric_labels = config_.metric_labels});
+    journal_.emplace(reporting::wal::WriterConfig{
+        .store = "journal",
+        .fsync_every = config_.journal_fsync_every,
+        .faults = config_.faults,
+        .fsync_counter = config_.metrics == nullptr
+                             ? nullptr
+                             : &config_.metrics->counter(
+                                   "nd_journal_fsync_total",
+                                   config_.metric_labels)});
+    journal_->open(config_.journal_path);
   }
   ingest_buffer_.resize(64 * 1024);
   std::vector<core::Report> replayed;
@@ -256,24 +259,13 @@ void Collector::ingest_report_payload(std::uint32_t device_id,
     // Journal before merge: once this report can influence the fleet
     // merge, it must survive a crash. Only first copies are written —
     // a duplicate adds nothing a replay needs.
-    encode_journal_report_into(journal_scratch_, device_id, device.epoch,
-                               payload);
-    if (journal_->append(journal_scratch_)) {
-      ++stats_.journal_records;
-      if (tm_journal_records_ != nullptr) {
-        tm_journal_records_->increment();
-      }
-      if (config_.trace != nullptr) {
-        config_.trace->instant(
-            "journal.append", "collector",
-            telemetry::TraceArgs{device_id, device.epoch,
-                                 static_cast<std::int64_t>(interval)});
-      }
-    } else {
-      ++stats_.journal_write_errors;
-      if (tm_journal_write_errors_ != nullptr) {
-        tm_journal_write_errors_->increment();
-      }
+    if (append_journal(journal_report_prefix(device_id, device.epoch),
+                       payload) &&
+        config_.trace != nullptr) {
+      config_.trace->instant(
+          "journal.append", "collector",
+          telemetry::TraceArgs{device_id, device.epoch,
+                               static_cast<std::int64_t>(interval)});
     }
   }
   device.reports.emplace(interval, std::move(decoded.report));
@@ -292,20 +284,25 @@ void Collector::mark_bye(std::uint32_t device_id, std::uint32_t intervals,
   device.bye = true;
   if (first_bye) record_gaps_locked(device_id, device, intervals);
   if (first_bye && journal && journal_.has_value()) {
-    const std::vector<std::uint8_t> record =
-        encode_journal_bye(device_id, device.epoch, intervals);
-    if (journal_->append(record)) {
-      ++stats_.journal_records;
-      if (tm_journal_records_ != nullptr) {
-        tm_journal_records_->increment();
-      }
-    } else {
-      ++stats_.journal_write_errors;
-      if (tm_journal_write_errors_ != nullptr) {
-        tm_journal_write_errors_->increment();
-      }
+    append_journal(encode_journal_bye(device_id, device.epoch, intervals),
+                   {});
+  }
+}
+
+bool Collector::append_journal(std::span<const std::uint8_t> head,
+                               std::span<const std::uint8_t> body) {
+  const bool whole = journal_->append(kJournalMagic, head, body).outcome ==
+                     reporting::wal::Writer::Outcome::kWhole;
+  if (whole) {
+    ++stats_.journal_records;
+    if (tm_journal_records_ != nullptr) tm_journal_records_->increment();
+  } else {
+    ++stats_.journal_write_errors;
+    if (tm_journal_write_errors_ != nullptr) {
+      tm_journal_write_errors_->increment();
     }
   }
+  return whole;
 }
 
 void Collector::record_gaps_locked(std::uint32_t device_id,
@@ -554,6 +551,15 @@ void Collector::drain_remaining_locked() {
 }
 
 bool Collector::run() {
+  const bool complete = serve();
+  // Leaving the loop flushes the journal's partial group-commit batch,
+  // so a final metrics snapshot counts that fsync too.
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (journal_.has_value()) journal_->sync();
+  return complete;
+}
+
+bool Collector::serve() {
   const bool bounded = config_.timeout.count() > 0;
   const auto deadline = std::chrono::steady_clock::now() + config_.timeout;
   std::vector<pollfd> fds;

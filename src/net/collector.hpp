@@ -54,6 +54,7 @@
 #include "net/frame_stream.hpp"
 #include "net/journal.hpp"
 #include "net/socket.hpp"
+#include "reporting/wal.hpp"
 #include "robustness/fault.hpp"
 #include "telemetry/aggregate.hpp"
 #include "telemetry/metrics.hpp"
@@ -88,16 +89,17 @@ struct CollectorConfig {
   /// bye — is journaled *before* it enters the merge state. A restarted
   /// collector therefore merges bit-identically to one that never died.
   std::string journal_path{};
-  /// fsync the journal per append (crash-durability for each report).
-  bool journal_fsync{true};
-  /// Group commit: fsync the journal once per this many appends (see
-  /// JournalWriterConfig::fsync_batch for the crash-window contract).
-  std::uint32_t journal_fsync_batch{1};
+  /// Group commit: fsync the journal once every this many appends (1,
+  /// the default, fsyncs each report; 0 never fsyncs). A crash can lose
+  /// at most the last journal_fsync_every - 1 records, which devices
+  /// re-send from their spools and first-copy-wins dedup absorbs; the
+  /// collector's exit flushes a partial batch.
+  std::uint32_t journal_fsync_every{1};
   /// Fairness cap: bytes drained from one connection per poll wake
   /// before yielding to the other connections (a device blasting its
   /// spool backlog must not starve its peers). 0 = unlimited.
   std::size_t max_drain_bytes_per_wake{256 * 1024};
-  /// Fault hook for "journal.torn_record". Not owned.
+  /// Fault hook for the journal.* sites (net/journal.hpp). Not owned.
   robustness::FaultInjector* faults{nullptr};
   /// Sink for each completed interval's fleet merge, in ascending
   /// interval order, called without the collector's lock: from the
@@ -173,7 +175,8 @@ class Collector {
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
   /// Event loop on the calling thread. Returns true when every
-  /// expected device said bye; false on stop() or timeout.
+  /// expected device said bye; false on stop() or timeout. Returning
+  /// flushes the journal's partial group-commit batch.
   bool run();
 
   /// run() on a background thread / signal it to exit. wait() joins and
@@ -221,6 +224,10 @@ class Collector {
                              bool journal);
   void mark_bye(std::uint32_t device_id, std::uint32_t intervals,
                 bool journal);
+  /// Append one journal record (payload `head` then `body`) and count
+  /// it; true when it landed whole.
+  bool append_journal(std::span<const std::uint8_t> head,
+                      std::span<const std::uint8_t> body);
   /// Record as gaps the intervals below `intervals` that `device_id`
   /// never delivered.
   void record_gaps_locked(std::uint32_t device_id, const DeviceState& device,
@@ -239,6 +246,8 @@ class Collector {
       std::span<const core::Report> members) const;
   void replay_journal_file();
 
+  /// run()'s poll loop.
+  bool serve();
   void accept_ready();
   /// Drain one readable connection; returns false when it closed.
   bool service(Connection& conn);
@@ -280,13 +289,11 @@ class Collector {
   /// Merges kept for merged_reports() when no on_interval sink is set.
   std::vector<core::Report> emitted_;
   std::vector<IntervalGap> gaps_;
-  std::optional<JournalWriter> journal_;
+  /// The journal's append writer (reporting/wal.hpp), when journaling.
+  std::optional<reporting::wal::Writer> journal_;
   /// Reusable ingest read buffer (service()) — one 64 KiB block per
   /// collector instead of per poll wake on the stack.
   std::vector<std::uint8_t> ingest_buffer_;
-  /// Reusable journal-record scratch: journaling a frame allocates
-  /// nothing in steady state.
-  std::vector<std::uint8_t> journal_scratch_;
   CollectorStats stats_;
   bool stop_requested_{false};
   std::optional<telemetry::FleetAggregator> aggregator_;

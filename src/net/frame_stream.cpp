@@ -1,33 +1,21 @@
 #include "net/frame_stream.hpp"
 
+#include "common/byte_order.hpp"
 #include "reporting/record_codec.hpp"
+#include "reporting/wal.hpp"
 
 namespace nd::net {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value));
-}
-
-[[nodiscard]] std::uint32_t get_u32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
-}
-
 [[nodiscard]] std::vector<std::uint8_t> encode_control(
     std::uint32_t magic, std::uint32_t device_id, std::uint32_t value) {
   std::vector<std::uint8_t> out;
   out.reserve(kControlFrameBytes);
-  put_u32(out, magic);
-  put_u32(out, device_id);
-  put_u32(out, value);
-  put_u32(out, 0);  // reserved
+  common::append_be32(out, magic);
+  common::append_be32(out, device_id);
+  common::append_be32(out, value);
+  common::append_be32(out, 0);  // reserved
   return out;
 }
 
@@ -61,12 +49,12 @@ void FrameStreamParser::feed(std::span<const std::uint8_t> bytes,
     const std::size_t avail = buffer_.size() - pos;
     if (avail < 4) break;
     const std::uint8_t* head = buffer_.data() + pos;
-    const std::uint32_t magic = get_u32(head);
+    const std::uint32_t magic = common::load_be32(head);
 
     if (magic == kHelloMagic || magic == kByeMagic) {
       if (avail < kControlFrameBytes) break;
-      const std::uint32_t device_id = get_u32(head + 4);
-      const std::uint32_t value = get_u32(head + 8);
+      const std::uint32_t device_id = common::load_be32(head + 4);
+      const std::uint32_t value = common::load_be32(head + 8);
       if (magic == kHelloMagic) {
         events.on_hello(Hello{device_id, value});
       } else {
@@ -77,24 +65,19 @@ void FrameStreamParser::feed(std::span<const std::uint8_t> bytes,
     }
 
     if (magic == reporting::kFrameMagic) {
-      if (avail < reporting::kFrameHeaderBytes) break;
-      const std::uint32_t length = get_u32(head + 4);
-      if (length <= max_payload_) {
-        const std::size_t total = reporting::kFrameHeaderBytes + length;
-        if (avail < total) break;
-        try {
-          const auto payload = reporting::unframe({head, total});
-          events.on_report_frame(payload);
-          pos += total;
-          continue;
-        } catch (const reporting::CodecError&) {
-          // CRC or length mismatch: fall through to resync.
-        }
+      const reporting::wal::Verified frame =
+          reporting::wal::verify({head, avail}, reporting::kFrameMagic);
+      if (frame.check == reporting::wal::Check::kShort) break;
+      if (frame.check == reporting::wal::Check::kRecord) {
+        events.on_report_frame(frame.payload);
+        pos += frame.size();
+        continue;
       }
-      // An absurd length prefix is corruption, not a frame to wait for.
+      // A CRC mismatch, or an absurd length prefix: corruption, not a
+      // frame to wait for.
     }
 
-    // Bad magic or a frame unframe() rejected: skip to the next
+    // Bad magic or a frame the check rejected: skip to the next
     // candidate boundary and report how much was lost.
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<std::ptrdiff_t>(pos));

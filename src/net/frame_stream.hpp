@@ -13,11 +13,13 @@
 //
 // FrameStreamParser is the collector's incremental decoder: feed() it
 // whatever read() returned and it emits whole, CRC-verified events.
-// Its central obligation is the resync rule the chaos suite enforces:
-// any malformed bytes — bad magic, an absurd length prefix, a CRC
-// mismatch — are skipped to the next plausible frame boundary (the
-// next 'ND..' magic) and counted, never crashed on and never allowed
-// to desynchronize the frames that follow. That is what lets a
+// A report frame passes the same check a spool or journal record does
+// (reporting/wal.hpp verify, one 64 MiB payload bound). Its central
+// obligation is the resync rule the chaos suite enforces: any
+// malformed bytes — bad magic, an absurd length prefix, a CRC mismatch
+// — are skipped to the next plausible frame boundary (the next 'ND..'
+// magic) and counted, never crashed on and never allowed to
+// desynchronize the frames that follow. That is what lets a
 // collector survive a corrupted frame in the middle of a live stream
 // and keep ingesting the rest, NetFlow's "loss rates of up to 90%"
 // problem answered with per-frame damage instead of per-stream.
@@ -32,9 +34,6 @@ namespace nd::net {
 inline constexpr std::uint32_t kHelloMagic = 0x4E444849;  // "NDHI"
 inline constexpr std::uint32_t kByeMagic = 0x4E444259;    // "NDBY"
 inline constexpr std::size_t kControlFrameBytes = 16;
-/// Allocation bound on a report frame's payload: a length prefix above
-/// this is treated as corruption (resync), not as a 4 GB allocation.
-inline constexpr std::size_t kMaxFramePayloadBytes = 1ULL << 26;
 
 struct Hello {
   std::uint32_t device_id{0};
@@ -67,10 +66,6 @@ class FrameStreamParser {
     virtual void on_resync(std::size_t bytes_skipped) = 0;
   };
 
-  explicit FrameStreamParser(
-      std::size_t max_payload = kMaxFramePayloadBytes)
-      : max_payload_(max_payload) {}
-
   /// Consume a chunk of the byte stream, emitting every complete frame.
   void feed(std::span<const std::uint8_t> bytes, Events& events);
 
@@ -86,7 +81,6 @@ class FrameStreamParser {
   /// Skip past the malformed prefix to the next candidate magic.
   std::size_t resync_skip() const;
 
-  std::size_t max_payload_;
   std::vector<std::uint8_t> buffer_;
 };
 

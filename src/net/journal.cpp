@@ -1,95 +1,73 @@
 #include "net/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 
-#include "net/frame_stream.hpp"
+#include "common/byte_order.hpp"
 #include "reporting/wal.hpp"
 
 namespace nd::net {
 
 namespace {
 
-/// type + device + epoch, before the per-type body.
-constexpr std::size_t kJournalPrefixBytes = 9;
 constexpr std::uint8_t kTypeReport = 0;
 constexpr std::uint8_t kTypeBye = 1;
 
-/// Journal records wrap NDFR payloads; allow their bound plus our
-/// prefix so a damaged length field cannot demand a huge allocation.
-constexpr std::size_t kMaxJournalPayload =
-    kMaxFramePayloadBytes + kJournalPrefixBytes + 16;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value));
+std::array<std::uint8_t, kJournalPrefixBytes> prefix(std::uint8_t type,
+                                                    std::uint32_t device_id,
+                                                    std::uint32_t epoch) {
+  std::array<std::uint8_t, kJournalPrefixBytes> out{type};
+  common::store_be32(out.data() + 1, device_id);
+  common::store_be32(out.data() + 5, epoch);
+  return out;
 }
 
-std::uint32_t get_u32(std::span<const std::uint8_t> bytes,
-                      std::size_t offset) {
-  return (static_cast<std::uint32_t>(bytes[offset]) << 24) |
-         (static_cast<std::uint32_t>(bytes[offset + 1]) << 16) |
-         (static_cast<std::uint32_t>(bytes[offset + 2]) << 8) |
-         static_cast<std::uint32_t>(bytes[offset + 3]);
-}
-
-std::vector<std::uint8_t> prefix(std::uint8_t type,
-                                 std::uint32_t device_id,
-                                 std::uint32_t epoch) {
-  std::vector<std::uint8_t> out;
-  out.push_back(type);
-  put_u32(out, device_id);
-  put_u32(out, epoch);
+/// The journal payload: prefix, then `body`.
+std::vector<std::uint8_t> journal_payload(std::uint8_t type,
+                                          std::uint32_t device_id,
+                                          std::uint32_t epoch,
+                                          std::span<const std::uint8_t> body) {
+  const auto head = prefix(type, device_id, epoch);
+  std::vector<std::uint8_t> out(head.size() + body.size());
+  std::copy(body.begin(), body.end(),
+            std::copy(head.begin(), head.end(), out.begin()));
   return out;
 }
 
 }  // namespace
 
+std::array<std::uint8_t, kJournalPrefixBytes> journal_report_prefix(
+    std::uint32_t device_id, std::uint32_t epoch) {
+  return prefix(kTypeReport, device_id, epoch);
+}
+
 std::vector<std::uint8_t> encode_journal_report(
     std::uint32_t device_id, std::uint32_t epoch,
     std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  encode_journal_report_into(out, device_id, epoch, payload);
-  return out;
-}
-
-void encode_journal_report_into(std::vector<std::uint8_t>& out,
-                                std::uint32_t device_id, std::uint32_t epoch,
-                                std::span<const std::uint8_t> payload) {
-  out.clear();
-  out.reserve(kJournalPrefixBytes + payload.size());
-  out.push_back(kTypeReport);
-  put_u32(out, device_id);
-  put_u32(out, epoch);
-  out.insert(out.end(), payload.begin(), payload.end());
+  return journal_payload(kTypeReport, device_id, epoch, payload);
 }
 
 std::vector<std::uint8_t> encode_journal_bye(std::uint32_t device_id,
                                              std::uint32_t epoch,
                                              std::uint32_t intervals) {
-  std::vector<std::uint8_t> out = prefix(kTypeBye, device_id, epoch);
-  put_u32(out, intervals);
-  return out;
+  std::array<std::uint8_t, 4> count;
+  common::store_be32(count.data(), intervals);
+  return journal_payload(kTypeBye, device_id, epoch, count);
 }
 
 JournalReplayStats replay_journal(std::span<const std::uint8_t> bytes,
                                   JournalReplayEvents& events) {
   JournalReplayStats stats;
   const reporting::wal::ScanStats scanned = reporting::wal::scan(
-      bytes, kJournalMagic, kMaxJournalPayload,
-      [&](std::span<const std::uint8_t> payload) {
+      bytes, kJournalMagic, [&](std::span<const std::uint8_t> record) {
+        const std::span<const std::uint8_t> payload =
+            record.subspan(reporting::wal::kHeaderBytes);
         if (payload.size() < kJournalPrefixBytes) {
           ++stats.torn;
           return;
         }
         const std::uint8_t type = payload[0];
-        const std::uint32_t device_id = get_u32(payload, 1);
-        const std::uint32_t epoch = get_u32(payload, 5);
+        const std::uint32_t device_id = common::load_be32(&payload[1]);
+        const std::uint32_t epoch = common::load_be32(&payload[5]);
         const std::span<const std::uint8_t> body =
             payload.subspan(kJournalPrefixBytes);
         if (type == kTypeReport) {
@@ -97,7 +75,7 @@ JournalReplayStats replay_journal(std::span<const std::uint8_t> bytes,
           events.on_report(device_id, epoch, body);
         } else if (type == kTypeBye && body.size() == 4) {
           ++stats.records;
-          events.on_bye(device_id, epoch, get_u32(body, 0));
+          events.on_bye(device_id, epoch, common::load_be32(body.data()));
         } else {
           // CRC-valid bytes that are not a journal record we know:
           // damage written before the CRC was computed, or a future
@@ -107,70 +85,6 @@ JournalReplayStats replay_journal(std::span<const std::uint8_t> bytes,
       });
   stats.torn += scanned.torn;
   return stats;
-}
-
-JournalWriter::JournalWriter(const JournalWriterConfig& config)
-    : config_(config) {
-  config_.fsync_batch = std::max<std::uint32_t>(config_.fsync_batch, 1);
-  fd_ = ::open(config_.path.c_str(),
-               O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd_ < 0) {
-    throw JournalError("net: cannot open journal '" + config_.path + "'");
-  }
-  if (config_.metrics != nullptr) {
-    tm_fsyncs_ = &config_.metrics->counter("nd_journal_fsync_total",
-                                           config_.metric_labels);
-  }
-}
-
-JournalWriter::~JournalWriter() {
-  if (fd_ >= 0) {
-    sync();
-    ::close(fd_);
-  }
-}
-
-void JournalWriter::sync() {
-  if (fd_ < 0 || !config_.fsync || unsynced_ == 0) return;
-  ::fsync(fd_);
-  unsynced_ = 0;
-  ++stats_.fsyncs;
-  if (tm_fsyncs_ != nullptr) tm_fsyncs_->increment();
-}
-
-bool JournalWriter::append(std::span<const std::uint8_t> payload) {
-  scratch_.clear();
-  reporting::wal::append_record(scratch_, kJournalMagic, payload);
-  const std::span<const std::uint8_t> record = scratch_;
-  std::span<const std::uint8_t> to_write = record;
-  bool torn = false;
-  if (config_.faults != nullptr) {
-    if (const auto decision = config_.faults->next("journal.torn_record")) {
-      torn = true;
-      to_write = to_write.first(
-          robustness::truncated_size(record.size(), decision->salt));
-    }
-  }
-  std::size_t offset = 0;
-  while (offset < to_write.size()) {
-    const ssize_t wrote =
-        ::write(fd_, to_write.data() + offset, to_write.size() - offset);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      ++stats_.write_errors;
-      return false;
-    }
-    offset += static_cast<std::size_t>(wrote);
-  }
-  if (torn) {
-    ++stats_.torn_writes;
-    return false;
-  }
-  ++stats_.appended;
-  // Group commit: the fsync lands once per batch; sync() or the
-  // destructor flush a partial batch.
-  if (config_.fsync && ++unsynced_ >= config_.fsync_batch) sync();
-  return true;
 }
 
 }  // namespace nd::net

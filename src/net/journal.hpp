@@ -10,49 +10,53 @@
 // only produce duplicates the dedup already absorbs).
 //
 // On disk the journal is a stream of wal records (reporting/wal.hpp)
-// under its own magic 'NDJL', each payload:
+// under its own magic 'NDJL', written through the same wal::Writer as
+// the device spool (net::Collector owns it), each payload:
 //
 //   type (u8: 0 = report, 1 = bye) | device id (u32) | epoch (u32) | body
 //
 // where a report's body is the raw NDFR payload bytes exactly as the
 // frame carried them (report codec v3, metrics trailer included) and a
-// bye's body is the intervals count (u32). Big-endian throughout.
+// bye's body is the intervals count (u32). Big-endian throughout. A
+// journal record obeys the same 64 MiB payload bound as a frame, so a
+// report within kJournalPrefixBytes of that bound is merged but cannot
+// be journaled: its append counts as a journal write error.
 // Replay is recover-or-reject: wal::scan drops torn or corrupt records
 // and resyncs, a CRC-valid record with a malformed journal payload is
 // counted and skipped, and the report bytes themselves are validated by
 // the collector's usual decode path — damage costs exactly the damaged
 // record, never the journal.
 //
-// Fault site (robustness/fault.hpp):
+// Fault sites (robustness/fault.hpp), consulted per append by the
+// wal::Writer in this order (a disk_full firing skips the other two):
+//   journal.disk_full    the append writes nothing
 //   journal.torn_record  an append is cut mid-record (crash model);
-//                        later appends still land and replay resyncs.
+//                        later appends still land and replay resyncs
+//   journal.short_write  the record lands whole but in 1-byte writes
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
-
-#include "robustness/fault.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace nd::net {
 
 inline constexpr std::uint32_t kJournalMagic = 0x4E444A4C;  // "NDJL"
+/// type + device + epoch, before the per-type body.
+inline constexpr std::size_t kJournalPrefixBytes = 9;
 
-/// Journal payload for one accepted report frame; `payload` is the NDFR
-/// frame payload (the encoded report), stored verbatim.
+/// The prefix of a report's journal payload; the NDFR frame payload
+/// (the encoded report) follows it verbatim, so the collector hands
+/// both to wal::Writer::append and copies the report once.
+[[nodiscard]] std::array<std::uint8_t, kJournalPrefixBytes>
+journal_report_prefix(std::uint32_t device_id, std::uint32_t epoch);
+
+/// Journal payload for one accepted report frame, prefix and `payload`
+/// in one buffer.
 [[nodiscard]] std::vector<std::uint8_t> encode_journal_report(
     std::uint32_t device_id, std::uint32_t epoch,
     std::span<const std::uint8_t> payload);
-
-/// encode_journal_report into a caller-owned scratch buffer (cleared
-/// first) — the collector journals every accepted frame, so the hot
-/// path reuses one buffer instead of allocating per record.
-void encode_journal_report_into(std::vector<std::uint8_t>& out,
-                                std::uint32_t device_id, std::uint32_t epoch,
-                                std::span<const std::uint8_t> payload);
 
 /// Journal payload for a device's bye.
 [[nodiscard]] std::vector<std::uint8_t> encode_journal_bye(
@@ -83,73 +87,5 @@ struct JournalReplayStats {
 /// drive it without a Collector.
 JournalReplayStats replay_journal(std::span<const std::uint8_t> bytes,
                                   JournalReplayEvents& events);
-
-struct JournalWriterConfig {
-  std::string path;
-  /// fsync the journal (false trades crash-durability for speed).
-  bool fsync{true};
-  /// Group commit: fsync once per `fsync_batch` appends instead of per
-  /// record (1 = every append, the classic contract). sync() and the
-  /// destructor flush a partial batch, so an orderly shutdown never
-  /// widens the crash window; a power cut can lose at most the last
-  /// fsync_batch-1 records — which devices re-send from their spools
-  /// and first-copy-wins dedup absorbs. Ignored when fsync is false.
-  std::uint32_t fsync_batch{1};
-  /// Fault hook for "journal.torn_record". Not owned.
-  robustness::FaultInjector* faults{nullptr};
-  /// Optional telemetry registry (not owned); labels tag every series.
-  telemetry::MetricsRegistry* metrics{nullptr};
-  telemetry::Labels metric_labels{};
-};
-
-struct JournalWriterStats {
-  std::uint64_t appended{0};
-  std::uint64_t write_errors{0};
-  /// Appends deliberately cut mid-record by journal.torn_record.
-  std::uint64_t torn_writes{0};
-  /// fsync() calls issued (== appended when fsync_batch is 1).
-  std::uint64_t fsyncs{0};
-};
-
-/// Append-only journal file handle (O_APPEND | O_CLOEXEC). Throws
-/// JournalError when the file cannot be opened; append errors after
-/// that are counted, not thrown — a collector with a sick disk keeps
-/// collecting, it just loses crash-durability for the affected records.
-class JournalError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-class JournalWriter {
- public:
-  explicit JournalWriter(const JournalWriterConfig& config);
-  ~JournalWriter();
-
-  JournalWriter(const JournalWriter&) = delete;
-  JournalWriter& operator=(const JournalWriter&) = delete;
-
-  /// Append one journal payload (from encode_journal_*) as a wal
-  /// record. Returns true when the record is fully written (with
-  /// fsync_batch > 1 the fsync may be deferred to the batch boundary —
-  /// see JournalWriterConfig for the crash-window contract).
-  bool append(std::span<const std::uint8_t> payload);
-
-  /// Flush a partial group-commit batch to disk now (no-op when
-  /// nothing is pending or fsync is off).
-  void sync();
-
-  [[nodiscard]] const JournalWriterStats& stats() const { return stats_; }
-  [[nodiscard]] const std::string& path() const { return config_.path; }
-
- private:
-  JournalWriterConfig config_;
-  int fd_{-1};
-  JournalWriterStats stats_;
-  /// Appends since the last fsync (group commit).
-  std::uint32_t unsynced_{0};
-  /// Reusable wal-record scratch: steady-state appends allocate nothing.
-  std::vector<std::uint8_t> scratch_;
-  telemetry::Counter* tm_fsyncs_{nullptr};
-};
 
 }  // namespace nd::net

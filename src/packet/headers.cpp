@@ -4,21 +4,8 @@
 
 namespace nd::packet {
 
-namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-}  // namespace
+using common::append_be16;
+using common::append_be32;
 
 std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
   std::uint32_t sum = 0;
@@ -38,21 +25,21 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
 void serialize(const EthernetHeader& h, std::vector<std::uint8_t>& out) {
   out.insert(out.end(), h.dst_mac.begin(), h.dst_mac.end());
   out.insert(out.end(), h.src_mac.begin(), h.src_mac.end());
-  put_u16(out, h.ether_type);
+  append_be16(out, h.ether_type);
 }
 
 void serialize(const Ipv4Header& h, std::vector<std::uint8_t>& out) {
   const std::size_t start = out.size();
   out.push_back(static_cast<std::uint8_t>((h.version << 4) | (h.ihl & 0x0F)));
   out.push_back(h.dscp_ecn);
-  put_u16(out, h.total_length);
-  put_u16(out, h.identification);
-  put_u16(out, h.flags_fragment);
+  append_be16(out, h.total_length);
+  append_be16(out, h.identification);
+  append_be16(out, h.flags_fragment);
   out.push_back(h.ttl);
   out.push_back(h.protocol);
-  put_u16(out, 0);  // checksum placeholder
-  put_u32(out, h.src_ip);
-  put_u32(out, h.dst_ip);
+  append_be16(out, 0);  // checksum placeholder
+  append_be32(out, h.src_ip);
+  append_be32(out, h.dst_ip);
   const std::uint16_t csum = internet_checksum(
       std::span<const std::uint8_t>(out.data() + start, out.size() - start));
   out[start + 10] = static_cast<std::uint8_t>(csum >> 8);
@@ -60,22 +47,22 @@ void serialize(const Ipv4Header& h, std::vector<std::uint8_t>& out) {
 }
 
 void serialize(const TcpHeader& h, std::vector<std::uint8_t>& out) {
-  put_u16(out, h.src_port);
-  put_u16(out, h.dst_port);
-  put_u32(out, h.seq);
-  put_u32(out, h.ack);
+  append_be16(out, h.src_port);
+  append_be16(out, h.dst_port);
+  append_be32(out, h.seq);
+  append_be32(out, h.ack);
   out.push_back(static_cast<std::uint8_t>(h.data_offset << 4));
   out.push_back(h.flags);
-  put_u16(out, h.window);
-  put_u16(out, h.checksum);
-  put_u16(out, h.urgent);
+  append_be16(out, h.window);
+  append_be16(out, h.checksum);
+  append_be16(out, h.urgent);
 }
 
 void serialize(const UdpHeader& h, std::vector<std::uint8_t>& out) {
-  put_u16(out, h.src_port);
-  put_u16(out, h.dst_port);
-  put_u16(out, h.length);
-  put_u16(out, h.checksum);
+  append_be16(out, h.src_port);
+  append_be16(out, h.dst_port);
+  append_be16(out, h.length);
+  append_be16(out, h.checksum);
 }
 
 std::vector<std::uint8_t> build_frame(const PacketRecord& record) {

@@ -18,9 +18,9 @@ namespace nd::pipeline {
 struct CollectConfig {
   /// Listen port (`--listen`, 0 = ephemeral), expected devices
   /// (`--devices`), timeout (`--timeout-ms`) and the journal
-  /// (`--journal`, `--journal-fsync`, `--journal-fsync-batch`). The
-  /// pipeline fills in the metrics, trace and faults pointers and the
-  /// on_interval sink. 0 devices needs a timeout.
+  /// (`--journal`, `--journal-fsync`). The pipeline fills in the
+  /// metrics, trace and faults pointers and the on_interval sink. 0
+  /// devices needs a timeout.
   net::CollectorConfig collector{.expected_devices = 1};
   /// The merged export: written as `<path>.partial`, renamed into place
   /// when run() ends; empty exports nothing.

@@ -5,11 +5,11 @@
 
 #include "common/state_buffer.hpp"
 #include "core/sharded_device.hpp"
-#include "net/journal.hpp"
 #include "net/socket.hpp"
 #include "pcap/pcap.hpp"
 #include "reporting/record_codec.hpp"
 #include "reporting/spool.hpp"
+#include "reporting/wal.hpp"
 #include "robustness/fault.hpp"
 
 namespace nd::pipeline {
@@ -58,7 +58,9 @@ Exit exit_for_current_exception(const char* command) noexcept {
     return flag_error(Exit::kUsage, command, "--checkpoint: ", error);
   } catch (const reporting::SpoolError& error) {
     return flag_error(Exit::kIo, command, "--spool-dir: ", error);
-  } catch (const net::JournalError& error) {
+  } catch (const reporting::wal::WalError& error) {
+    // The spool reports its own open failures as SpoolError, so a bare
+    // WalError is the collector's journal.
     return flag_error(Exit::kIo, command, "--journal: ", error);
   } catch (const net::NetError& error) {
     return flag_error(Exit::kIo, command, "", error);

@@ -24,6 +24,7 @@
 #include "packet/flow_definition.hpp"
 #include "pcap/pcap.hpp"
 #include "reporting/record_codec.hpp"
+#include "reporting/wal.hpp"
 
 namespace nd::pipeline {
 
@@ -71,6 +72,13 @@ void validate(const MeasureConfig& config) {
           "--fleet-size does not combine with --adaptive (members cannot "
           "see fleet-wide usage)");
     }
+  }
+  if (config.channel.bytes_per_interval > reporting::wal::kMaxPayloadBytes) {
+    throw usage("--net-budget " +
+                std::to_string(config.channel.bytes_per_interval) +
+                " exceeds the " +
+                std::to_string(reporting::wal::kMaxPayloadBytes) +
+                "-byte frame payload bound");
   }
   if (!config.spool.directory.empty() && config.transport.port == 0) {
     throw usage("--spool-dir spools reports for a collector; it needs "

@@ -91,7 +91,8 @@ struct DecodedReport {
 };
 [[nodiscard]] DecodedReport decode_full(std::span<const std::uint8_t> data);
 
-// CRC32 framing for flaky collection channels. A frame is
+// CRC32 framing for flaky collection channels. A frame is the wal
+// record (wal.hpp) under the magic 'NDFR':
 //   magic 'NDFR' (u32) | payload length (u32) | CRC32 of payload (u32)
 // followed by the payload bytes. unframe() verifies all three before
 // returning a view of the payload, so a bit-corrupted or truncated
@@ -101,6 +102,8 @@ struct DecodedReport {
 // (net/frame_stream.hpp) applies the same check and resyncs past a bad
 // frame; nothing re-requests it, so over TCP a corrupted frame is a
 // lost interval that shows only in the collector's resync counters.
+// A payload above wal::kMaxPayloadBytes (64 MiB) is never framed: the
+// framing calls throw CodecError.
 inline constexpr std::uint32_t kFrameMagic = 0x4E444652;  // "NDFR"
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "reporting/wal.hpp"
+
 namespace nd::reporting {
 
 ResilientChannel::ResilientChannel(const ResilientChannelConfig& config)
@@ -14,6 +16,13 @@ ResilientChannel::ResilientChannel(const ResilientChannelConfig& config)
       prev_delay_(config.backoff_base) {
   if (config_.transport == nullptr) {
     throw std::invalid_argument("ResilientChannel: a transport is required");
+  }
+  if (config_.bytes_per_interval > wal::kMaxPayloadBytes) {
+    // A report shaped to such a budget could outgrow the one frame
+    // payload bound, and the collector would drop it as corrupt.
+    throw std::invalid_argument(
+        "ResilientChannel: bytes_per_interval exceeds the frame payload "
+        "bound");
   }
   config_.max_attempts = std::max<std::uint32_t>(config_.max_attempts, 1);
   if (config_.metrics != nullptr) {

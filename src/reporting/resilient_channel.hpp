@@ -76,7 +76,10 @@ class FrameTransport {
 };
 
 struct ResilientChannelConfig {
-  /// Underlying CollectionChannel byte budget per interval.
+  /// Underlying CollectionChannel byte budget per interval. At most
+  /// wal::kMaxPayloadBytes (64 MiB), the largest frame payload a
+  /// collector accepts; the constructor throws std::invalid_argument
+  /// above it.
   std::uint64_t bytes_per_interval{1ULL << 20};
   /// Delivery attempts per report before it is abandoned (>= 1).
   std::uint32_t max_attempts{4};
@@ -171,7 +174,8 @@ struct DeliveryOutcome {
 
 class ResilientChannel {
  public:
-  /// Throws std::invalid_argument when config.transport is null.
+  /// Throws std::invalid_argument when config.transport is null or
+  /// config.bytes_per_interval exceeds wal::kMaxPayloadBytes.
   explicit ResilientChannel(const ResilientChannelConfig& config);
 
   /// Shape, encode and frame one interval's report once, then ship it,

@@ -1,10 +1,6 @@
 #include "reporting/spool.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,11 +14,6 @@ namespace nd::reporting {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Upper bound handed to wal::scan: no legitimate report payload
-/// approaches this, so a damaged length field cannot send recovery
-/// chasing gigabytes.
-constexpr std::size_t kMaxRecordPayload = std::size_t{1} << 28;
 
 std::string segment_name(std::uint64_t seq, bool open) {
   char buffer[32];
@@ -39,10 +30,21 @@ std::vector<std::uint8_t> read_file_bytes(const fs::path& path) {
           std::istreambuf_iterator<char>()};
 }
 
+wal::WriterConfig writer_config(const SpoolWalConfig& config) {
+  return {.store = "spool",
+          .fsync_every = config.fsync_every,
+          .faults = config.faults,
+          .fsync_counter = config.metrics == nullptr
+                               ? nullptr
+                               : &config.metrics->counter(
+                                     "nd_spool_fsync_total",
+                                     config.metric_labels)};
+}
+
 }  // namespace
 
-SpoolWal::SpoolWal(const SpoolWalConfig& config) : config_(config) {
-  config_.fsync_batch = std::max<std::uint32_t>(config_.fsync_batch, 1);
+SpoolWal::SpoolWal(const SpoolWalConfig& config)
+    : config_(config), writer_(writer_config(config)) {
   if (config_.metrics != nullptr) {
     auto& m = *config_.metrics;
     const auto& l = config_.metric_labels;
@@ -53,26 +55,10 @@ SpoolWal::SpoolWal(const SpoolWalConfig& config) : config_(config) {
     tm_shed_ = &m.counter("nd_spool_shed_records_total", l);
     tm_evicted_ = &m.counter("nd_spool_evicted_total", l);
     tm_write_errors_ = &m.counter("nd_spool_write_errors_total", l);
-    tm_fsyncs_ = &m.counter("nd_spool_fsync_total", l);
     tm_backlog_ = &m.gauge("nd_spool_backlog_frames", l);
     tm_disk_bytes_ = &m.gauge("nd_spool_disk_bytes", l);
   }
   recover();
-}
-
-SpoolWal::~SpoolWal() {
-  if (active_fd_ >= 0) {
-    sync();
-    ::close(active_fd_);
-  }
-}
-
-void SpoolWal::sync() {
-  if (active_fd_ < 0 || !config_.fsync || unsynced_ == 0) return;
-  ::fsync(active_fd_);
-  unsynced_ = 0;
-  ++stats_.fsyncs;
-  if (tm_fsyncs_ != nullptr) tm_fsyncs_->increment();
 }
 
 void SpoolWal::recover() {
@@ -125,11 +111,13 @@ void SpoolWal::recover() {
     std::size_t live = 0;
     std::uint64_t decode_failures = 0;
     const wal::ScanStats scanned = wal::scan(
-        bytes, kFrameMagic, kMaxRecordPayload,
-        [&](std::span<const std::uint8_t> payload) {
+        bytes, kFrameMagic, [&](std::span<const std::uint8_t> frame) {
           try {
-            const DecodedReport decoded = decode_full(payload);
-            frames_.push_back(Frame{frame_payload(payload),
+            const DecodedReport decoded =
+                decode_full(frame.subspan(kFrameHeaderBytes));
+            // The scanned bytes are the verified frame: keep them as
+            // they are, ready to resend.
+            frames_.push_back(Frame{{frame.begin(), frame.end()},
                                     decoded.report.interval, file.seq});
             ++live;
           } catch (const CodecError&) {
@@ -183,9 +171,9 @@ void SpoolWal::recover() {
 void SpoolWal::open_active_segment(std::uint64_t seq) {
   const fs::path path =
       fs::path(config_.directory) / segment_name(seq, /*open=*/true);
-  active_fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-                      0644);
-  if (active_fd_ < 0) {
+  try {
+    writer_.open(path.string());
+  } catch (const wal::WalError&) {
     throw SpoolError("spool: cannot open segment '" + path.string() + "'");
   }
   active_seq_ = seq;
@@ -194,13 +182,9 @@ void SpoolWal::open_active_segment(std::uint64_t seq) {
 }
 
 void SpoolWal::rotate_active_segment() {
-  if (active_fd_ >= 0) {
-    // Flush any partial group-commit batch before the rename finalizes
-    // the segment: a closed .seg must hold everything it claims to.
-    sync();
-    ::close(active_fd_);
-    active_fd_ = -1;
-  }
+  // Flush any partial group-commit batch before the rename finalizes
+  // the segment: a closed .seg must hold everything it claims to.
+  writer_.close();
   Segment& segment = segments_[active_seq_];
   const fs::path final_path =
       fs::path(config_.directory) / segment_name(active_seq_, /*open=*/false);
@@ -218,66 +202,6 @@ void SpoolWal::rotate_active_segment() {
     ++stats_.segments_removed;
   }
   open_active_segment(active_seq_ + 1);
-}
-
-bool SpoolWal::write_record(std::span<const std::uint8_t> record) {
-  if (active_fd_ < 0) {
-    ++stats_.write_errors;
-    if (tm_write_errors_ != nullptr) tm_write_errors_->increment();
-    return false;
-  }
-  robustness::FaultInjector* faults = config_.faults;
-  if (faults != nullptr && faults->next("spool.disk_full")) {
-    ++stats_.write_errors;
-    if (tm_write_errors_ != nullptr) tm_write_errors_->increment();
-    return false;
-  }
-  std::span<const std::uint8_t> to_write = record;
-  bool torn = false;
-  if (faults != nullptr) {
-    if (const auto decision = faults->next("spool.torn_record")) {
-      torn = true;
-      to_write =
-          record.first(robustness::truncated_size(record.size(),
-                                                  decision->salt));
-    }
-  }
-  std::size_t chunk = to_write.size();
-  if (faults != nullptr && faults->next("spool.short_write")) {
-    ++stats_.short_writes;
-    chunk = 1;
-  }
-  std::size_t offset = 0;
-  bool ok = true;
-  while (offset < to_write.size()) {
-    const std::size_t step =
-        std::min(chunk == 0 ? to_write.size() : chunk,
-                 to_write.size() - offset);
-    const ssize_t wrote =
-        ::write(active_fd_, to_write.data() + offset, step);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    offset += static_cast<std::size_t>(wrote);
-  }
-  Segment& segment = segments_[active_seq_];
-  segment.bytes += offset;
-  stats_.bytes_on_disk += offset;
-  if (!ok) {
-    ++stats_.write_errors;
-    if (tm_write_errors_ != nullptr) tm_write_errors_->increment();
-    return false;
-  }
-  if (torn) {
-    ++stats_.torn_writes;
-    return false;
-  }
-  // Group commit: the fsync lands once per batch; sync(), rotation and
-  // the destructor flush a partial batch.
-  if (config_.fsync && ++unsynced_ >= config_.fsync_batch) sync();
-  return true;
 }
 
 SpoolWal::AppendResult SpoolWal::append(const core::Report& report,
@@ -340,7 +264,14 @@ SpoolWal::AppendResult SpoolWal::append(const core::Report& report,
       active.bytes + frame_bytes.size() > config_.max_segment_bytes) {
     rotate_active_segment();
   }
-  result.durable = write_record(frame_bytes);
+  const wal::Writer::Written written = writer_.write(frame_bytes);
+  segments_[active_seq_].bytes += written.bytes;
+  stats_.bytes_on_disk += written.bytes;
+  if (written.outcome == wal::Writer::Outcome::kFailed &&
+      tm_write_errors_ != nullptr) {
+    tm_write_errors_->increment();
+  }
+  result.durable = written.outcome == wal::Writer::Outcome::kWhole;
   frames_.push_back(
       Frame{std::move(frame_bytes), shaped.interval, active_seq_});
   ++segments_[active_seq_].live_frames;

@@ -15,11 +15,14 @@
 //   wal-000002.seg.open   the active segment being appended to
 //
 // each a raw stream of NDFR frames (magic | length | CRC32 | payload —
-// the record *is* the wire frame, so draining is a plain resend).
+// the wal record of reporting/wal.hpp: the record *is* the wire frame,
+// so draining is a plain resend). Each segment is written through one
+// wal::Writer, the same append writer the collector's journal uses.
 // Rotation finalizes the active segment with an atomic rename, the
-// same tmp+rename discipline as checkpoint files; appends fsync when
-// configured (once per interval close on the measure path). Recovery
-// scans every segment with wal::scan: a torn tail from a crash
+// same tmp+rename discipline as checkpoint files; appends fsync once
+// every fsync_every records (the measure path appends once per interval
+// close). Recovery scans every segment with wal::scan and keeps each
+// intact frame's bytes as they were read: a torn tail from a crash
 // mid-write, a flipped byte, or a truncated file costs exactly the
 // damaged record — intact neighbors survive, duplicates are the
 // collector's first-copy-wins dedup's business.
@@ -36,8 +39,8 @@
 // report that cannot fit at all is dropped — and counted, never
 // silent (nd_spool_dropped_total is the zero-loss acceptance gauge).
 //
-// Fault sites (robustness/fault.hpp), consulted per append in this
-// order, at most one firing:
+// Fault sites (robustness/fault.hpp), consulted per append by the
+// wal::Writer in this order (a disk_full firing skips the other two):
 //   spool.disk_full    the append writes nothing (ENOSPC model)
 //   spool.torn_record  the record is cut mid-write (crash model)
 //   spool.short_write  the record lands whole but in 1-byte writes
@@ -54,6 +57,7 @@
 
 #include "core/device.hpp"
 #include "packet/flow_key.hpp"
+#include "reporting/wal.hpp"
 #include "robustness/fault.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -74,18 +78,15 @@ struct SpoolWalConfig {
   /// evicts already-sent frames oldest-first, then sheds the incoming
   /// report's smallest flows to fit.
   std::uint64_t max_total_bytes{1ULL << 26};
-  /// fsync after every append (the measure path appends once per
-  /// interval close, so this is fsync-on-interval-close).
-  bool fsync{true};
-  /// Group commit: fsync once per `fsync_batch` appends instead of per
-  /// record (1 = every append, the classic contract). sync() and the
-  /// destructor flush a partial batch, and rotation flushes before the
-  /// segment is finalized, so an orderly shutdown never widens the
-  /// crash window; a power cut can lose at most the last fsync_batch-1
-  /// records — each still held in memory and re-sent on drain, so only
-  /// a power cut *and* delivery failure together lose data. Ignored
-  /// when fsync is false.
-  std::uint32_t fsync_batch{1};
+  /// Group commit: fsync once every this many appends (1, the default,
+  /// fsyncs each interval close on the measure path; 0 never fsyncs).
+  /// sync() and the destructor flush a partial batch, and rotation
+  /// flushes before the segment is finalized, so an orderly shutdown
+  /// never widens the crash window; a power cut can lose at most the
+  /// last fsync_every - 1 records — each still held in memory and
+  /// re-sent on drain, so only a power cut *and* delivery failure
+  /// together lose data.
+  std::uint32_t fsync_every{1};
   /// Fault hook for the spool.* sites above. Not owned.
   robustness::FaultInjector* faults{nullptr};
   /// Optional telemetry registry (not owned); labels tag every series.
@@ -117,15 +118,6 @@ struct SpoolWalStats {
   /// Reports that could not be retained at all — the only loss the
   /// spool can cause, and the soak's must-be-zero counter.
   std::uint64_t dropped{0};
-  /// Appends that wrote nothing (injected disk_full or a real write
-  /// error); the frame stays deliverable in memory but is not durable.
-  std::uint64_t write_errors{0};
-  /// Appends deliberately cut mid-record by spool.torn_record.
-  std::uint64_t torn_writes{0};
-  /// Appends chunked byte-at-a-time by spool.short_write (benign).
-  std::uint64_t short_writes{0};
-  /// fsync() calls issued (== appended when fsync_batch is 1).
-  std::uint64_t fsyncs{0};
   std::uint64_t segments_created{0};
   std::uint64_t segments_removed{0};
   std::uint64_t bytes_on_disk{0};
@@ -150,7 +142,6 @@ class SpoolWal {
   /// active segment. Throws SpoolError when the directory cannot be
   /// created or the active segment cannot be opened.
   explicit SpoolWal(const SpoolWalConfig& config);
-  ~SpoolWal();
 
   SpoolWal(const SpoolWal&) = delete;
   SpoolWal& operator=(const SpoolWal&) = delete;
@@ -188,8 +179,8 @@ class SpoolWal {
   void rewind();
 
   /// Flush a partial group-commit batch to disk now (no-op when
-  /// nothing is pending or fsync is off).
-  void sync();
+  /// nothing is pending or fsync_every is 0).
+  void sync() { writer_.sync(); }
 
   /// True while pending frames exist — the /healthz degraded signal
   /// (a draining device is live but its reports are not yet collected;
@@ -197,6 +188,12 @@ class SpoolWal {
   [[nodiscard]] bool draining() const { return backlog() > 0; }
 
   [[nodiscard]] const SpoolWalStats& stats() const { return stats_; }
+  /// The segment writer's counts across every segment this run: write
+  /// errors (the frame stays deliverable in memory but is not durable),
+  /// torn and short writes, fsyncs.
+  [[nodiscard]] const wal::WriterStats& write_stats() const {
+    return writer_.stats();
+  }
   [[nodiscard]] const std::string& directory() const {
     return config_.directory;
   }
@@ -218,8 +215,6 @@ class SpoolWal {
   void recover();
   void open_active_segment(std::uint64_t seq);
   void rotate_active_segment();
-  /// Returns true when the record is durably on disk.
-  bool write_record(std::span<const std::uint8_t> record);
   void evict_front();
   void update_gauges();
 
@@ -228,10 +223,9 @@ class SpoolWal {
   std::size_t watermark_{0};
   std::map<std::uint64_t, Segment> segments_;
   std::uint64_t active_seq_{0};
-  int active_fd_{-1};
+  /// Writes the active segment; reopened at each rotation.
+  wal::Writer writer_;
   SpoolWalStats stats_;
-  /// Appends since the last fsync (group commit).
-  std::uint32_t unsynced_{0};
 
   telemetry::Counter* tm_appended_{nullptr};
   telemetry::Counter* tm_recovered_{nullptr};
@@ -240,7 +234,6 @@ class SpoolWal {
   telemetry::Counter* tm_shed_{nullptr};
   telemetry::Counter* tm_evicted_{nullptr};
   telemetry::Counter* tm_write_errors_{nullptr};
-  telemetry::Counter* tm_fsyncs_{nullptr};
   telemetry::Gauge* tm_backlog_{nullptr};
   telemetry::Gauge* tm_disk_bytes_{nullptr};
 };

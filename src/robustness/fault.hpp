@@ -42,7 +42,7 @@ namespace nd::robustness {
 /// Every fault site a component consults; parse_fault_plan rejects any
 /// other name, so a typo or a retired site is a usage error instead of
 /// a plan that silently never fires.
-inline constexpr std::array<std::string_view, 12> kFaultSites = {
+inline constexpr std::array<std::string_view, 14> kFaultSites = {
     "pool.task",            // common::ThreadPool — task throws/stalls
     "channel.drop",         // reporting::ResilientChannel — attempt lost
     "channel.corrupt",      // reporting::ResilientChannel — byte flipped
@@ -51,10 +51,14 @@ inline constexpr std::array<std::string_view, 12> kFaultSites = {
     "net.connect",          // net::TcpTransport — connect refused
     "net.disconnect",       // net::TcpTransport — dropped mid-frame
     "net.short_write",      // net::TcpTransport — sends shrunk to chunks
-    "spool.disk_full",      // reporting::SpoolWal — append writes nothing
-    "spool.torn_record",    // reporting::SpoolWal — record cut mid-write
-    "spool.short_write",    // reporting::SpoolWal — 1-byte writes
-    "journal.torn_record",  // net::JournalWriter — record cut mid-write
+    // reporting::wal::Writer, per store: the device spool and the
+    // collector journal each consult all three, in this order.
+    "spool.disk_full",      // spool append writes nothing
+    "spool.torn_record",    // spool record cut mid-write
+    "spool.short_write",    // spool record lands in 1-byte writes
+    "journal.disk_full",    // journal append writes nothing
+    "journal.torn_record",  // journal record cut mid-write
+    "journal.short_write",  // journal record lands in 1-byte writes
 };
 
 enum class FaultKind : std::uint8_t {

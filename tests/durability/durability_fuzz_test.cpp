@@ -87,7 +87,7 @@ std::vector<common::IntervalIndex> recover_intervals(
   }
   reporting::SpoolWalConfig config;
   config.directory = dir;
-  config.fsync = false;
+  config.fsync_every = 0;
   reporting::SpoolWal spool(config);
   std::vector<common::IntervalIndex> intervals;
   for (std::size_t i = 0; i < spool.frame_count(); ++i) {
@@ -162,8 +162,7 @@ JournalCorpus journal_corpus() {
   }
   corpus.payloads.push_back(net::encode_journal_bye(0, 0, 2));
   for (const auto& payload : corpus.payloads) {
-    reporting::wal::append_record(corpus.bytes, net::kJournalMagic,
-                                  payload);
+    reporting::wal::append(corpus.bytes, net::kJournalMagic, payload);
     corpus.record_ends.push_back(corpus.bytes.size());
   }
   return corpus;

@@ -1,8 +1,9 @@
 // Collector crash-recovery journal suite: the journal codec round
-// trip, torn-record resync, the journal.torn_record fault site, and
+// trip, torn-record resync, the collector's journal group commit, and
 // the end-to-end restart property — a collector rebuilt from its
 // journal merges bit-identically to one that never died, with devices
-// replaying their spools absorbed by first-copy-wins dedup.
+// replaying their spools absorbed by first-copy-wins dedup. The append
+// writer itself (faults, fsync counting) is the WalWriter suite's.
 #include "net/journal.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +11,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <span>
 #include <string>
 #include <thread>
@@ -24,7 +23,7 @@
 #include "packet/flow_key.hpp"
 #include "reporting/record_codec.hpp"
 #include "reporting/wal.hpp"
-#include "robustness/fault.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace nd::net {
 namespace {
@@ -80,19 +79,12 @@ struct RecordedEvents final : JournalReplayEvents {
   }
 };
 
-std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
 TEST(Journal, CodecRoundTripThroughReplay) {
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 6, 7};
   std::vector<std::uint8_t> bytes;
-  reporting::wal::append_record(bytes, kJournalMagic,
-                                encode_journal_report(7, 2, payload));
-  reporting::wal::append_record(bytes, kJournalMagic,
-                                encode_journal_bye(7, 3, 5));
+  reporting::wal::append(bytes, kJournalMagic,
+                         encode_journal_report(7, 2, payload));
+  reporting::wal::append(bytes, kJournalMagic, encode_journal_bye(7, 3, 5));
 
   RecordedEvents events;
   const JournalReplayStats stats = replay_journal(bytes, events);
@@ -112,16 +104,17 @@ TEST(Journal, ReplayResyncsPastTornRecord) {
   const std::vector<std::uint8_t> first = {10, 11, 12};
   const std::vector<std::uint8_t> last = {20, 21, 22};
   std::vector<std::uint8_t> bytes;
-  reporting::wal::append_record(bytes, kJournalMagic,
-                                encode_journal_report(1, 0, first));
+  reporting::wal::append(bytes, kJournalMagic,
+                         encode_journal_report(1, 0, first));
   // A record torn mid-write: only half its bytes ever landed.
   const std::vector<std::uint8_t> middle = {30, 31, 32, 33};
-  const std::vector<std::uint8_t> torn = reporting::wal::encode_record(
-      kJournalMagic, encode_journal_report(2, 0, middle));
+  std::vector<std::uint8_t> torn;
+  reporting::wal::append(torn, kJournalMagic,
+                         encode_journal_report(2, 0, middle));
   bytes.insert(bytes.end(), torn.begin(),
                torn.begin() + static_cast<std::ptrdiff_t>(torn.size() / 2));
-  reporting::wal::append_record(bytes, kJournalMagic,
-                                encode_journal_report(3, 0, last));
+  reporting::wal::append(bytes, kJournalMagic,
+                         encode_journal_report(3, 0, last));
 
   RecordedEvents events;
   const JournalReplayStats stats = replay_journal(bytes, events);
@@ -138,87 +131,14 @@ TEST(Journal, MalformedPayloadIsRejectedNotCrashed) {
   std::vector<std::uint8_t> bytes;
   const std::vector<std::uint8_t> unknown_type(10, 9);
   const std::vector<std::uint8_t> too_short = {0};
-  reporting::wal::append_record(bytes, kJournalMagic, unknown_type);
-  reporting::wal::append_record(bytes, kJournalMagic, too_short);
+  reporting::wal::append(bytes, kJournalMagic, unknown_type);
+  reporting::wal::append(bytes, kJournalMagic, too_short);
   RecordedEvents events;
   const JournalReplayStats stats = replay_journal(bytes, events);
   EXPECT_EQ(stats.records, 0u);
   EXPECT_EQ(stats.torn, 2u);
   EXPECT_TRUE(events.reports.empty());
   EXPECT_TRUE(events.byes.empty());
-}
-
-TEST(Journal, GroupCommitBatchesFsyncsAndFlushesOnSyncAndClose) {
-  JournalWriterConfig config;
-  config.path = fresh_path("group_commit.wal");
-  config.fsync_batch = 3;
-  telemetry::MetricsRegistry registry;
-  config.metrics = &registry;
-  {
-    JournalWriter writer(config);
-    for (std::uint32_t i = 0; i < 7; ++i) {
-      const std::vector<std::uint8_t> payload = {
-          static_cast<std::uint8_t>(i), 2, 3};
-      ASSERT_TRUE(writer.append(encode_journal_report(1, 0, payload)));
-    }
-    // 7 appends / batch of 3 = 2 full batches; 1 record pending.
-    EXPECT_EQ(writer.stats().appended, 7u);
-    EXPECT_EQ(writer.stats().fsyncs, 2u);
-    writer.sync();
-    EXPECT_EQ(writer.stats().fsyncs, 3u);
-    writer.sync();  // nothing pending: no extra fsync
-    EXPECT_EQ(writer.stats().fsyncs, 3u);
-    EXPECT_EQ(registry.counter("nd_journal_fsync_total").value(), 3u);
-    ASSERT_TRUE(writer.append(encode_journal_bye(1, 0, 7)));
-    // Destructor flushes the final partial batch before close.
-  }
-  std::ifstream in(config.path, std::ios::binary);
-  const std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)),
-      std::istreambuf_iterator<char>());
-  RecordedEvents events;
-  const JournalReplayStats stats = replay_journal(bytes, events);
-  EXPECT_EQ(stats.records, 8u);
-  EXPECT_EQ(stats.torn, 0u);
-}
-
-TEST(Journal, FsyncBatchDefaultsToPerAppend) {
-  JournalWriterConfig config;
-  config.path = fresh_path("batch_default.wal");
-  JournalWriter writer(config);
-  const std::vector<std::uint8_t> payload = {1};
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(writer.append(encode_journal_report(1, 0, payload)));
-  }
-  EXPECT_EQ(writer.stats().fsyncs, 4u);
-}
-
-TEST(Journal, WriterTornFaultCostsOnlyTheTornRecord) {
-  robustness::FaultSpec spec;
-  spec.kind = robustness::FaultKind::kTruncate;
-  spec.schedule = {0};
-  robustness::FaultInjector faults(
-      robustness::FaultPlan(5).inject("journal.torn_record", spec));
-
-  JournalWriterConfig config;
-  config.path = fresh_path("torn.wal");
-  config.faults = &faults;
-  const std::vector<std::uint8_t> first = {1, 2, 3};
-  const std::vector<std::uint8_t> second = {42, 43, 44};
-  {
-    JournalWriter writer(config);
-    EXPECT_FALSE(writer.append(encode_journal_report(1, 0, first)));
-    EXPECT_EQ(writer.stats().torn_writes, 1u);
-    EXPECT_TRUE(writer.append(encode_journal_report(2, 0, second)));
-    EXPECT_EQ(writer.stats().appended, 1u);
-  }
-  RecordedEvents events;
-  const JournalReplayStats stats =
-      replay_journal(read_file_bytes(config.path), events);
-  EXPECT_EQ(stats.records, 1u);
-  ASSERT_EQ(events.reports.size(), 1u);
-  EXPECT_EQ(events.reports[0].device, 2u);
-  EXPECT_EQ(events.reports[0].payload, second);
 }
 
 /// Block until the collector has ingested (or deduplicated) `count`
@@ -230,6 +150,70 @@ void wait_for_frames(const Collector& collector, std::uint64_t count) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   FAIL() << "collector never saw " << count << " reports";
+}
+
+TEST(Journal, GroupCommitBatchesFsyncsAndFlushesOnSyncAndClose) {
+  // --journal-fsync N through the collector: 5 reports and a bye are 6
+  // journal records, so a batch of 4 fsyncs once while running and once
+  // more, for the partial batch, when run() returns; 0 never fsyncs.
+  for (const std::uint32_t every : {4u, 0u}) {
+    telemetry::MetricsRegistry registry;
+    {
+      CollectorConfig config;
+      config.expected_devices = 1;
+      config.journal_path =
+          fresh_path("group_commit_" + std::to_string(every) + ".wal");
+      config.journal_fsync_every = every;
+      config.metrics = &registry;
+      Collector collector(config);
+      collector.start();
+      {
+        TcpTransportConfig transport_config;
+        transport_config.port = collector.port();
+        TcpTransport transport(transport_config);
+        for (std::uint32_t interval = 0; interval < 5; ++interval) {
+          ASSERT_TRUE(transport.send_frame(reporting::frame_payload(
+              reporting::encode(make_report(interval, 3),
+                                packet::FlowKeyKind::kFiveTuple))));
+        }
+        ASSERT_TRUE(transport.send_bye(5));
+      }
+      ASSERT_TRUE(collector.wait());
+      EXPECT_EQ(collector.stats().journal_records, 6u);
+      EXPECT_EQ(registry.counter("nd_journal_fsync_total").value(),
+                every == 0 ? 0u : 2u);
+    }
+    // Nothing was left for closing the journal to flush.
+    EXPECT_EQ(registry.counter("nd_journal_fsync_total").value(),
+              every == 0 ? 0u : 2u);
+  }
+}
+
+TEST(Journal, FsyncBatchDefaultsToPerAppend) {
+  // A collector left at its default fsyncs every journal record: 4
+  // reports and a bye are 5 records and 5 fsyncs.
+  telemetry::MetricsRegistry registry;
+  CollectorConfig config;
+  EXPECT_EQ(config.journal_fsync_every, 1u);
+  config.expected_devices = 1;
+  config.journal_path = fresh_path("batch_default.wal");
+  config.metrics = &registry;
+  Collector collector(config);
+  collector.start();
+  {
+    TcpTransportConfig transport_config;
+    transport_config.port = collector.port();
+    TcpTransport transport(transport_config);
+    for (std::uint32_t interval = 0; interval < 4; ++interval) {
+      ASSERT_TRUE(transport.send_frame(reporting::frame_payload(
+          reporting::encode(make_report(interval, 1),
+                            packet::FlowKeyKind::kFiveTuple))));
+    }
+    ASSERT_TRUE(transport.send_bye(4));
+  }
+  ASSERT_TRUE(collector.wait());
+  EXPECT_EQ(collector.stats().journal_records, 5u);
+  EXPECT_EQ(registry.counter("nd_journal_fsync_total").value(), 5u);
 }
 
 TEST(Journal, CollectorRestartMergesBitIdenticallyToUninterruptedRun) {
@@ -313,13 +297,13 @@ TEST(Journal, ReplayedByeCompletesCollectionWithoutConnections) {
   // already done: the journal alone carries the full collection.
   const std::string journal = fresh_path("bye.wal");
   {
-    JournalWriterConfig writer_config;
-    writer_config.path = journal;
-    JournalWriter writer(writer_config);
+    reporting::wal::Writer writer({.store = "journal"});
+    writer.open(journal);
     const std::vector<std::uint8_t> payload = reporting::encode(
         make_report(0, 4), packet::FlowKeyKind::kFiveTuple, {});
-    ASSERT_TRUE(writer.append(encode_journal_report(0, 0, payload)));
-    ASSERT_TRUE(writer.append(encode_journal_bye(0, 0, 1)));
+    writer.append(kJournalMagic, encode_journal_report(0, 0, payload));
+    writer.append(kJournalMagic, encode_journal_bye(0, 0, 1));
+    ASSERT_EQ(writer.stats().appended, 2u);
   }
   CollectorConfig config;
   config.expected_devices = 1;

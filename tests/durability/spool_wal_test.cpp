@@ -9,7 +9,10 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "../support/collector_sink.hpp"
 #include "../support/report_testing.hpp"
 #include "core/device.hpp"
+#include "net/frame_stream.hpp"
 #include "packet/flow_key.hpp"
 #include "reporting/record_codec.hpp"
 #include "reporting/resilient_channel.hpp"
@@ -156,10 +160,54 @@ TEST(SpoolWal, RotationFinalizesSegmentsAndRecoveryFindsAll) {
   }
 }
 
+/// Collects what a FrameStreamParser emits.
+struct ParsedFrames final : net::FrameStreamParser::Events {
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::size_t resyncs{0};
+  void on_hello(const net::Hello&) override {}
+  void on_bye(const net::Bye&) override {}
+  void on_report_frame(std::span<const std::uint8_t> payload) override {
+    payloads.emplace_back(payload.begin(), payload.end());
+  }
+  void on_resync(std::size_t) override { ++resyncs; }
+};
+
+TEST(SpoolWal, SegmentBytesParseAsTheRecoveredWireFrames) {
+  // The spool record is the wire frame: a segment file fed to the
+  // collector's stream parser yields exactly the frames recovery keeps.
+  SpoolWalConfig config;
+  config.directory = fresh_dir("segment_is_wire");
+  {
+    SpoolWal spool(config);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      spool.append(make_report(i, 2 + i), packet::FlowKeyKind::kFiveTuple,
+                   i == 1 ? "{\"metrics\":1}" : "");
+    }
+  }
+  SpoolWal spool(config);
+  ASSERT_EQ(spool.frame_count(), 3u);
+  std::vector<std::uint8_t> segment;
+  for (const auto& entry : fs::directory_iterator(config.directory)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    segment.insert(segment.end(), std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  net::FrameStreamParser parser;
+  ParsedFrames parsed;
+  parser.feed(segment, parsed);
+  EXPECT_EQ(parsed.resyncs, 0u);
+  EXPECT_EQ(parser.buffered(), 0u);
+  ASSERT_EQ(parsed.payloads.size(), spool.frame_count());
+  for (std::size_t i = 0; i < spool.frame_count(); ++i) {
+    std::vector<std::uint8_t> frame = frame_payload(parsed.payloads[i]);
+    EXPECT_TRUE(std::ranges::equal(frame, spool.frame(i))) << i;
+  }
+}
+
 TEST(SpoolWal, GroupCommitBatchesFsyncsAndFlushesOnSyncAndClose) {
   SpoolWalConfig config;
   config.directory = fresh_dir("group_commit");
-  config.fsync_batch = 4;
+  config.fsync_every = 4;
   telemetry::MetricsRegistry registry;
   config.metrics = &registry;
   {
@@ -170,11 +218,11 @@ TEST(SpoolWal, GroupCommitBatchesFsyncsAndFlushesOnSyncAndClose) {
       EXPECT_TRUE(result.durable);
     }
     // 10 appends / batch of 4 = 2 full batches; 2 records pending.
-    EXPECT_EQ(spool.stats().fsyncs, 2u);
+    EXPECT_EQ(spool.write_stats().fsyncs, 2u);
     spool.sync();
-    EXPECT_EQ(spool.stats().fsyncs, 3u);
+    EXPECT_EQ(spool.write_stats().fsyncs, 3u);
     spool.sync();  // nothing pending: no extra fsync
-    EXPECT_EQ(spool.stats().fsyncs, 3u);
+    EXPECT_EQ(spool.write_stats().fsyncs, 3u);
     EXPECT_EQ(registry.counter("nd_spool_fsync_total").value(), 3u);
     spool.append(make_report(10, 4), packet::FlowKeyKind::kFiveTuple, {});
     // Destructor flushes the final partial batch.
@@ -188,7 +236,7 @@ TEST(SpoolWal, GroupCommitFlushesBeforeRotationFinalizesSegment) {
   SpoolWalConfig config;
   config.directory = fresh_dir("group_commit_rotate");
   config.max_segment_bytes = 1;  // every append rotates
-  config.fsync_batch = 100;      // far larger than the appends below
+  config.fsync_every = 100;      // far larger than the appends below
   {
     SpoolWal spool(config);
     for (std::uint32_t i = 0; i < 3; ++i) {
@@ -196,7 +244,7 @@ TEST(SpoolWal, GroupCommitFlushesBeforeRotationFinalizesSegment) {
     }
     // Each rotation flushed the batch before the rename: a closed .seg
     // must hold everything it claims to.
-    EXPECT_GE(spool.stats().fsyncs, 2u);
+    EXPECT_GE(spool.write_stats().fsyncs, 2u);
   }
   SpoolWal spool(config);
   EXPECT_EQ(spool.stats().recovered, 3u);
@@ -205,21 +253,21 @@ TEST(SpoolWal, GroupCommitFlushesBeforeRotationFinalizesSegment) {
 TEST(SpoolWal, FsyncBatchOneKeepsPerAppendDurability) {
   SpoolWalConfig config;
   config.directory = fresh_dir("batch_one");
+  EXPECT_EQ(config.fsync_every, 1u);
   {
-    SpoolWal spool(config);  // fsync_batch defaults to 1
+    SpoolWal spool(config);
     for (std::uint32_t i = 0; i < 5; ++i) {
       spool.append(make_report(i, 4), packet::FlowKeyKind::kFiveTuple, {});
     }
-    EXPECT_EQ(spool.stats().fsyncs, 5u);
+    EXPECT_EQ(spool.write_stats().fsyncs, 5u);
   }
   SpoolWalConfig off = config;
   off.directory = fresh_dir("fsync_off");
-  off.fsync = false;
-  off.fsync_batch = 4;  // ignored when fsync is off
+  off.fsync_every = 0;
   SpoolWal spool(off);
   spool.append(make_report(0, 4), packet::FlowKeyKind::kFiveTuple, {});
   spool.sync();
-  EXPECT_EQ(spool.stats().fsyncs, 0u);
+  EXPECT_EQ(spool.write_stats().fsyncs, 0u);
 }
 
 TEST(SpoolWal, TornTailCostsExactlyTheLastRecord) {
@@ -256,7 +304,7 @@ TEST(SpoolWal, DiskFullFaultKeepsFrameDeliverableInMemory) {
         make_report(0, 4), packet::FlowKeyKind::kFiveTuple, {});
     EXPECT_EQ(result.index, 0u);
     EXPECT_FALSE(result.durable);
-    EXPECT_EQ(spool.stats().write_errors, 1u);
+    EXPECT_EQ(spool.write_stats().write_errors, 1u);
     // Still deliverable this run: the frame drains from memory.
     EXPECT_EQ(spool.backlog(), 1u);
     testing::expect_reports_equal(
@@ -280,7 +328,7 @@ TEST(SpoolWal, TornWriteFaultSurvivesToIntactNeighbors) {
     const SpoolWal::AppendResult torn = spool.append(
         make_report(0, 4), packet::FlowKeyKind::kFiveTuple, {});
     EXPECT_FALSE(torn.durable);
-    EXPECT_EQ(spool.stats().torn_writes, 1u);
+    EXPECT_EQ(spool.write_stats().torn_writes, 1u);
     const SpoolWal::AppendResult clean = spool.append(
         make_report(1, 4), packet::FlowKeyKind::kFiveTuple, {});
     EXPECT_TRUE(clean.durable);
@@ -307,7 +355,7 @@ TEST(SpoolWal, ShortWriteFaultLandsTheWholeRecord) {
     const SpoolWal::AppendResult result = spool.append(
         make_report(0, 4), packet::FlowKeyKind::kFiveTuple, {});
     EXPECT_TRUE(result.durable);
-    EXPECT_EQ(spool.stats().short_writes, 1u);
+    EXPECT_EQ(spool.write_stats().short_writes, 1u);
   }
   SpoolWalConfig clean = config;
   clean.faults = nullptr;

@@ -11,10 +11,10 @@
 // a whole number (or, for --scale/--oversampling/--flows, a number),
 // --interval 0, a count above 4294967295 for a 32-bit flag (--buckets,
 // --depth, --device-id, --devices, --entries, --fleet-size,
-// --intervals, --journal-fsync-batch, --net-attempts, --shards,
-// --snaplen, --spool-fsync-batch), a 0/1 switch (--adaptive,
-// --journal-fsync, --net-jitter, --shard-usage, --spool-fsync) set to
-// anything but 0 or 1, a --connect that is not a numeric IPv4
+// --intervals, --journal-fsync, --net-attempts, --shards, --snaplen,
+// --spool-fsync), a 0/1 switch (--adaptive, --shard-usage) set to
+// anything but 0 or 1, a --net-budget above the 67108864-byte frame
+// payload bound, a --connect that is not a numeric IPv4
 // HOST:PORT with the port in 1-65535, a --listen / --http-port outside
 // 0-65535 (0 = ephemeral), or a --trace without a path also exits 2
 // naming the flag.
@@ -82,12 +82,13 @@
 //       and mid-frame disconnects, announces itself with --device-id
 //       (default 0), and says bye when the capture ends. Backoff uses
 //       decorrelated jitter seeded per device so a fleet reconnecting
-//       after a collector restart spreads out (--net-jitter 0|1,
-//       default 1; 0 restores the exact base*2^retry ladder).
+//       after a collector restart spreads out.
 //       --net-attempts bounds delivery attempts per report,
 //       --net-backoff-us sets the base backoff, --net-budget the
-//       per-interval byte budget. The net.* fault sites (connect,
-//       disconnect, short_write) apply when a --fault-plan names them.
+//       per-interval byte budget (default 4194304, at most 67108864:
+//       the largest frame payload a collector accepts). The net.*
+//       fault sites (connect, disconnect, short_write) apply when a
+//       --fault-plan names them.
 //
 //       --spool-dir DIR (requires --connect) turns transport loss into
 //       a wait: every shaped report is appended to a CRC-guarded WAL in
@@ -101,13 +102,13 @@
 //       64 MiB; over budget: sent frames evicted oldest-first, then
 //       smallest flows shed, and only a report that cannot fit at all
 //       is dropped — which is the one spool condition that still exits
-//       5). --spool-fsync 0|1 (default 1): 0 trades crash-durability
-//       for speed; --spool-fsync-batch N group-commits instead,
-//       fsyncing once per N appends (partial batches flush on rotation
-//       and shutdown, so only a power cut mid-batch can lose the last
-//       N-1 records — and those are re-sent from memory on drain). The
-//       spool.* fault sites (disk_full, torn_record, short_write) apply
-//       when a --fault-plan names them.
+//       5). --spool-fsync N (default 1) fsyncs once every N appends:
+//       1 fsyncs each interval's report, 0 never fsyncs (trading
+//       crash-durability for speed), and N > 1 group-commits (partial
+//       batches flush on rotation and shutdown, so only a power cut
+//       mid-batch can lose the last N-1 records — and those are re-sent
+//       from memory on drain). The spool.* fault sites (disk_full,
+//       torn_record, short_write) apply when a --fault-plan names them.
 //
 //       --resume (requires --checkpoint) restarts from the checkpoint
 //       when the file exists (fresh start otherwise): the device state
@@ -139,8 +140,7 @@
 //   ndtm collect --listen PORT --devices N [--export merged.bin]
 //                [--timeout-ms N] [--port-file path] [--metrics[=path]]
 //                [--http-port N] [--http-port-file path] [--trace path]
-//                [--journal path] [--journal-fsync 0|1]
-//                [--journal-fsync-batch N]
+//                [--journal path] [--journal-fsync N]
 //                [--fault-plan spec] [--fault-seed N]
 //       The management-station end: accept device connections on
 //       127.0.0.1:PORT (0 = ephemeral; --port-file writes the bound
@@ -168,13 +168,15 @@
 //       replays the journal through the normal ingestion path (dedup
 //       included) before accepting connections — so a collector killed
 //       mid-interval and restarted merges bit-identically to one that
-//       never died. --journal-fsync 0|1 (default 1): 0 trades
-//       per-record durability for speed; --journal-fsync-batch N
-//       group-commits, fsyncing once per N appends (a crash mid-batch
-//       loses at most N-1 records, which devices re-send from their
-//       spools and dedup absorbs);
-//       the journal.torn_record fault site applies when a
-//       --fault-plan names it. SIGINT/SIGTERM call
+//       never died. The journal is written through the same append
+//       writer as the device spool, one CRC-guarded record per report
+//       or bye. --journal-fsync N (default 1) fsyncs once every N
+//       appends: 1 fsyncs each record, 0 never fsyncs (trading
+//       per-record durability for speed), and N > 1 group-commits (a
+//       crash mid-batch loses at most N-1 records, which devices
+//       re-send from their spools and dedup absorbs). The journal.*
+//       fault sites (disk_full, torn_record, short_write) apply when a
+//       --fault-plan names them. SIGINT/SIGTERM call
 //       pipeline::Collect::stop(): accepted reports are already
 //       journaled, the merged export, metrics and trace files are still
 //       written, and the exit code is 5 (not every device finished).
@@ -236,15 +238,14 @@ const std::map<std::string, ValueKind> kValueKinds = [] {
         "traffic"}) {
     kinds[flag] = ValueKind::kWhole;
   }
-  for (const char* flag : {"adaptive", "journal-fsync", "net-jitter",
-                           "shard-usage", "spool-fsync"}) {
+  for (const char* flag : {"adaptive", "shard-usage"}) {
     kinds[flag] = ValueKind::kSwitch;
   }
   // Read into 32-bit fields: a larger value would silently wrap.
   for (const char* flag :
        {"buckets", "depth", "device-id", "devices", "entries",
-        "fleet-size", "intervals", "journal-fsync-batch", "net-attempts",
-        "shards", "snaplen", "spool-fsync-batch"}) {
+        "fleet-size", "intervals", "journal-fsync", "net-attempts",
+        "shards", "snaplen", "spool-fsync"}) {
     kinds[flag] = ValueKind::kWhole32;
   }
   for (const char* flag : {"flows", "oversampling", "scale"}) {
@@ -520,10 +521,8 @@ int cmd_measure(const Args& args) {
   config.spool.directory = args.get("spool-dir", "");
   config.spool.max_total_bytes =
       args.get_u64("spool-max-bytes", config.spool.max_total_bytes);
-  config.spool.fsync =
-      args.get_u64("spool-fsync", config.spool.fsync) != 0;
-  config.spool.fsync_batch =
-      get_u32(args, "spool-fsync-batch", config.spool.fsync_batch);
+  config.spool.fsync_every =
+      get_u32(args, "spool-fsync", config.spool.fsync_every);
   config.channel.bytes_per_interval =
       args.get_u64("net-budget", config.channel.bytes_per_interval);
   config.channel.max_attempts =
@@ -531,8 +530,6 @@ int cmd_measure(const Args& args) {
   config.channel.backoff_base = std::chrono::microseconds(args.get_u64(
       "net-backoff-us",
       static_cast<std::uint64_t>(config.channel.backoff_base.count())));
-  config.channel.jitter =
-      args.get_u64("net-jitter", config.channel.jitter) != 0;
 
   pipeline::Measure measure(std::move(config));
   const StopOnSignal stop_on_signal(measure);
@@ -548,10 +545,8 @@ int cmd_collect(const Args& args) {
   collector.timeout =
       std::chrono::milliseconds(args.get_u64("timeout-ms", 0));
   collector.journal_path = args.get("journal", "");
-  collector.journal_fsync =
-      args.get_u64("journal-fsync", collector.journal_fsync) != 0;
-  collector.journal_fsync_batch =
-      get_u32(args, "journal-fsync-batch", collector.journal_fsync_batch);
+  collector.journal_fsync_every =
+      get_u32(args, "journal-fsync", collector.journal_fsync_every);
   config.export_path = args.get("export", "");
   config.port_file = args.get("port-file", "");
   config.observability = observability_flags(args, "collect_metrics.jsonl");
@@ -650,14 +645,13 @@ const Command kCommands[] = {
      {"adaptive", "algorithm", "checkpoint", "connect", "device-id",
       "entries", "export", "fault-plan", "fault-seed", "fleet-size",
       "flow-def", "http-port", "http-port-file", "in", "interval",
-      "metrics", "net-attempts", "net-backoff-us", "net-budget",
-      "net-jitter", "pace-ms", "resume", "seed", "shard-usage", "shards",
-      "spool-dir", "spool-fsync", "spool-fsync-batch", "spool-max-bytes",
-      "threshold", "trace"}},
+      "metrics", "net-attempts", "net-backoff-us", "net-budget", "pace-ms",
+      "resume", "seed", "shard-usage", "shards", "spool-dir", "spool-fsync",
+      "spool-max-bytes", "threshold", "trace"}},
     {"collect", cmd_collect,
      {"devices", "export", "fault-plan", "fault-seed", "http-port",
-      "http-port-file", "journal", "journal-fsync", "journal-fsync-batch",
-      "listen", "metrics", "port-file", "timeout-ms", "trace"}},
+      "http-port-file", "journal", "journal-fsync", "listen", "metrics",
+      "port-file", "timeout-ms", "trace"}},
     {"bounds", cmd_bounds,
      {"buckets", "capacity", "depth", "flows", "oversampling",
       "threshold"}},

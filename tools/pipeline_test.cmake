@@ -95,7 +95,7 @@ endif()
 # A flag the subcommand does not read is a usage error naming the flag,
 # never a silent run with defaults: a typo, and removed flags.
 foreach(bad_flag "--treshold;1" "--hugepages" "--pin;1" "--watchdog-ms;5000"
-                 "--trace-sample;8")
+                 "--trace-sample;8" "--spool-fsync-batch;4" "--net-jitter;0")
   execute_process(
     COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap ${bad_flag}
     RESULT_VARIABLE rv ERROR_VARIABLE err OUTPUT_QUIET)
@@ -116,8 +116,10 @@ endforeach()
 # them; 65 exceeds the default 4096 entries' 64-entry floor), never a
 # --connect host only the transport rejects (`foo:80` used to build the
 # device and session, then exit 1), never a 0/1 switch that reads any
-# non-zero value as on (`--adaptive 2`). TIMEOUT turns a regression
-# into a failure instead of a hang.
+# non-zero value as on (`--adaptive 2`), never a --net-budget above the
+# 64 MiB frame payload bound (a report shaped to it could be a frame the
+# collector drops as corrupt). TIMEOUT turns a regression into a failure
+# instead of a hang.
 foreach(bad_value
     "measure;--interval;abc" "measure;--interval;0" "measure;--interval;"
     "measure;--threshold;1e5" "measure;--shards;-2"
@@ -129,7 +131,8 @@ foreach(bad_value
     "measure;--connect;127.0.0.1:abc" "measure;--connect;127.0.0.1:0"
     "measure;--connect;127.0.0.1:70000" "measure;--connect;foo:80"
     "measure;--connect;256.1.1.1:80" "measure;--adaptive;2"
-    "collect;--journal-fsync;2" "collect;--listen;70000"
+    "measure;--net-budget;67108865"
+    "collect;--journal-fsync;x" "collect;--listen;70000"
     "collect;--listen;abc" "collect;--http-port;65536"
     "synthesize;--scale;abc" "bounds;--depth;four"
     "dimension;--flows;lots")

@@ -24,7 +24,7 @@ endif()
 # pipeline::Measure's packet and report threads, pipeline::Collect's
 # collector thread and both HTTP threads in one process.
 set(ND_SANITIZE_TEST_REGEX
-    "ndtm_pipeline|Pipeline|ThreadPool|Sharded|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "ndtm_pipeline|Pipeline|ThreadPool|Sharded|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|WalRecord|WalWriter|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 
 # Sanitized binaries run ~10x slower: cap the soak's kill cycles so the
 # instrumented pass stays CI-sized (still two real kill/restart cycles).
@@ -78,7 +78,7 @@ run_sanitized(thread . "${ND_SANITIZE_TEST_REGEX}")
 # the inline pcap reader and parse_frame, whose memcpy loads read
 # record and frame fields at arbitrary buffer offsets.
 set(ND_FLOWMEM_TEST_REGEX
-    "TagProbe|TagLayout|FlowMemory|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak|Pcap|Headers")
+    "TagProbe|TagLayout|FlowMemory|Crc32|WalRecord|WalWriter|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak|Pcap|Headers")
 run_sanitized(address asan-check "${ND_FLOWMEM_TEST_REGEX}")
 run_sanitized(undefined ubsan-check "${ND_FLOWMEM_TEST_REGEX}")
 
