@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "baseline/ordinary_sampling.hpp"
@@ -19,6 +20,7 @@
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/device.hpp"
 #include "core/multistage_filter.hpp"
 #include "core/sample_and_hold.hpp"
 #include "core/sharded_device.hpp"
@@ -405,6 +407,56 @@ void BM_ReportDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_ReportDecode);
+
+/// The `ndtm measure` report stage on cos-interval-churn's report shape:
+/// sort a 3.3 k-flow report of 10/8 5-tuples largest-first and render
+/// its listing lines. As in the cos trace, most flows are one to three
+/// packets of the common IP sizes (so many tie) and one in twenty is an
+/// elephant of up to 400 packets. items/sec is flows sorted and rendered
+/// per second; the unsorted report is restored outside the timed region.
+void BM_ReportListing(benchmark::State& state) {
+  constexpr std::size_t kFlows = 3'300;
+  constexpr std::uint32_t kPacketSizes[] = {40, 40, 576, 1500};
+  common::Rng rng(28);
+  const auto host = [&rng] {
+    return 0x0A000000U | static_cast<std::uint32_t>(rng.uniform(1U << 24));
+  };
+  core::Report unsorted;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    core::ReportedFlow flow;
+    flow.key = packet::FlowKey::five_tuple(
+        host(), host(), static_cast<std::uint16_t>(rng.uniform(65536)),
+        static_cast<std::uint16_t>(rng.uniform(65536)),
+        rng.uniform(4) == 0 ? packet::IpProtocol::kUdp
+                            : packet::IpProtocol::kTcp);
+    const std::uint64_t packets =
+        1 + (rng.uniform(20) == 0 ? rng.uniform(400) : rng.uniform(3));
+    for (std::uint64_t p = 0; p < packets; ++p) {
+      flow.estimated_bytes +=
+          rng.uniform(8) == 0 ? 40 + rng.uniform(1461)
+                              : kPacketSizes[rng.uniform(4)];
+    }
+    flow.exact = rng.uniform(2) == 0;
+    unsorted.flows.push_back(flow);
+  }
+  core::Report report;
+  std::string listing;
+  for (auto _ : state) {
+    state.PauseTiming();
+    report = unsorted;
+    listing.clear();
+    state.ResumeTiming();
+    core::sort_by_size(report);
+    for (const core::ReportedFlow& flow : report.flows) {
+      core::append_flow_line(listing, flow);
+    }
+    benchmark::DoNotOptimize(listing.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kFlows));
+}
+BENCHMARK(BM_ReportListing);
 
 /// Collector-side frame parsing: a hello plus a burst of CRC-framed
 /// interval reports fed through FrameStreamParser in fixed-size chunks

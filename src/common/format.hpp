@@ -1,21 +1,33 @@
 // Small formatting helpers used by the evaluation harness, the examples
-// and the `ndtm measure` listing. The append_* forms write into a
-// caller's string without a temporary; the format_* strings of the same
-// values are thin wrappers over them, so there is one renderer each.
+// and the `ndtm measure` listing. The write_* forms store text at a
+// caller's char buffer and return its end; the append_* and format_*
+// forms of the same values are thin wrappers over them, so there is one
+// renderer each.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "common/types.hpp"
 
 namespace nd::common {
 
+/// The write_* functions copy short fixed-width chunks, so each may also
+/// store up to kWriteSlack bytes past the end it returns: a caller's
+/// buffer holds the longest rendering plus kWriteSlack.
+inline constexpr std::size_t kWriteSlack = 3;
+/// Longest write_bytes rendering: "18446744.07 TB" (UINT64_MAX).
+inline constexpr std::size_t kMaxBytesChars = 14;
+
 /// "1.50 MB", "240 B", "12.35 GB" — decimal units (the paper uses
 /// 1 Mbyte = 1,000,000 bytes, see its footnote 2).
 [[nodiscard]] std::string format_bytes(ByteCount bytes);
 
-/// Appends format_bytes(bytes) to `out` without a temporary string:
-/// the one renderer behind format_bytes and the `ndtm measure` listing.
+/// Writes format_bytes(bytes): the one renderer behind format_bytes,
+/// append_bytes and the `ndtm measure` listing.
+char* write_bytes(char* out, ByteCount bytes);
+
+/// Appends format_bytes(bytes) to `out`.
 void append_bytes(std::string& out, ByteCount bytes);
 
 /// "12.34%" with a configurable number of decimals.
@@ -34,10 +46,14 @@ void append_bytes(std::string& out, ByteCount bytes);
 /// Dotted-quad rendering of a host-order IPv4 address.
 [[nodiscard]] std::string format_ipv4(std::uint32_t addr);
 
-/// Appends format_ipv4(addr) to `out`.
-void append_ipv4(std::string& out, std::uint32_t addr);
+/// Writes format_ipv4(addr), at most "255.255.255.255".
+char* write_ipv4(char* out, std::uint32_t addr);
 
-/// Appends the decimal digits of `value` (printf "%llu") to `out`.
+/// Writes the decimal digits of `value` (printf "%llu"); stores nothing
+/// past the end it returns.
+char* write_uint(char* out, std::uint64_t value);
+
+/// Appends the decimal digits of `value` to `out`.
 void append_uint(std::string& out, std::uint64_t value);
 
 /// Appends `value` with `decimals` fixed digits, exactly as printf

@@ -1,5 +1,7 @@
 #include "packet/flow_key.hpp"
 
+#include <cstring>
+
 #include "common/format.hpp"
 
 namespace nd::packet {
@@ -47,47 +49,56 @@ FlowKey load_flow_key(common::StateReader& in) {
   throw common::StateError("flow key: unknown kind tag in checkpoint");
 }
 
-std::string FlowKey::to_string() const {
-  std::string out;
-  append_to(out);
-  return out;
+namespace {
+
+/// Copies a string literal without its terminator.
+template <std::size_t N>
+char* write_text(char* out, const char (&text)[N]) {
+  std::memcpy(out, text, N - 1);
+  return out + N - 1;
 }
 
-void FlowKey::append_to(std::string& out) const {
+}  // namespace
+
+std::string FlowKey::to_string() const {
+  char buf[kMaxChars + common::kWriteSlack];
+  return std::string(buf, write_to(buf));
+}
+
+char* FlowKey::write_to(char* out) const {
   switch (kind_) {
     case FlowKeyKind::kFiveTuple:
-      common::append_ipv4(out, a_);
-      out.push_back(':');
-      common::append_uint(out, c_);
-      out.append(" -> ");
-      common::append_ipv4(out, b_);
-      out.push_back(':');
-      common::append_uint(out, d_);
-      out.append(proto_ == IpProtocol::kTcp   ? " tcp"
-                 : proto_ == IpProtocol::kUdp ? " udp"
-                                              : " icmp");
-      return;
+      out = common::write_ipv4(out, a_);
+      *out++ = ':';
+      out = common::write_uint(out, c_);
+      out = write_text(out, " -> ");
+      out = common::write_ipv4(out, b_);
+      *out++ = ':';
+      out = common::write_uint(out, d_);
+      switch (proto_) {
+        case IpProtocol::kTcp:
+          return write_text(out, " tcp");
+        case IpProtocol::kUdp:
+          return write_text(out, " udp");
+        default:
+          return write_text(out, " icmp");
+      }
     case FlowKeyKind::kDestinationIp:
-      out.append("dst ");
-      common::append_ipv4(out, b_);
-      return;
+      return common::write_ipv4(write_text(out, "dst "), b_);
     case FlowKeyKind::kAsPair:
-      out.append("AS");
-      common::append_uint(out, a_);
-      out.append(" -> AS");
-      common::append_uint(out, b_);
-      return;
+      out = common::write_uint(write_text(out, "AS"), a_);
+      return common::write_uint(write_text(out, " -> AS"), b_);
     case FlowKeyKind::kNetworkPair:
-      common::append_ipv4(out, a_);
-      out.push_back('/');
-      common::append_uint(out, c_);
-      out.append(" -> ");
-      common::append_ipv4(out, b_);
-      out.push_back('/');
-      common::append_uint(out, c_);
-      return;
+      out = common::write_ipv4(out, a_);
+      *out++ = '/';
+      out = common::write_uint(out, c_);
+      out = write_text(out, " -> ");
+      out = common::write_ipv4(out, b_);
+      *out++ = '/';
+      return common::write_uint(out, c_);
   }
-  out.push_back('?');
+  *out++ = '?';
+  return out;
 }
 
 }  // namespace nd::packet

@@ -68,11 +68,17 @@ class FlowKey {
   /// the same kind collide with probability ~2^-64. Devices hash this.
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
 
+  /// Longest to_string() rendering: a 5-tuple of 255.255.255.255 and
+  /// port 65535 on both ends, over ICMP.
+  static constexpr std::size_t kMaxChars = 51;
+
   /// Human-readable rendering, e.g. "10.0.0.1:80 -> 10.0.0.2:443 tcp".
   [[nodiscard]] std::string to_string() const;
 
-  /// Appends to_string() to `out` without a temporary string.
-  void append_to(std::string& out) const;
+  /// Writes to_string() at `out` and returns its end. Like the
+  /// common::write_* functions it may store up to common::kWriteSlack
+  /// bytes past that end, so `out` needs kMaxChars + kWriteSlack bytes.
+  char* write_to(char* out) const;
 
   // Field accessors (meaning depends on kind; see factory functions).
   [[nodiscard]] std::uint32_t src_ip() const { return a_; }

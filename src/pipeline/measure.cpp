@@ -448,26 +448,38 @@ void MeasureRun::report(std::vector<core::Report>& reports) {
   // sharing cost up to a quarter more CPU on cos-interval-churn.
   thread_local std::string listing;
   for (auto& report : reports) {
-    core::sort_by_size(report);
-    // Under adaptation the operative cutoff is the report's effective
-    // (max per-shard) threshold, not the configured starting value.
-    const common::ByteCount cutoff =
-        config_.adaptive
-            ? std::max<common::ByteCount>(core::effective_threshold(report),
-                                          1)
-            : config_.threshold;
-    listing.clear();
-    listing.append("interval ");
-    common::append_uint(listing, report.interval);
-    listing.append(": ");
-    common::append_uint(listing, report.flows.size());
-    listing.append(" flows tracked\n");
-    if (config_.shard_usage) append_shard_usage(listing, report);
-    for (const auto& flow : report.flows) {
-      if (flow.estimated_bytes < cutoff) break;
-      core::append_flow_line(listing, flow);
+    const telemetry::TraceArgs trace_args{
+        static_cast<std::int64_t>(config_.transport.device_id), -1,
+        static_cast<std::int64_t>(report.interval),
+        static_cast<std::int64_t>(report.flows.size())};
+    {
+      const telemetry::ScopedTraceSpan span(obs_.trace(), "report.sort",
+                                            "report", trace_args, "flows");
+      core::sort_by_size(report);
     }
-    std::fwrite(listing.data(), 1, listing.size(), stdout);
+    {
+      const telemetry::ScopedTraceSpan span(obs_.trace(), "report.render",
+                                            "report", trace_args, "flows");
+      // Under adaptation the operative cutoff is the report's effective
+      // (max per-shard) threshold, not the configured starting value.
+      const common::ByteCount cutoff =
+          config_.adaptive
+              ? std::max<common::ByteCount>(core::effective_threshold(report),
+                                            1)
+              : config_.threshold;
+      listing.clear();
+      listing.append("interval ");
+      common::append_uint(listing, report.interval);
+      listing.append(": ");
+      common::append_uint(listing, report.flows.size());
+      listing.append(" flows tracked\n");
+      if (config_.shard_usage) append_shard_usage(listing, report);
+      for (const auto& flow : report.flows) {
+        if (flow.estimated_bytes < cutoff) break;
+        core::append_flow_line(listing, flow);
+      }
+      std::fwrite(listing.data(), 1, listing.size(), stdout);
+    }
     // One interval-aligned registry snapshot per report: a JSON line in
     // the metrics file, and the same line riding every exported or
     // shipped report as the v3 metrics trailer — whichever switch turned

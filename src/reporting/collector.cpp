@@ -12,9 +12,12 @@ core::Report CollectionChannel::deliver(core::Report report) {
   stats_.bytes_offered += offered_bytes;
 
   if (offered_bytes > budget_) {
+    // The header and the shard records travel whatever the budget; the
+    // flow records get what is left of it.
+    const std::uint64_t fixed_bytes =
+        kHeaderBytes + report.shards.size() * kShardRecordBytes;
     const std::uint64_t record_budget =
-        budget_ > kHeaderBytes ? (budget_ - kHeaderBytes) / kRecordBytes
-                               : 0;
+        budget_ > fixed_bytes ? (budget_ - fixed_bytes) / kRecordBytes : 0;
     report.flows.resize(
         std::min<std::uint64_t>(report.flows.size(), record_budget));
   }

@@ -192,6 +192,31 @@ TEST(Listing, SeededRandomFlowsMatchPrintf) {
   }
 }
 
+TEST(Listing, EveryByteCountToTenMillionMatchesPrintf) {
+  // Every count from 0 B through 10.00 MB: each B, KB and MB value, the
+  // unit boundaries and every hundredth's rounding in that span.
+  for (common::ByteCount bytes = 0; bytes <= 10'000'000; ++bytes) {
+    ASSERT_EQ(common::format_bytes(bytes), printf_bytes(bytes)) << bytes;
+  }
+}
+
+TEST(Listing, RoundingTiesInEveryUnitMatchPrintf) {
+  // 1,000 evenly spaced decimal ties x.xx5 in KB, MB and GB (1.005 up
+  // to 999.995, the tie that renders as "1000.00"), each with the 2,000
+  // counts on either side of it.
+  constexpr common::ByteCount kReach = 2'000;
+  for (common::ByteCount scale : {1ULL, 1'000ULL, 1'000'000ULL}) {
+    for (common::ByteCount i = 0; i < 1'000; ++i) {
+      const common::ByteCount hundredths = 100 + i * 99'899 / 999;
+      const common::ByteCount tie = (10 * hundredths + 5) * scale;
+      for (common::ByteCount bytes = tie > kReach ? tie - kReach : 0;
+           bytes <= tie + kReach; ++bytes) {
+        ASSERT_EQ(common::format_bytes(bytes), printf_bytes(bytes)) << bytes;
+      }
+    }
+  }
+}
+
 TEST(Listing, AppendsAfterExistingContent) {
   std::string out = "interval 0: 1 flows tracked\n";
   const ReportedFlow flow{FlowKey::destination_ip(0x0A000001), 1'500'000,

@@ -296,6 +296,8 @@ TEST(Pipeline, ConnectedRunsMergeAndSnapshotDeterministically) {
   const std::size_t closes = count_of(trace, "\"interval.close\"");
   EXPECT_GE(closes, 2U);
   EXPECT_EQ(count_of(trace, "\"checkpoint.save\""), closes);
+  EXPECT_EQ(count_of(trace, "\"report.sort\""), closes);
+  EXPECT_EQ(count_of(trace, "\"report.render\""), closes);
 }
 
 // A lost report is a loss at the collector too. The channel drops

@@ -323,6 +323,36 @@ TEST(ResilientChannel, TrailerThatDoesNotFitIsTheOnlyThingDropped) {
   EXPECT_TRUE(sink.reports[0].metrics_json.empty());
 }
 
+TEST(ResilientChannel, ShardRecordsCountAgainstTheBudget) {
+  // A four-shard report's header and shard records travel whatever the
+  // budget; its flow records get only what is left. So no shipped
+  // payload exceeds max(budget, that fixed part), and the shaped stats
+  // count exactly what shipped.
+  const std::uint64_t fixed = kHeaderBytes + 4 * kShardRecordBytes;
+  for (const std::uint64_t budget :
+       {std::uint64_t{100}, fixed - 1, fixed, fixed + kRecordBytes - 1,
+        fixed + 3 * kRecordBytes, std::uint64_t{1000}}) {
+    core::Report report = make_report(2, 40);
+    report.shards.resize(4);
+    testing::CollectorSink sink;
+    ResilientChannelConfig config;
+    config.transport = &sink;
+    config.bytes_per_interval = budget;
+    ResilientChannel channel(config);
+    const DeliveryOutcome outcome = channel.send(std::move(report));
+    ASSERT_TRUE(outcome.delivered) << budget;
+    ASSERT_EQ(sink.reports.size(), 1u) << budget;
+    const core::Report& arrived = sink.reports[0].report;
+    EXPECT_EQ(arrived.shards.size(), 4u) << budget;
+    EXPECT_EQ(arrived.flows.size(),
+              budget > fixed ? (budget - fixed) / kRecordBytes : 0)
+        << budget;
+    const std::uint64_t shipped = encoded_size(arrived);
+    EXPECT_LE(shipped, std::max(budget, fixed)) << budget;
+    EXPECT_EQ(channel.channel_stats().bytes_delivered, shipped) << budget;
+  }
+}
+
 TEST(ResilientChannel, OverBudgetReportKeepsLargestPrefixWithExactStats) {
   // Over budget, moved in unsorted: the largest-first prefix ships, the
   // trailer is decided on the offered report (so it is dropped even
