@@ -55,6 +55,13 @@ namespace nd::common {
   return std::endian::native == std::endian::little ? v : byteswap32(v);
 }
 
+/// Little-endian u64 at `p`.
+[[nodiscard]] inline std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return std::endian::native == std::endian::little ? v : byteswap64(v);
+}
+
 /// Store `v` big-endian (network order) at `p`.
 inline void store_be32(std::uint8_t* p, std::uint32_t v) {
   if constexpr (std::endian::native != std::endian::big) v = byteswap32(v);

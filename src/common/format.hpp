@@ -1,4 +1,4 @@
-// Small formatting helpers used by the evaluation harness, the examples
+// Small formatting helpers used by the evaluation harness, the benches
 // and the `ndtm measure` listing. The write_* forms store text at a
 // caller's char buffer and return its end; the append_* and format_*
 // forms of the same values are thin wrappers over them, so there is one

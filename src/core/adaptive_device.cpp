@@ -1,22 +1,16 @@
 #include "core/adaptive_device.hpp"
 
-#include "core/sharded_device.hpp"
-
 namespace nd::core {
 
 AdaptiveDevice::AdaptiveDevice(std::unique_ptr<MeasurementDevice> device,
                                const ThresholdAdaptorConfig& adaptor_config)
-    : device_(std::move(device)), adaptor_(adaptor_config) {
-  if (auto* sharded = dynamic_cast<ShardedDevice*>(device_.get())) {
-    sharded->enable_adaptation(adaptor_config);
-    sharded_ = sharded;
-  }
-}
+    : device_(std::move(device)), adaptor_(adaptor_config) {}
 
 void AdaptiveDevice::save_state(common::StateWriter& out) const {
   out.put_u8(1);  // layout version
-  out.put_bool(sharded_ != nullptr);
-  if (sharded_ == nullptr) adaptor_.save_state(out);
+  // Retired delegation flag: always 0, kept so the layout is unchanged.
+  out.put_bool(false);
+  adaptor_.save_state(out);
   device_->save_state(out);
 }
 
@@ -24,23 +18,17 @@ void AdaptiveDevice::restore_state(common::StateReader& in) {
   if (in.u8() != 1) {
     throw common::StateError("adaptive device: unknown checkpoint layout");
   }
-  if (in.boolean() != (sharded_ != nullptr)) {
+  if (in.boolean()) {
     throw common::StateError(
-        "adaptive device: checkpoint sharding mode does not match "
-        "configuration");
+        "adaptive device: checkpoint delegates to per-shard adaptors; "
+        "resume it with ShardedDeviceConfig::adaptor");
   }
-  if (sharded_ == nullptr) adaptor_.restore_state(in);
+  adaptor_.restore_state(in);
   device_->restore_state(in);
 }
 
 Report AdaptiveDevice::end_interval() {
   Report report = device_->end_interval();
-  if (sharded_ != nullptr) {
-    // The sharded device already ran one adaptor per shard inside its
-    // end_interval; a global set_threshold here would overwrite the
-    // heterogeneous per-shard thresholds it just installed.
-    return report;
-  }
   const common::ByteCount next = adaptor_.update(
       device_->threshold(), report.entries_used,
       device_->flow_memory_capacity());

@@ -1,11 +1,9 @@
 // AdaptiveDevice: a measurement device under closed-loop threshold
 // control — the "complete traffic measurement device" of Section 7.2.
 //
-// Wrapping a ShardedDevice delegates control to the sharded path: the
-// wrapper enables one private adaptor per shard on the inner device
-// (heterogeneous thresholds, Section 6 run per replica) instead of
-// running a single global adaptor whose set_threshold would clobber the
-// per-shard state every interval.
+// One global adaptor steers whatever device it wraps. Over a
+// ShardedDevice that is the uniform-threshold baseline; per-shard
+// adaptation (Section 6 run per replica) is ShardedDeviceConfig::adaptor.
 #pragma once
 
 #include <memory>
@@ -15,8 +13,6 @@
 #include "core/threshold_adaptor.hpp"
 
 namespace nd::core {
-
-class ShardedDevice;
 
 class AdaptiveDevice final : public MeasurementDevice {
  public:
@@ -48,25 +44,17 @@ class AdaptiveDevice final : public MeasurementDevice {
     return device_->packets_processed();
   }
 
-  /// Checkpointable iff the wrapped device is; the global adaptor's
-  /// steering state rides along (per-shard adaptors are the inner
-  /// ShardedDevice's own state).
+  /// Checkpointable iff the wrapped device is; the adaptor's steering
+  /// state rides along.
   [[nodiscard]] bool can_checkpoint() const override {
     return device_->can_checkpoint();
   }
   void save_state(common::StateWriter& out) const override;
   void restore_state(common::StateReader& in) override;
 
-  [[nodiscard]] MeasurementDevice& inner() { return *device_; }
-  /// Non-null when threshold control is delegated to per-shard adaptors
-  /// on the wrapped ShardedDevice.
-  [[nodiscard]] const ShardedDevice* sharded() const { return sharded_; }
-
  private:
   std::unique_ptr<MeasurementDevice> device_;
-  /// Global adaptor; unused (and never updated) when sharded_ is set.
   ThresholdAdaptor adaptor_;
-  ShardedDevice* sharded_{nullptr};
 };
 
 }  // namespace nd::core

@@ -14,10 +14,8 @@ MeasurementSession::MeasurementSession(
       current_end_ns_(0) {}
 
 void MeasurementSession::attach_telemetry(
-    telemetry::MetricsRegistry* registry,
-    telemetry::JsonLinesExporter* exporter) {
+    telemetry::MetricsRegistry* registry) {
   tm_registry_ = registry;
-  tm_exporter_ = registry == nullptr ? nullptr : exporter;
   if (registry == nullptr) {
     tm_packets_ = nullptr;
     tm_unclassified_ = nullptr;
@@ -44,22 +42,17 @@ void MeasurementSession::on_interval_closed(const Report& report) {
         "flows");
   }
   if (tm_registry_ == nullptr) return;
-  {
-    // One generation stamp over the whole mirror: a snapshot taken
-    // mid-close can't pair this interval's counters with the previous
-    // interval's gauge.
-    const telemetry::ScopedRegistryUpdate update(tm_registry_);
-    tm_intervals_->increment();
-    tm_packets_->add(packets_ - tm_packets_flushed_);
-    tm_packets_flushed_ = packets_;
-    tm_unclassified_->add(unclassified_ - tm_unclassified_flushed_);
-    tm_unclassified_flushed_ = unclassified_;
-    tm_effective_threshold_->set(
-        static_cast<double>(effective_threshold(report)));
-  }
-  if (tm_exporter_ != nullptr) {
-    tm_exporter_->write(*tm_registry_, report.interval);
-  }
+  // One generation stamp over the whole mirror: a snapshot taken
+  // mid-close can't pair this interval's counters with the previous
+  // interval's gauge.
+  const telemetry::ScopedRegistryUpdate update(tm_registry_);
+  tm_intervals_->increment();
+  tm_packets_->add(packets_ - tm_packets_flushed_);
+  tm_packets_flushed_ = packets_;
+  tm_unclassified_->add(unclassified_ - tm_unclassified_flushed_);
+  tm_unclassified_flushed_ = unclassified_;
+  tm_effective_threshold_->set(
+      static_cast<double>(effective_threshold(report)));
 }
 
 void MeasurementSession::close_intervals_until(

@@ -16,7 +16,6 @@
 #include "core/device.hpp"
 #include "packet/flow_definition.hpp"
 #include "packet/packet.hpp"
-#include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -89,14 +88,11 @@ class MeasurementSession {
   }
 
   /// Export session telemetry into `registry` (packet/unclassified/
-  /// interval counters, effective-threshold gauge) and, when `exporter`
-  /// is also given, write one interval-aligned JSON-lines snapshot of
-  /// the whole registry per closed interval. Neither is owned; both
-  /// must outlive the session. The registry should be the same one the
-  /// device was constructed with so snapshots carry the device series
-  /// too. Null detaches.
-  void attach_telemetry(telemetry::MetricsRegistry* registry,
-                        telemetry::JsonLinesExporter* exporter = nullptr);
+  /// interval counters, effective-threshold gauge), mirrored once per
+  /// closed interval. Not owned; must outlive the session. The registry
+  /// should be the same one the device was constructed with so a
+  /// snapshot carries the device series too. Null detaches.
+  void attach_telemetry(telemetry::MetricsRegistry* registry);
 
   /// Record an interval-close span (and checkpoint-save spans via
   /// ndtm's wiring) into `recorder`. Not owned; null detaches.
@@ -123,7 +119,6 @@ class MeasurementSession {
   /// Telemetry state; null when detached.
   telemetry::TraceRecorder* trace_{nullptr};
   telemetry::MetricsRegistry* tm_registry_{nullptr};
-  telemetry::JsonLinesExporter* tm_exporter_{nullptr};
   telemetry::Counter* tm_packets_{nullptr};
   telemetry::Counter* tm_unclassified_{nullptr};
   telemetry::Counter* tm_intervals_{nullptr};

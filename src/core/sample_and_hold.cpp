@@ -1,7 +1,6 @@
 #include "core/sample_and_hold.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -21,18 +20,6 @@ void SampleAndHold::refresh_probability() {
   const double t = static_cast<double>(std::max<common::ByteCount>(
       config_.threshold, 1));
   probability_ = std::min(1.0, config_.oversampling / t);
-  if (!config_.byte_exact_sampling) {
-    // The Section 3.1 precomputed table: ps = 1-(1-p)^s per packet
-    // size. 1500 entries of SRAM on the chip; a vector here.
-    packet_probability_.resize(1501);
-    const double log1mp = std::log1p(-std::min(probability_, 1.0 - 1e-15));
-    for (std::size_t s = 0; s <= 1500; ++s) {
-      packet_probability_[s] =
-          probability_ >= 1.0
-              ? 1.0
-              : 1.0 - std::exp(static_cast<double>(s) * log1mp);
-    }
-  }
 }
 
 void SampleAndHold::set_threshold(common::ByteCount threshold) {
@@ -43,21 +30,13 @@ void SampleAndHold::set_threshold(common::ByteCount threshold) {
 }
 
 bool SampleAndHold::sample_packet(std::uint32_t bytes) {
-  if (config_.byte_exact_sampling) {
-    // skip_ counts bytes to pass before the next sampled byte.
-    if (skip_ >= bytes) {
-      skip_ -= bytes;
-      return false;
-    }
-    skip_ = rng_.geometric(probability_);
-    return true;
+  // skip_ counts bytes to pass before the next sampled byte.
+  if (skip_ >= bytes) {
+    skip_ -= bytes;
+    return false;
   }
-  const double ps =
-      bytes < packet_probability_.size()
-          ? packet_probability_[bytes]
-          : 1.0 - std::pow(1.0 - probability_,
-                           static_cast<double>(bytes));
-  return rng_.bernoulli(ps);
+  skip_ = rng_.geometric(probability_);
+  return true;
 }
 
 void SampleAndHold::observe(const packet::FlowKey& key, std::uint32_t bytes) {
@@ -98,7 +77,7 @@ void SampleAndHold::restore_state(common::StateReader& in) {
     throw common::StateError("sample-and-hold: unknown checkpoint layout");
   }
   config_.threshold = in.u64();
-  refresh_probability();  // derive p (and the table) from the threshold
+  refresh_probability();  // derive p from the threshold
   skip_ = in.u64();
   interval_ = in.u32();
   packets_ = in.u64();
@@ -118,17 +97,12 @@ Report SampleAndHold::end_interval() {
   report.threshold = config_.threshold;
   report.entries_used = memory_.entries_used();
 
-  const auto correction = static_cast<common::ByteCount>(
-      config_.add_sampling_correction && probability_ > 0.0
-          ? 1.0 / probability_
-          : 0.0);
   report.flows.reserve(report.entries_used);
   memory_.for_each([&](const flowmem::FlowEntry& entry) {
     ReportedFlow flow;
     flow.key = entry.key;
     flow.exact = entry.exact_this_interval;
-    flow.estimated_bytes =
-        entry.bytes_current + (entry.exact_this_interval ? 0 : correction);
+    flow.estimated_bytes = entry.bytes_current;
     report.flows.push_back(flow);
   });
 

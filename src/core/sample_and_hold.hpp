@@ -9,8 +9,9 @@
 // Byte-level sampling is implemented by geometric skip counting: draw the
 // number of bytes until the next sampled byte once, then subtract packet
 // sizes — O(1) per packet and *exactly* equivalent to flipping a
-// Bernoulli(p) coin per byte. A config switch falls back to the paper's
-// p*s approximation for the ablation bench.
+// Bernoulli(p) coin per byte, so no per-size probability table is needed.
+// Reported sizes are the held counts c, a lower bound (the estimate
+// never overcounts, which accounting relies on).
 //
 // Improvements:
 //   * preserve entries (kPreserve) — long-lived large flows measured
@@ -19,9 +20,6 @@
 //     are dropped at interval end, reclaiming memory from false
 //     positives.
 #pragma once
-
-#include <optional>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "core/device.hpp"
@@ -40,16 +38,6 @@ struct SampleAndHoldConfig {
   flowmem::PreservePolicy preserve{flowmem::PreservePolicy::kClear};
   /// R = early_removal_fraction * T (paper finds 15% a good value).
   double early_removal_fraction{0.15};
-  /// Exact byte-level sampling (geometric skips) vs per-packet
-  /// Bernoulli draws from a precomputed probability table
-  /// ("ps = 1-(1-p)^s ... can be looked up in a precomputed table",
-  /// Section 3.1). Both are faithful byte-level models; the geometric
-  /// skip is O(1) with no table.
-  bool byte_exact_sampling{true};
-  /// Report c + 1/p instead of c (Section 4.1.1 suggests the corrected
-  /// estimate; accounting applications want the uncorrected lower bound,
-  /// so this defaults off).
-  bool add_sampling_correction{false};
   std::uint64_t seed{1};
   /// Export runtime telemetry into this registry (not owned; must
   /// outlive the device). Null — the default — compiles the hot path
@@ -104,8 +92,6 @@ class SampleAndHold final : public MeasurementDevice {
   flowmem::FlowMemory memory_;
   DeviceInstruments tm_;
   double probability_{0.0};
-  /// Precomputed ps = 1-(1-p)^s for s = 0..1500 (table mode).
-  std::vector<double> packet_probability_;
   /// Bytes remaining until the next sampled byte (geometric skip state).
   common::ByteCount skip_{0};
   common::IntervalIndex interval_{0};

@@ -32,7 +32,7 @@ ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
     last_thresholds_.push_back(replica->threshold());
   }
   if (config.adaptor) {
-    enable_adaptation(*config.adaptor);
+    adaptors_.assign(shards, ThresholdAdaptor(*config.adaptor));
   }
   if (config.metrics != nullptr) {
     metrics_ = config.metrics;
@@ -63,10 +63,6 @@ ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
           &registry.gauge("nd_shard_occupancy", labels));
     }
   }
-}
-
-void ShardedDevice::enable_adaptation(const ThresholdAdaptorConfig& config) {
-  adaptors_.assign(shards_.size(), ThresholdAdaptor(config));
 }
 
 std::uint32_t ShardedDevice::shard_of(std::uint64_t fingerprint) const {

@@ -129,10 +129,6 @@ class ShardedDevice final : public MeasurementDevice {
   void save_state(common::StateWriter& out) const override;
   void restore_state(common::StateReader& in) override;
 
-  /// Switch on per-shard threshold adaptation (idempotent; replaces any
-  /// previous adaptor configuration and restarts from the shards'
-  /// current thresholds). ShardedDeviceConfig::adaptor routes here.
-  void enable_adaptation(const ThresholdAdaptorConfig& config);
   [[nodiscard]] bool adaptive() const { return !adaptors_.empty(); }
   /// The shard's private adaptor; only valid when adaptive().
   [[nodiscard]] const ThresholdAdaptor& shard_adaptor(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <vector>
 
 namespace nd::flowmem {
@@ -34,18 +33,11 @@ std::size_t FlowMemory::slot_of(const packet::FlowKey& key) const {
 std::size_t FlowMemory::probe_empty(std::size_t slot) const {
   const std::size_t mask = slot_mask_;
   const std::uint8_t* tags = tags_.data();
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
   for (;;) {
     const std::uint64_t empty = zero_lanes(load_group(tags, slot));
     if (empty != 0) return (slot + first_lane(empty)) & mask;
     slot = (slot + kTagGroupWidth) & mask;
   }
-#else
-  while (tags[slot] != 0) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-#endif
 }
 
 FlowEntry* FlowMemory::insert(const packet::FlowKey& key,

@@ -100,9 +100,8 @@ class FlowMemory {
     } else if (home_tag == 0) {
       return nullptr;
     }
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    // Word-at-a-time scan: byte lane p of a little-endian load is slot
-    // slot+p, so lane masks order candidates exactly like the scalar
+    // Word-at-a-time scan: byte lane p of a group is slot slot+p, so
+    // lane masks order candidates exactly like a one-slot-at-a-time
     // probe would visit them. The chain is a contiguous occupied run
     // from the home slot (the rebuild in end_interval leaves no
     // tombstones), so the scan stops at the first empty lane; tag
@@ -122,19 +121,6 @@ class FlowMemory {
       if (empty != 0) return nullptr;
       slot = (slot + kTagGroupWidth) & mask;
     }
-#else
-    // Portable scalar fallback: same probe order, one tag byte at a
-    // time.
-    for (std::size_t scanned = 0; scanned <= mask; ++scanned) {
-      const std::uint8_t t = tags[slot];
-      if (t == 0) return nullptr;
-      if (t == tag) {
-        FlowEntry& entry = slots_[slot];
-        if (entry.key == key) return &entry;
-      }
-      slot = (slot + 1) & mask;
-    }
-#endif
     return nullptr;
   }
 

@@ -20,7 +20,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
+
+#include "common/byte_order.hpp"
 
 namespace nd::flowmem {
 
@@ -28,14 +29,12 @@ namespace nd::flowmem {
 /// a group starting at the last slot reads wrapped tags contiguously.
 inline constexpr std::size_t kTagGroupWidth = 8;
 
-/// One unaligned tag-group load. The mirror pad guarantees `slot` up to
-/// slots-1 reads 8 valid bytes; memcpy keeps it strict-aliasing clean
-/// and compiles to a single mov.
+/// One unaligned tag-group load, read little-endian so byte lane p is
+/// slot `slot` + p on every host. The mirror pad guarantees `slot` up
+/// to slots-1 reads 8 valid bytes.
 [[nodiscard]] inline std::uint64_t load_group(const std::uint8_t* tags,
                                               std::size_t slot) {
-  std::uint64_t word;
-  std::memcpy(&word, tags + slot, sizeof(word));
-  return word;
+  return common::load_le64(tags + slot);
 }
 
 /// Occupancy tag for a placement hash: high bit set so it can never be

@@ -1,8 +1,9 @@
 #include "pipeline/measure.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -40,6 +41,16 @@ void validate(const MeasureConfig& config) {
   if (config.input.empty()) throw usage("--in <file.pcap> is required");
   if (config.interval.count() <= 0) {
     throw usage("--interval must be at least 1 second");
+  }
+  // The session clocks intervals in nanoseconds; a longer interval
+  // would overflow the conversion.
+  constexpr auto kMaxInterval =
+      std::chrono::duration_cast<std::chrono::seconds>(
+          common::IntervalDuration::max());
+  if (config.interval > kMaxInterval) {
+    throw usage("--interval " + std::to_string(config.interval.count()) +
+                " exceeds " + std::to_string(kMaxInterval.count()) +
+                " seconds");
   }
   // Past this point the 64-entry floor per shard already exceeds the
   // --entries budget (and a huge count would die reserving shards).
@@ -105,11 +116,17 @@ packet::FlowDefinition flow_def_by_name(const std::string& name) {
   if (name == "5tuple") return packet::FlowDefinition::five_tuple();
   if (name == "dstip") return packet::FlowDefinition::destination_ip();
   if (name.rfind("netpair:", 0) == 0) {
-    return packet::FlowDefinition::network_pair(
-        static_cast<std::uint8_t>(std::atoi(name.c_str() + 8)));
+    const char* first = name.data() + 8;
+    const char* last = name.data() + name.size();
+    unsigned prefix_len = 0;
+    const auto [end, error] = std::from_chars(first, last, prefix_len);
+    if (error == std::errc{} && end == last && prefix_len <= 32) {
+      return packet::FlowDefinition::network_pair(
+          static_cast<std::uint8_t>(prefix_len));
+    }
   }
-  throw Error(Exit::kUsage, "unknown flow definition: " + name +
-                                " (5tuple, dstip, netpair:<len>)");
+  throw usage("--flow-def " + name +
+              " is not one of 5tuple, dstip, netpair:<0-32>");
 }
 
 std::unique_ptr<core::MeasurementDevice> device_by_algorithm(

@@ -1,5 +1,5 @@
-// Snapshot exporters: JSON-lines (one object per measurement interval,
-// composable with the bench_json output) and Prometheus text exposition
+// Snapshot exporters: JSON-lines (one object per measurement interval)
+// and Prometheus text exposition
 // (the scrape format, for dumping the registry at end of run).
 //
 // The JSON format round-trips: from_json_line(to_json_line(s)) == s,

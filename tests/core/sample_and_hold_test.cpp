@@ -167,34 +167,6 @@ TEST(SampleAndHold, EarlyRemovalPrunesSmallNewEntries) {
   EXPECT_NE(find_flow(second, key(3)), nullptr);
 }
 
-TEST(SampleAndHold, CorrectionAddsExpectedUndercount) {
-  SampleAndHoldConfig config = basic_config();
-  config.add_sampling_correction = true;
-  SampleAndHold with(config);
-  config.add_sampling_correction = false;
-  config.seed = 42;
-  SampleAndHold without(config);
-
-  feed(with, key(1), 500'000);
-  feed(without, key(1), 500'000);
-  const auto rw = with.end_interval();
-  const auto rwo = without.end_interval();
-  const auto* fw = find_flow(rw, key(1));
-  const auto* fwo = find_flow(rwo, key(1));
-  ASSERT_TRUE(fw && fwo);
-  // Same seed, same samples: corrected = uncorrected + 1/p = + 5,000.
-  EXPECT_EQ(fw->estimated_bytes, fwo->estimated_bytes + 5'000);
-}
-
-TEST(SampleAndHold, ApproximateSamplingStillWorks) {
-  SampleAndHoldConfig config = basic_config();
-  config.byte_exact_sampling = false;  // p*s approximation
-  SampleAndHold device(config);
-  feed(device, key(1), 300'000);
-  const Report report = device.end_interval();
-  EXPECT_NE(find_flow(report, key(1)), nullptr);
-}
-
 TEST(SampleAndHold, PacketAndAccessCounters) {
   SampleAndHold device(basic_config());
   feed(device, key(1), 10'000, 500);  // 20 packets

@@ -1,8 +1,7 @@
 // Per-shard adaptive thresholds in ShardedDevice: each replica runs a
 // private ThresholdAdaptor on its own entries/capacity, so thresholds
 // diverge on skewed traffic, operator overrides compose with adaptation
-// through the baseline vector, and AdaptiveDevice delegates to the
-// sharded path instead of clobbering heterogeneous thresholds.
+// through the baseline vector.
 //
 // Suite names start with "ShardedAdaptive" so tools/tsan_check.cmake's
 // `-R "...|Sharded|..."` filter runs them under ThreadSanitizer.
@@ -19,7 +18,6 @@
 
 #include "../support/differential_harness.hpp"
 #include "common/thread_pool.hpp"
-#include "core/adaptive_device.hpp"
 #include "core/multistage_filter.hpp"
 #include "trace/presets.hpp"
 
@@ -170,37 +168,6 @@ TEST(ShardedAdaptive, UniformDeviceReportsInstantaneousShardUsage) {
                      static_cast<double>(shard.entries_used) /
                          static_cast<double>(shard.capacity));
   }
-}
-
-TEST(ShardedAdaptive, AdaptiveDeviceDelegatesToShardedPath) {
-  ShardedDeviceConfig config;
-  config.shards = 4;
-  AdaptiveDevice device(
-      std::make_unique<ShardedDevice>(config, split_factory(4)),
-      multistage_adaptor());
-  ASSERT_NE(device.sharded(), nullptr);
-  EXPECT_TRUE(device.sharded()->adaptive());
-  EXPECT_NE(device.name().find("sharded-adaptive"), std::string::npos);
-
-  const auto interval = skewed_interval(*device.sharded(), 0);
-  Report report;
-  for (int i = 0; i < 12; ++i) {
-    observe_all(device, interval);
-    report = device.end_interval();
-  }
-  // Delegation means heterogeneous thresholds survive end_interval: the
-  // wrapper must not overwrite them with one global value.
-  ASSERT_EQ(report.shards.size(), 4u);
-  std::set<common::ByteCount> distinct;
-  for (const ShardStatus& shard : report.shards) {
-    distinct.insert(shard.next_threshold);
-  }
-  EXPECT_GT(distinct.size(), 1u);
-  std::set<common::ByteCount> live;
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    live.insert(device.sharded()->shard(s).threshold());
-  }
-  EXPECT_GT(live.size(), 1u) << "wrapper clobbered per-shard thresholds";
 }
 
 // ---------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "baseline/exact_oracle.hpp"
 #include "baseline/ordinary_sampling.hpp"
 #include "baseline/sampled_netflow.hpp"
+#include "core/adaptive_device.hpp"
 #include "core/multistage_filter.hpp"
 #include "core/sample_and_hold.hpp"
 #include "trace/presets.hpp"
@@ -262,9 +263,8 @@ TEST(Differential, AllFourModesReportHeavyHittersConsistently) {
 }
 
 // ---------------------------------------------------------------------
-// PR acceptance scenario: MAG preset, 4 shards, adaptive vs the uniform
-// global-adaptor baseline (PR 1's AdaptiveDevice-over-ShardedDevice
-// behaviour, reproduced here with an external global adaptor).
+// MAG preset, 4 shards: per-shard adaptation vs the uniform baseline,
+// one global AdaptiveDevice over a ShardedDevice.
 // ---------------------------------------------------------------------
 
 TEST(Differential, MagAdaptiveShardsEndInBandWhereUniformBaselineDoesNot) {
@@ -273,24 +273,17 @@ TEST(Differential, MagAdaptiveShardsEndInBandWhereUniformBaselineDoesNot) {
   const auto config = multistage_config(4);
 
   // Per-shard adaptation: every shard's closing usage ends in band —
-  // also on the very last interval, the PR's acceptance criterion.
+  // also on the very last interval.
   const auto adaptive =
       run_mode(config, trace, DeviceMode::kShardedAdaptive);
   expect_usage_in_band(adaptive.back(), kBandLo, kBandHi);
   expect_mean_usage_in_band(adaptive, kClosing, kBandLo, kBandHi);
 
-  // Uniform baseline: one global adaptor steers the *aggregate* usage,
-  // exactly like PR 1's global set_threshold path.
-  const auto device = make_device(config, DeviceMode::kShardedUniform);
-  core::ThresholdAdaptor global(config.adaptor);
-  std::vector<core::Report> uniform;
-  for (const auto& interval : trace.intervals) {
-    observe_all(*device, interval);
-    uniform.push_back(device->end_interval());
-    device->set_threshold(global.update(device->threshold(),
-                                        uniform.back().entries_used,
-                                        device->flow_memory_capacity()));
-  }
+  // Uniform baseline: one global adaptor steers the *aggregate* usage.
+  core::AdaptiveDevice device(
+      make_device(config, DeviceMode::kShardedUniform), config.adaptor);
+  const std::vector<core::Report> uniform =
+      replay(device, trace.intervals);
 
   // The aggregate lands near target, but the skewed per-shard slices do
   // not all fit the band under one global threshold: on the same

@@ -278,8 +278,7 @@ TEST(TagLayout, RandomizedOperationsMatchReferenceBitForBit) {
 }
 
 TEST(SimdFlowMemory, EveryKernelMatchesTheReferenceOracleBitForBit) {
-  // The probe kernel this host compiles (SWAR groups, or the byte loop
-  // on big-endian hosts) against the one-slot-at-a-time oracle, with
+  // The SWAR group probe against the one-slot-at-a-time oracle, with
   // early-removal compactions between intervals: byte-identical
   // checkpoints at the end.
   FlowMemory memory(128, 29);

@@ -12,17 +12,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../support/report_testing.hpp"
 #include "baseline/sampled_netflow.hpp"
 #include "common/state_buffer.hpp"
 #include "common/thread_pool.hpp"
+#include "core/adaptive_device.hpp"
 #include "core/measurement_session.hpp"
 #include "core/multistage_filter.hpp"
 #include "core/sample_and_hold.hpp"
@@ -92,6 +95,15 @@ DeviceFactory sharded_adaptive_factory(common::ThreadPool* pool) {
           inner.seed = shard_seed;
           return std::make_unique<MultistageFilter>(inner);
         });
+  };
+}
+
+/// One global adaptor over an unsharded device: the checkpoint carries
+/// the adaptor's steering state ahead of the device's own.
+DeviceFactory adaptive_factory(const DeviceFactory& inner,
+                               const ThresholdAdaptorConfig& adaptor) {
+  return [inner, adaptor] {
+    return std::make_unique<AdaptiveDevice>(inner(), adaptor);
   };
 }
 
@@ -250,6 +262,43 @@ TEST(Checkpoint, KillAndResumeIsBitIdenticalForMultistage) {
 TEST(Checkpoint, KillAndResumeIsBitIdenticalForShardedAdaptive) {
   common::ThreadPool pool(3);
   expect_kill_and_resume_identity(sharded_adaptive_factory(&pool));
+}
+
+TEST(Checkpoint, KillAndResumeIsBitIdenticalForAdaptive) {
+  const std::vector<std::pair<std::string, DeviceFactory>> devices = {
+      {"sample and hold", adaptive_factory(sample_and_hold_factory(),
+                                           sample_and_hold_adaptor())},
+      {"multistage",
+       adaptive_factory(multistage_factory(), multistage_adaptor())},
+  };
+  for (const auto& [name, factory] : devices) {
+    SCOPED_TRACE(name);
+    // The adaptor must actually steer on this trace, or its state would
+    // not need to survive the resume.
+    const auto reports = run_uninterrupted(factory, test_trace());
+    ASSERT_FALSE(reports.empty());
+    EXPECT_TRUE(std::any_of(reports.begin(), reports.end(),
+                            [&](const Report& report) {
+                              return report.threshold !=
+                                     reports.front().threshold;
+                            }));
+    expect_kill_and_resume_identity(factory);
+  }
+  // The layout keeps the retired per-shard delegation flag (byte 1):
+  // written 0, and a 1 is refused.
+  const auto device =
+      adaptive_factory(multistage_factory(), multistage_adaptor())();
+  common::StateWriter out;
+  device->save_state(out);
+  std::vector<std::uint8_t> bytes = out.take();
+  ASSERT_GT(bytes.size(), 2u);
+  EXPECT_EQ(bytes[1], 0u);
+  bytes[1] = 1;
+  common::StateReader in(bytes);
+  EXPECT_THROW(
+      adaptive_factory(multistage_factory(), multistage_adaptor())()
+          ->restore_state(in),
+      common::StateError);
 }
 
 TEST(Checkpoint, PendingReportsBlockCheckpointUntilDrained) {

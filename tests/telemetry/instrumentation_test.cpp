@@ -11,7 +11,6 @@
 #include <bit>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "core/sharded_device.hpp"
 #include "eval/metrics.hpp"
 #include "hash/hash.hpp"
-#include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "trace/presets.hpp"
 
@@ -573,15 +571,21 @@ TEST(ShardedInstruments, TelemetryNeverChangesShardedReports) {
 TEST(SessionInstruments, OneSnapshotLinePerClosedInterval) {
   constexpr common::TimestampNs kSecond = 1'000'000'000ULL;
   MetricsRegistry registry;
-  std::ostringstream out;
-  JsonLinesExporter exporter(out);
 
   core::MeasurementSession session(
       std::make_unique<baseline::ExactOracle>(),
       packet::FlowDefinition::destination_ip(),
       std::chrono::seconds(5));
-  session.attach_telemetry(&registry, &exporter);
+  session.attach_telemetry(&registry);
 
+  // The snapshot for an interval is taken once its report is drained,
+  // the way the pipeline's report stage takes it.
+  std::vector<Snapshot> snapshots;
+  const auto take = [&](const std::vector<core::Report>& reports) {
+    for (const core::Report& report : reports) {
+      snapshots.push_back(registry.snapshot(report.interval));
+    }
+  };
   packet::PacketRecord packet;
   packet.src_ip = 1;
   packet.dst_ip = 7;
@@ -590,22 +594,17 @@ TEST(SessionInstruments, OneSnapshotLinePerClosedInterval) {
   for (const std::uint64_t second : {1u, 2u, 6u, 11u, 12u}) {
     packet.timestamp_ns = second * kSecond;
     session.observe(packet);
+    take(session.drain_reports());
   }
-  (void)session.finish();
+  take(session.finish());
 
-  // Intervals [0,5) [5,10) [10,15): three closes, three JSON lines.
+  // Intervals [0,5) [5,10) [10,15): three closes, three snapshots.
   EXPECT_EQ(session.intervals_closed(), 3u);
-  EXPECT_EQ(exporter.lines_written(), 3u);
-  std::istringstream in(out.str());
-  std::string line;
-  std::uint64_t lines = 0;
-  while (std::getline(in, line)) {
-    const Snapshot snapshot = from_json_line(line);
-    ++lines;
-    EXPECT_EQ(snapshot.find("nd_session_intervals_total")->counter_value,
-              lines);
+  ASSERT_EQ(snapshots.size(), 3u);
+  for (std::uint64_t i = 0; i < snapshots.size(); ++i) {
+    EXPECT_EQ(snapshots[i].find("nd_session_intervals_total")->counter_value,
+              i + 1);
   }
-  EXPECT_EQ(lines, 3u);
   EXPECT_EQ(registry.snapshot().find("nd_session_packets_total")
                 ->counter_value,
             5u);

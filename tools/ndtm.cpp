@@ -9,12 +9,14 @@
 // message names the flag), so a typo never runs with a default. Numeric
 // flags are checked before the subcommand starts: a value that is not
 // a whole number (or, for --scale/--oversampling/--flows, a number),
-// --interval 0, a count above 4294967295 for a 32-bit flag (--buckets,
+// --interval 0 or above 9223372036 (the nanosecond interval clock's
+// range), a count above 4294967295 for a 32-bit flag (--buckets,
 // --depth, --device-id, --devices, --entries, --fleet-size,
 // --intervals, --journal-fsync, --net-attempts, --shards, --snaplen,
 // --spool-fsync), a 0/1 switch (--adaptive, --shard-usage) set to
 // anything but 0 or 1, a --net-budget above the 67108864-byte frame
-// payload bound, a --connect that is not a numeric IPv4
+// payload bound, a --flow-def netpair length that is not 0-32 in
+// digits, a --connect that is not a numeric IPv4
 // HOST:PORT with the port in 1-65535, a --listen / --http-port outside
 // 0-65535 (0 = ephemeral), or a --trace without a path also exits 2
 // naming the flag.
@@ -32,7 +34,7 @@
 //       interval, then a `pcap:` line counting the records read and
 //       the frames skipped (not IPv4 or headers truncated) and the
 //       `done:` summary. Algorithms: sample-and-hold, multistage, netflow.
-//       Flow definitions: 5tuple, dstip, netpair:<prefixlen>.
+//       Flow definitions: 5tuple, dstip, netpair:<prefixlen> (0-32).
 //       --shards N > 1 (at most max(1, --entries / 64), since every
 //       shard keeps at least 64 entries) partitions the flow space
 //       RSS-style across N replicas of the device; each packet goes to

@@ -118,8 +118,11 @@ endforeach()
 # device and session, then exit 1), never a 0/1 switch that reads any
 # non-zero value as on (`--adaptive 2`), never a --net-budget above the
 # 64 MiB frame payload bound (a report shaped to it could be a frame the
-# collector drops as corrupt). TIMEOUT turns a regression into a failure
-# instead of a hang.
+# collector drops as corrupt), never an --interval whose nanoseconds
+# overflow (`--interval 10000000000` used to run 1 ns intervals), never
+# a netpair length that is not 0-32 in digits (`netpair:abc` used to
+# run as /0, `netpair:300` as /32, `netpair:24x` as /24). TIMEOUT turns
+# a regression into a failure instead of a hang.
 foreach(bad_value
     "measure;--interval;abc" "measure;--interval;0" "measure;--interval;"
     "measure;--threshold;1e5" "measure;--shards;-2"
@@ -131,7 +134,9 @@ foreach(bad_value
     "measure;--connect;127.0.0.1:abc" "measure;--connect;127.0.0.1:0"
     "measure;--connect;127.0.0.1:70000" "measure;--connect;foo:80"
     "measure;--connect;256.1.1.1:80" "measure;--adaptive;2"
-    "measure;--net-budget;67108865"
+    "measure;--net-budget;67108865" "measure;--interval;9223372037"
+    "measure;--flow-def;netpair:abc" "measure;--flow-def;netpair:"
+    "measure;--flow-def;netpair:300" "measure;--flow-def;netpair:24x"
     "collect;--journal-fsync;x" "collect;--listen;70000"
     "collect;--listen;abc" "collect;--http-port;65536"
     "synthesize;--scale;abc" "bounds;--depth;four"
