@@ -163,17 +163,24 @@ void report_shard_usage(benchmark::State& state,
   }
 }
 
+/// The interval-close pool for `shards` shards: shards - 1 workers, and
+/// none for one shard, whose null pool closes it inline.
+std::unique_ptr<common::ThreadPool> close_pool(std::uint32_t shards) {
+  if (shards <= 1) return nullptr;
+  return std::make_unique<common::ThreadPool>(shards - 1);
+}
+
 /// RSS-style sharded multistage filter, Arg = shard count. The resource
 /// budget (flow memory, stage counters) is split across shards so the
 /// aggregate SRAM matches BM_MultistageConservative; items/sec is
 /// aggregate packets/sec across all shards.
 void BM_ShardedDevice(benchmark::State& state) {
   const auto shards = static_cast<std::uint32_t>(state.range(0));
-  common::ThreadPool pool(shards > 1 ? shards - 1 : 0);
+  const auto pool = close_pool(shards);
   core::ShardedDeviceConfig sharded;
   sharded.shards = shards;
   sharded.seed = 1;
-  sharded.pool = shards > 1 ? &pool : nullptr;
+  sharded.pool = pool.get();
   core::ShardedDevice device(
       sharded, [&](std::uint32_t, std::uint64_t shard_seed_value) {
         return make_shard_filter(shards, shard_seed_value);
@@ -190,11 +197,11 @@ BENCHMARK(BM_ShardedDevice)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 /// each shard's usage.
 void BM_ShardedAdaptiveDevice(benchmark::State& state) {
   const auto shards = static_cast<std::uint32_t>(state.range(0));
-  common::ThreadPool pool(shards > 1 ? shards - 1 : 0);
+  const auto pool = close_pool(shards);
   core::ShardedDeviceConfig sharded;
   sharded.shards = shards;
   sharded.seed = 1;
-  sharded.pool = shards > 1 ? &pool : nullptr;
+  sharded.pool = pool.get();
   sharded.adaptor = core::multistage_adaptor();
   core::ShardedDevice device(
       sharded, [&](std::uint32_t, std::uint64_t shard_seed_value) {
@@ -265,11 +272,11 @@ BENCHMARK(BM_MultistageConservativeTelemetry);
 void BM_ShardedDeviceTelemetry(benchmark::State& state) {
   const auto shards = static_cast<std::uint32_t>(state.range(0));
   telemetry::MetricsRegistry registry;
-  common::ThreadPool pool(shards > 1 ? shards - 1 : 0);
+  const auto pool = close_pool(shards);
   core::ShardedDeviceConfig sharded;
   sharded.shards = shards;
   sharded.seed = 1;
-  sharded.pool = shards > 1 ? &pool : nullptr;
+  sharded.pool = pool.get();
   sharded.metrics = &registry;
   core::ShardedDevice device(
       sharded, [&](std::uint32_t shard, std::uint64_t shard_seed_value) {

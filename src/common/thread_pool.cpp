@@ -1,11 +1,15 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace nd::common {
 
 ThreadPool::ThreadPool(const ThreadPoolConfig& config) {
+  if (config.threads == 0) {
+    throw std::invalid_argument("ThreadPool: threads must be at least 1");
+  }
   workers_.reserve(config.threads);
   for (std::size_t i = 0; i < config.threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -23,15 +27,14 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::attach_telemetry(telemetry::MetricsRegistry* registry,
-                                  telemetry::Labels labels) {
+void ThreadPool::attach_telemetry(telemetry::MetricsRegistry* registry) {
   telemetry::Gauge* depth = nullptr;
   telemetry::Counter* tasks = nullptr;
   telemetry::Histogram* latency = nullptr;
   if (registry != nullptr) {
-    depth = &registry->gauge("nd_pool_queue_depth", labels);
-    tasks = &registry->counter("nd_pool_tasks_total", labels);
-    latency = &registry->histogram("nd_pool_task_ns", labels);
+    depth = &registry->gauge("nd_pool_queue_depth");
+    tasks = &registry->counter("nd_pool_tasks_total");
+    latency = &registry->histogram("nd_pool_task_ns");
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   tm_queue_depth_ = depth;
@@ -63,18 +66,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   }
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> future = packaged.get_future();
-  if (workers_.empty()) {
-    // Inline mode.
-    telemetry::Histogram* latency;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      latency = tm_task_ns_;
-      if (tm_tasks_ != nullptr) tm_tasks_->increment();
-    }
-    const telemetry::ScopedTimer timer(latency);
-    packaged();  // packaged_task captures exceptions into the future
-    return future;
-  }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(packaged));

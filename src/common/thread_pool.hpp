@@ -10,7 +10,7 @@
 // tasks that own disjoint state, keep the returned futures, and join in
 // submission order; every consumer in this repo merges in a fixed
 // (shard) order afterwards, so outputs are identical for any pool
-// size, including 0 (inline execution on the caller's thread).
+// size. A caller with nothing to fork (one shard) passes no pool at all.
 #pragma once
 
 #include <condition_variable>
@@ -28,14 +28,13 @@
 namespace nd::common {
 
 struct ThreadPoolConfig {
-  /// Worker count; 0 degrades to inline execution on the caller.
-  std::size_t threads{0};
+  /// Worker count, at least 1.
+  std::size_t threads{1};
 };
 
 class ThreadPool {
  public:
-  /// `threads == 0` degrades to inline execution: submit() runs the task
-  /// on the calling thread and returns a ready future.
+  /// Throws std::invalid_argument when `threads` is 0.
   explicit ThreadPool(std::size_t threads)
       : ThreadPool(ThreadPoolConfig{threads}) {}
   explicit ThreadPool(const ThreadPoolConfig& config);
@@ -51,13 +50,12 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
   /// Export pool telemetry into `registry` (nd_pool_queue_depth gauge,
-  /// nd_pool_tasks_total counter, nd_pool_task_ns latency histogram),
-  /// optionally tagged with `labels`. The instrument pointers are
-  /// published under the queue mutex, so attaching is safe while tasks
-  /// run; nullptr detaches. Updates happen at submit/execute time —
-  /// never on a path a caller's packet loop touches.
-  void attach_telemetry(telemetry::MetricsRegistry* registry,
-                        telemetry::Labels labels = {});
+  /// nd_pool_tasks_total counter, nd_pool_task_ns latency histogram).
+  /// The instrument pointers are published under the queue mutex, so
+  /// attaching is safe while tasks run; nullptr detaches. Updates
+  /// happen at submit/execute time — never on a path a caller's packet
+  /// loop touches.
+  void attach_telemetry(telemetry::MetricsRegistry* registry);
 
   /// Attach a fault injector (site "pool.task": a submitted task throws
   /// FaultInjectedError or stalls before running). The plan is consulted

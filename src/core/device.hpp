@@ -14,6 +14,7 @@
 
 #include "common/state_buffer.hpp"
 #include "common/types.hpp"
+#include "hash/hash.hpp"
 #include "packet/flow_key.hpp"
 
 namespace nd::core {
@@ -108,13 +109,24 @@ void append_flow_line(std::string& out, const ReportedFlow& flow);
 [[nodiscard]] Report merge_member_reports(common::IntervalIndex interval,
                                           std::span<const Report> members);
 
-/// The RSS-style flow->shard routing ShardedDevice uses, exposed so a
-/// measurement fleet can partition traffic across separate processes
+/// The routing salt shard_route mixes into every fingerprint, derived
+/// once from the ShardedDevice (or fleet) seed; callers cache it.
+[[nodiscard]] constexpr std::uint64_t shard_route_salt(std::uint64_t seed) {
+  return hash::splitmix64(seed ^ 0x5AD0FF5E7ULL);
+}
+
+/// The RSS-style flow->shard routing ShardedDevice uses, shared with a
+/// measurement fleet so it partitions traffic across separate processes
 /// exactly as one sharded device would across replicas: splitmix the
-/// seeded-salted fingerprint, reduce to [0, shards).
-[[nodiscard]] std::uint32_t shard_route(std::uint64_t seed,
-                                        std::uint32_t shards,
-                                        std::uint64_t fingerprint);
+/// salted fingerprint, reduce to [0, shards). Splitmixing keeps shard
+/// routing uncorrelated with the inner devices' stage hashes and
+/// flow-memory placement.
+[[nodiscard]] constexpr std::uint32_t shard_route(std::uint64_t salt,
+                                                  std::uint64_t shards,
+                                                  std::uint64_t fingerprint) {
+  return static_cast<std::uint32_t>(
+      hash::reduce_to_range(hash::splitmix64(fingerprint ^ salt), shards));
+}
 
 class MeasurementDevice {
  public:

@@ -15,7 +15,7 @@ std::uint64_t shard_seed(std::uint64_t base_seed, std::uint32_t shard) {
 
 ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
                              const Factory& factory)
-    : route_salt_(hash::splitmix64(config.seed ^ 0x5AD0FF5E7ULL)),
+    : route_salt_(shard_route_salt(config.seed)),
       pool_(config.pool),
       trace_(config.trace) {
   const std::uint32_t shards = std::max<std::uint32_t>(config.shards, 1);
@@ -37,22 +37,17 @@ ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
   if (config.metrics != nullptr) {
     metrics_ = config.metrics;
     telemetry::MetricsRegistry& registry = *config.metrics;
-    const telemetry::Labels& base = config.metric_labels;
-    tm_intervals_ = &registry.counter("nd_sharded_intervals_total", base);
-    tm_threshold_raises_ =
-        &registry.counter("nd_shard_threshold_raises_total", base);
-    tm_threshold_lowers_ =
-        &registry.counter("nd_shard_threshold_lowers_total", base);
-    tm_effective_threshold_ =
-        &registry.gauge("nd_sharded_effective_threshold", base);
-    tm_merge_ns_ = &registry.histogram("nd_shard_merge_ns", base);
+    tm_intervals_ = &registry.counter("nd_sharded_intervals_total");
+    tm_threshold_raises_ = &registry.counter("nd_shard_threshold_raises_total");
+    tm_threshold_lowers_ = &registry.counter("nd_shard_threshold_lowers_total");
+    tm_effective_threshold_ = &registry.gauge("nd_sharded_effective_threshold");
+    tm_merge_ns_ = &registry.histogram("nd_shard_merge_ns");
     tm_shard_packets_.reserve(shards);
     tm_shard_bytes_.reserve(shards);
     tm_shard_threshold_.reserve(shards);
     tm_shard_occupancy_.reserve(shards);
     for (std::uint32_t s = 0; s < shards; ++s) {
-      telemetry::Labels labels = base;
-      labels.emplace_back("shard", std::to_string(s));
+      const telemetry::Labels labels{{"shard", std::to_string(s)}};
       tm_shard_packets_.push_back(
           &registry.counter("nd_shard_packets_total", labels));
       tm_shard_bytes_.push_back(
@@ -63,13 +58,6 @@ ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
           &registry.gauge("nd_shard_occupancy", labels));
     }
   }
-}
-
-std::uint32_t ShardedDevice::shard_of(std::uint64_t fingerprint) const {
-  // splitmix the salted fingerprint so shard routing stays uncorrelated
-  // with the inner devices' stage hashes and flow-memory placement.
-  return static_cast<std::uint32_t>(hash::reduce_to_range(
-      hash::splitmix64(fingerprint ^ route_salt_), shards_.size()));
 }
 
 void ShardedDevice::observe(const packet::FlowKey& key,
@@ -212,20 +200,16 @@ std::string ShardedDevice::name() const {
 }
 
 void ShardedDevice::set_threshold(common::ByteCount threshold) {
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    set_shard_threshold(s, threshold);
+  std::fill(baseline_thresholds_.begin(), baseline_thresholds_.end(),
+            threshold);
+  std::fill(last_thresholds_.begin(), last_thresholds_.end(), threshold);
+  for (const auto& replica : shards_) {
+    replica->set_threshold(threshold);
   }
-}
-
-void ShardedDevice::set_shard_threshold(std::uint32_t index,
-                                        common::ByteCount threshold) {
-  baseline_thresholds_[index] = threshold;
-  last_thresholds_[index] = threshold;
-  shards_[index]->set_threshold(threshold);
-  if (adaptive()) {
-    // Restart this shard's adaptor so steering resumes from the
-    // override instead of from usage observed under the old threshold.
-    adaptors_[index].reset();
+  // Restart the adaptors so steering resumes from the override instead
+  // of from usage observed under the old threshold.
+  for (ThresholdAdaptor& adaptor : adaptors_) {
+    adaptor.reset();
   }
 }
 

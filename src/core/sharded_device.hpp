@@ -82,8 +82,6 @@ struct ShardedDeviceConfig {
   /// Inner-device telemetry is the factory's business: pass the same
   /// registry with {"shard", "<s>"} labels to the replica configs.
   telemetry::MetricsRegistry* metrics{nullptr};
-  /// Extra labels for every series this layer registers.
-  telemetry::Labels metric_labels{};
   /// Optional trace recorder (not owned): a span per end_interval
   /// merge. Null — the default — records nothing.
   telemetry::TraceRecorder* trace{nullptr};
@@ -107,9 +105,8 @@ class ShardedDevice final : public MeasurementDevice {
   /// The effective threshold: the maximum per-shard threshold. A flow
   /// above it clears the threshold of whichever shard it routes to, so
   /// the no-false-negative guarantee and metrics/dimensioning carry
-  /// over unchanged from the scalar device. With uniform thresholds
-  /// (no adaptation, no per-shard overrides) this is exactly the shared
-  /// threshold.
+  /// over unchanged from the scalar device. Without adaptation the
+  /// thresholds are uniform and this is exactly the shared threshold.
   [[nodiscard]] common::ByteCount threshold() const override;
   /// Records `threshold` as every shard's manual baseline and restarts
   /// the per-shard adaptors (when adaptive) from it, so operator
@@ -117,9 +114,6 @@ class ShardedDevice final : public MeasurementDevice {
   /// immediately and adaptation steers from there instead of snapping
   /// back to stale usage history.
   void set_threshold(common::ByteCount threshold) override;
-  /// Per-shard manual override; same baseline/adaptor-reset semantics
-  /// as set_threshold but for one shard.
-  void set_shard_threshold(std::uint32_t index, common::ByteCount threshold);
   [[nodiscard]] std::size_t flow_memory_capacity() const override;
   [[nodiscard]] std::uint64_t memory_accesses() const override;
   [[nodiscard]] std::uint64_t packets_processed() const override;
@@ -135,10 +129,9 @@ class ShardedDevice final : public MeasurementDevice {
       std::uint32_t index) const {
     return adaptors_[index];
   }
-  /// The per-shard manual baseline recorded by the last
-  /// set_threshold/set_shard_threshold (initially each replica's
-  /// configured threshold). Adaptation floors itself here via the
-  /// adaptor's min_threshold, never below.
+  /// The per-shard manual baseline recorded by the last set_threshold
+  /// (initially each replica's configured threshold). Adaptation
+  /// floors itself here via the adaptor's min_threshold, never below.
   [[nodiscard]] const std::vector<common::ByteCount>& baseline_thresholds()
       const {
     return baseline_thresholds_;
@@ -148,7 +141,9 @@ class ShardedDevice final : public MeasurementDevice {
     return static_cast<std::uint32_t>(shards_.size());
   }
   /// Which shard a flow fingerprint routes to, in [0, shard_count()).
-  [[nodiscard]] std::uint32_t shard_of(std::uint64_t fingerprint) const;
+  [[nodiscard]] std::uint32_t shard_of(std::uint64_t fingerprint) const {
+    return shard_route(route_salt_, shards_.size(), fingerprint);
+  }
   [[nodiscard]] const MeasurementDevice& shard(std::uint32_t index) const {
     return *shards_[index];
   }
@@ -171,8 +166,7 @@ class ShardedDevice final : public MeasurementDevice {
   telemetry::Counter* tm_threshold_lowers_{nullptr};
   telemetry::Gauge* tm_effective_threshold_{nullptr};
   telemetry::Histogram* tm_merge_ns_{nullptr};
-  /// Routing salt mixed into the fingerprint before shard reduction, so
-  /// shard routing is independent of the devices' own stage hashes.
+  /// shard_route_salt(config.seed), cached for the per-packet route.
   std::uint64_t route_salt_;
   common::ThreadPool* pool_;
   /// One private adaptor per shard when adaptation is on; empty
@@ -180,7 +174,7 @@ class ShardedDevice final : public MeasurementDevice {
   std::vector<ThresholdAdaptor> adaptors_;
   /// Per-shard manual baseline (see baseline_thresholds()).
   std::vector<common::ByteCount> baseline_thresholds_;
-  /// Each shard's threshold as of the last merge (or override); kept
+  /// Each shard's threshold as of the last merge (or set_threshold); kept
   /// in the checkpoint (layout v1).
   std::vector<common::ByteCount> last_thresholds_;
   /// Index of the next interval to close; stamps the merged report.

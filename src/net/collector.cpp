@@ -112,6 +112,9 @@ class Collector::JournalReplay final : public JournalReplayEvents {
 };
 
 Collector::Collector(const CollectorConfig& config) : config_(config) {
+  if (config_.expected_devices == 0) {
+    throw std::invalid_argument("Collector: expected_devices must be >= 1");
+  }
   listener_ = tcp_listen(config_.port, &port_);
   set_nonblocking(listener_.fd(), true);
   int pipe_fds[2];
@@ -122,31 +125,22 @@ Collector::Collector(const CollectorConfig& config) : config_(config) {
   stop_writer_ = Socket(pipe_fds[1]);
   if (config_.metrics != nullptr) {
     telemetry::MetricsRegistry& registry = *config_.metrics;
-    const telemetry::Labels& labels = config_.metric_labels;
-    tm_connections_ =
-        &registry.counter("nd_net_connections_total", labels);
-    tm_frames_ = &registry.counter("nd_net_frames_total", labels);
-    tm_reports_ = &registry.counter("nd_net_reports_total", labels);
-    tm_duplicates_ =
-        &registry.counter("nd_net_duplicate_reports_total", labels);
-    tm_late_ = &registry.counter("nd_net_late_reports_total", labels);
-    tm_missing_ =
-        &registry.counter("nd_net_missing_intervals_total", labels);
-    tm_decode_errors_ =
-        &registry.counter("nd_net_decode_errors_total", labels);
-    tm_resyncs_ = &registry.counter("nd_net_resync_total", labels);
-    tm_reconnects_ =
-        &registry.counter("nd_net_reconnects_total", labels);
-    tm_merge_ns_ = &registry.histogram("nd_net_merge_ns", labels);
+    tm_connections_ = &registry.counter("nd_net_connections_total");
+    tm_frames_ = &registry.counter("nd_net_frames_total");
+    tm_reports_ = &registry.counter("nd_net_reports_total");
+    tm_duplicates_ = &registry.counter("nd_net_duplicate_reports_total");
+    tm_late_ = &registry.counter("nd_net_late_reports_total");
+    tm_missing_ = &registry.counter("nd_net_missing_intervals_total");
+    tm_decode_errors_ = &registry.counter("nd_net_decode_errors_total");
+    tm_resyncs_ = &registry.counter("nd_net_resync_total");
+    tm_reconnects_ = &registry.counter("nd_net_reconnects_total");
+    tm_merge_ns_ = &registry.histogram("nd_net_merge_ns");
     if (!config_.journal_path.empty()) {
-      tm_journal_records_ =
-          &registry.counter("nd_journal_records_total", labels);
-      tm_journal_replayed_ =
-          &registry.counter("nd_journal_replayed_total", labels);
-      tm_journal_torn_ =
-          &registry.counter("nd_journal_torn_records_total", labels);
+      tm_journal_records_ = &registry.counter("nd_journal_records_total");
+      tm_journal_replayed_ = &registry.counter("nd_journal_replayed_total");
+      tm_journal_torn_ = &registry.counter("nd_journal_torn_records_total");
       tm_journal_write_errors_ =
-          &registry.counter("nd_journal_write_errors_total", labels);
+          &registry.counter("nd_journal_write_errors_total");
     }
     aggregator_.emplace(registry);
   }
@@ -161,8 +155,7 @@ Collector::Collector(const CollectorConfig& config) : config_(config) {
         .fsync_counter = config_.metrics == nullptr
                              ? nullptr
                              : &config_.metrics->counter(
-                                   "nd_journal_fsync_total",
-                                   config_.metric_labels)});
+                                   "nd_journal_fsync_total")});
     journal_->open(config_.journal_path);
   }
   ingest_buffer_.resize(64 * 1024);
@@ -206,6 +199,7 @@ void Collector::ingest_report_payload(std::uint32_t device_id,
         telemetry::TraceArgs{device_id, device.epoch, -1,
                              static_cast<std::int64_t>(payload.size())},
         "bytes");
+    bool decoded_ok = true;
     try {
       decoded = reporting::decode_full(payload);
     } catch (const reporting::CodecError&) {
@@ -213,12 +207,18 @@ void Collector::ingest_report_payload(std::uint32_t device_id,
       // corruption of the pre-framing bytes (or, on the replay path, a
       // journal record damaged before its CRC was computed). Drop it;
       // the device's retry loop re-sends the interval.
+      decoded_ok = false;
+    }
+    // One fleet measures one flow definition: a member reporting
+    // another key kind than the first report cannot join the merge.
+    if (!decoded_ok || (key_kind_ && decoded.kind != *key_kind_)) {
       ++stats_.decode_errors;
       if (tm_decode_errors_ != nullptr) {
         tm_decode_errors_->increment();
       }
       return;
     }
+    key_kind_ = decoded.kind;
     span.mutable_args().interval =
         static_cast<std::int64_t>(decoded.report.interval);
   }
@@ -354,10 +354,7 @@ std::vector<core::Report> Collector::take_complete_locked() {
   // Nothing is complete until the whole fleet is known: an interval
   // every member seen so far has reported may still wait for one that
   // has not dialed in yet.
-  if (config_.expected_devices == 0 ||
-      devices_.size() < config_.expected_devices) {
-    return ready;
-  }
+  if (devices_.size() < config_.expected_devices) return ready;
   std::vector<core::Report> members;
   while (next_interval_ <= std::numeric_limits<common::IntervalIndex>::max()) {
     const auto interval = static_cast<common::IntervalIndex>(next_interval_);
@@ -381,7 +378,10 @@ std::vector<core::Report> Collector::take_complete_locked() {
 }
 
 void Collector::deliver(std::vector<core::Report> merged) {
-  for (core::Report& report : merged) config_.on_interval(std::move(report));
+  // A merge needs a member report, so the kind is known by now.
+  for (core::Report& report : merged) {
+    config_.on_interval(std::move(report), *key_kind_);
+  }
 }
 
 core::Report Collector::merge_members(
@@ -472,7 +472,6 @@ Collector::~Collector() {
 }
 
 bool Collector::all_done_locked() const {
-  if (config_.expected_devices == 0) return false;
   std::uint32_t done = 0;
   for (const auto& [id, device] : devices_) {
     if (device.bye) ++done;
@@ -640,6 +639,11 @@ void Collector::stop() {
 bool Collector::wait() {
   if (thread_.joinable()) thread_.join();
   return thread_result_;
+}
+
+std::optional<packet::FlowKeyKind> Collector::key_kind() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return key_kind_;
 }
 
 std::vector<core::Report> Collector::merged_reports() const {

@@ -67,17 +67,17 @@ struct CollectorConfig {
   /// (read it back via port()).
   std::uint16_t port{0};
   /// Devices that must say bye before run() declares the collection
-  /// complete. 0 means run until stop() or timeout.
-  std::uint32_t expected_devices{0};
+  /// complete; at least 1 (the constructor throws std::invalid_argument
+  /// on 0).
+  std::uint32_t expected_devices{1};
   /// Give up after this long (run() returns false); 0 waits forever.
   std::chrono::milliseconds timeout{0};
-  /// Optional telemetry registry (not owned); labels tag every series.
+  /// Optional telemetry registry (not owned).
   /// When set, each report's v3 metrics trailer is also parsed and
   /// folded into this registry through a FleetAggregator — per-device
   /// `device="<id>"` series plus `device="fleet"` rollups — so one
   /// scrape of the collector shows the whole fleet.
   telemetry::MetricsRegistry* metrics{nullptr};
-  telemetry::Labels metric_labels{};
   /// Optional trace recorder (not owned): frame-decode / dedup / merge
   /// spans, correlated with device-side spans via (device, epoch,
   /// interval) ids.
@@ -101,12 +101,12 @@ struct CollectorConfig {
   std::size_t max_drain_bytes_per_wake{256 * 1024};
   /// Fault hook for the journal.* sites (net/journal.hpp). Not owned.
   robustness::FaultInjector* faults{nullptr};
-  /// Sink for each completed interval's fleet merge, in ascending
-  /// interval order, called without the collector's lock: from the
-  /// constructor for intervals journal replay completes, then from the
-  /// thread that runs run(). Unset: merges are kept for
-  /// merged_reports().
-  std::function<void(core::Report&&)> on_interval{};
+  /// Sink for each completed interval's fleet merge and the members'
+  /// flow-key kind (key_kind()), in ascending interval order, called
+  /// without the collector's lock: from the constructor for intervals
+  /// journal replay completes, then from the thread that runs run().
+  /// Unset: merges are kept for merged_reports().
+  std::function<void(core::Report&&, packet::FlowKeyKind)> on_interval{};
 };
 
 /// Intervals [first, last] that a device's bye counted but whose
@@ -199,6 +199,13 @@ class Collector {
   /// returns.
   [[nodiscard]] std::vector<core::Report> merged_reports() const;
 
+  /// The flow-key kind every member's report header carries, taken from
+  /// the first report ingested (nullopt before one). A report of
+  /// another kind counts as a decode error and never enters the merge,
+  /// so a merged export encodes every interval, flowless ones included,
+  /// under this kind.
+  [[nodiscard]] std::optional<packet::FlowKeyKind> key_kind() const;
+
   [[nodiscard]] CollectorStats stats() const;
   /// Every gap recorded so far, in the order the byes arrived.
   [[nodiscard]] std::vector<IntervalGap> gaps() const;
@@ -286,6 +293,9 @@ class Collector {
   std::map<std::uint32_t, DeviceState> devices_;
   /// The watermark: every interval below it has been merged.
   std::uint64_t next_interval_{0};
+  /// See key_kind(). Written only by ingestion, on the thread that
+  /// delivers merges, so deliver() reads it without the lock.
+  std::optional<packet::FlowKeyKind> key_kind_;
   /// Merges kept for merged_reports() when no on_interval sink is set.
   std::vector<core::Report> emitted_;
   std::vector<IntervalGap> gaps_;

@@ -2,8 +2,8 @@
 //
 // A fleet of M separate devices reproduces one M-sharded device
 // (core::ShardedDevice) over the wire: every member applies the same
-// seeded flow->member routing (core::shard_route — identical math to
-// ShardedDevice::shard_of), runs an inner replica built from the same
+// seeded flow->member routing (core::shard_route, the function
+// ShardedDevice::shard_of calls), runs an inner replica built from the same
 // factory and per-member seed (core::shard_seed), and annotates each
 // interval report with the same ShardStatus an in-process shard
 // would carry (core::make_shard_status). The collector daemon then
@@ -48,12 +48,13 @@ class FleetSliceDevice final : public core::MeasurementDevice {
                    std::unique_ptr<core::MeasurementDevice> inner)
       : member_(member),
         fleet_size_(fleet_size),
-        seed_(seed),
+        route_salt_(core::shard_route_salt(seed)),
         inner_(std::move(inner)),
         capacity_(inner_->flow_memory_capacity()) {}
 
   [[nodiscard]] bool owns(std::uint64_t fingerprint) const {
-    return core::shard_route(seed_, fleet_size_, fingerprint) == member_;
+    return core::shard_route(route_salt_, fleet_size_, fingerprint) ==
+           member_;
   }
 
   void observe(const packet::FlowKey& key, std::uint32_t bytes) override {
@@ -108,15 +109,10 @@ class FleetSliceDevice final : public core::MeasurementDevice {
     inner_->restore_state(in);
   }
 
-  [[nodiscard]] std::uint32_t member() const { return member_; }
-  [[nodiscard]] const core::MeasurementDevice& inner() const {
-    return *inner_;
-  }
-
  private:
   std::uint32_t member_;
   std::uint32_t fleet_size_;
-  std::uint64_t seed_;
+  std::uint64_t route_salt_;  // core::shard_route_salt(seed)
   std::unique_ptr<core::MeasurementDevice> inner_;
   std::size_t capacity_;
   std::uint64_t interval_packets_{0};

@@ -18,14 +18,11 @@ TcpTransport::TcpTransport(const TcpTransportConfig& config)
     : config_(config) {
   if (config_.metrics != nullptr) {
     telemetry::MetricsRegistry& registry = *config_.metrics;
-    const telemetry::Labels& labels = config_.metric_labels;
-    tm_connects_ = &registry.counter("nd_net_connects_total", labels);
-    tm_connect_failures_ =
-        &registry.counter("nd_net_connect_failures_total", labels);
-    tm_frames_ = &registry.counter("nd_net_frames_sent_total", labels);
-    tm_bytes_ = &registry.counter("nd_net_bytes_sent_total", labels);
-    tm_disconnects_ =
-        &registry.counter("nd_net_disconnects_total", labels);
+    tm_connects_ = &registry.counter("nd_net_connects_total");
+    tm_connect_failures_ = &registry.counter("nd_net_connect_failures_total");
+    tm_frames_ = &registry.counter("nd_net_frames_sent_total");
+    tm_bytes_ = &registry.counter("nd_net_bytes_sent_total");
+    tm_disconnects_ = &registry.counter("nd_net_disconnects_total");
   }
 }
 

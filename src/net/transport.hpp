@@ -41,9 +41,8 @@ struct TcpTransportConfig {
   std::uint32_t device_id{0};
   /// Fault hook for the net.* sites above. Not owned; null = no faults.
   robustness::FaultInjector* faults{nullptr};
-  /// Optional telemetry registry (not owned); labels tag every series.
+  /// Optional telemetry registry (not owned).
   telemetry::MetricsRegistry* metrics{nullptr};
-  telemetry::Labels metric_labels{};
   /// Optional trace recorder (not owned): an instant per (re)connect,
   /// carrying the reconnect epoch the hello announced.
   telemetry::TraceRecorder* trace{nullptr};

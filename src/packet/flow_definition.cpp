@@ -4,22 +4,20 @@
 
 namespace nd::packet {
 
-FlowDefinition FlowDefinition::five_tuple(PacketPattern pattern) {
-  return FlowDefinition(FlowKeyKind::kFiveTuple, pattern, nullptr);
+FlowDefinition FlowDefinition::five_tuple() {
+  return FlowDefinition(FlowKeyKind::kFiveTuple, nullptr);
 }
 
-FlowDefinition FlowDefinition::destination_ip(PacketPattern pattern) {
-  return FlowDefinition(FlowKeyKind::kDestinationIp, pattern, nullptr);
+FlowDefinition FlowDefinition::destination_ip() {
+  return FlowDefinition(FlowKeyKind::kDestinationIp, nullptr);
 }
 
-FlowDefinition FlowDefinition::as_pair(const AsResolver& resolver,
-                                       PacketPattern pattern) {
-  return FlowDefinition(FlowKeyKind::kAsPair, pattern, &resolver);
+FlowDefinition FlowDefinition::as_pair(const AsResolver& resolver) {
+  return FlowDefinition(FlowKeyKind::kAsPair, &resolver);
 }
 
-FlowDefinition FlowDefinition::network_pair(std::uint8_t prefix_len,
-                                            PacketPattern pattern) {
-  return FlowDefinition(FlowKeyKind::kNetworkPair, pattern, nullptr,
+FlowDefinition FlowDefinition::network_pair(std::uint8_t prefix_len) {
+  return FlowDefinition(FlowKeyKind::kNetworkPair, nullptr,
                         std::min<std::uint8_t>(prefix_len, 32));
 }
 

@@ -1,12 +1,13 @@
-// Flow definitions: pattern + identifier function (Section 1.1).
+// Flow definitions: the identifier function of Section 1.1.
 //
 // "A flow is generically defined by an optional pattern (which defines
 // which packets we will focus on) and an identifier (values for a set of
-// specified header fields)." A FlowDefinition first checks its pattern
-// against a packet and, if it matches, extracts the FlowKey. The AS-pair
-// definition consults an AsResolver (the identifier may be "a function of
-// the header field values ... using prefixes instead of addresses based
-// on a mapping using route tables").
+// specified header fields)." Every configuration here measures all
+// packets, so a FlowDefinition is the identifier alone: it extracts the
+// FlowKey. The AS-pair definition consults an AsResolver (the identifier
+// may be "a function of the header field values ... using prefixes
+// instead of addresses based on a mapping using route tables"); a packet
+// whose endpoints it cannot resolve gets no key.
 #pragma once
 
 #include <optional>
@@ -17,46 +18,28 @@
 
 namespace nd::packet {
 
-/// Optional packet pattern. Default-constructed pattern matches all
-/// packets; fields restrict it (e.g. TCP-only for the paper's TCP DoS
-/// detection example).
-struct PacketPattern {
-  std::optional<IpProtocol> protocol;
-  std::optional<std::uint16_t> dst_port;
-
-  [[nodiscard]] bool matches(const PacketRecord& packet) const {
-    if (protocol.has_value() && packet.protocol != *protocol) return false;
-    if (dst_port.has_value() && packet.dst_port != *dst_port) return false;
-    return true;
-  }
-};
-
 class FlowDefinition {
  public:
   /// 5-tuple flows (NetFlow-like granularity).
-  [[nodiscard]] static FlowDefinition five_tuple(PacketPattern pattern = {});
+  [[nodiscard]] static FlowDefinition five_tuple();
 
   /// Destination-IP flows (DoS victim detection).
-  [[nodiscard]] static FlowDefinition destination_ip(
-      PacketPattern pattern = {});
+  [[nodiscard]] static FlowDefinition destination_ip();
 
   /// AS-pair flows; `resolver` must outlive the definition.
-  [[nodiscard]] static FlowDefinition as_pair(const AsResolver& resolver,
-                                              PacketPattern pattern = {});
+  [[nodiscard]] static FlowDefinition as_pair(const AsResolver& resolver);
 
   /// Source/destination network-prefix pairs at `prefix_len` bits (the
   /// Section 1.1 traffic-matrix definition without a route table).
-  [[nodiscard]] static FlowDefinition network_pair(
-      std::uint8_t prefix_len, PacketPattern pattern = {});
+  [[nodiscard]] static FlowDefinition network_pair(std::uint8_t prefix_len);
 
   [[nodiscard]] FlowKeyKind kind() const { return kind_; }
 
-  /// Extract the flow key, or nullopt when the pattern does not match
-  /// (or AS resolution fails for either endpoint). Inline: it runs once
-  /// per packet; only the AS-pair lookup leaves the caller.
+  /// Extract the flow key, or nullopt when AS resolution fails for
+  /// either endpoint. Inline: it runs once per packet; only the AS-pair
+  /// lookup leaves the caller.
   [[nodiscard]] std::optional<FlowKey> classify(
       const PacketRecord& packet) const {
-    if (!pattern_.matches(packet)) return std::nullopt;
     switch (kind_) {
       case FlowKeyKind::kFiveTuple:
         return FlowKey::five_tuple(packet.src_ip, packet.dst_ip,
@@ -81,15 +64,11 @@ class FlowDefinition {
   }
 
  private:
-  FlowDefinition(FlowKeyKind kind, PacketPattern pattern,
-                 const AsResolver* resolver, std::uint8_t prefix_len = 0)
-      : kind_(kind),
-        pattern_(pattern),
-        resolver_(resolver),
-        prefix_len_(prefix_len) {}
+  FlowDefinition(FlowKeyKind kind, const AsResolver* resolver,
+                 std::uint8_t prefix_len = 0)
+      : kind_(kind), resolver_(resolver), prefix_len_(prefix_len) {}
 
   FlowKeyKind kind_;
-  PacketPattern pattern_;
   const AsResolver* resolver_;  // non-owning; only set for kAsPair
   std::uint8_t prefix_len_;     // only used for kNetworkPair
 };

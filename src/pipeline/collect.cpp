@@ -53,7 +53,7 @@ class CollectRun {
   std::unique_ptr<net::Collector> open_collector();
   std::uint16_t announce();
   telemetry::HttpExporterConfig status_endpoint();
-  void write_interval(core::Report&& report);
+  void write_interval(core::Report&& report, packet::FlowKeyKind kind);
 
   const CollectConfig& config_;
   Observability obs_;
@@ -106,8 +106,9 @@ std::unique_ptr<net::Collector> CollectRun::open_collector() {
   collector.metrics = obs_.metrics();
   collector.trace = obs_.trace();
   collector.faults = obs_.faults();
-  collector.on_interval = [this](core::Report&& report) {
-    write_interval(std::move(report));
+  collector.on_interval = [this](core::Report&& report,
+                                 packet::FlowKeyKind kind) {
+    write_interval(std::move(report), kind);
   };
   auto daemon = std::make_unique<net::Collector>(collector);
   if (!collector.journal_path.empty()) {
@@ -141,16 +142,16 @@ telemetry::HttpExporterConfig CollectRun::status_endpoint() {
   return endpoint;
 }
 
-void CollectRun::write_interval(core::Report&& report) {
+void CollectRun::write_interval(core::Report&& report,
+                                packet::FlowKeyKind kind) {
   // Same largest-first order a measure export writes, so a merged
   // export is byte-comparable against a single-process sharded run.
   core::sort_by_size(report);
   std::printf("interval %u: %zu members, %zu flows, %zu entries\n",
               report.interval, report.shards.size(), report.flows.size(),
               report.entries_used);
-  if (export_.is_open() && !report.flows.empty()) {
-    const auto encoded =
-        reporting::encode(report, report.flows.front().key.kind());
+  if (export_.is_open()) {
+    const auto encoded = reporting::encode(report, kind);
     export_.write(reinterpret_cast<const char*>(encoded.data()),
                   static_cast<std::streamsize>(encoded.size()));
   }
@@ -160,9 +161,10 @@ void CollectRun::write_interval(core::Report&& report) {
 Exit CollectRun::run() {
   const bool complete = collector_->run();
   // Intervals still open (a device that never said bye, or a gap no
-  // device filled) are merged as they stand.
+  // device filled) are merged as they stand. Each holds a member
+  // report, so the kind is known.
   for (core::Report& report : collector_->merged_reports()) {
-    write_interval(std::move(report));
+    write_interval(std::move(report), *collector_->key_kind());
   }
   const net::CollectorStats stats = collector_->stats();
   if (export_.is_open()) {
@@ -229,11 +231,8 @@ Exit CollectRun::run() {
 
 Exit Collect::run() {
   try {
-    const net::CollectorConfig& collector = config_.collector;
-    if (collector.expected_devices == 0 && collector.timeout.count() == 0) {
-      throw Error(Exit::kUsage,
-                  "collect: --devices 0 needs --timeout-ms (nothing would "
-                  "ever stop the daemon)");
+    if (config_.collector.expected_devices == 0) {
+      throw Error(Exit::kUsage, "collect: --devices must be at least 1");
     }
     CollectRun wiring(config_, stop_fd_, stop_requested_);
     return wiring.run();

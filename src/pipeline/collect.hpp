@@ -19,9 +19,8 @@ struct CollectConfig {
   /// Listen port (`--listen`, 0 = ephemeral), expected devices
   /// (`--devices`), timeout (`--timeout-ms`) and the journal
   /// (`--journal`, `--journal-fsync`). The pipeline fills in the
-  /// metrics, trace and faults pointers and the on_interval sink. 0
-  /// devices needs a timeout.
-  net::CollectorConfig collector{.expected_devices = 1};
+  /// metrics, trace and faults pointers and the on_interval sink.
+  net::CollectorConfig collector{};
   /// The merged export: written as `<path>.partial`, renamed into place
   /// when run() ends; empty exports nothing.
   std::string export_path{};

@@ -220,7 +220,7 @@ class MeasureRun {
   std::unique_ptr<core::MeasurementDevice> make_device();
   core::MeasurementSession open_session();
   std::ifstream open_input() const;
-  std::ofstream open_export() const;
+  std::ofstream open_export();
   std::unique_ptr<net::TcpTransport> make_transport();
   std::unique_ptr<reporting::SpoolWal> open_spool();
   std::unique_ptr<reporting::ResilientChannel> make_channel();
@@ -253,9 +253,6 @@ class MeasureRun {
   std::unique_ptr<net::TcpTransport> transport_;
   std::unique_ptr<reporting::SpoolWal> spool_;
   std::unique_ptr<reporting::ResilientChannel> channel_;
-  /// Reports the channel gave up on with no spool to keep them; written
-  /// by the report stage only.
-  std::uint64_t reports_abandoned_{0};
   /// /healthz watches the spool backlog: a device still draining
   /// spooled reports is live but degraded.
   HttpServer http_;
@@ -389,10 +386,36 @@ std::ifstream MeasureRun::open_input() const {
   return stream;
 }
 
-std::ofstream MeasureRun::open_export() const {
+std::ofstream MeasureRun::open_export() {
   std::ofstream stream;
   if (config_.export_path.empty()) return stream;
-  stream.open(config_.export_path, std::ios::binary);
+  std::ios::openmode mode = std::ios::binary;
+  if (resumed_) {
+    // The interrupted run flushed its export before every checkpoint:
+    // keep its whole reports below the checkpoint's interval count and
+    // append the resumed intervals after them. Every report carries a
+    // trailer exactly when the registry is on, as when it was written.
+    std::ifstream previous(config_.export_path, std::ios::binary);
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(previous)),
+        std::istreambuf_iterator<char>());
+    if (previous.is_open()) {
+      previous.close();
+      std::error_code error;
+      std::filesystem::resize_file(
+          config_.export_path,
+          reporting::export_prefix(bytes, obs_.metrics() != nullptr,
+                                   session_.intervals_closed()),
+          error);
+      if (error) {
+        throw Error(Exit::kIo, "cannot cut " + config_.export_path +
+                                   " back to the checkpoint: " +
+                                   error.message());
+      }
+    }
+    mode |= std::ios::app;
+  }
+  stream.open(config_.export_path, mode);
   if (!stream) {
     throw Error(Exit::kIo,
                 "cannot open " + config_.export_path + " for export");
@@ -518,12 +541,11 @@ void MeasureRun::report(std::vector<core::Report>& reports) {
         report.shards.assign(
             1, core::make_shard_status(report, memory_capacity_, 0, 0));
       }
-      const reporting::DeliveryOutcome outcome =
-          channel_->send(std::move(report), metrics_line);
       // In spool mode an undelivered report is waiting, not lost — the
       // only permanent spool loss is a budget drop, accounted from the
       // spool's own stats at exit.
-      if (!spool_ && !outcome.delivered) ++reports_abandoned_;
+      (void)channel_->send(std::move(report), metrics_line,
+                           flow_def_.kind());
     }
   }
 }
@@ -539,6 +561,9 @@ void MeasureRun::await_reports() {
 }
 
 void MeasureRun::save_checkpoint() {
+  // The report stage is idle: everything exported so far reaches the
+  // file before the checkpoint that a resume cuts the export back to.
+  if (export_.is_open()) export_.flush();
   core::save_checkpoint_file(config_.checkpoint_path, session_.checkpoint(),
                              obs_.trace());
 }
@@ -674,11 +699,11 @@ Exit MeasureRun::finish(bool stopped, std::uint64_t pcap_records,
                      static_cast<unsigned long long>(sstats.dropped));
         exit = Exit::kTransport;
       }
-    } else if (reports_abandoned_ > 0 || !bye_ok) {
+    } else if (cstats.reports_abandoned > 0 || !bye_ok) {
       std::fprintf(stderr,
                    "measure: transport failure after retries exhausted "
                    "(%llu reports undelivered%s)\n",
-                   static_cast<unsigned long long>(reports_abandoned_),
+                   static_cast<unsigned long long>(cstats.reports_abandoned),
                    bye_ok ? "" : ", bye undeliverable");
       exit = Exit::kTransport;
     }

@@ -5,41 +5,43 @@
 
 namespace nd::reporting {
 
-core::Report CollectionChannel::deliver(core::Report report) {
-  ++stats_.reports_offered;
-  stats_.records_offered += report.flows.size();
-  const std::size_t offered_bytes = encoded_size(report);
-  stats_.bytes_offered += offered_bytes;
-
-  if (offered_bytes > budget_) {
-    // The header and the shard records travel whatever the budget; the
-    // flow records get what is left of it.
-    const std::uint64_t fixed_bytes =
-        kHeaderBytes + report.shards.size() * kShardRecordBytes;
+BudgetFit fit_to_budget(const core::Report& report,
+                        std::size_t metrics_json_bytes, std::uint64_t budget) {
+  BudgetFit fit;
+  fit.trailer_fits = encoded_size(report, metrics_json_bytes) <= budget;
+  const std::uint64_t fixed_bytes =
+      kHeaderBytes + report.shards.size() * kShardRecordBytes;
+  fit.fixed_fits = fixed_bytes <= budget;
+  fit.flows = report.flows.size();
+  if (encoded_size(report) > budget) {
     const std::uint64_t record_budget =
-        budget_ > fixed_bytes ? (budget_ - fixed_bytes) / kRecordBytes : 0;
-    report.flows.resize(
-        std::min<std::uint64_t>(report.flows.size(), record_budget));
+        fit.fixed_fits ? (budget - fixed_bytes) / kRecordBytes : 0;
+    fit.flows = static_cast<std::size_t>(
+        std::min<std::uint64_t>(fit.flows, record_budget));
   }
-  stats_.records_delivered += report.flows.size();
-  stats_.bytes_delivered += encoded_size(report);
-  return report;
+  return fit;
+}
+
+core::Report CollectionChannel::deliver(core::Report report) {
+  return deliver(std::move(report), {}).report;
 }
 
 CollectionChannel::Delivered CollectionChannel::deliver(
     core::Report report, std::string_view metrics_json) {
-  // The trailer travels only when the whole offered payload fits; under
-  // budget pressure it is dropped before any flow record is. Decided
-  // before shaping truncates the report in place.
-  const bool trailer_fits =
-      encoded_size(report, metrics_json.size()) <= budget_;
-  Delivered out;
-  out.report = deliver(std::move(report));
+  // Decided on the offered report, before it is truncated in place.
+  const BudgetFit fit = fit_to_budget(report, metrics_json.size(), budget_);
+  ++stats_.reports_offered;
+  stats_.records_offered += report.flows.size();
+  stats_.bytes_offered += encoded_size(report);
+  report.flows.resize(fit.flows);
+  stats_.records_delivered += report.flows.size();
+  stats_.bytes_delivered += encoded_size(report);
+  Delivered out{std::move(report), false};
   if (metrics_json.empty()) return out;
   const std::uint64_t trailer_bytes =
       kTrailerLengthBytes + metrics_json.size();
   stats_.bytes_offered += trailer_bytes;
-  out.metrics_delivered = trailer_fits;
+  out.metrics_delivered = fit.trailer_fits;
   if (out.metrics_delivered) stats_.bytes_delivered += trailer_bytes;
   return out;
 }

@@ -9,6 +9,7 @@
 // they want the heavy hitters to survive truncation).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -31,6 +32,26 @@ struct ChannelStats {
                            static_cast<double>(records_offered);
   }
 };
+
+/// What of a report fits `budget` encoded bytes under the one
+/// largest-first-keep policy the channel and the spool share: the
+/// metrics trailer travels only if the whole payload fits; the header
+/// and the shard records always travel; the flows get what is left, in
+/// kRecordBytes records. Keeping the first `flows` records keeps the
+/// heavy hitters only when the report is sorted largest-first.
+struct BudgetFit {
+  /// The whole payload, trailer included, fits.
+  bool trailer_fits{false};
+  /// The header and the shard records fit (the spool drops a report
+  /// whose fixed part does not; the channel sends it without flows).
+  bool fixed_fits{false};
+  /// Flow records kept: all of them when the report without its
+  /// trailer fits.
+  std::size_t flows{0};
+};
+[[nodiscard]] BudgetFit fit_to_budget(const core::Report& report,
+                                      std::size_t metrics_json_bytes,
+                                      std::uint64_t budget);
 
 /// Budget shaping only: transit faults and retries belong to
 /// ResilientChannel, which shapes each report here once before its

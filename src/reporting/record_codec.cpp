@@ -118,6 +118,7 @@ DecodedReport decode_full(std::span<const std::uint8_t> data) {
   }
   const std::size_t shard_count = data[7];
   DecodedReport decoded;
+  decoded.kind = kind;
   core::Report& report = decoded.report;
   report.interval = load_be32(data.data() + 8);
   const std::uint32_t count = load_be32(data.data() + 12);
@@ -196,6 +197,29 @@ DecodedReport decode_full(std::span<const std::uint8_t> data) {
 
 core::Report decode(std::span<const std::uint8_t> data) {
   return decode_full(data).report;
+}
+
+std::size_t export_prefix(std::span<const std::uint8_t> data,
+                          bool with_trailers,
+                          common::IntervalIndex end_interval) {
+  std::size_t kept = 0;
+  while (data.size() - kept >= kHeaderBytes) {
+    const std::uint8_t* header = data.data() + kept;
+    if (load_be32(header) != kMagic ||
+        load_be32(header + 8) >= end_interval) {
+      break;
+    }
+    std::size_t length = kHeaderBytes +
+                         std::size_t{load_be32(header + 12)} * kRecordBytes +
+                         std::size_t{header[7]} * kShardRecordBytes;
+    if (with_trailers) {
+      if (data.size() - kept < length + kTrailerLengthBytes) break;
+      length += kTrailerLengthBytes + load_be32(header + length);
+    }
+    if (data.size() - kept < length) break;
+    kept += length;
+  }
+  return kept;
 }
 
 namespace {

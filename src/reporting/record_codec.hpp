@@ -83,13 +83,25 @@ void encode_into(std::vector<std::uint8_t>& out, const core::Report& report,
 /// dropped — use decode_full to keep it.
 [[nodiscard]] core::Report decode(std::span<const std::uint8_t> data);
 
-/// decode() plus the metrics trailer (empty when the payload carries
-/// none).
+/// decode() plus the header's flow-key kind (the one way to know it
+/// for a report with no flows) and the metrics trailer (empty when the
+/// payload carries none).
 struct DecodedReport {
   core::Report report;
+  packet::FlowKeyKind kind{packet::FlowKeyKind::kFiveTuple};
   std::string metrics_json;
 };
 [[nodiscard]] DecodedReport decode_full(std::span<const std::uint8_t> data);
+
+/// The leading bytes of an export file (encoded reports back to back)
+/// that hold whole reports of intervals below `end_interval`: the cut
+/// that keeps them and drops the rest, a torn last report included.
+/// The headers do not say whether a report carries a metrics trailer;
+/// `with_trailers` does (a writer attaches one to every report or to
+/// none). Stops at the first header that is not a report's.
+[[nodiscard]] std::size_t export_prefix(std::span<const std::uint8_t> data,
+                                        bool with_trailers,
+                                        common::IntervalIndex end_interval);
 
 // CRC32 framing for flaky collection channels. A frame is the wal
 // record (wal.hpp) under the magic 'NDFR':

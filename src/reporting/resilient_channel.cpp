@@ -27,19 +27,18 @@ ResilientChannel::ResilientChannel(const ResilientChannelConfig& config)
   config_.max_attempts = std::max<std::uint32_t>(config_.max_attempts, 1);
   if (config_.metrics != nullptr) {
     telemetry::MetricsRegistry& registry = *config_.metrics;
-    const telemetry::Labels& labels = config_.metric_labels;
-    tm_retries_ = &registry.counter("nd_channel_retries_total", labels);
-    tm_drops_ = &registry.counter("nd_channel_drops_total", labels);
-    tm_abandoned_ = &registry.counter("nd_channel_abandoned_total", labels);
+    tm_retries_ = &registry.counter("nd_channel_retries_total");
+    tm_drops_ = &registry.counter("nd_channel_drops_total");
+    tm_abandoned_ = &registry.counter("nd_channel_abandoned_total");
     tm_transport_failures_ =
-        &registry.counter("nd_channel_transport_failures_total", labels);
-    tm_spooled_ = &registry.counter("nd_channel_spooled_total", labels);
+        &registry.counter("nd_channel_transport_failures_total");
+    tm_spooled_ = &registry.counter("nd_channel_spooled_total");
   }
 }
 
 void ResilientChannel::backoff(std::uint32_t retry_index) {
   const std::int64_t base = config_.backoff_base.count();
-  const std::int64_t cap = config_.backoff_cap.count();
+  const std::int64_t cap = kBackoffCap.count();
   std::int64_t delay_us;
   if (config_.jitter) {
     // Decorrelated jitter: uniform in [base, min(cap, 3 * previous)].
@@ -77,8 +76,9 @@ void ResilientChannel::backoff(std::uint32_t retry_index) {
   }
 }
 
-DeliveryOutcome ResilientChannel::send(core::Report report,
-                                       std::string_view metrics_json) {
+DeliveryOutcome ResilientChannel::send(
+    core::Report report, std::string_view metrics_json,
+    std::optional<packet::FlowKeyKind> header_kind) {
   ++stats_.reports_sent;
   telemetry::ScopedTraceSpan span(
       config_.trace, "channel.send", "channel",
@@ -90,11 +90,12 @@ DeliveryOutcome ResilientChannel::send(core::Report report,
   // is exactly the top-K heavy hitters. A caller that already sorted
   // (ndtm lists its reports largest-first) pays one linear check here.
   core::sort_by_size(report);
-  const packet::FlowKeyKind kind = report.flows.empty()
-                                       ? packet::FlowKeyKind::kFiveTuple
-                                       : report.flows.front().key.kind();
+  const packet::FlowKeyKind kind =
+      header_kind ? *header_kind
+      : report.flows.empty() ? packet::FlowKeyKind::kFiveTuple
+                             : report.flows.front().key.kind();
   const std::uint64_t offered = report.flows.size();
-  const CollectionChannel::Delivered shaped =
+  CollectionChannel::Delivered shaped =
       channel_.deliver(std::move(report), metrics_json);
   const std::string_view trailer =
       shaped.metrics_delivered ? metrics_json : std::string_view{};
@@ -104,8 +105,9 @@ DeliveryOutcome ResilientChannel::send(core::Report report,
   if (config_.spool != nullptr) {
     // Persist before the first send attempt: from here on the report
     // survives anything short of losing the spool directory.
+    const std::size_t shaped_flows = shaped.report.flows.size();
     const SpoolWal::AppendResult appended =
-        config_.spool->append(shaped.report, kind, trailer);
+        config_.spool->append(std::move(shaped.report), kind, trailer);
     ++stats_.reports_spooled;
     if (tm_spooled_ != nullptr) tm_spooled_->increment();
     outcome.spooled = appended.index != SpoolWal::npos;
@@ -118,8 +120,7 @@ DeliveryOutcome ResilientChannel::send(core::Report report,
         static_cast<std::uint32_t>(stats_.attempts - attempts_before);
     outcome.backlog = config_.spool->backlog();
     if (outcome.delivered) {
-      outcome.records_delivered =
-          shaped.report.flows.size() - appended.records_shed;
+      outcome.records_delivered = shaped_flows - appended.records_shed;
       outcome.metrics_delivered = shaped.metrics_delivered;
     }
     return outcome;

@@ -22,7 +22,7 @@
 //     partial_frames_dropped;
 //   * bounded retry with exponential backoff: each dropped attempt
 //     ("channel.drop") or transport failure backs off (base * 2^retry,
-//     clamped at backoff_cap); after max_attempts the report is
+//     clamped at kBackoffCap); after max_attempts the report is
 //     abandoned and the loss shows up in stats();
 //   * store-and-forward (spool.hpp): with a spool attached, a report is
 //     persisted before its first attempt and is never abandoned.
@@ -33,6 +33,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -75,6 +76,9 @@ class FrameTransport {
   }
 };
 
+/// Upper clamp on every backoff delay, jittered or exponential.
+inline constexpr std::chrono::microseconds kBackoffCap{1'000'000};
+
 struct ResilientChannelConfig {
   /// Underlying CollectionChannel byte budget per interval. At most
   /// wal::kMaxPayloadBytes (64 MiB), the largest frame payload a
@@ -84,7 +88,7 @@ struct ResilientChannelConfig {
   /// Delivery attempts per report before it is abandoned (>= 1).
   std::uint32_t max_attempts{4};
   /// First retry backoff; doubles per subsequent retry, up to
-  /// backoff_cap.
+  /// kBackoffCap.
   std::chrono::microseconds backoff_base{1000};
   /// Actually sleep the backoff (real deployments) or only record it
   /// (tests and simulations, the default — determinism stays intact
@@ -103,9 +107,8 @@ struct ResilientChannelConfig {
   /// lost before the transport sees it) and "channel.corrupt" (a byte
   /// of the wire copy flipped). Not owned; null is zero-cost.
   robustness::FaultInjector* faults{nullptr};
-  /// Optional telemetry registry (not owned); labels tag every series.
+  /// Optional telemetry registry (not owned).
   telemetry::MetricsRegistry* metrics{nullptr};
-  telemetry::Labels metric_labels{};
   /// Optional trace recorder (not owned): a span per send() and an
   /// instant per retry backoff, correlated with the collector side via
   /// the report's interval and `trace_device`.
@@ -121,7 +124,7 @@ struct ResilientChannelConfig {
   /// owned; must outlive the channel.
   SpoolWal* spool{nullptr};
   /// Opt into decorrelated-jitter backoff: each delay is drawn
-  /// uniformly from [backoff_base, min(backoff_cap, 3 x previous
+  /// uniformly from [backoff_base, min(kBackoffCap, 3 x previous
   /// delay)] (AWS "decorrelated jitter") instead of the deterministic
   /// base * 2^retry ladder, so a fleet reconnecting after a collector
   /// restart does not thunder in lockstep. Off by default — the exact
@@ -130,8 +133,6 @@ struct ResilientChannelConfig {
   /// Seed for the jitter draw; distinct per device so schedules
   /// decorrelate while staying exactly reproducible.
   std::uint64_t jitter_seed{1};
-  /// Upper clamp on every backoff delay, jittered or exponential.
-  std::chrono::microseconds backoff_cap{1'000'000};
 };
 
 struct ResilientChannelStats {
@@ -183,9 +184,13 @@ class ResilientChannel {
   /// (spool mode: persist it and drain the spool instead). The report
   /// is taken by value and sorted and truncated in place: a caller done
   /// with it moves it in (ndtm measure does, after its export write) and
-  /// no flow is copied on the way to the wire.
+  /// no flow is copied on the way to the wire. `kind` is the flow-key
+  /// kind the header carries: a device passes its flow definition's, so
+  /// a report with no flows says the same kind as the others; unset
+  /// takes the first flow's (five-tuple for a report with none).
   DeliveryOutcome send(core::Report report,
-                       std::string_view metrics_json = {});
+                       std::string_view metrics_json = {},
+                       std::optional<packet::FlowKeyKind> kind = {});
 
   /// Push pending spooled frames onto the transport, oldest-first, with
   /// at most max_attempts failures in a row; returns true when the

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <utility>
 
+#include "reporting/collector.hpp"
 #include "reporting/record_codec.hpp"
 #include "reporting/wal.hpp"
 
@@ -37,8 +38,7 @@ wal::WriterConfig writer_config(const SpoolWalConfig& config) {
           .fsync_counter = config.metrics == nullptr
                                ? nullptr
                                : &config.metrics->counter(
-                                     "nd_spool_fsync_total",
-                                     config.metric_labels)};
+                                     "nd_spool_fsync_total")};
 }
 
 }  // namespace
@@ -47,16 +47,15 @@ SpoolWal::SpoolWal(const SpoolWalConfig& config)
     : config_(config), writer_(writer_config(config)) {
   if (config_.metrics != nullptr) {
     auto& m = *config_.metrics;
-    const auto& l = config_.metric_labels;
-    tm_appended_ = &m.counter("nd_spool_appended_total", l);
-    tm_recovered_ = &m.counter("nd_spool_recovered_total", l);
-    tm_torn_ = &m.counter("nd_spool_torn_records_total", l);
-    tm_dropped_ = &m.counter("nd_spool_dropped_total", l);
-    tm_shed_ = &m.counter("nd_spool_shed_records_total", l);
-    tm_evicted_ = &m.counter("nd_spool_evicted_total", l);
-    tm_write_errors_ = &m.counter("nd_spool_write_errors_total", l);
-    tm_backlog_ = &m.gauge("nd_spool_backlog_frames", l);
-    tm_disk_bytes_ = &m.gauge("nd_spool_disk_bytes", l);
+    tm_appended_ = &m.counter("nd_spool_appended_total");
+    tm_recovered_ = &m.counter("nd_spool_recovered_total");
+    tm_torn_ = &m.counter("nd_spool_torn_records_total");
+    tm_dropped_ = &m.counter("nd_spool_dropped_total");
+    tm_shed_ = &m.counter("nd_spool_shed_records_total");
+    tm_evicted_ = &m.counter("nd_spool_evicted_total");
+    tm_write_errors_ = &m.counter("nd_spool_write_errors_total");
+    tm_backlog_ = &m.gauge("nd_spool_backlog_frames");
+    tm_disk_bytes_ = &m.gauge("nd_spool_disk_bytes");
   }
   recover();
 }
@@ -204,7 +203,7 @@ void SpoolWal::rotate_active_segment() {
   open_active_segment(active_seq_ + 1);
 }
 
-SpoolWal::AppendResult SpoolWal::append(const core::Report& report,
+SpoolWal::AppendResult SpoolWal::append(core::Report report,
                                         packet::FlowKeyKind kind,
                                         std::string_view metrics_json) {
   telemetry::ScopedTraceSpan span(
@@ -215,12 +214,6 @@ SpoolWal::AppendResult SpoolWal::append(const core::Report& report,
       "bytes");
 
   AppendResult result;
-  core::Report shaped = report;
-  std::string_view trailer = metrics_json;
-  const auto needed = [&] {
-    return static_cast<std::uint64_t>(
-        kFrameHeaderBytes + encoded_size(shaped, trailer.size()));
-  };
   const auto budget_left = [&] {
     return config_.max_total_bytes > stats_.bytes_on_disk
                ? config_.max_total_bytes - stats_.bytes_on_disk
@@ -229,33 +222,30 @@ SpoolWal::AppendResult SpoolWal::append(const core::Report& report,
 
   // Reclaim before shedding: already-sent frames are the cheapest thing
   // to give up (the collector very likely has them).
-  while (needed() > budget_left() && watermark_ > 0) evict_front();
-  if (needed() > budget_left()) trailer = {};
-  if (needed() > budget_left()) {
-    // Shed smallest flows, keeping the heavy-hitter prefix — the same
-    // largest-first-keep policy CollectionChannel applies to its byte
-    // budget. Shard status records are never shed.
-    const std::uint64_t base =
-        kFrameHeaderBytes + kHeaderBytes +
-        shaped.shards.size() * kShardRecordBytes;
-    const std::uint64_t budget = budget_left();
-    if (budget < base) {
-      ++stats_.dropped;
-      if (tm_dropped_ != nullptr) tm_dropped_->increment();
-      update_gauges();
-      return result;
-    }
-    const std::size_t fit =
-        static_cast<std::size_t>((budget - base) / kRecordBytes);
-    const std::uint64_t shed = shaped.flows.size() - fit;
-    shaped.flows.resize(fit);
-    stats_.records_shed += shed;
-    if (tm_shed_ != nullptr) tm_shed_->add(shed);
-    result.records_shed = shed;
+  const std::uint64_t needed =
+      kFrameHeaderBytes + encoded_size(report, metrics_json.size());
+  while (needed > budget_left() && watermark_ > 0) evict_front();
+  // Then shed smallest flows by the channel's largest-first-keep policy
+  // within what is left of the disk budget after the frame header.
+  const std::uint64_t left = budget_left();
+  const BudgetFit fit = fit_to_budget(
+      report, metrics_json.size(),
+      left > kFrameHeaderBytes ? left - kFrameHeaderBytes : 0);
+  if (!fit.fixed_fits) {
+    ++stats_.dropped;
+    if (tm_dropped_ != nullptr) tm_dropped_->increment();
+    update_gauges();
+    return result;
   }
+  const std::string_view trailer =
+      fit.trailer_fits ? metrics_json : std::string_view{};
+  result.records_shed = report.flows.size() - fit.flows;
+  report.flows.resize(fit.flows);
+  stats_.records_shed += result.records_shed;
+  if (tm_shed_ != nullptr) tm_shed_->add(result.records_shed);
 
   std::vector<std::uint8_t> frame_bytes =
-      frame_payload(encode(shaped, kind, trailer));
+      frame_payload(encode(report, kind, trailer));
   span.mutable_args().value =
       static_cast<std::int64_t>(frame_bytes.size());
 
@@ -273,7 +263,7 @@ SpoolWal::AppendResult SpoolWal::append(const core::Report& report,
   }
   result.durable = written.outcome == wal::Writer::Outcome::kWhole;
   frames_.push_back(
-      Frame{std::move(frame_bytes), shaped.interval, active_seq_});
+      Frame{std::move(frame_bytes), report.interval, active_seq_});
   ++segments_[active_seq_].live_frames;
   result.index = frames_.size() - 1;
   ++stats_.appended;

@@ -35,7 +35,8 @@
 // replays the whole log and the collector dedups. The log is bounded
 // by max_total_bytes: over budget, already-sent frames are evicted
 // oldest-first, then the incoming report sheds its smallest flows
-// (exactly the ResilientChannel largest-first-keep policy); only a
+// (reporting::fit_to_budget, the channel's largest-first-keep policy);
+// only a
 // report that cannot fit at all is dropped — and counted, never
 // silent (nd_spool_dropped_total is the zero-loss acceptance gauge).
 //
@@ -89,9 +90,8 @@ struct SpoolWalConfig {
   std::uint32_t fsync_every{1};
   /// Fault hook for the spool.* sites above. Not owned.
   robustness::FaultInjector* faults{nullptr};
-  /// Optional telemetry registry (not owned); labels tag every series.
+  /// Optional telemetry registry (not owned).
   telemetry::MetricsRegistry* metrics{nullptr};
-  telemetry::Labels metric_labels{};
   /// Optional trace recorder (not owned): a recovery instant at open,
   /// a span per append.
   telemetry::TraceRecorder* trace{nullptr};
@@ -149,8 +149,9 @@ class SpoolWal {
   /// Shed-to-fit and append one report as a ready-to-send NDFR frame,
   /// before any send attempt. `report` should already be sorted
   /// largest-first (ResilientChannel::send does this) so shedding
-  /// keeps the heavy-hitter prefix.
-  AppendResult append(const core::Report& report,
+  /// keeps the heavy-hitter prefix; it is taken by value and shed in
+  /// place, so a caller done with it moves it in.
+  AppendResult append(core::Report report,
                       packet::FlowKeyKind kind,
                       std::string_view metrics_json);
 

@@ -107,19 +107,16 @@ std::uint64_t FaultInjector::occurrences(std::string_view site) const {
   return it == states_.end() ? 0 : it->second.occurrences;
 }
 
-void FaultInjector::attach_telemetry(telemetry::MetricsRegistry* registry,
-                                     telemetry::Labels labels) {
+void FaultInjector::attach_telemetry(telemetry::MetricsRegistry* registry) {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [site, state] : states_) {
     if (registry == nullptr) {
       state.tm_fires = nullptr;
       continue;
     }
-    telemetry::Labels series = labels;
-    series.emplace_back("site", site);
-    series.emplace_back("kind", fault_kind_name(state.spec.kind));
-    state.tm_fires =
-        &registry->counter("nd_fault_injected_total", std::move(series));
+    const std::string kind(fault_kind_name(state.spec.kind));
+    state.tm_fires = &registry->counter("nd_fault_injected_total",
+                                        {{"site", site}, {"kind", kind}});
   }
 }
 

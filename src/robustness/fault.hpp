@@ -155,8 +155,7 @@ class FaultInjector {
   /// Register one nd_fault_injected_total{site,kind} counter per plan
   /// site (eagerly, so the series exist at zero) and count fires into
   /// them. Not owned; null detaches.
-  void attach_telemetry(telemetry::MetricsRegistry* registry,
-                        telemetry::Labels labels = {});
+  void attach_telemetry(telemetry::MetricsRegistry* registry);
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 

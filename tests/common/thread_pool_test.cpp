@@ -21,12 +21,9 @@ TEST(ThreadPool, RunsEveryTask) {
   EXPECT_EQ(done.load(), 100);
 }
 
-TEST(ThreadPool, ZeroThreadsRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 0u);
-  bool ran = false;
-  pool.submit([&ran] { ran = true; }).get();
-  EXPECT_TRUE(ran);  // no data race: inline mode never leaves the caller
+TEST(ThreadPool, ZeroThreadsIsRefused) {
+  EXPECT_THROW(ThreadPool pool(0), std::invalid_argument);
+  EXPECT_THROW(ThreadPool pool(ThreadPoolConfig{0}), std::invalid_argument);
 }
 
 TEST(ThreadPool, ReusableAcrossWaves) {

@@ -102,12 +102,10 @@ TEST(MeasurementSession, FinishOnEmptySessionYieldsNothing) {
 }
 
 TEST(MeasurementSession, UnclassifiedPacketsCounted) {
-  packet::PacketPattern tcp_only;
-  tcp_only.protocol = packet::IpProtocol::kTcp;
-  MeasurementSession session(
-      std::make_unique<baseline::ExactOracle>(),
-      packet::FlowDefinition::destination_ip(tcp_only), 5s);
-  session.observe(packet_at(0, 1, 10));  // UDP: rejected by pattern
+  const packet::AsResolver no_routes;
+  MeasurementSession session(std::make_unique<baseline::ExactOracle>(),
+                             packet::FlowDefinition::as_pair(no_routes), 5s);
+  session.observe(packet_at(0, 1, 10));  // no route: no AS pair
   EXPECT_EQ(session.packets_observed(), 1u);
   EXPECT_EQ(session.packets_unclassified(), 1u);
   const auto reports = session.finish();

@@ -130,27 +130,6 @@ TEST(ShardedAdaptive, GlobalOverrideResetsBaselineAndAdaptors) {
   EXPECT_EQ(device->threshold(), 75'000u);
 }
 
-TEST(ShardedAdaptive, PerShardOverrideComposesWithAdaptation) {
-  const auto device = make_adaptive(4);
-  device->set_shard_threshold(2, 10'000);
-  EXPECT_EQ(device->shard(2).threshold(), 10'000u);
-  EXPECT_EQ(device->baseline_thresholds()[2], 10'000u);
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    if (s != 2) {
-      EXPECT_EQ(device->shard(s).threshold(), kInitialThreshold);
-      EXPECT_EQ(device->baseline_thresholds()[s], kInitialThreshold);
-    }
-  }
-  // Adaptation keeps running on the overridden shard, from the new
-  // baseline: flood it and the threshold must move off the override.
-  const auto interval = skewed_interval(*device, 2);
-  for (int i = 0; i < 8; ++i) {
-    observe_all(*device, interval);
-    (void)device->end_interval();
-  }
-  EXPECT_NE(device->shard(2).threshold(), 10'000u);
-}
-
 TEST(ShardedAdaptive, UniformDeviceReportsInstantaneousShardUsage) {
   ShardedDeviceConfig config;
   config.shards = 4;

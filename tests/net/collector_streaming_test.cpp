@@ -102,7 +102,8 @@ CollectorConfig streaming_config(std::uint32_t devices, Sink* sink) {
   config.expected_devices = devices;
   config.timeout = kHangGuard;
   if (sink != nullptr) {
-    config.on_interval = [sink](core::Report&& report) {
+    config.on_interval = [sink](core::Report&& report,
+                                packet::FlowKeyKind /*kind*/) {
       (*sink)(std::move(report));
     };
   }

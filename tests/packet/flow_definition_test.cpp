@@ -39,28 +39,6 @@ TEST(FlowDefinition, DestinationIpIgnoresPorts) {
   EXPECT_EQ(*k1, *k2);  // same destination => same flow
 }
 
-TEST(FlowDefinition, PatternFiltersProtocol) {
-  // The paper's DoS example: focus on TCP packets only.
-  PacketPattern tcp_only;
-  tcp_only.protocol = IpProtocol::kTcp;
-  const auto def = FlowDefinition::destination_ip(tcp_only);
-
-  auto packet = tcp_packet();
-  EXPECT_TRUE(def.classify(packet).has_value());
-  packet.protocol = IpProtocol::kUdp;
-  EXPECT_FALSE(def.classify(packet).has_value());
-}
-
-TEST(FlowDefinition, PatternFiltersDstPort) {
-  PacketPattern web;
-  web.dst_port = 80;
-  const auto def = FlowDefinition::five_tuple(web);
-  auto packet = tcp_packet();
-  EXPECT_TRUE(def.classify(packet).has_value());
-  packet.dst_port = 443;
-  EXPECT_FALSE(def.classify(packet).has_value());
-}
-
 TEST(FlowDefinition, AsPairUsesResolver) {
   common::Rng rng(1);
   const auto resolver = AsResolver::synthetic(10, rng, 64512, 3);

@@ -199,14 +199,13 @@ std::vector<std::uint32_t> exported_intervals(const std::string& bytes) {
   return intervals;
 }
 
-/// The intervals below `end` whose report in a device export has flows:
-/// the ones a collector export holds (it skips empty merges).
-std::vector<std::uint32_t> with_flows(const std::string& device_export,
-                                      std::uint32_t end) {
+/// The intervals below `end` in a device export: the ones a collector
+/// export of that device's reports holds, flowless ones included.
+std::vector<std::uint32_t> intervals_below(const std::string& device_export,
+                                           std::uint32_t end) {
   std::vector<std::uint32_t> intervals;
-  for (const auto& [interval, record] : export_records(device_export)) {
-    const bool has_flows = record.substr(12, 4) != std::string(4, '\0');
-    if (interval < end && has_flows) intervals.push_back(interval);
+  for (const auto& record : export_records(device_export)) {
+    if (record.first < end) intervals.push_back(record.first);
   }
   return intervals;
 }
@@ -340,16 +339,9 @@ TEST(Pipeline, LostReportIsALossAtTheCollector) {
 // The distributed system collapses: two concurrent fleet members (one
 // paced, so intervals wait for the slower member) merge to the very
 // bytes one two-shard device exports.
-TEST(Pipeline, FleetOfTwoMergesToTheTwoShardExport) {
-  const fs::path dir = scratch_dir();
-  MeasureConfig config = smoke_measure();
-  config.interval = seconds(1);
-  config.threshold = 20'000;
-  MeasureConfig reference = config;
-  reference.shards = 2;
-  reference.export_path = (dir / "shards2.bin").string();
-  ASSERT_EQ(run_measure(reference), Exit::kOk);
-
+/// `config` run as a two-member --fleet-size chain into one collector;
+/// returns the collector's merged export.
+std::string fleet_of_two_export(MeasureConfig config, const fs::path& dir) {
   CollectorThread collector(collect_config(2, dir / "fleet2.bin"), dir);
   config.fleet_size = 2;
   config.transport.port = collector.port();
@@ -364,9 +356,42 @@ TEST(Pipeline, FleetOfTwoMergesToTheTwoShardExport) {
   member.join();
   EXPECT_EQ(first_exit, Exit::kOk);
   EXPECT_EQ(collector.join(), Exit::kOk);
-  EXPECT_EQ(read_file(dir / "fleet2.bin"), read_file(dir / "shards2.bin"));
   EXPECT_FALSE(fs::exists(dir / "fleet2.bin.partial"))
       << "collector left its .partial export behind";
+  return read_file(dir / "fleet2.bin");
+}
+
+TEST(Pipeline, FleetOfTwoMergesToTheTwoShardExport) {
+  const fs::path dir = scratch_dir();
+  MeasureConfig config = smoke_measure();
+  config.interval = seconds(1);
+  config.threshold = 20'000;
+  MeasureConfig reference = config;
+  reference.shards = 2;
+  reference.export_path = (dir / "shards2.bin").string();
+  ASSERT_EQ(run_measure(reference), Exit::kOk);
+  EXPECT_EQ(fleet_of_two_export(config, dir), read_file(dir / "shards2.bin"));
+}
+
+// An interval with no flows is merged and exported like any other: the
+// collector takes the flow-key kind from the members' report headers.
+TEST(Pipeline, FleetMergesIntervalsWithNoFlows) {
+  const fs::path dir = scratch_dir();
+  MeasureConfig config = smoke_measure();
+  config.algorithm = "sample-and-hold";
+  config.threshold = 2'000'000'000;
+  MeasureConfig reference = config;
+  reference.shards = 2;
+  reference.export_path = (dir / "shards2.bin").string();
+  ASSERT_EQ(run_measure(reference), Exit::kOk);
+  const std::string shards2 = read_file(dir / "shards2.bin");
+  const auto records = export_records(shards2);
+  ASSERT_FALSE(records.empty());
+  for (const auto& [interval, record] : records) {
+    EXPECT_EQ(record.size(), 24U + 2 * 56U)
+        << "interval " << interval << " has flows";
+  }
+  EXPECT_EQ(fleet_of_two_export(config, dir), shards2);
 }
 
 // 5 = transport failure: a device pointed at a dead port abandons every
@@ -541,7 +566,8 @@ TEST(Pipeline, StopCheckpointsThePositionAndResumeCompletesTheRun) {
   EXPECT_NE(out.find("0/1 devices done"), std::string::npos) << out;
   EXPECT_FALSE(fs::exists(dir / "stopped_merged.bin.partial"));
   const std::string stopped_merged = read_file(dir / "stopped_merged.bin");
-  EXPECT_EQ(exported_intervals(stopped_merged), with_flows(whole, closed));
+  EXPECT_EQ(exported_intervals(stopped_merged),
+            intervals_below(whole, closed));
 
   CollectConfig restart = collect_config(1, dir / "resumed_merged.bin");
   restart.collector.journal_path = journal.string();
@@ -564,7 +590,61 @@ TEST(Pipeline, StopCheckpointsThePositionAndResumeCompletesTheRun) {
             whole);
   const std::string resumed_merged = read_file(dir / "resumed_merged.bin");
   EXPECT_EQ(resumed_merged.substr(0, stopped_merged.size()), stopped_merged);
-  EXPECT_EQ(exported_intervals(resumed_merged), with_flows(whole, intervals));
+  EXPECT_EQ(exported_intervals(resumed_merged),
+            intervals_below(whole, intervals));
+}
+
+// --resume continues the interrupted run's --export: cut back to the
+// whole reports below the checkpoint's interval count (a kill can leave
+// a report, or part of one, past it), then appended to, it equals the
+// export of a run that was never stopped.
+TEST(Pipeline, ResumedExportMatchesAnUninterruptedRun) {
+  const fs::path dir = scratch_dir();
+  MeasureConfig config = smoke_measure();
+  config.interval = seconds(1);
+  MeasureConfig uninterrupted = config;
+  uninterrupted.export_path = (dir / "whole.bin").string();
+  ASSERT_EQ(run_measure(uninterrupted), Exit::kOk);
+  const std::string whole = read_file(dir / "whole.bin");
+
+  const fs::path checkpoint = dir / "device.ndck";
+  const fs::path part = dir / "part.bin";
+  config.export_path = part.string();
+  config.checkpoint_path = checkpoint.string();
+  MeasureConfig first = config;
+  first.pace = milliseconds(200);
+  Measure measure(first);
+  std::thread stopper([&] {
+    for (int i = 0; i < 2000 && !fs::exists(checkpoint); ++i) {
+      std::this_thread::sleep_for(milliseconds(5));
+    }
+    measure.stop();
+  });
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(measure.run(), Exit::kOk);
+  stopper.join();
+  const std::string stopped_out = captured_stdout();
+  ASSERT_NE(stopped_out.find("intervals closed (checkpointed)"),
+            std::string::npos)
+      << stopped_out;
+  const std::uint32_t closed =
+      core::load_checkpoint_file(checkpoint.string()).intervals_closed;
+  const auto records = export_records(whole);
+  ASSERT_LT(closed, records.size()) << "the stop landed after the capture";
+  ASSERT_EQ(export_records(read_file(part)).size(), closed);
+  {
+    // What a kill after the next report's write leaves past the
+    // checkpoint: that whole report and a torn one.
+    std::ofstream tail(part, std::ios::binary | std::ios::app);
+    tail << records[closed].second << records[closed].second.substr(0, 30);
+  }
+
+  MeasureConfig second = config;
+  second.resume = true;
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(run_measure(second), Exit::kOk);
+  (void)captured_stdout();
+  EXPECT_EQ(read_file(part), whole);
 }
 
 // 1 = IO: an input that cannot be read, an output that cannot be

@@ -27,6 +27,35 @@ TEST(RecordCodec, EncodedSizeFormula) {
             encoded_size(report));
 }
 
+TEST(RecordCodec, ExportPrefixKeepsWholeReportsBelowTheInterval) {
+  std::vector<std::uint8_t> with_trailers;
+  std::vector<std::uint8_t> bare;
+  std::vector<std::size_t> ends_with_trailers;
+  std::vector<std::size_t> ends_bare;
+  for (common::IntervalIndex i = 0; i < 3; ++i) {
+    core::Report report = sample_report();
+    report.interval = i;
+    report.flows.resize(i);  // interval 0 has no flows
+    const auto trailed =
+        encode(report, packet::FlowKeyKind::kFiveTuple, "{\"i\":1}");
+    with_trailers.insert(with_trailers.end(), trailed.begin(), trailed.end());
+    ends_with_trailers.push_back(with_trailers.size());
+    const auto plain = encode(report, packet::FlowKeyKind::kFiveTuple);
+    bare.insert(bare.end(), plain.begin(), plain.end());
+    ends_bare.push_back(bare.size());
+  }
+  EXPECT_EQ(export_prefix(with_trailers, true, 0), 0U);
+  EXPECT_EQ(export_prefix(with_trailers, true, 2), ends_with_trailers[1]);
+  EXPECT_EQ(export_prefix(with_trailers, true, 9), ends_with_trailers[2]);
+  EXPECT_EQ(export_prefix(bare, false, 2), ends_bare[1]);
+  EXPECT_EQ(export_prefix(bare, false, 9), ends_bare[2]);
+  // A torn last report is cut off, with or without trailers.
+  with_trailers.resize(ends_with_trailers[2] - 1);
+  EXPECT_EQ(export_prefix(with_trailers, true, 9), ends_with_trailers[1]);
+  bare.resize(ends_bare[1] + 5);
+  EXPECT_EQ(export_prefix(bare, false, 9), ends_bare[1]);
+}
+
 TEST(RecordCodec, RoundTripFiveTuple) {
   const auto report = sample_report();
   const auto decoded =

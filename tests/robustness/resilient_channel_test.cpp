@@ -206,7 +206,6 @@ TEST(ResilientChannel, BackoffLadderIsClampedAtTheCap) {
   config.transport = &sink;
   config.max_attempts = 70;
   config.backoff_base = std::chrono::microseconds(1'000);
-  config.backoff_cap = std::chrono::microseconds(1'000'000);
   config.jitter = false;
   config.sleep_on_backoff = true;
   config.clock = &clock;
@@ -219,7 +218,7 @@ TEST(ResilientChannel, BackoffLadderIsClampedAtTheCap) {
   for (std::size_t i = 0; i < 70; ++i) {
     EXPECT_EQ(clock.sleeps()[i], expected) << "retry " << i;
     total_us += static_cast<std::uint64_t>(expected.count());
-    expected = std::min(expected * 2, config.backoff_cap);
+    expected = std::min(expected * 2, kBackoffCap);
   }
   EXPECT_EQ(channel.stats().backoff_us, total_us);
 }
@@ -460,8 +459,9 @@ TEST(ResilientChannel, JitterBackoffMatchesDecorrelatedScheduleExactly) {
   ResilientChannelConfig config;
   config.transport = &sink;
   config.max_attempts = 6;
-  config.backoff_base = std::chrono::microseconds(1'000);
-  config.backoff_cap = std::chrono::microseconds(2'500);
+  // 2.5 x base below the cap: 3 x the previous delay passes the cap at
+  // once, so every draw is clamped.
+  config.backoff_base = std::chrono::microseconds(400'000);
   config.jitter = true;
   config.jitter_seed = 42;
   config.sleep_on_backoff = true;
@@ -471,14 +471,14 @@ TEST(ResilientChannel, JitterBackoffMatchesDecorrelatedScheduleExactly) {
   EXPECT_FALSE(channel.send(make_report(0, 2)).delivered);
 
   const std::vector<std::chrono::microseconds> expected =
-      expected_jitter_schedule(42, 1'000, 2'500, 6);
+      expected_jitter_schedule(42, 400'000, kBackoffCap.count(), 6);
   ASSERT_EQ(clock.sleep_count(), 6u);
   std::uint64_t total_us = 0;
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(clock.sleeps()[i], expected[i]) << "retry " << i;
     // Every jittered delay stays inside [base, cap].
-    EXPECT_GE(clock.sleeps()[i], std::chrono::microseconds(1'000));
-    EXPECT_LE(clock.sleeps()[i], std::chrono::microseconds(2'500));
+    EXPECT_GE(clock.sleeps()[i], config.backoff_base);
+    EXPECT_LE(clock.sleeps()[i], kBackoffCap);
     total_us += static_cast<std::uint64_t>(expected[i].count());
   }
   EXPECT_EQ(channel.stats().backoff_us, total_us);
@@ -497,8 +497,7 @@ TEST(ResilientChannel, JitterStateCarriesAcrossSends) {
   ResilientChannelConfig config;
   config.transport = &sink;
   config.max_attempts = 3;
-  config.backoff_base = std::chrono::microseconds(500);
-  config.backoff_cap = std::chrono::microseconds(100'000);
+  config.backoff_base = std::chrono::microseconds(5'000);
   config.jitter = true;
   config.jitter_seed = 7;
   config.sleep_on_backoff = true;
@@ -509,7 +508,7 @@ TEST(ResilientChannel, JitterStateCarriesAcrossSends) {
   EXPECT_FALSE(channel.send(make_report(1, 2)).delivered);
 
   const std::vector<std::chrono::microseconds> expected =
-      expected_jitter_schedule(7, 500, 100'000, 6);
+      expected_jitter_schedule(7, 5'000, kBackoffCap.count(), 6);
   ASSERT_EQ(clock.sleep_count(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(clock.sleeps()[i], expected[i]) << "retry " << i;

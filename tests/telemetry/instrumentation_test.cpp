@@ -626,10 +626,13 @@ TEST(SessionInstruments, DeviceSeriesMatchSessionAndShardTalliesAtEveryClose) {
         inner.metric_labels = {{"shard", std::to_string(shard)}};
         return std::make_unique<core::SampleAndHold>(inner);
       });
-  packet::PacketPattern tcp_only;
-  tcp_only.protocol = packet::IpProtocol::kTcp;
+  // The trace draws addresses from 10.0.0.0/11 (8,000 /24s); only
+  // 10.0.0.0/12 has a route, so a packet with an endpoint above it gets
+  // no AS pair.
+  packet::AsResolver resolver;
+  resolver.add_route({10U << 24, 12, 1});
   core::MeasurementSession session(std::move(device),
-                                   packet::FlowDefinition::five_tuple(tcp_only),
+                                   packet::FlowDefinition::as_pair(resolver),
                                    std::chrono::seconds(5));
   session.attach_telemetry(&registry);
 

@@ -44,15 +44,6 @@ TEST(ExactFlowSizes, AggregatesByKey) {
   EXPECT_EQ(sizes.at(packet::FlowKey::destination_ip(2)), 50u);
 }
 
-TEST(ExactFlowSizes, PatternFiltered) {
-  packet::PacketPattern udp_only;
-  udp_only.protocol = packet::IpProtocol::kUdp;
-  std::vector<packet::PacketRecord> packets = {make_packet(1, 100)};
-  const auto sizes = exact_flow_sizes(
-      packets, packet::FlowDefinition::destination_ip(udp_only));
-  EXPECT_TRUE(sizes.empty());
-}
-
 TEST(TraceStats, AccumulatesIntervals) {
   TraceStats stats(packet::FlowDefinition::destination_ip());
   stats.observe_interval(std::vector<packet::PacketRecord>{

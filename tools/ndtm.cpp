@@ -8,8 +8,8 @@
 // Every subcommand rejects a flag it does not read (exit code 2, the
 // message names the flag), so a typo never runs with a default. Numeric
 // flags are checked before the subcommand starts: a value that is not
-// a whole number (or, for --scale/--oversampling/--flows, a number),
-// --interval 0 or above 9223372036 (the nanosecond interval clock's
+// a whole number (or, for --scale/--oversampling/--flows, a number
+// > 0), --interval 0 or above 9223372036 (the nanosecond interval clock's
 // range), a count above 4294967295 for a 32-bit flag (--buckets,
 // --depth, --device-id, --devices, --entries, --fleet-size,
 // --intervals, --journal-fsync, --net-attempts, --shards, --snaplen,
@@ -19,7 +19,12 @@
 // digits, a --connect that is not a numeric IPv4
 // HOST:PORT with the port in 1-65535, a --listen / --http-port outside
 // 0-65535 (0 = ephemeral), or a --trace without a path also exits 2
-// naming the flag.
+// naming the flag. So do the values a subcommand has no meaning for:
+// `collect --devices 0`; `synthesize` with an --arrivals other than
+// uniform or bursty, or a --snaplen outside 54-262144 (54 bytes hold
+// the Ethernet, IPv4 and TCP headers `measure` parses); and 0 for
+// --threshold, --capacity, --buckets or --depth on `bounds` and for
+// --entries or --traffic on `dimension`.
 //
 //   ndtm synthesize --preset mag --scale 0.1 --intervals 6 --out t.pcap
 //       Write a calibrated synthetic trace as a standard pcap file.
@@ -115,8 +120,10 @@
 //       --resume (requires --checkpoint) restarts from the checkpoint
 //       when the file exists (fresh start otherwise): the device state
 //       is restored, the already-accounted pcap records are skipped,
-//       and the re-fed tail reproduces the interrupted run's reports
-//       bit for bit — duplicates are the collector's first-copy-wins
+//       --export is cut back to the whole reports of the intervals the
+//       checkpoint closed and appended to (every checkpoint flushes
+//       it first), and the re-fed tail reproduces the interrupted run's
+//       reports bit for bit — duplicates are the collector's first-copy-wins
 //       dedup's business.
 //
 //       --pace-ms N sleeps N milliseconds after each closed interval,
@@ -150,7 +157,8 @@
 //       sequence/reconnect tracking and first-copy-wins dedup, and
 //       fleet-merge each interval in device-id order — the same
 //       bit-deterministic merge a sharded device uses — as soon as all
-//       N devices are known and each has reported it or said bye,
+//       N (default 1, at least 1) devices are known and each has
+//       reported it or said bye,
 //       printing its `interval N:` line and appending it to the
 //       --export file (written as path.partial, renamed into place at
 //       exit); the collector only holds intervals still open. A bye
@@ -223,7 +231,7 @@ enum class ValueKind {
   kWhole,     // a whole number
   kWhole32,   // a whole number that fits in 32 bits
   kPositive,  // a whole number >= 1
-  kReal,      // a finite number
+  kReal,      // a finite number > 0
   kSwitch,    // 0 or 1
   kPort,      // a whole number in 0..65535 (0 = ephemeral)
   kEndpoint,  // IPV4:PORT, a numeric IPv4 host and PORT in 1..65535
@@ -291,10 +299,11 @@ std::optional<std::string> value_error(ValueKind kind,
     case ValueKind::kReal: {
       char* end = nullptr;
       const double number = std::strtod(value.c_str(), &end);
-      if (!value.empty() && *end == '\0' && std::isfinite(number)) {
+      if (!value.empty() && *end == '\0' && std::isfinite(number) &&
+          number > 0) {
         return std::nullopt;
       }
-      return "a number";
+      return "a number > 0";
     }
     case ValueKind::kSwitch:
       if (value == "0" || value == "1") return std::nullopt;
@@ -373,17 +382,27 @@ class Args {
     return std::nullopt;
   }
   /// "--flag expects ..., got '...'" for the first flag whose value
-  /// does not fit its kValueKinds entry, if any.
-  [[nodiscard]] std::optional<std::string> invalid_value() const {
+  /// does not fit its kValueKinds entry, or is 0 while named in
+  /// `at_least_one`, if any.
+  [[nodiscard]] std::optional<std::string> invalid_value(
+      const std::set<std::string>& at_least_one) const {
     for (const auto& [key, value] : values_) {
       const auto kind = kValueKinds.find(key);
       if (kind == kValueKinds.end()) continue;
-      if (const auto expected = value_error(kind->second, value)) {
-        return "--" + key + " expects " + *expected + ", got '" + value +
-               "'";
+      std::optional<std::string> expected = value_error(kind->second, value);
+      if (!expected && at_least_one.count(key) > 0 &&
+          parse_whole(value) == 0ULL) {
+        expected = "a whole number >= 1";
       }
+      if (expected) return bad_value(key, *expected);
     }
     return std::nullopt;
+  }
+  /// "--flag expects <expected>, got '<value>'".
+  [[nodiscard]] std::string bad_value(const std::string& key,
+                                      const std::string& expected) const {
+    return "--" + key + " expects " + expected + ", got '" + get(key, "") +
+           "'";
   }
 
  private:
@@ -430,15 +449,31 @@ trace::TraceConfig preset_by_name(const std::string& name,
   std::exit(2);
 }
 
+/// The smallest --snaplen whose frames `measure` can parse: the
+/// Ethernet, IPv4 and TCP headers the synthesizer writes.
+constexpr std::uint64_t kMinSnapLen = 14 + 20 + 20;
+
 int cmd_synthesize(const Args& args) {
   const std::string out = args.get("out", "trace.pcap");
+  const std::string arrivals = args.get("arrivals", "uniform");
+  if (arrivals != "uniform" && arrivals != "bursty") {
+    std::fprintf(stderr, "synthesize: %s\n",
+                 args.bad_value("arrivals", "uniform or bursty").c_str());
+    return 2;
+  }
+  const std::uint64_t snaplen = args.get_u64("snaplen", 96);
+  if (snaplen < kMinSnapLen || snaplen > pcap::kMaxSnapLen) {
+    std::fprintf(stderr, "synthesize: %s\n",
+                 args.bad_value("snaplen", "a length in 54-262144").c_str());
+    return 2;
+  }
   auto config = preset_by_name(args.get("preset", "cos"),
                                args.get_u64("seed", 42));
   config.num_intervals =
       static_cast<std::uint32_t>(args.get_u64("intervals", 6));
   const double scale = args.get_double("scale", 0.1);
   if (scale < 1.0) config = trace::scaled(config, scale);
-  if (args.get("arrivals", "uniform") == "bursty") {
+  if (arrivals == "bursty") {
     config.arrival_model = trace::TraceConfig::ArrivalModel::kBursty;
   }
 
@@ -447,8 +482,7 @@ int cmd_synthesize(const Args& args) {
     std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
     return 1;
   }
-  pcap::PcapWriter writer(
-      stream, static_cast<std::uint32_t>(args.get_u64("snaplen", 96)));
+  pcap::PcapWriter writer(stream, static_cast<std::uint32_t>(snaplen));
   trace::TraceSynthesizer synth(config);
   common::ByteCount bytes = 0;
   for (;;) {
@@ -638,6 +672,9 @@ struct Command {
   const char* name;
   int (*run)(const Args&);
   std::set<std::string> flags;
+  /// Flags this subcommand also refuses 0 for: sizes and counts its
+  /// formulas divide by or take as a population.
+  std::set<std::string> at_least_one{};
 };
 
 const Command kCommands[] = {
@@ -655,10 +692,11 @@ const Command kCommands[] = {
       "http-port-file", "journal", "journal-fsync", "listen", "metrics",
       "port-file", "timeout-ms", "trace"}},
     {"bounds", cmd_bounds,
-     {"buckets", "capacity", "depth", "flows", "oversampling",
-      "threshold"}},
+     {"buckets", "capacity", "depth", "flows", "oversampling", "threshold"},
+     {"buckets", "capacity", "depth", "threshold"}},
     {"dimension", cmd_dimension,
-     {"entries", "flows", "oversampling", "traffic"}},
+     {"entries", "flows", "oversampling", "traffic"},
+     {"entries", "traffic"}},
 };
 
 }  // namespace
@@ -680,7 +718,7 @@ int main(int argc, char** argv) {
                    flag->c_str());
       return 2;
     }
-    if (const auto error = args.invalid_value()) {
+    if (const auto error = args.invalid_value(candidate.at_least_one)) {
       std::fprintf(stderr, "%s: %s\n", candidate.name, error->c_str());
       return 2;
     }

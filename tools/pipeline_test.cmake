@@ -121,8 +121,14 @@ endforeach()
 # collector drops as corrupt), never an --interval whose nanoseconds
 # overflow (`--interval 10000000000` used to run 1 ns intervals), never
 # a netpair length that is not 0-32 in digits (`netpair:abc` used to
-# run as /0, `netpair:300` as /32, `netpair:24x` as /24). TIMEOUT turns
-# a regression into a failure instead of a hang.
+# run as /0, `netpair:300` as /32, `netpair:24x` as /24), never a
+# collector waiting on 0 devices, never a synthesize value that writes
+# a degenerate or unreadable trace (`--scale 0` wrote 2 packets,
+# `--arrivals burst` ran uniform, `--snaplen 40` cut every frame's
+# headers), never a bounds/dimension value that prints NaN or a
+# meaningless figure (`--oversampling -5`, `--flows -1`, `--depth 0`,
+# `--entries 0`). TIMEOUT turns a regression into a failure instead of
+# a hang.
 foreach(bad_value
     "measure;--interval;abc" "measure;--interval;0" "measure;--interval;"
     "measure;--threshold;1e5" "measure;--shards;-2"
@@ -140,7 +146,14 @@ foreach(bad_value
     "collect;--journal-fsync;x" "collect;--listen;70000"
     "collect;--listen;abc" "collect;--http-port;65536"
     "synthesize;--scale;abc" "bounds;--depth;four"
-    "dimension;--flows;lots")
+    "dimension;--flows;lots" "collect;--devices;0"
+    "synthesize;--scale;0" "synthesize;--scale;-1"
+    "synthesize;--arrivals;burst" "synthesize;--snaplen;0"
+    "synthesize;--snaplen;40" "synthesize;--snaplen;262145"
+    "bounds;--oversampling;-5" "bounds;--flows;-1" "bounds;--depth;0"
+    "bounds;--threshold;0" "bounds;--capacity;0" "bounds;--buckets;0"
+    "dimension;--oversampling;-1" "dimension;--entries;0"
+    "dimension;--traffic;0")
   list(GET bad_value 0 command)
   list(GET bad_value 1 flag_name)
   list(SUBLIST bad_value 1 -1 bad_args)

@@ -30,6 +30,11 @@ set(ND_SANITIZE_TEST_REGEX
 # instrumented pass stays CI-sized (still two real kill/restart cycles).
 set(ENV{ND_SOAK_CYCLES} 3)
 
+# One build job per logical core: a bare --parallel under the Unix
+# Makefiles generator is an unbounded `make -j`.
+cmake_host_system_information(RESULT ND_BUILD_JOBS
+                              QUERY NUMBER_OF_LOGICAL_CORES)
+
 # run_sanitized(<sanitizer> <subdir> <ctest regex>): nested instrumented
 # configure + build + ctest. The Crc32 suite drives both CRC kernels
 # directly, so one pass covers slice-by-8 and PCLMULQDQ alike.
@@ -43,7 +48,7 @@ function(run_sanitized sanitizer subdir regex)
     message(FATAL_ERROR "tsan_check[${sanitizer}]: configure failed: ${rv}")
   endif()
   execute_process(
-    COMMAND ${CMAKE_COMMAND} --build ${san_build} --parallel
+    COMMAND ${CMAKE_COMMAND} --build ${san_build} --parallel ${ND_BUILD_JOBS}
             --target common_tests core_tests eval_tests telemetry_tests
             robustness_tests flowmem_tests hash_tests net_tests observability_tests durability_tests soak_tests
             packet_tests pcap_tests pipeline_tests
