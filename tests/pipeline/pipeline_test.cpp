@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "../support/pipeline_testing.hpp"
 #include "core/checkpoint.hpp"
 #include "net/socket.hpp"
 #include "pcap/pcap.hpp"
@@ -38,6 +39,10 @@ namespace {
 namespace fs = std::filesystem;
 using std::chrono::milliseconds;
 using std::chrono::seconds;
+using nd::testing::await_port_file;
+using nd::testing::captured_stdout;
+using nd::testing::CollectorThread;
+using nd::testing::read_file;
 
 /// A fresh directory named after the running test.
 fs::path scratch_dir() {
@@ -80,12 +85,6 @@ const std::string& smoke_pcap() {
   return capture.path;
 }
 
-std::string read_file(const fs::path& path) {
-  std::ifstream stream(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(stream),
-          std::istreambuf_iterator<char>()};
-}
-
 std::size_t count_of(const std::string& text, const std::string& needle) {
   std::size_t count = 0;
   for (auto at = text.find(needle); at != std::string::npos;
@@ -116,54 +115,6 @@ CollectConfig collect_config(std::uint32_t devices,
 }
 
 Exit run_measure(const MeasureConfig& config) { return Measure(config).run(); }
-
-/// Polls for a file a pipeline publishes (a port file) and reads its
-/// number; 0 when it never appears.
-std::uint16_t await_port_file(const fs::path& path) {
-  for (int i = 0; i < 1000; ++i) {
-    std::ifstream stream(path);
-    unsigned port = 0;
-    if (stream >> port) return static_cast<std::uint16_t>(port);
-    std::this_thread::sleep_for(milliseconds(10));
-  }
-  return 0;
-}
-
-/// pipeline::Collect on its own thread, listening on an ephemeral port
-/// it publishes through --port-file. Destruction stops and joins it.
-class CollectorThread {
- public:
-  CollectorThread(CollectConfig config, const fs::path& dir) {
-    const fs::path port_file = dir / "collect.port";
-    fs::remove(port_file);
-    config.port_file = port_file.string();
-    collect_ = std::make_unique<Collect>(std::move(config));
-    thread_ = std::thread([this] { exit_ = collect_->run(); });
-    port_ = await_port_file(port_file);
-    EXPECT_NE(port_, 0) << "collector never published its port";
-  }
-  ~CollectorThread() {
-    if (thread_.joinable()) {
-      collect_->stop();
-      thread_.join();
-    }
-  }
-  CollectorThread(const CollectorThread&) = delete;
-  CollectorThread& operator=(const CollectorThread&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-  void stop() { collect_->stop(); }
-  Exit join() {
-    thread_.join();
-    return exit_;
-  }
-
- private:
-  std::unique_ptr<Collect> collect_;
-  std::thread thread_;
-  Exit exit_{Exit::kOk};
-  std::uint16_t port_{0};
-};
 
 /// A merged export split into (interval, record bytes). The records are
 /// concatenated v3 reports without a metrics trailer: a 24-byte header
@@ -247,11 +198,6 @@ std::string http_get(std::uint16_t port, const std::string& path) {
                     static_cast<std::size_t>(n));
   }
   return response;
-}
-
-std::string captured_stdout() {
-  std::fflush(stdout);
-  return ::testing::internal::GetCapturedStdout();
 }
 
 std::string captured_stderr() {

@@ -20,9 +20,10 @@
 // HOST:PORT with the port in 1-65535, a --listen / --http-port outside
 // 0-65535 (0 = ephemeral), or a --trace without a path also exits 2
 // naming the flag. So do the values a subcommand has no meaning for:
-// `collect --devices 0`; `synthesize` with an --arrivals other than
-// uniform or bursty, or a --snaplen outside 54-262144 (54 bytes hold
-// the Ethernet, IPv4 and TCP headers `measure` parses); and 0 for
+// `collect --devices 0`; `synthesize` with a --scale above 1 (a preset
+// is the full-size trace, so --scale only shrinks it), an --arrivals
+// other than uniform or bursty, or a --snaplen outside 54-262144 (54
+// bytes hold the Ethernet, IPv4 and TCP headers `measure` parses); and 0 for
 // --threshold, --capacity, --buckets or --depth on `bounds` and for
 // --entries or --traffic on `dimension`.
 //
@@ -471,7 +472,13 @@ int cmd_synthesize(const Args& args) {
                                args.get_u64("seed", 42));
   config.num_intervals =
       static_cast<std::uint32_t>(args.get_u64("intervals", 6));
+  // A preset is the full-size trace; --scale only shrinks it.
   const double scale = args.get_double("scale", 0.1);
+  if (scale > 1.0) {
+    std::fprintf(stderr, "synthesize: %s\n",
+                 args.bad_value("scale", "a number in (0, 1]").c_str());
+    return 2;
+  }
   if (scale < 1.0) config = trace::scaled(config, scale);
   if (arrivals == "bursty") {
     config.arrival_model = trace::TraceConfig::ArrivalModel::kBursty;

@@ -124,8 +124,8 @@ endforeach()
 # run as /0, `netpair:300` as /32, `netpair:24x` as /24), never a
 # collector waiting on 0 devices, never a synthesize value that writes
 # a degenerate or unreadable trace (`--scale 0` wrote 2 packets,
-# `--arrivals burst` ran uniform, `--snaplen 40` cut every frame's
-# headers), never a bounds/dimension value that prints NaN or a
+# `--scale 2` the scale-1 trace, `--arrivals burst` ran uniform,
+# `--snaplen 40` cut every frame's headers), never a bounds/dimension value that prints NaN or a
 # meaningless figure (`--oversampling -5`, `--flows -1`, `--depth 0`,
 # `--entries 0`). TIMEOUT turns a regression into a failure instead of
 # a hang.
@@ -147,7 +147,7 @@ foreach(bad_value
     "collect;--listen;abc" "collect;--http-port;65536"
     "synthesize;--scale;abc" "bounds;--depth;four"
     "dimension;--flows;lots" "collect;--devices;0"
-    "synthesize;--scale;0" "synthesize;--scale;-1"
+    "synthesize;--scale;0" "synthesize;--scale;-1" "synthesize;--scale;2"
     "synthesize;--arrivals;burst" "synthesize;--snaplen;0"
     "synthesize;--snaplen;40" "synthesize;--snaplen;262145"
     "bounds;--oversampling;-5" "bounds;--flows;-1" "bounds;--depth;0"
