@@ -1,11 +1,13 @@
 // Unaligned fixed-width loads from byte buffers in a stated byte order,
-// and the big-endian appends every wire and disk format here writes.
+// and the big-endian stores every wire and disk format here writes.
 //
-// Each load is one memcpy (a single mov on any target that allows
-// unaligned access) plus a byte swap only when the stated order differs
-// from the host's, so decoders can read wire fields at arbitrary buffer
-// offsets without alignment or aliasing hazards. Each append swaps to
-// big-endian once and inserts the bytes in one call.
+// Each load or store is one memcpy (a single mov on any target that
+// allows unaligned access) plus a byte swap only when the stated order
+// differs from the host's, so codecs can read and write wire fields at
+// arbitrary buffer offsets without alignment or aliasing hazards. A
+// record writer sizes its buffer once and stores each field at its
+// offset; the appends grow a buffer by one field for writers that
+// cannot know their size up front (checkpoint state, packet headers).
 #pragma once
 
 #include <bit>
@@ -63,35 +65,40 @@ namespace nd::common {
 }
 
 /// Store `v` big-endian (network order) at `p`.
+inline void store_be16(std::uint8_t* p, std::uint16_t v) {
+  if constexpr (std::endian::native != std::endian::big) v = byteswap16(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
 inline void store_be32(std::uint8_t* p, std::uint32_t v) {
   if constexpr (std::endian::native != std::endian::big) v = byteswap32(v);
   std::memcpy(p, &v, sizeof v);
 }
 
-namespace detail {
-
-template <typename T>
-inline void append_raw(std::vector<std::uint8_t>& out, T v) {
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), bytes, bytes + sizeof v);
+inline void store_be64(std::uint8_t* p, std::uint64_t v) {
+  if constexpr (std::endian::native != std::endian::big) v = byteswap64(v);
+  std::memcpy(p, &v, sizeof v);
 }
 
-}  // namespace detail
+/// Grow `out` by `n` bytes and return where they start.
+[[nodiscard]] inline std::uint8_t* grow(std::vector<std::uint8_t>& out,
+                                        std::size_t n) {
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  return out.data() + at;
+}
 
 /// Append `v` to `out` big-endian (network order).
 inline void append_be16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  if constexpr (std::endian::native != std::endian::big) v = byteswap16(v);
-  detail::append_raw(out, v);
+  store_be16(grow(out, sizeof v), v);
 }
 
 inline void append_be32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  if constexpr (std::endian::native != std::endian::big) v = byteswap32(v);
-  detail::append_raw(out, v);
+  store_be32(grow(out, sizeof v), v);
 }
 
 inline void append_be64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  if constexpr (std::endian::native != std::endian::big) v = byteswap64(v);
-  detail::append_raw(out, v);
+  store_be64(grow(out, sizeof v), v);
 }
 
 }  // namespace nd::common

@@ -1,33 +1,46 @@
 #include "core/checkpoint.hpp"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 
+#include "common/byte_order.hpp"
 #include "common/crc32.hpp"
 
 namespace nd::core {
 
 std::vector<std::uint8_t> encode_checkpoint(
     const SessionCheckpoint& checkpoint) {
-  common::StateWriter out;
-  out.put_u32(kCheckpointMagic);
-  out.put_u8(kCheckpointVersion);
-  out.put_u64(checkpoint.interval_ns);
-  out.put_u64(checkpoint.current_end_ns);
-  out.put_bool(checkpoint.started);
-  out.put_u64(checkpoint.packets);
-  out.put_u64(checkpoint.unclassified);
-  out.put_u32(checkpoint.intervals_closed);
-  out.put_string(checkpoint.device_name);
-  out.put_u32(static_cast<std::uint32_t>(checkpoint.device_state.size()));
-  out.put_bytes(checkpoint.device_state);
-  std::vector<std::uint8_t> bytes = out.take();
-  const std::uint32_t crc = common::crc32(bytes);
-  bytes.push_back(static_cast<std::uint8_t>(crc >> 24));
-  bytes.push_back(static_cast<std::uint8_t>(crc >> 16));
-  bytes.push_back(static_cast<std::uint8_t>(crc >> 8));
-  bytes.push_back(static_cast<std::uint8_t>(crc));
+  if (checkpoint.device_name.size() > 0xFFFFFFFFULL ||
+      checkpoint.device_state.size() > 0xFFFFFFFFULL) {
+    throw common::StateError("checkpoint: field too large to serialize");
+  }
+  const std::size_t name = checkpoint.device_name.size();
+  const std::size_t state = checkpoint.device_state.size();
+  // magic, version, 2 clocks, started, 2 counters, intervals, name and
+  // state (each u32-length-prefixed), CRC.
+  std::vector<std::uint8_t> bytes(4 + 1 + 16 + 1 + 16 + 4 + 4 + name + 4 +
+                                  state + 4);
+  std::uint8_t* at = bytes.data();
+  common::store_be32(at, kCheckpointMagic);
+  at[4] = kCheckpointVersion;
+  common::store_be64(at + 5, checkpoint.interval_ns);
+  common::store_be64(at + 13, checkpoint.current_end_ns);
+  at[21] = checkpoint.started ? 1 : 0;
+  common::store_be64(at + 22, checkpoint.packets);
+  common::store_be64(at + 30, checkpoint.unclassified);
+  common::store_be32(at + 38, checkpoint.intervals_closed);
+  common::store_be32(at + 42, static_cast<std::uint32_t>(name));
+  at += 46;
+  if (name != 0) std::memcpy(at, checkpoint.device_name.data(), name);
+  at += name;
+  common::store_be32(at, static_cast<std::uint32_t>(state));
+  at += 4;
+  if (state != 0) std::memcpy(at, checkpoint.device_state.data(), state);
+  const std::size_t body = bytes.size() - 4;
+  common::store_be32(bytes.data() + body,
+                     common::crc32(std::span(bytes).first(body)));
   return bytes;
 }
 

@@ -9,8 +9,6 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
-#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string_view>
@@ -20,6 +18,9 @@
 #include "telemetry/export.hpp"
 
 namespace nd::net {
+
+/// Bytes one read() of a connection asks for.
+constexpr std::size_t kReadBytes = 64 * 1024;
 
 /// One accepted device connection: its socket, its stream parser, and
 /// the device id its hello announced (none until then).
@@ -147,7 +148,7 @@ Collector::Collector(const CollectorConfig& config) : config_(config) {
   if (!config_.journal_path.empty()) {
     // Replay whatever a previous incarnation journaled, then open the
     // log for appending — recovery before the listener sees a byte.
-    replay_journal_file();
+    recover_from_journal();
     journal_.emplace(reporting::wal::WriterConfig{
         .store = "journal",
         .fsync_every = config_.journal_fsync_every,
@@ -158,26 +159,21 @@ Collector::Collector(const CollectorConfig& config) : config_(config) {
                                    "nd_journal_fsync_total")});
     journal_->open(config_.journal_path);
   }
-  ingest_buffer_.resize(64 * 1024);
-  std::vector<core::Report> replayed;
+  std::vector<std::vector<std::uint8_t>> replayed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     replayed = take_complete_locked();
   }
-  deliver(std::move(replayed));
+  deliver(replayed);
 }
 
-void Collector::replay_journal_file() {
-  std::ifstream in(config_.journal_path, std::ios::binary);
-  if (!in) return;  // first run: nothing to replay
-  const std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)),
-      std::istreambuf_iterator<char>());
+void Collector::recover_from_journal() {
   telemetry::ScopedTraceSpan span(
       config_.trace, "journal.replay", "collector", telemetry::TraceArgs{},
       "records");
   JournalReplay events(*this);
-  const JournalReplayStats replayed = replay_journal(bytes, events);
+  const JournalReplayStats replayed =
+      replay_journal_file(config_.journal_path, events);
   span.mutable_args().value =
       static_cast<std::int64_t>(replayed.records);
   stats_.journal_replayed += replayed.records;
@@ -192,37 +188,39 @@ void Collector::ingest_report_payload(std::uint32_t device_id,
                                       std::span<const std::uint8_t> payload,
                                       bool journal) {
   DeviceState& device = devices_[device_id];
-  reporting::DecodedReport decoded;
+  reporting::ReportLayout layout;
+  bool largest_first = false;
   {
     telemetry::ScopedTraceSpan span(
         config_.trace, "frame.decode", "collector",
         telemetry::TraceArgs{device_id, device.epoch, -1,
                              static_cast<std::int64_t>(payload.size())},
         "bytes");
-    bool decoded_ok = true;
+    bool checked = true;
     try {
-      decoded = reporting::decode_full(payload);
+      layout = reporting::layout_of(payload);
+      largest_first = reporting::check_flow_records(layout);
     } catch (const reporting::CodecError&) {
-      // The CRC passed but the payload is not a report: a sender-side
-      // corruption of the pre-framing bytes (or, on the replay path, a
-      // journal record damaged before its CRC was computed). Drop it;
-      // the device's retry loop re-sends the interval.
-      decoded_ok = false;
+      // The CRC passed but the payload is not a report, or not one
+      // encode() could have written: a sender-side corruption of the
+      // pre-framing bytes (or, on the replay path, a journal record
+      // damaged before its CRC was computed). Drop it; the device's
+      // retry loop re-sends the interval.
+      checked = false;
     }
     // One fleet measures one flow definition: a member reporting
     // another key kind than the first report cannot join the merge.
-    if (!decoded_ok || (key_kind_ && decoded.kind != *key_kind_)) {
+    if (!checked || (key_kind_ && layout.kind != *key_kind_)) {
       ++stats_.decode_errors;
       if (tm_decode_errors_ != nullptr) {
         tm_decode_errors_->increment();
       }
       return;
     }
-    key_kind_ = decoded.kind;
-    span.mutable_args().interval =
-        static_cast<std::int64_t>(decoded.report.interval);
+    key_kind_ = layout.kind;
+    span.mutable_args().interval = static_cast<std::int64_t>(layout.interval);
   }
-  const common::IntervalIndex interval = decoded.report.interval;
+  const common::IntervalIndex interval = layout.interval;
   if (interval < next_interval_ &&
       !(interval < device.merged.size() && device.merged[interval])) {
     // Its interval was merged without this device (released by a bye):
@@ -268,13 +266,15 @@ void Collector::ingest_report_payload(std::uint32_t device_id,
                                static_cast<std::int64_t>(interval)});
     }
   }
-  device.reports.emplace(interval, std::move(decoded.report));
+  device.reports.emplace(
+      interval, MemberReport{{layout.body.begin(), layout.body.end()},
+                             largest_first});
   ++device.reports_ingested;
   ++stats_.reports_ingested;
   if (tm_reports_ != nullptr) {
     tm_reports_->increment();
   }
-  ingest_metrics_trailer(device_id, decoded.metrics_json);
+  ingest_metrics_trailer(device_id, layout.metrics_json);
 }
 
 void Collector::mark_bye(std::uint32_t device_id, std::uint32_t intervals,
@@ -349,13 +349,14 @@ bool Collector::interval_complete_locked(
   return reported;
 }
 
-std::vector<core::Report> Collector::take_complete_locked() {
-  std::vector<core::Report> ready;
+std::vector<std::vector<std::uint8_t>> Collector::take_complete_locked() {
+  std::vector<std::vector<std::uint8_t>> ready;
   // Nothing is complete until the whole fleet is known: an interval
   // every member seen so far has reported may still wait for one that
   // has not dialed in yet.
   if (devices_.size() < config_.expected_devices) return ready;
-  std::vector<core::Report> members;
+  std::vector<MemberReport> members;
+  std::vector<reporting::SpliceMember> views;
   while (next_interval_ <= std::numeric_limits<common::IntervalIndex>::max()) {
     const auto interval = static_cast<common::IntervalIndex>(next_interval_);
     if (!interval_complete_locked(interval)) break;
@@ -367,43 +368,90 @@ std::vector<core::Report> Collector::take_complete_locked() {
       if (!node.empty()) members.push_back(std::move(node.mapped()));
     }
     ++next_interval_;
-    core::Report merged = merge_members(interval, members);
     if (config_.on_interval) {
-      ready.push_back(std::move(merged));
+      views.clear();
+      for (const MemberReport& member : members) views.push_back(member.view());
+      ready.push_back(splice_members(interval, views));
     } else {
-      emitted_.push_back(std::move(merged));
+      emitted_.emplace_back(interval, std::move(members));
+      members = {};
     }
   }
   return ready;
 }
 
-void Collector::deliver(std::vector<core::Report> merged) {
-  // A merge needs a member report, so the kind is known by now.
-  for (core::Report& report : merged) {
-    config_.on_interval(std::move(report), *key_kind_);
+void Collector::deliver(
+    const std::vector<std::vector<std::uint8_t>>& merged) const {
+  for (const std::vector<std::uint8_t>& encoded : merged) {
+    config_.on_interval(encoded);
   }
 }
 
-core::Report Collector::merge_members(
+std::vector<common::IntervalIndex> Collector::open_intervals_locked() const {
+  std::vector<common::IntervalIndex> intervals;
+  for (const auto& [id, device] : devices_) {
+    for (const auto& [interval, report] : device.reports) {
+      intervals.push_back(interval);
+    }
+  }
+  std::sort(intervals.begin(), intervals.end());
+  intervals.erase(std::unique(intervals.begin(), intervals.end()),
+                  intervals.end());
+  return intervals;
+}
+
+std::vector<reporting::SpliceMember> Collector::open_members_locked(
+    common::IntervalIndex interval) const {
+  // Member order is ascending device id (std::map iteration), the
+  // fleet analogue of ShardedDevice's merge-in-shard-order.
+  std::vector<reporting::SpliceMember> members;
+  for (const auto& [id, device] : devices_) {
+    const auto it = device.reports.find(interval);
+    if (it != device.reports.end()) members.push_back(it->second.view());
+  }
+  return members;
+}
+
+std::vector<std::uint8_t> Collector::splice_members(
     common::IntervalIndex interval,
-    std::span<const core::Report> members) const {
+    std::span<const reporting::SpliceMember> members) const {
   const telemetry::ScopedTimer timer(tm_merge_ns_);
   telemetry::ScopedTraceSpan span(
       config_.trace, "fleet.merge", "collector",
       telemetry::TraceArgs{-1, -1, static_cast<std::int64_t>(interval),
                            static_cast<std::int64_t>(members.size())},
       "members");
-  return core::merge_member_reports(interval, members);
+  std::vector<std::uint8_t> encoded;
+  // A merge needs a member report, so the kind is known by now.
+  reporting::splice(encoded, interval, *key_kind_, members);
+  return encoded;
+}
+
+core::Report Collector::merge_members(
+    common::IntervalIndex interval,
+    std::span<const reporting::SpliceMember> members) const {
+  const telemetry::ScopedTimer timer(tm_merge_ns_);
+  telemetry::ScopedTraceSpan span(
+      config_.trace, "fleet.merge", "collector",
+      telemetry::TraceArgs{-1, -1, static_cast<std::int64_t>(interval),
+                           static_cast<std::int64_t>(members.size())},
+      "members");
+  std::vector<core::Report> decoded;
+  decoded.reserve(members.size());
+  for (const reporting::SpliceMember& member : members) {
+    decoded.push_back(reporting::decode(member.body));
+  }
+  return core::merge_member_reports(interval, decoded);
 }
 
 void Collector::ingest_metrics_trailer(std::uint32_t device_id,
-                                       const std::string& metrics_json) {
+                                       std::string_view metrics_json) {
   if (!aggregator_.has_value() || metrics_json.empty()) return;
   // The trailer is one JSON line per snapshotted interval.
   std::size_t begin = 0;
   while (begin < metrics_json.size()) {
     std::size_t end = metrics_json.find('\n', begin);
-    if (end == std::string::npos) end = metrics_json.size();
+    if (end == std::string_view::npos) end = metrics_json.size();
     const std::string_view line(metrics_json.data() + begin,
                                 end - begin);
     begin = end + 1;
@@ -497,13 +545,14 @@ bool Collector::service(Connection& conn) {
   ConnectionEvents events(*this, conn);
   std::size_t drained = 0;
   for (;;) {
-    const ssize_t n = read_some(conn.socket.fd(), ingest_buffer_.data(),
-                                ingest_buffer_.size());
+    // Read straight into the parser's buffer: the kernel's copy is
+    // the only one before ingest keeps a report's body.
+    const std::span<std::uint8_t> space = conn.parser.prepare(kReadBytes);
+    const ssize_t n = read_some(conn.socket.fd(), space.data(), space.size());
     if (n > 0) {
       stats_.bytes_received += static_cast<std::uint64_t>(n);
       drained += static_cast<std::size_t>(n);
-      conn.parser.feed(
-          {ingest_buffer_.data(), static_cast<std::size_t>(n)}, events);
+      conn.parser.commit(static_cast<std::size_t>(n), events);
       // Fairness cap first: a device blasting its spool backlog must
       // yield to the other connections once the per-wake budget is
       // spent, even when the kernel hands the bytes over in sub-buffer
@@ -515,7 +564,7 @@ bool Collector::service(Connection& conn) {
       }
       // A short read means the socket buffer is empty: stop here
       // instead of paying one more read() just to see EAGAIN.
-      if (static_cast<std::size_t>(n) < ingest_buffer_.size()) {
+      if (static_cast<std::size_t>(n) < kReadBytes) {
         return true;
       }
       continue;
@@ -568,7 +617,7 @@ bool Collector::serve() {
     // on another connection in the same wake.
     bool done = false;
     bool stopped = false;
-    std::vector<core::Report> complete;
+    std::vector<std::vector<std::uint8_t>> complete;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       done = all_done_locked();
@@ -576,7 +625,7 @@ bool Collector::serve() {
       stopped = stop_requested_;
       complete = take_complete_locked();
     }
-    deliver(std::move(complete));
+    deliver(complete);
     if (done) return true;
     if (stopped) return false;
     int timeout_ms = -1;
@@ -641,38 +690,34 @@ bool Collector::wait() {
   return thread_result_;
 }
 
-std::optional<packet::FlowKeyKind> Collector::key_kind() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return key_kind_;
-}
-
 std::vector<core::Report> Collector::merged_reports() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Every interval still open on any device, ascending.
-  std::vector<common::IntervalIndex> intervals;
-  for (const auto& [id, device] : devices_) {
-    for (const auto& [interval, report] : device.reports) {
-      intervals.push_back(interval);
-    }
-  }
-  std::sort(intervals.begin(), intervals.end());
-  intervals.erase(std::unique(intervals.begin(), intervals.end()),
-                  intervals.end());
-
-  std::vector<core::Report> merged = emitted_;
-  merged.reserve(emitted_.size() + intervals.size());
-  std::vector<core::Report> members;
-  for (const common::IntervalIndex interval : intervals) {
-    // Member order is ascending device id (std::map iteration), the
-    // fleet analogue of ShardedDevice's merge-in-shard-order.
+  const std::vector<common::IntervalIndex> open = open_intervals_locked();
+  std::vector<core::Report> merged;
+  merged.reserve(emitted_.size() + open.size());
+  std::vector<reporting::SpliceMember> members;
+  for (const auto& [interval, reports] : emitted_) {
     members.clear();
-    for (const auto& [id, device] : devices_) {
-      const auto it = device.reports.find(interval);
-      if (it != device.reports.end()) members.push_back(it->second);
-    }
+    for (const MemberReport& report : reports) members.push_back(report.view());
     merged.push_back(merge_members(interval, members));
   }
+  for (const common::IntervalIndex interval : open) {
+    merged.push_back(merge_members(interval, open_members_locked(interval)));
+  }
   return merged;
+}
+
+void Collector::deliver_open_intervals() const {
+  if (!config_.on_interval) return;
+  std::vector<std::vector<std::uint8_t>> merged;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const common::IntervalIndex interval : open_intervals_locked()) {
+      merged.push_back(
+          splice_members(interval, open_members_locked(interval)));
+    }
+  }
+  deliver(merged);
 }
 
 CollectorStats Collector::stats() const {

@@ -10,19 +10,35 @@
 // lost), duplicate interval reports deduplicate first-copy-wins, and a
 // bye frame marks the device's capture complete.
 //
-// The fleet-merge stage is core::merge_member_reports — the exact
-// function ShardedDevice::end_interval merges with — applied per
-// interval over the member reports in ascending device-id order. That
-// shared code path is the collapse-the-distributed-system guarantee the
-// loopback suite enforces: M devices over TCP merge bit-identically to
-// one M-sharded device in process.
+// The open window holds bytes. Ingest checks each report payload the
+// way reporting::decode_full does, and also that every flow record is
+// canonical (reporting::check_flow_records: the exact bytes encode()
+// writes for its key), without building a single FlowKey. A payload
+// that fails either check is a decode error. The window keeps the
+// payload's body (header, flow and shard records, one copy off the
+// parser; the metrics trailer feeds the FleetAggregator and is
+// dropped), so a slow member's backlog is bounded by its wire size.
+//
+// The fleet merge splices those bytes (reporting::splice): a new header
+// with the sums and the maximum shard threshold, a k-way merge of the
+// members' flow records by estimate with ties in ascending device-id
+// order, then the members' shard records in that order. The result is
+// byte for byte what encode() writes for core::merge_member_reports
+// over the decoded members, sorted largest-first: the exact function
+// ShardedDevice::end_interval merges with. That shared definition is
+// the collapse-the-distributed-system guarantee the loopback suite
+// enforces: M devices over TCP merge bit-identically to one M-sharded
+// device in process. One member whose records are largest-first, as
+// every device ships them, is one copy.
 //
 // The merge streams. Once expected_devices distinct ids are known (by
 // hello or by journal replay), an interval is complete when every known
 // device has reported it or has said bye. A watermark merges complete
 // intervals in ascending order, hands each merge to
 // CollectorConfig::on_interval and drops the member copies, so the
-// collector holds only the open window, not the whole run. A copy that
+// collector holds only the open window, not the whole run. Without a
+// sink it keeps the member bytes, and merged_reports() decodes and
+// merges them on demand. A copy that
 // arrives for an interval already merged is never merged again: it is a
 // duplicate when its device had delivered the interval, a late report
 // otherwise. At bye, the intervals the bye counts but that never arrived
@@ -34,7 +50,8 @@
 // thread. run() returns true when every expected device said bye,
 // false on stop() or timeout — the CLI maps that to its
 // transport-failure exit code. Intervals still open when run() returns
-// are merged by merged_reports().
+// are merged by deliver_open_intervals() (to the sink) or
+// merged_reports().
 #pragma once
 
 #include <chrono>
@@ -44,16 +61,18 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
-#include <thread>
-#include <vector>
-
 #include <span>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/device.hpp"
 #include "net/frame_stream.hpp"
 #include "net/journal.hpp"
 #include "net/socket.hpp"
+#include "reporting/record_codec.hpp"
 #include "reporting/wal.hpp"
 #include "robustness/fault.hpp"
 #include "telemetry/aggregate.hpp"
@@ -101,12 +120,13 @@ struct CollectorConfig {
   std::size_t max_drain_bytes_per_wake{256 * 1024};
   /// Fault hook for the journal.* sites (net/journal.hpp). Not owned.
   robustness::FaultInjector* faults{nullptr};
-  /// Sink for each completed interval's fleet merge and the members'
-  /// flow-key kind (key_kind()), in ascending interval order, called
-  /// without the collector's lock: from the constructor for intervals
-  /// journal replay completes, then from the thread that runs run().
-  /// Unset: merges are kept for merged_reports().
-  std::function<void(core::Report&&, packet::FlowKeyKind)> on_interval{};
+  /// Sink for each completed interval's fleet merge, encoded (the
+  /// reporting::splice bytes; the view lasts for the call), in ascending
+  /// interval order, called without the collector's lock: from the
+  /// constructor for intervals journal replay completes, then from the
+  /// thread that runs run(). Unset: the member reports are kept for
+  /// merged_reports().
+  std::function<void(std::span<const std::uint8_t>)> on_interval{};
 };
 
 /// Intervals [first, last] that a device's bye counted but whose
@@ -193,18 +213,17 @@ class Collector {
   /// The fleet merge of everything ingested so far, ascending by
   /// interval: the merges already emitted (none when on_interval is set,
   /// since the sink took them), then a merge of each interval still
-  /// open, member reports in ascending device-id order through
-  /// core::merge_member_reports. Safe to call while the loop runs
-  /// (snapshot under lock), but the intended use is after run()
-  /// returns.
+  /// open, member reports decoded and merged in ascending device-id
+  /// order through core::merge_member_reports (flows in member order,
+  /// not sorted). Safe to call while the loop runs (snapshot under
+  /// lock), but the intended use is after run() returns.
   [[nodiscard]] std::vector<core::Report> merged_reports() const;
 
-  /// The flow-key kind every member's report header carries, taken from
-  /// the first report ingested (nullopt before one). A report of
-  /// another kind counts as a decode error and never enters the merge,
-  /// so a merged export encodes every interval, flowless ones included,
-  /// under this kind.
-  [[nodiscard]] std::optional<packet::FlowKeyKind> key_kind() const;
+  /// Hands each interval still open (a device that never said bye, or a
+  /// gap no device filled) to on_interval, merged as it stands, in
+  /// ascending order. For after run() returns; the window is left as it
+  /// is.
+  void deliver_open_intervals() const;
 
   [[nodiscard]] CollectorStats stats() const;
   /// Every gap recorded so far, in the order the byes arrived.
@@ -242,16 +261,29 @@ class Collector {
   [[nodiscard]] bool interval_complete_locked(
       common::IntervalIndex interval) const;
   /// Advance the watermark: merge every complete interval in ascending
-  /// order and drop its member copies. Returns the merges for
-  /// on_interval (empty when no sink is set: they go to emitted_).
-  [[nodiscard]] std::vector<core::Report> take_complete_locked();
+  /// order and drop its member copies. Returns the encoded merges for
+  /// on_interval (none when no sink is set: the members go to
+  /// emitted_).
+  [[nodiscard]] std::vector<std::vector<std::uint8_t>> take_complete_locked();
   /// Hand merges from take_complete_locked() to on_interval; called
   /// without the lock.
-  void deliver(std::vector<core::Report> merged);
+  void deliver(const std::vector<std::vector<std::uint8_t>>& merged) const;
+  /// Every interval still in some device's open window, ascending.
+  [[nodiscard]] std::vector<common::IntervalIndex> open_intervals_locked()
+      const;
+  /// The open-window reports of `interval`, ascending device id.
+  [[nodiscard]] std::vector<reporting::SpliceMember> open_members_locked(
+      common::IntervalIndex interval) const;
+  /// The encoded fleet merge (reporting::splice), timed as fleet.merge.
+  [[nodiscard]] std::vector<std::uint8_t> splice_members(
+      common::IntervalIndex interval,
+      std::span<const reporting::SpliceMember> members) const;
+  /// The decoded fleet merge (core::merge_member_reports over each
+  /// member's decode), timed as fleet.merge.
   [[nodiscard]] core::Report merge_members(
       common::IntervalIndex interval,
-      std::span<const core::Report> members) const;
-  void replay_journal_file();
+      std::span<const reporting::SpliceMember> members) const;
+  void recover_from_journal();
 
   /// run()'s poll loop.
   bool serve();
@@ -268,7 +300,7 @@ class Collector {
   /// fold it into the fleet aggregation; malformed lines count as
   /// decode errors without touching the report itself.
   void ingest_metrics_trailer(std::uint32_t device_id,
-                              const std::string& metrics_json);
+                              std::string_view metrics_json);
 
   CollectorConfig config_;
   Socket listener_;
@@ -277,13 +309,26 @@ class Collector {
   Socket stop_reader_;
   Socket stop_writer_;
 
+  /// One member's report as the wire carried it, metrics trailer cut
+  /// off: header, flow records, shard records. It passed
+  /// reporting::layout_of and reporting::check_flow_records.
+  struct MemberReport {
+    std::vector<std::uint8_t> body;
+    /// What check_flow_records said: the flow records are largest-first.
+    bool largest_first{true};
+
+    [[nodiscard]] reporting::SpliceMember view() const {
+      return {body, largest_first};
+    }
+  };
+
   struct DeviceState {
     std::uint32_t epoch{0};
     bool bye{false};
     /// First copies ingested, merged or still open.
     std::uint64_t reports_ingested{0};
     /// The open window: first-copy reports of intervals not yet merged.
-    std::map<common::IntervalIndex, core::Report> reports;
+    std::map<common::IntervalIndex, MemberReport> reports;
     /// One bit per merged interval: this device's report was in it.
     std::vector<bool> merged;
   };
@@ -293,17 +338,18 @@ class Collector {
   std::map<std::uint32_t, DeviceState> devices_;
   /// The watermark: every interval below it has been merged.
   std::uint64_t next_interval_{0};
-  /// See key_kind(). Written only by ingestion, on the thread that
-  /// delivers merges, so deliver() reads it without the lock.
+  /// The flow-key kind of the first report ingested. A report of
+  /// another kind counts as a decode error and never enters the merge,
+  /// so a merged export encodes every interval, flowless ones included,
+  /// under this kind.
   std::optional<packet::FlowKeyKind> key_kind_;
-  /// Merges kept for merged_reports() when no on_interval sink is set.
-  std::vector<core::Report> emitted_;
+  /// The member reports of each merged interval, kept for
+  /// merged_reports() when no on_interval sink is set.
+  std::vector<std::pair<common::IntervalIndex, std::vector<MemberReport>>>
+      emitted_;
   std::vector<IntervalGap> gaps_;
   /// The journal's append writer (reporting/wal.hpp), when journaling.
   std::optional<reporting::wal::Writer> journal_;
-  /// Reusable ingest read buffer (service()) — one 64 KiB block per
-  /// collector instead of per poll wake on the stack.
-  std::vector<std::uint8_t> ingest_buffer_;
   CollectorStats stats_;
   bool stop_requested_{false};
   std::optional<telemetry::FleetAggregator> aggregator_;

@@ -1,5 +1,8 @@
 #include "net/frame_stream.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/byte_order.hpp"
 #include "reporting/record_codec.hpp"
 #include "reporting/wal.hpp"
@@ -34,21 +37,48 @@ std::size_t FrameStreamParser::resync_skip() const {
   // buffered byte (could be a magic still arriving) or followed by 'D'.
   // A false positive only costs one more resync pass — what matters is
   // never skipping a real boundary.
-  for (std::size_t i = 1; i < buffer_.size(); ++i) {
+  for (std::size_t i = begin_ + 1; i < end_; ++i) {
     if (buffer_[i] != 0x4E) continue;
-    if (i + 1 == buffer_.size() || buffer_[i + 1] == 0x44) return i;
+    if (i + 1 == end_ || buffer_[i + 1] == 0x44) return i - begin_;
   }
-  return buffer_.size();
+  return end_ - begin_;
 }
 
 void FrameStreamParser::feed(std::span<const std::uint8_t> bytes,
                              Events& events) {
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  std::size_t pos = 0;
+  if (!bytes.empty()) {
+    std::memcpy(prepare(bytes.size()).data(), bytes.data(), bytes.size());
+  }
+  commit(bytes.size(), events);
+}
+
+std::span<std::uint8_t> FrameStreamParser::prepare(std::size_t n) {
+  if (buffer_.size() - end_ < n) {
+    // Out of room behind the stream: move the unparsed bytes (at most
+    // one partial frame) to the front, and grow if that is not enough.
+    if (begin_ != 0) {
+      std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    if (buffer_.size() - end_ < n) {
+      buffer_.resize(std::max(end_ + n, 2 * buffer_.size()));
+    }
+  }
+  return {buffer_.data() + end_, n};
+}
+
+void FrameStreamParser::commit(std::size_t n, Events& events) {
+  end_ += n;
+  parse(events);
+  if (begin_ == end_) begin_ = end_ = 0;
+}
+
+void FrameStreamParser::parse(Events& events) {
   for (;;) {
-    const std::size_t avail = buffer_.size() - pos;
+    const std::size_t avail = end_ - begin_;
     if (avail < 4) break;
-    const std::uint8_t* head = buffer_.data() + pos;
+    const std::uint8_t* head = buffer_.data() + begin_;
     const std::uint32_t magic = common::load_be32(head);
 
     if (magic == kHelloMagic || magic == kByeMagic) {
@@ -60,7 +90,7 @@ void FrameStreamParser::feed(std::span<const std::uint8_t> bytes,
       } else {
         events.on_bye(Bye{device_id, value});
       }
-      pos += kControlFrameBytes;
+      begin_ += kControlFrameBytes;
       continue;
     }
 
@@ -70,7 +100,7 @@ void FrameStreamParser::feed(std::span<const std::uint8_t> bytes,
       if (frame.check == reporting::wal::Check::kShort) break;
       if (frame.check == reporting::wal::Check::kRecord) {
         events.on_report_frame(frame.payload);
-        pos += frame.size();
+        begin_ += frame.size();
         continue;
       }
       // A CRC mismatch, or an absurd length prefix: corruption, not a
@@ -79,21 +109,15 @@ void FrameStreamParser::feed(std::span<const std::uint8_t> bytes,
 
     // Bad magic or a frame the check rejected: skip to the next
     // candidate boundary and report how much was lost.
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(pos));
-    pos = 0;
     const std::size_t skipped = resync_skip();
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(skipped));
+    begin_ += skipped;
     events.on_resync(skipped);
   }
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
 std::size_t FrameStreamParser::reset() {
-  const std::size_t dropped = buffer_.size();
-  buffer_.clear();
+  const std::size_t dropped = end_ - begin_;
+  begin_ = end_ = 0;
   return dropped;
 }
 

@@ -12,7 +12,8 @@
 // capture ends. Everything is big-endian, matching the report codec.
 //
 // FrameStreamParser is the collector's incremental decoder: feed() it
-// whatever read() returned and it emits whole, CRC-verified events.
+// whatever read() returned — or read() straight into its buffer through
+// prepare() and commit() — and it emits whole, CRC-verified events.
 // A report frame passes the same check a spool or journal record does
 // (reporting/wal.hpp verify, one 64 MiB payload bound). Its central
 // obligation is the resync rule the chaos suite enforces: any
@@ -69,19 +70,33 @@ class FrameStreamParser {
   /// Consume a chunk of the byte stream, emitting every complete frame.
   void feed(std::span<const std::uint8_t> bytes, Events& events);
 
+  /// Room for the next `n` stream bytes behind the buffered ones: read()
+  /// into it, then commit() what arrived. The pair is feed() without
+  /// the copy; the span is valid until the next call.
+  [[nodiscard]] std::span<std::uint8_t> prepare(std::size_t n);
+  /// Consume the first `n` bytes of prepare()'s span, emitting every
+  /// complete frame.
+  void commit(std::size_t n, Events& events);
+
   /// Drop any buffered partial frame (connection closed mid-frame; the
   /// device re-sends the whole report on its next connection). Returns
   /// the bytes discarded.
   std::size_t reset();
 
   /// Bytes held waiting for the rest of a frame.
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const { return end_ - begin_; }
 
  private:
+  /// Emit every complete frame in buffer_[begin_, end_).
+  void parse(Events& events);
   /// Skip past the malformed prefix to the next candidate magic.
   std::size_t resync_skip() const;
 
+  /// buffer_[begin_, end_) holds the stream bytes not yet parsed; the
+  /// parsed prefix is moved out only when prepare() needs the room.
   std::vector<std::uint8_t> buffer_;
+  std::size_t begin_{0};
+  std::size_t end_{0};
 };
 
 }  // namespace nd::net

@@ -38,6 +38,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace nd::net {
@@ -82,10 +83,22 @@ struct JournalReplayStats {
   std::uint64_t torn{0};
 };
 
-/// Scan a journal byte range (typically a whole file) and replay every
-/// intact record, in file order. Free function so the fuzz tables can
-/// drive it without a Collector.
+/// Scan a journal byte range and replay every intact record, in file
+/// order. Free function so the fuzz tables can drive it without a
+/// Collector.
 JournalReplayStats replay_journal(std::span<const std::uint8_t> bytes,
                                   JournalReplayEvents& events);
+
+/// The file replay_journal_file reads at a time.
+inline constexpr std::size_t kJournalReplayBlockBytes = std::size_t{1} << 20;
+
+/// replay_journal() over the file at `path` (nothing when there is
+/// none), read in blocks of `block_bytes` (at least 1): the same
+/// records, events and counts, but a replay holds one block plus the
+/// record it is completing (at most one 64 MiB payload), not the whole
+/// journal.
+JournalReplayStats replay_journal_file(
+    const std::string& path, JournalReplayEvents& events,
+    std::size_t block_bytes = kJournalReplayBlockBytes);
 
 }  // namespace nd::net

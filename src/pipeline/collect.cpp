@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "reporting/record_codec.hpp"
 
@@ -53,7 +53,7 @@ class CollectRun {
   std::unique_ptr<net::Collector> open_collector();
   std::uint16_t announce();
   telemetry::HttpExporterConfig status_endpoint();
-  void write_interval(core::Report&& report, packet::FlowKeyKind kind);
+  void write_interval(std::span<const std::uint8_t> encoded);
 
   const CollectConfig& config_;
   Observability obs_;
@@ -106,9 +106,8 @@ std::unique_ptr<net::Collector> CollectRun::open_collector() {
   collector.metrics = obs_.metrics();
   collector.trace = obs_.trace();
   collector.faults = obs_.faults();
-  collector.on_interval = [this](core::Report&& report,
-                                 packet::FlowKeyKind kind) {
-    write_interval(std::move(report), kind);
+  collector.on_interval = [this](std::span<const std::uint8_t> encoded) {
+    write_interval(encoded);
   };
   auto daemon = std::make_unique<net::Collector>(collector);
   if (!collector.journal_path.empty()) {
@@ -142,30 +141,31 @@ telemetry::HttpExporterConfig CollectRun::status_endpoint() {
   return endpoint;
 }
 
-void CollectRun::write_interval(core::Report&& report,
-                                packet::FlowKeyKind kind) {
-  // Same largest-first order a measure export writes, so a merged
-  // export is byte-comparable against a single-process sharded run.
-  core::sort_by_size(report);
-  std::printf("interval %u: %zu members, %zu flows, %zu entries\n",
-              report.interval, report.shards.size(), report.flows.size(),
-              report.entries_used);
+void CollectRun::write_interval(std::span<const std::uint8_t> encoded) {
+  // The collector's merge is already the export record: the bytes a
+  // measure export writes, largest-first, so a merged export is
+  // byte-comparable against a single-process sharded run.
+  const reporting::ReportLayout merged = reporting::layout_of(encoded);
+  telemetry::ScopedTraceSpan span(
+      obs_.trace(), "collect.export", "collector",
+      telemetry::TraceArgs{-1, -1, static_cast<std::int64_t>(merged.interval),
+                           static_cast<std::int64_t>(encoded.size())},
+      "bytes");
+  std::printf("interval %u: %zu members, %zu flows, %llu entries\n",
+              merged.interval, merged.shards(), merged.flows(),
+              static_cast<unsigned long long>(merged.entries_used()));
   if (export_.is_open()) {
-    const auto encoded = reporting::encode(report, kind);
     export_.write(reinterpret_cast<const char*>(encoded.data()),
                   static_cast<std::streamsize>(encoded.size()));
   }
-  last_interval_ = report.interval;
+  last_interval_ = merged.interval;
 }
 
 Exit CollectRun::run() {
   const bool complete = collector_->run();
   // Intervals still open (a device that never said bye, or a gap no
-  // device filled) are merged as they stand. Each holds a member
-  // report, so the kind is known.
-  for (core::Report& report : collector_->merged_reports()) {
-    write_interval(std::move(report), *collector_->key_kind());
-  }
+  // device filled) are merged as they stand, through the same sink.
+  collector_->deliver_open_intervals();
   const net::CollectorStats stats = collector_->stats();
   if (export_.is_open()) {
     export_.close();

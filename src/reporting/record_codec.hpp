@@ -72,7 +72,8 @@ inline constexpr std::size_t kTrailerLengthBytes = 4;
     const core::Report& report, packet::FlowKeyKind kind,
     std::string_view metrics_json = {});
 
-/// encode() into a caller-owned scratch buffer (cleared first). Senders
+/// encode() into a caller-owned scratch buffer, replacing its contents
+/// (a throw leaves them unspecified). Senders
 /// that frame every interval reuse one buffer across calls, so the
 /// steady state allocates nothing.
 void encode_into(std::vector<std::uint8_t>& out, const core::Report& report,
@@ -92,6 +93,69 @@ struct DecodedReport {
   std::string metrics_json;
 };
 [[nodiscard]] DecodedReport decode_full(std::span<const std::uint8_t> data);
+
+/// Where an encoded report's sections lie. layout_of() reads them from
+/// the header with every check decode_full makes (magic, version, kind,
+/// sizes, the shard records' reserved words, the trailer length), but
+/// reads no flow record and builds no key. The spans view the checked
+/// bytes.
+struct ReportLayout {
+  packet::FlowKeyKind kind{packet::FlowKeyKind::kFiveTuple};
+  common::IntervalIndex interval{0};
+  common::ByteCount threshold{0};
+  /// Header, flow records and shard records: the report without its
+  /// metrics trailer.
+  std::span<const std::uint8_t> body;
+  /// kRecordBytes per flow.
+  std::span<const std::uint8_t> flow_records;
+  /// kShardRecordBytes per shard.
+  std::span<const std::uint8_t> shard_records;
+  /// The metrics trailer (empty when the report carries none).
+  std::string_view metrics_json;
+
+  [[nodiscard]] std::size_t flows() const {
+    return flow_records.size() / kRecordBytes;
+  }
+  [[nodiscard]] std::size_t shards() const {
+    return shard_records.size() / kShardRecordBytes;
+  }
+  /// Sum of the shard records' entries-used fields: the entries_used
+  /// core::merge_member_reports gives a merge of these shards.
+  [[nodiscard]] std::uint64_t entries_used() const;
+};
+[[nodiscard]] ReportLayout layout_of(std::span<const std::uint8_t> data);
+
+/// Throws CodecError unless every flow record of `layout` is canonical:
+/// exactly the bytes encode() writes for the key it decodes to. That is
+/// a reserved u16 of 0, an exact byte of 0 or 1, and the fields the
+/// kind leaves unused as its FlowKey factory stores them: `a` 0 for a
+/// destination IP; `d` 0 and protocol TCP (6) for every kind but the
+/// 5-tuple; `c` 0 for a destination IP or AS pair and at most 255 (the
+/// prefix length) for a network pair. Returns whether the records are
+/// largest-first (estimates never increase), as devices ship them.
+[[nodiscard]] bool check_flow_records(const ReportLayout& layout);
+
+/// One member of a splice(): the body (ReportLayout::body) of a report
+/// whose flow records passed check_flow_records, and what that check
+/// returned.
+struct SpliceMember {
+  std::span<const std::uint8_t> body;
+  bool largest_first{true};
+};
+
+/// Writes into `out` (replacing its contents) the fleet merge of
+/// `members`, encoded under `kind`: the very bytes that
+///   core::Report merged = core::merge_member_reports(interval, decoded);
+///   core::sort_by_size(merged);
+///   encode(merged, kind);
+/// write for the members decoded in order, spliced from their records
+/// without decoding one. The header carries the sums and the maximum
+/// shard threshold merge_member_reports computes; the flow records are
+/// a k-way merge by estimate, ties in member order (one largest-first
+/// member is one copy); each member's shard records follow in member
+/// order. Throws CodecError above kMaxShards shard records, as encode().
+void splice(std::vector<std::uint8_t>& out, common::IntervalIndex interval,
+            packet::FlowKeyKind kind, std::span<const SpliceMember> members);
 
 /// The leading bytes of an export file (encoded reports back to back)
 /// that hold whole reports of intervals below `end_interval`: the cut

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstring>
 #include <utility>
 
 #include "common/byte_order.hpp"
@@ -12,24 +13,43 @@
 
 namespace nd::reporting::wal {
 
+namespace {
+
+/// Store the record header for a payload of `head` then `body` at `out`.
+void store_header(std::uint8_t* out, std::uint32_t magic,
+                  std::span<const std::uint8_t> head,
+                  std::span<const std::uint8_t> body) {
+  common::store_be32(out, magic);
+  common::store_be32(out + 4,
+                     static_cast<std::uint32_t>(head.size() + body.size()));
+  common::store_be32(out + 8, common::crc32(body, common::crc32(head)));
+}
+
+/// Store the whole record (header, `head`, `body`) at `out`, which has
+/// room for kHeaderBytes + head.size() + body.size() bytes.
+void store_record(std::uint8_t* out, std::uint32_t magic,
+                  std::span<const std::uint8_t> head,
+                  std::span<const std::uint8_t> body) {
+  store_header(out, magic, head, body);
+  out += kHeaderBytes;
+  if (!head.empty()) std::memcpy(out, head.data(), head.size());
+  if (!body.empty()) std::memcpy(out + head.size(), body.data(), body.size());
+}
+
+}  // namespace
+
 std::array<std::uint8_t, kHeaderBytes> header(
     std::uint32_t magic, std::span<const std::uint8_t> head,
     std::span<const std::uint8_t> body) {
-  const auto length = static_cast<std::uint32_t>(head.size() + body.size());
-  const std::uint32_t crc = common::crc32(body, common::crc32(head));
   std::array<std::uint8_t, kHeaderBytes> out;
-  common::store_be32(out.data(), magic);
-  common::store_be32(out.data() + 4, length);
-  common::store_be32(out.data() + 8, crc);
+  store_header(out.data(), magic, head, body);
   return out;
 }
 
 void append(std::vector<std::uint8_t>& out, std::uint32_t magic,
             std::span<const std::uint8_t> payload) {
-  const auto head = header(magic, payload);
-  out.reserve(out.size() + kHeaderBytes + payload.size());
-  out.insert(out.end(), head.begin(), head.end());
-  out.insert(out.end(), payload.begin(), payload.end());
+  store_record(common::grow(out, kHeaderBytes + payload.size()), magic, {},
+               payload);
 }
 
 Verified verify(std::span<const std::uint8_t> bytes, std::uint32_t magic) {
@@ -51,9 +71,18 @@ ScanStats scan(
     std::span<const std::uint8_t> bytes, std::uint32_t magic,
     const std::function<void(std::span<const std::uint8_t>)>& sink) {
   ScanStats stats;
+  (void)scan_some(bytes, magic, /*at_end=*/true, stats, sink);
+  return stats;
+}
+
+std::size_t scan_some(
+    std::span<const std::uint8_t> bytes, std::uint32_t magic, bool at_end,
+    ScanStats& stats,
+    const std::function<void(std::span<const std::uint8_t>)>& sink) {
   std::size_t pos = 0;
   while (pos < bytes.size()) {
     const std::span<const std::uint8_t> rest = bytes.subspan(pos);
+    if (!at_end && rest.size() < kHeaderBytes) break;
     if (rest.size() < kHeaderBytes ||
         common::load_be32(rest.data()) != magic) {
       // Not a record start (damage, or the torn tail of the previous
@@ -64,6 +93,7 @@ ScanStats scan(
       continue;
     }
     const Verified record = verify(rest, magic);
+    if (!at_end && record.check == Check::kShort) break;
     if (record.check != Check::kRecord) {
       // Magic matched but the record is not whole: a damaged length
       // field, a file that ends mid-payload (a crash between write()
@@ -78,7 +108,7 @@ ScanStats scan(
     sink(rest.first(record.size()));
     pos += record.size();
   }
-  return stats;
+  return pos;
 }
 
 Writer::Writer(WriterConfig config)
@@ -120,11 +150,9 @@ Writer::Written Writer::append(std::uint32_t magic,
     ++stats_.write_errors;
     return {};
   }
-  const auto record_header = header(magic, head, body);
-  scratch_.clear();
-  scratch_.insert(scratch_.end(), record_header.begin(), record_header.end());
-  scratch_.insert(scratch_.end(), head.begin(), head.end());
-  scratch_.insert(scratch_.end(), body.begin(), body.end());
+  // Sized, not cleared: every byte is stored over.
+  scratch_.resize(kHeaderBytes + head.size() + body.size());
+  store_record(scratch_.data(), magic, head, body);
   return write(scratch_);
 }
 

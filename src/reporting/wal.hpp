@@ -101,6 +101,17 @@ struct ScanStats {
 ScanStats scan(std::span<const std::uint8_t> bytes, std::uint32_t magic,
                const std::function<void(std::span<const std::uint8_t>)>& sink);
 
+/// scan() over `bytes`, the next stretch of a longer stream: every
+/// decision is the one scan() makes over the whole stream, but a record
+/// start that `bytes` ends inside (a header or payload cut short) is
+/// left unconsumed unless `at_end` says the stream ends here. Adds to
+/// `stats` and returns how many leading bytes were consumed; the caller
+/// keeps the rest and calls again with more bytes behind it.
+std::size_t scan_some(
+    std::span<const std::uint8_t> bytes, std::uint32_t magic, bool at_end,
+    ScanStats& stats,
+    const std::function<void(std::span<const std::uint8_t>)>& sink);
+
 struct WriterConfig {
   /// Fault-site prefix: every append consults "<store>.disk_full",
   /// "<store>.torn_record" and "<store>.short_write" in that order

@@ -2,8 +2,10 @@
 // trip, torn-record resync, the collector's journal group commit, and
 // the end-to-end restart property — a collector rebuilt from its
 // journal merges bit-identically to one that never died, with devices
-// replaying their spools absorbed by first-copy-wins dedup. The append
-// writer itself (faults, fsync counting) is the WalWriter suite's.
+// replaying their spools absorbed by first-copy-wins dedup — and the
+// block-by-block file replay, which must see exactly what a replay of
+// the whole file sees. The append writer itself (faults, fsync
+// counting) is the WalWriter suite's.
 #include "net/journal.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <span>
 #include <string>
 #include <thread>
@@ -315,6 +318,125 @@ TEST(Journal, ReplayedByeCompletesCollectionWithoutConnections) {
   EXPECT_TRUE(collector.run());
   EXPECT_EQ(collector.stats().connections_accepted, 0u);
   ASSERT_EQ(collector.merged_reports().size(), 1u);
+}
+
+/// Every event a replay delivered, in order, as one comparable value.
+std::vector<std::string> event_log(const RecordedEvents& events) {
+  std::vector<std::string> log;
+  for (const auto& report : events.reports) {
+    log.push_back("report " + std::to_string(report.device) + " " +
+                  std::to_string(report.epoch) + " " +
+                  std::string(report.payload.begin(), report.payload.end()));
+  }
+  for (const auto& bye : events.byes) {
+    log.push_back("bye " + std::to_string(bye.device) + " " +
+                  std::to_string(bye.epoch) + " " +
+                  std::to_string(bye.intervals));
+  }
+  return log;
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Journal, BlockReplayMatchesWholeFileReplayAtEveryBlockSize) {
+  // Reports, a bye, and damage of each kind: a torn record (cut short),
+  // stray bytes, a record with a flipped payload byte, and a file that
+  // ends inside a record.
+  std::vector<std::uint8_t> bytes;
+  const auto report = [](std::uint32_t device, common::IntervalIndex interval,
+                         std::size_t flows) {
+    return encode_journal_report(
+        device, 1,
+        reporting::encode(make_report(interval, flows),
+                          packet::FlowKeyKind::kFiveTuple));
+  };
+  reporting::wal::append(bytes, kJournalMagic, report(0, 0, 40));
+  reporting::wal::append(bytes, kJournalMagic, report(1, 0, 3));
+  std::vector<std::uint8_t> torn;
+  reporting::wal::append(torn, kJournalMagic, report(0, 1, 10));
+  bytes.insert(bytes.end(), torn.begin(), torn.end() - 7);
+  bytes.insert(bytes.end(), {0x4E, 0x44, 0x4A, 0x00, 0x17});
+  std::vector<std::uint8_t> flipped;
+  reporting::wal::append(flipped, kJournalMagic, report(1, 1, 5));
+  flipped[40] ^= 0x01;
+  bytes.insert(bytes.end(), flipped.begin(), flipped.end());
+  reporting::wal::append(bytes, kJournalMagic, report(0, 2, 200));
+  reporting::wal::append(bytes, kJournalMagic, encode_journal_bye(1, 1, 2));
+  reporting::wal::append(bytes, kJournalMagic, report(1, 2, 1));
+  bytes.resize(bytes.size() - 3);
+  const std::string path = fresh_path("blocks.wal");
+  write_bytes(path, bytes);
+
+  RecordedEvents whole;
+  const JournalReplayStats expected = replay_journal(bytes, whole);
+  EXPECT_EQ(expected.records, 4u);
+  EXPECT_GE(expected.torn, 3u);
+  for (const std::size_t block :
+       {std::size_t{1}, std::size_t{5}, std::size_t{12}, std::size_t{13},
+        std::size_t{100}, std::size_t{4096}, bytes.size(),
+        kJournalReplayBlockBytes}) {
+    RecordedEvents blocks;
+    const JournalReplayStats stats = replay_journal_file(path, blocks, block);
+    EXPECT_EQ(stats.records, expected.records) << "block " << block;
+    EXPECT_EQ(stats.torn, expected.torn) << "block " << block;
+    EXPECT_EQ(event_log(blocks), event_log(whole)) << "block " << block;
+  }
+  RecordedEvents none;
+  const JournalReplayStats missing =
+      replay_journal_file(fresh_path("absent.wal"), none);
+  EXPECT_EQ(missing.records + missing.torn, 0u);
+}
+
+TEST(Journal, JournalLargerThanOneBlockReplaysLikeTheWholeFile) {
+  // Two devices, twelve intervals of ~48 KiB reports each: a journal of
+  // more than one replay block, with a torn record in the middle.
+  const std::string journal = fresh_path("large.wal");
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::vector<core::Report>> members(12);
+  for (common::IntervalIndex interval = 0; interval < 12; ++interval) {
+    for (std::uint32_t device = 0; device < 2; ++device) {
+      core::Report report = make_report(interval, 2000 + 10 * device);
+      const std::vector<std::uint8_t> payload =
+          reporting::encode(report, packet::FlowKeyKind::kFiveTuple);
+      std::vector<std::uint8_t> record;
+      reporting::wal::append(record, kJournalMagic,
+                             encode_journal_report(device, 0, payload));
+      if (interval == 5 && device == 1) {
+        bytes.insert(bytes.end(), record.begin(), record.end() - 100);
+        continue;  // torn: device 1 never delivered interval 5
+      }
+      bytes.insert(bytes.end(), record.begin(), record.end());
+      members[interval].push_back(reporting::decode(payload));
+    }
+  }
+  ASSERT_GT(bytes.size(), kJournalReplayBlockBytes);
+  write_bytes(journal, bytes);
+  RecordedEvents whole;
+  const JournalReplayStats expected = replay_journal(bytes, whole);
+
+  CollectorConfig config;
+  config.expected_devices = 2;
+  config.journal_path = journal;
+  const Collector collector(config);
+  const CollectorStats stats = collector.stats();
+  EXPECT_EQ(stats.journal_replayed, expected.records);
+  EXPECT_EQ(stats.journal_torn_records, expected.torn);
+  EXPECT_EQ(stats.reports_ingested, expected.records);
+  EXPECT_EQ(stats.decode_errors, 0u);
+  // Interval 5 waits for device 1, so 0-4 merged and 5-11 are open:
+  // merged_reports() covers both, each the whole-file merge.
+  const std::vector<core::Report> merged = collector.merged_reports();
+  ASSERT_EQ(merged.size(), members.size());
+  for (common::IntervalIndex interval = 0; interval < 12; ++interval) {
+    testing::expect_reports_equal(
+        merged[interval],
+        core::merge_member_reports(interval, members[interval]));
+  }
 }
 
 }  // namespace

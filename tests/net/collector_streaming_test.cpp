@@ -4,7 +4,7 @@
 // copies are dropped. Copies that arrive after their interval merged
 // are duplicates or late reports, a journal restart re-emits the same
 // sequence, and without a sink merged_reports() keeps the whole-run
-// meaning.
+// meaning. The sink gets each merge encoded, as the export writes it.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,32 +70,35 @@ class Device {
   TcpTransport transport_;
 };
 
+/// One encoded merge on_interval handed over.
+using Encoded = std::vector<std::uint8_t>;
+
 /// Records what on_interval receives; the collector calls it from its
 /// own thread (and from the constructor for replayed intervals).
 class Sink {
  public:
-  void operator()(core::Report&& report) {
+  void operator()(std::span<const std::uint8_t> encoded) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    reports_.push_back(std::move(report));
+    merges_.emplace_back(encoded.begin(), encoded.end());
     arrived_.notify_all();
   }
   /// Waits (bounded) until at least `count` merges arrived; returns
   /// everything received so far.
-  std::vector<core::Report> wait_for(std::size_t count) {
+  std::vector<Encoded> wait_for(std::size_t count) {
     std::unique_lock<std::mutex> lock(mutex_);
     arrived_.wait_for(lock, kHangGuard,
-                      [&] { return reports_.size() >= count; });
-    return reports_;
+                      [&] { return merges_.size() >= count; });
+    return merges_;
   }
-  std::vector<core::Report> received() {
+  std::vector<Encoded> received() {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return reports_;
+    return merges_;
   }
 
  private:
   std::mutex mutex_;
   std::condition_variable arrived_;
-  std::vector<core::Report> reports_;
+  std::vector<Encoded> merges_;
 };
 
 CollectorConfig streaming_config(std::uint32_t devices, Sink* sink) {
@@ -102,9 +106,8 @@ CollectorConfig streaming_config(std::uint32_t devices, Sink* sink) {
   config.expected_devices = devices;
   config.timeout = kHangGuard;
   if (sink != nullptr) {
-    config.on_interval = [sink](core::Report&& report,
-                                packet::FlowKeyKind /*kind*/) {
-      (*sink)(std::move(report));
+    config.on_interval = [sink](std::span<const std::uint8_t> encoded) {
+      (*sink)(encoded);
     };
   }
   return config;
@@ -129,10 +132,10 @@ void wait_for_frames(const Collector& collector, std::uint64_t count) {
 void settle() { std::this_thread::sleep_for(std::chrono::milliseconds(30)); }
 
 std::vector<common::IntervalIndex> intervals_of(
-    const std::vector<core::Report>& reports) {
+    const std::vector<Encoded>& merges) {
   std::vector<common::IntervalIndex> intervals;
-  for (const core::Report& report : reports) {
-    intervals.push_back(report.interval);
+  for (const Encoded& encoded : merges) {
+    intervals.push_back(reporting::layout_of(encoded).interval);
   }
   return intervals;
 }
@@ -166,6 +169,18 @@ void expect_same_merges(const std::vector<core::Report>& actual,
   }
 }
 
+/// The sink's merges are the export records: each expected merge
+/// sorted largest-first and encoded.
+void expect_same_merges(const std::vector<Encoded>& actual,
+                        std::vector<core::Report> expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    core::sort_by_size(expected[i]);
+    EXPECT_EQ(actual[i], reporting::encode(expected[i], kKind))
+        << "merge " << i;
+  }
+}
+
 TEST(CollectorStreaming, OneDeviceEmitsEachIntervalBeforeTheNextIsSent) {
   Sink sink;
   Collector collector(streaming_config(1, &sink));
@@ -173,7 +188,7 @@ TEST(CollectorStreaming, OneDeviceEmitsEachIntervalBeforeTheNextIsSent) {
   Device device(collector.port(), 0);
   for (common::IntervalIndex interval = 0; interval < 4; ++interval) {
     device.send(interval);
-    const std::vector<core::Report> received = sink.wait_for(interval + 1);
+    const std::vector<Encoded> received = sink.wait_for(interval + 1);
     ASSERT_EQ(received.size(), interval + 1u);
     expect_same_merges({received.back()}, {expected_merge({0}, interval)});
   }
@@ -237,7 +252,7 @@ TEST(CollectorStreaming, ByeThatExcludesAnIntervalReleasesItWithoutTheMember) {
   // The second device's capture ended after one interval: interval 1
   // cannot wait for it.
   second.bye(1);
-  const std::vector<core::Report> received = sink.wait_for(2);
+  const std::vector<Encoded> received = sink.wait_for(2);
   expect_same_merges(received,
                      {expected_merge({0, 1}, 0), expected_merge({0}, 1)});
   first.bye(2);
@@ -373,12 +388,12 @@ TEST(CollectorStreaming, JournalRestartEmitsTheSameSequenceAsAnUninterruptedRun)
   }
   ASSERT_TRUE(reference.wait());
 
-  const std::vector<core::Report> expected = reference_sink.received();
+  const std::vector<Encoded> expected = reference_sink.received();
   ASSERT_EQ(intervals_of(expected),
             (std::vector<common::IntervalIndex>{0, 1, 2}));
-  expect_same_merges(restarted_sink.received(), expected);
-  expect_same_merges(before_crash.received(),
-                     {expected[0], expected[1]});
+  EXPECT_EQ(restarted_sink.received(), expected);
+  EXPECT_EQ(before_crash.received(),
+            (std::vector<Encoded>{expected[0], expected[1]}));
 }
 
 TEST(CollectorStreaming, WithoutASinkMergedReportsIsTheWholeRunMerge) {
