@@ -38,10 +38,9 @@
 // CollectorConfig::on_interval and drops the member copies, so the
 // collector holds only the open window, not the whole run. Without a
 // sink it keeps the member bytes, and merged_reports() decodes and
-// merges them on demand. A copy that
-// arrives for an interval already merged is never merged again: it is a
-// duplicate when its device had delivered the interval, a late report
-// otherwise. At bye, the intervals the bye counts but that never arrived
+// merges them on demand. A copy that arrives for an interval already
+// merged is never merged again: it is a duplicate when its device had
+// delivered the interval, a late report otherwise. At bye, the intervals the bye counts but that never arrived
 // are recorded as gaps (gaps(), stats().missing_intervals).
 //
 // Lifecycle: construct (binds and listens; port() reports the bound

@@ -4,10 +4,12 @@
 // is recorded, an optional script of verdicts decides which attempts
 // the "wire" accepts (refusal models a failed connect or a dropped
 // connection; an empty script accepts everything), and the accepted
-// bytes are fed through net::FrameStreamParser + decode_full exactly as
-// the collector does. So a test sees what a real collector would: the
-// decoded reports, the resyncs past corrupted frames, and any bytes
-// still buffered waiting for a frame that will never complete.
+// bytes are fed through net::FrameStreamParser + decode_full, which
+// makes the collector's ingest checks but for the canonical-record one
+// (reporting::check_flow_records), a no-op on encoder output. So a test
+// sees what a real collector would: the decoded reports, the resyncs
+// past corrupted frames, and any bytes still buffered waiting for a
+// frame that will never complete.
 #pragma once
 
 #include <cstdint>

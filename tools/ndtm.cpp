@@ -155,9 +155,11 @@
 //       The management-station end: accept device connections on
 //       127.0.0.1:PORT (0 = ephemeral; --port-file writes the bound
 //       port for harnesses), ingest framed reports with per-device
-//       sequence/reconnect tracking and first-copy-wins dedup, and
-//       fleet-merge each interval in device-id order — the same
-//       bit-deterministic merge a sharded device uses — as soon as all
+//       sequence/reconnect tracking and first-copy-wins dedup (a report
+//       whose flow records are not the bytes the encoder writes is a
+//       decode error), and fleet-merge each interval in device-id
+//       order — spliced from the reports' bytes, byte for byte the
+//       merge a sharded device makes — as soon as all
 //       N (default 1, at least 1) devices are known and each has
 //       reported it or said bye,
 //       printing its `interval N:` line and appending it to the
@@ -172,7 +174,7 @@
 //       answers 200 while the daemon runs, /statusz renders the live
 //       device table. --trace path
 //       writes the collector-side chrome-trace spans (frame decodes,
-//       duplicate drops, fleet merges) at exit.
+//       duplicate drops, fleet merges, export writes) at exit.
 //       --journal path makes the merge state crash-durable: every
 //       first-copy report and bye is appended to a CRC-guarded journal
 //       *before* it enters the merge, and a restarted collector
