@@ -355,12 +355,10 @@ std::vector<std::vector<std::uint8_t>> Collector::take_complete_locked() {
   // every member seen so far has reported may still wait for one that
   // has not dialed in yet.
   if (devices_.size() < config_.expected_devices) return ready;
-  std::vector<MemberReport> members;
-  std::vector<reporting::SpliceMember> views;
   while (next_interval_ <= std::numeric_limits<common::IntervalIndex>::max()) {
     const auto interval = static_cast<common::IntervalIndex>(next_interval_);
     if (!interval_complete_locked(interval)) break;
-    members.clear();
+    std::vector<MemberReport> members;
     for (auto& [id, device] : devices_) {
       auto node = device.reports.extract(interval);
       device.merged.resize(interval, false);
@@ -369,12 +367,11 @@ std::vector<std::vector<std::uint8_t>> Collector::take_complete_locked() {
     }
     ++next_interval_;
     if (config_.on_interval) {
-      views.clear();
+      std::vector<reporting::SpliceMember> views;
       for (const MemberReport& member : members) views.push_back(member.view());
       ready.push_back(splice_members(interval, views));
     } else {
       emitted_.emplace_back(interval, std::move(members));
-      members = {};
     }
   }
   return ready;
