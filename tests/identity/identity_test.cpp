@@ -1,7 +1,8 @@
 // Byte identity across versions. Small seeded MAG and COS traces run
 // through pipeline::Measure and pipeline::Collect in process: `measure
-// --export` files, a --connect chain, 2- and 3-member fleets and a
-// collector restarted from its journal. Each output's length and CRC-32
+// --export` files, final `--checkpoint` files, a `measure` stdout, the
+// export of a `--resume` run, a --connect chain, 2- and 3-member fleets
+// and a collector restarted from its journal. Each output's length and CRC-32
 // must equal its row in tools/testdata/identity.txt, so a change that
 // moves one byte of an export, a merged export or the collector's
 // `interval N:` lines fails here instead of in a hand-run `cmp`.
@@ -185,6 +186,81 @@ TEST(Identity, MeasureExports) {
   config = measure_config(mag, "sample-and-hold", "netpair:24", 100'000);
   expect_export_identity("measure.mag.sample-and-hold.netpair24", config, dir);
   (void)captured_stdout();
+}
+
+/// Runs `config` with --checkpoint and checks the checkpoint it leaves
+/// at exit (the whole device state after the last close) against row
+/// `name`.
+void expect_checkpoint_identity(const std::string& name, MeasureConfig config,
+                                const fs::path& dir) {
+  config.checkpoint_path = (dir / (name + ".ndck")).string();
+  ASSERT_EQ(Measure(config).run(), Exit::kOk) << name;
+  expect_identity(name, read_file(config.checkpoint_path));
+}
+
+TEST(Identity, FinalCheckpoints) {
+  const fs::path dir = scratch_dir();
+  const fs::path cos = cos_pcap(dir);
+  ::testing::internal::CaptureStdout();
+  expect_checkpoint_identity(
+      "checkpoint.cos.sample-and-hold.5tuple",
+      measure_config(cos, "sample-and-hold", "5tuple", 20'000), dir);
+  MeasureConfig config = measure_config(mag_pcap(dir), "multistage", "5tuple",
+                                        100'000);
+  config.shards = 3;
+  config.adaptive = true;
+  expect_checkpoint_identity(
+      "checkpoint.mag.multistage.5tuple.shards3.adaptive", config, dir);
+  // 64 entries in 128 slots, kept full: probe runs wrap past the last
+  // slot into slot 0 at the closes.
+  config = measure_config(cos, "sample-and-hold", "dstip", 20'000);
+  config.entries = 64;
+  expect_checkpoint_identity("checkpoint.cos.sample-and-hold.dstip.entries64",
+                             config, dir);
+  (void)captured_stdout();
+}
+
+// Every line `measure` prints. At this cutoff each 5 s interval lists
+// ~1,000 flows, ~70 KB, so a listing spans several stdout writes.
+TEST(Identity, MeasureStdout) {
+  const fs::path dir = scratch_dir();
+  MeasureConfig config =
+      measure_config(cos_pcap(dir), "sample-and-hold", "5tuple", 200);
+  config.interval = seconds(5);
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(Measure(config).run(), Exit::kOk);
+  expect_identity("measure.cos.sample-and-hold.5tuple.stdout",
+                  captured_stdout());
+}
+
+// A run stopped after its first checkpoint, then resumed from it: the
+// restored flow memory closes the remaining intervals. Wherever the stop
+// lands, the resumed export is the whole run's, so the row is stable.
+TEST(Identity, ResumedExport) {
+  const fs::path dir = scratch_dir();
+  MeasureConfig config =
+      measure_config(cos_pcap(dir), "sample-and-hold", "5tuple", 20'000);
+  config.checkpoint_path = (dir / "device.ndck").string();
+  config.export_path = (dir / "resumed.bin").string();
+  MeasureConfig first = config;
+  first.pace = milliseconds(200);
+  Measure measure(first);
+  std::thread stopper([&] {
+    for (int i = 0; i < 2000 && !fs::exists(config.checkpoint_path); ++i) {
+      std::this_thread::sleep_for(milliseconds(5));
+    }
+    measure.stop();
+  });
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(measure.run(), Exit::kOk);
+  stopper.join();
+  MeasureConfig second = config;
+  second.resume = true;
+  EXPECT_EQ(Measure(second).run(), Exit::kOk);
+  const std::string out = captured_stdout();
+  EXPECT_NE(out.find("resume: "), std::string::npos) << out;
+  expect_identity("resume.cos.sample-and-hold.5tuple.export",
+                  read_file(config.export_path));
 }
 
 TEST(Identity, ConnectChain) {
