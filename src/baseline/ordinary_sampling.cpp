@@ -43,14 +43,14 @@ core::Report OrdinarySampling::end_interval() {
   report.interval = interval_;
   report.entries_used = memory_.entries_used();
   const double scale = 1.0 / config_.byte_sampling_probability;
-  memory_.for_each([&](const flowmem::FlowEntry& entry) {
-    report.flows.push_back(core::ReportedFlow{
-        entry.key,
-        static_cast<common::ByteCount>(
-            static_cast<double>(entry.bytes_current) * scale),
-        /*exact=*/false});
-  });
-  memory_.end_interval(flowmem::EndIntervalPolicy{});
+  memory_.end_interval(
+      flowmem::EndIntervalPolicy{}, [&](const flowmem::FlowEntry& entry) {
+        report.flows.push_back(core::ReportedFlow{
+            entry.key,
+            static_cast<common::ByteCount>(
+                static_cast<double>(entry.bytes_current) * scale),
+            /*exact=*/false});
+      });
   ++interval_;
   return report;
 }

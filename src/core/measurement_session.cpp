@@ -31,17 +31,19 @@ void MeasurementSession::attach_telemetry(
       &registry->gauge("nd_session_effective_threshold");
 }
 
-void MeasurementSession::on_interval_closed(const Report& report) {
-  if (trace_ != nullptr) {
-    trace_->instant(
-        "interval.close", "session",
-        telemetry::TraceArgs{-1, -1,
-                             static_cast<std::int64_t>(report.interval),
-                             static_cast<std::int64_t>(
-                                 report.flows.size())},
-        "flows");
+void MeasurementSession::close_interval() {
+  {
+    // The span times the device's close: report, preserve and compact.
+    telemetry::ScopedTraceSpan span(trace_, "interval.close", "session", {},
+                                    "flows");
+    pending_.push_back(device_->end_interval());
+    span.mutable_args() = telemetry::TraceArgs{
+        -1, -1, static_cast<std::int64_t>(pending_.back().interval),
+        static_cast<std::int64_t>(pending_.back().flows.size())};
   }
+  ++intervals_closed_;
   if (tm_registry_ == nullptr) return;
+  const Report& report = pending_.back();
   // One generation stamp over the whole mirror: a snapshot taken
   // mid-close can't pair this interval's counters with the previous
   // interval's gauge.
@@ -64,9 +66,7 @@ void MeasurementSession::close_intervals_until(
     current_end_ns_ = (timestamp_ns / interval_ns_ + 1) * interval_ns_;
   }
   while (timestamp_ns >= current_end_ns_) {
-    pending_.push_back(device_->end_interval());
-    on_interval_closed(pending_.back());
-    ++intervals_closed_;
+    close_interval();
     current_end_ns_ += interval_ns_;
   }
 }
@@ -78,11 +78,7 @@ std::vector<Report> MeasurementSession::drain_reports() {
 }
 
 std::vector<Report> MeasurementSession::finish() {
-  if (started_) {
-    pending_.push_back(device_->end_interval());
-    on_interval_closed(pending_.back());
-    ++intervals_closed_;
-  }
+  if (started_) close_interval();
   return drain_reports();
 }
 

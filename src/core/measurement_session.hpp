@@ -104,8 +104,9 @@ class MeasurementSession {
   /// Anchor the interval clock on the first packet, then close every
   /// interval that ends at or before `timestamp_ns`.
   void close_intervals_until(common::TimestampNs timestamp_ns);
-  /// Telemetry hook, called after each interval's report is queued.
-  void on_interval_closed(const Report& report);
+  /// Close the device's interval and queue its report, traced as an
+  /// `interval.close` span and mirrored into the session telemetry.
+  void close_interval();
 
   std::unique_ptr<MeasurementDevice> device_;
   packet::FlowDefinition definition_;

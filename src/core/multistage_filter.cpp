@@ -224,19 +224,17 @@ Report MultistageFilter::end_interval() {
   report.interval = interval_;
   report.threshold = config_.threshold;
   report.entries_used = memory_.entries_used();
-  report.flows.reserve(report.entries_used);
-  memory_.for_each([&](const flowmem::FlowEntry& entry) {
-    report.flows.push_back(ReportedFlow{entry.key, entry.bytes_current,
-                                        entry.exact_this_interval});
-  });
-
   flowmem::EndIntervalPolicy policy;
   policy.policy = config_.preserve;
   policy.threshold = config_.threshold;
   policy.early_removal_threshold = static_cast<common::ByteCount>(
       config_.early_removal_fraction *
       static_cast<double>(config_.threshold));
-  memory_.end_interval(policy);
+  report.flows.reserve(report.entries_used);
+  memory_.end_interval(policy, [&](const flowmem::FlowEntry& entry) {
+    report.flows.push_back(ReportedFlow{entry.key, entry.bytes_current,
+                                        entry.exact_this_interval});
+  });
   if (tm_.enabled()) {
     if (config_.shielding) tm_shielded_->add(tm_.interval_hits());
     for (std::uint32_t d = 0; d < config_.depth; ++d) {

@@ -97,22 +97,17 @@ Report SampleAndHold::end_interval() {
   report.threshold = config_.threshold;
   report.entries_used = memory_.entries_used();
 
-  report.flows.reserve(report.entries_used);
-  memory_.for_each([&](const flowmem::FlowEntry& entry) {
-    ReportedFlow flow;
-    flow.key = entry.key;
-    flow.exact = entry.exact_this_interval;
-    flow.estimated_bytes = entry.bytes_current;
-    report.flows.push_back(flow);
-  });
-
   flowmem::EndIntervalPolicy policy;
   policy.policy = config_.preserve;
   policy.threshold = config_.threshold;
   policy.early_removal_threshold = static_cast<common::ByteCount>(
       config_.early_removal_fraction *
       static_cast<double>(config_.threshold));
-  memory_.end_interval(policy);
+  report.flows.reserve(report.entries_used);
+  memory_.end_interval(policy, [&](const flowmem::FlowEntry& entry) {
+    report.flows.push_back(ReportedFlow{entry.key, entry.bytes_current,
+                                        entry.exact_this_interval});
+  });
   tm_.on_end_interval(report.entries_used, memory_.capacity(),
                       report.entries_used - memory_.entries_used(),
                       config_.threshold);

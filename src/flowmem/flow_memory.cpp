@@ -25,11 +25,6 @@ FlowMemory::FlowMemory(std::size_t capacity, std::uint64_t seed)
       capacity_(capacity),
       family_(seed) {}
 
-std::size_t FlowMemory::slot_of(const packet::FlowKey& key) const {
-  return static_cast<std::size_t>(family_.scramble(key.fingerprint())) &
-         slot_mask_;
-}
-
 std::size_t FlowMemory::probe_empty(std::size_t slot) const {
   const std::size_t mask = slot_mask_;
   const std::uint8_t* tags = tags_.data();
@@ -69,50 +64,31 @@ void FlowMemory::clear_tags() {
   std::fill(tags_.begin(), tags_.end(), std::uint8_t{0});
 }
 
-void FlowMemory::end_interval(const EndIntervalPolicy& policy) {
-  // Collect survivors, then rebuild the table. A rebuild once per
-  // interval keeps the open-addressing invariant (no holes inside probe
-  // chains) without tombstones on the per-packet fast path. Empty slots
-  // already hold FlowEntry{}, so resetting the occupied ones leaves the
-  // same table a full wipe would.
-  survivors_.clear();
-  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-    if (tags_[slot] == 0) continue;
-    FlowEntry& entry = slots_[slot];
-    bool keep = false;
-    switch (policy.policy) {
-      case PreservePolicy::kClear:
-        keep = false;
-        break;
-      case PreservePolicy::kPreserve:
-        keep = entry.bytes_current >= policy.threshold ||
-               entry.created_this_interval;
-        break;
-      case PreservePolicy::kEarlyRemoval:
-        keep = entry.bytes_current >= policy.threshold ||
-               (entry.created_this_interval &&
-                entry.bytes_current >= policy.early_removal_threshold);
-        break;
-    }
-    if (keep) survivors_.push_back(entry);
-    entry = FlowEntry{};
-  }
+void FlowMemory::remove(std::size_t slot) {
+  slots_[slot] = FlowEntry{};
+  set_tag(slot, 0);
+  --used_;
+}
 
-  clear_tags();
-  used_ = 0;
-  for (FlowEntry& survivor : survivors_) {
-    survivor.bytes_current = 0;
-    survivor.created_this_interval = false;
-    survivor.exact_this_interval = true;
-    const std::uint64_t hash =
-        family_.scramble(survivor.key.fingerprint());
-    const std::size_t slot =
-        probe_empty(static_cast<std::size_t>(hash) & slot_mask_);
-    slots_[slot] = survivor;
-    set_tag(slot, tag_of(hash));
-    ++used_;
-  }
-  // The high-water mark intentionally persists across intervals.
+void FlowMemory::reinsert(FlowEntry& entry) {
+  start_next_interval(entry);
+  const std::uint64_t hash = family_.scramble(entry.key.fingerprint());
+  const std::size_t to =
+      probe_empty(static_cast<std::size_t>(hash) & slot_mask_);
+  slots_[to] = entry;
+  set_tag(to, tag_of(hash));
+  ++used_;
+}
+
+std::size_t FlowMemory::stash_wrapping_run() {
+  // At most half the slots are occupied, so the run starts after an
+  // empty slot above slot 0.
+  std::size_t first = slots_.size() - 1;
+  while (tags_[first - 1] != 0) --first;
+  wrapped_.assign(slots_.begin() + static_cast<std::ptrdiff_t>(first),
+                  slots_.end());
+  for (std::size_t slot = first; slot < slots_.size(); ++slot) remove(slot);
+  return first;
 }
 
 void FlowMemory::save_state(common::StateWriter& out) const {

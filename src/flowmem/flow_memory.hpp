@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/state_buffer.hpp"
@@ -57,6 +58,11 @@ struct alignas(64) FlowEntry {
 };
 
 enum class PreservePolicy { kClear, kPreserve, kEarlyRemoval };
+
+/// The visitor of a close whose caller reports nothing.
+struct IgnoreEntry {
+  void operator()(const FlowEntry& /*entry*/) const {}
+};
 
 struct EndIntervalPolicy {
   PreservePolicy policy{PreservePolicy::kClear};
@@ -103,7 +109,7 @@ class FlowMemory {
     // Word-at-a-time scan: byte lane p of a group is slot slot+p, so
     // lane masks order candidates exactly like a one-slot-at-a-time
     // probe would visit them. The chain is a contiguous occupied run
-    // from the home slot (the rebuild in end_interval leaves no
+    // from the home slot (end_interval compacts survivors and leaves no
     // tombstones), so the scan stops at the first empty lane; tag
     // matches past it are stale coincidences and are discarded
     // unchecked.
@@ -136,14 +142,52 @@ class FlowMemory {
     entry.bytes_lifetime += bytes;
   }
 
-  /// Apply an end-of-interval policy: surviving entries have
-  /// bytes_current zeroed and become exact for the next interval.
-  /// Visits only occupied slots (found from the tags): survivors are
-  /// copied out in slot order into a reused buffer, only the slots that
-  /// were occupied are reset, and the survivors are reinserted in the
-  /// same order. The result — placement included — is exactly that of
-  /// wiping the table and reinserting, so checkpoints are unchanged.
-  void end_interval(const EndIntervalPolicy& policy);
+  /// Close the interval in one pass: each occupied entry, in slot
+  /// order, is handed to `visit` (the device's report) as it stood, then
+  /// the policy keeps or removes it. A kept entry has bytes_current
+  /// zeroed, becomes exact for the next interval and is compacted in
+  /// place: it moves back only when a removal earlier in its probe run
+  /// freed a slot between its home and it. The one run that wraps past
+  /// the last slot into slot 0 is moved to a small buffer first and
+  /// closed last, because slot order closes its head (at slot 0) before
+  /// its tail. The result — placement included — is exactly that of
+  /// wiping the table and reinserting the survivors in slot order, so
+  /// checkpoints do not depend on how the close is done.
+  template <typename Visit = IgnoreEntry>
+  void end_interval(const EndIntervalPolicy& policy, Visit&& visit = {}) {
+    const std::size_t last = slots_.size() - 1;
+    const bool wraps = tags_[last] != 0 && tags_[0] != 0;
+    const std::size_t end = wraps ? stash_wrapping_run() : slots_.size();
+    // Whether a slot of the current probe run has been emptied by this
+    // close; until one has, survivors stay where they are.
+    bool freed = wraps;
+    for (std::size_t slot = 0; slot < end; ++slot) {
+      if (tags_[slot] == 0) {
+        freed = false;
+        continue;
+      }
+      const FlowEntry& entry = slots_[slot];
+      visit(entry);
+      if (!keeps(policy, entry)) {
+        remove(slot);
+        freed = true;
+      } else if (freed) {
+        // Reinserted from its home, it lands at or before `slot`: the
+        // slots before it in the run are final.
+        FlowEntry survivor = entry;
+        remove(slot);
+        reinsert(survivor);
+      } else {
+        start_next_interval(slots_[slot]);
+      }
+    }
+    for (FlowEntry& entry : wrapped_) {
+      visit(std::as_const(entry));
+      if (keeps(policy, entry)) reinsert(entry);
+    }
+    wrapped_.clear();
+    // The high-water mark intentionally persists across intervals.
+  }
 
   /// Visit every occupied entry in slot order. Walks the tag array and
   /// reads only the payload lines of occupied slots.
@@ -177,7 +221,37 @@ class FlowMemory {
   void restore_state(common::StateReader& in);
 
  private:
-  [[nodiscard]] std::size_t slot_of(const packet::FlowKey& key) const;
+  /// Whether `policy` keeps `entry` for the next interval.
+  [[nodiscard]] static bool keeps(const EndIntervalPolicy& policy,
+                                  const FlowEntry& entry) {
+    switch (policy.policy) {
+      case PreservePolicy::kClear:
+        return false;
+      case PreservePolicy::kPreserve:
+        return entry.bytes_current >= policy.threshold ||
+               entry.created_this_interval;
+      case PreservePolicy::kEarlyRemoval:
+        return entry.bytes_current >= policy.threshold ||
+               (entry.created_this_interval &&
+                entry.bytes_current >= policy.early_removal_threshold);
+    }
+    return false;
+  }
+  /// A survivor's counters for the next interval.
+  static void start_next_interval(FlowEntry& entry) {
+    entry.bytes_current = 0;
+    entry.created_this_interval = false;
+    entry.exact_this_interval = true;
+  }
+  /// Empty `slot`.
+  void remove(std::size_t slot);
+  /// Keep a survivor taken out of the table: ready it for the next
+  /// interval and place it at the first empty slot from its home.
+  void reinsert(FlowEntry& entry);
+  /// Move the occupied run that ends at the last slot into wrapped_,
+  /// emptying its slots; returns its first slot. Called only when that
+  /// run continues at slot 0.
+  std::size_t stash_wrapping_run();
   /// Write a tag, mirroring the head of the array past the end so a
   /// group load starting at any slot index reads the wrapped chain
   /// contiguously. The pad is kTagGroupWidth bytes; for tables smaller
@@ -200,8 +274,9 @@ class FlowMemory {
   /// Parallel occupancy/fingerprint tags, slots_.size() + kTagGroupWidth
   /// bytes (mirrored head; see set_tag).
   std::vector<std::uint8_t> tags_;
-  /// end_interval's survivor buffer, kept to reuse its allocation.
-  std::vector<FlowEntry> survivors_;
+  /// end_interval's buffer for the run that wraps past the last slot
+  /// (empty between closes; kept to reuse its allocation).
+  std::vector<FlowEntry> wrapped_;
   std::size_t slot_mask_;
   std::size_t capacity_;
   std::size_t used_{0};

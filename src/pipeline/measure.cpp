@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/sampled_netflow.hpp"
 #include "common/format.hpp"
 #include "common/thread_pool.hpp"
 #include "core/adaptive_device.hpp"
@@ -61,11 +60,6 @@ void validate(const MeasureConfig& config) {
                 " exceeds max(1, --entries / 64) = " +
                 std::to_string(max_shards));
   }
-  if (config.adaptive && config.algorithm == "netflow") {
-    throw usage(
-        "--adaptive needs a thresholded algorithm (sample-and-hold, "
-        "multistage)");
-  }
   const std::uint32_t device_id = config.transport.device_id;
   if (config.fleet_size > 0) {
     if (device_id >= config.fleet_size) {
@@ -101,15 +95,13 @@ void validate(const MeasureConfig& config) {
   }
 }
 
-enum class Algorithm { kSampleAndHold, kMultistage, kNetflow };
+enum class Algorithm { kSampleAndHold, kMultistage };
 
 Algorithm algorithm_by_name(const std::string& name) {
   if (name == "sample-and-hold") return Algorithm::kSampleAndHold;
   if (name == "multistage") return Algorithm::kMultistage;
-  if (name == "netflow") return Algorithm::kNetflow;
-  throw Error(Exit::kUsage,
-              "unknown algorithm: " + name +
-                  " (sample-and-hold, multistage, netflow)");
+  throw Error(Exit::kUsage, "unknown algorithm: " + name +
+                                " (sample-and-hold, multistage)");
 }
 
 packet::FlowDefinition flow_def_by_name(const std::string& name) {
@@ -157,12 +149,6 @@ std::unique_ptr<core::MeasurementDevice> device_by_algorithm(
       config.metrics = metrics;
       config.metric_labels = std::move(metric_labels);
       return std::make_unique<core::MultistageFilter>(config);
-    }
-    case Algorithm::kNetflow: {
-      baseline::SampledNetFlowConfig config;
-      config.sampling_divisor = 16;
-      config.seed = seed;
-      return std::make_unique<baseline::SampledNetFlow>(config);
     }
   }
   return nullptr;
@@ -480,12 +466,16 @@ telemetry::HttpExporterConfig MeasureRun::health_endpoint() {
 
 void MeasureRun::report(std::vector<core::Report>& reports) {
   // Each interval's listing (header, --shard-usage lines, one line per
-  // flow at or above the cutoff) is rendered into one reused buffer and
-  // handed to stdout with a single fwrite, which keeps it in order with
-  // the printf lines around it. The buffer belongs to the report
+  // flow at or above the cutoff) is rendered into one reused buffer,
+  // handed to stdout with fwrite (which keeps it in order with the
+  // printf lines around it) each time it reaches kListingChunk bytes and
+  // at the listing's end. So the buffer holds one chunk, not a whole
+  // listing (~140 KB on a cos-interval-churn interval), and each write
+  // still carries hundreds of lines. The buffer belongs to the report
   // thread: in the packet thread's frame its header shared a cache line
   // with the packet loop's per-packet temporaries, and that false
   // sharing cost up to a quarter more CPU on cos-interval-churn.
+  constexpr std::size_t kListingChunk = 16 * 1024;
   thread_local std::string listing;
   for (auto& report : reports) {
     const telemetry::TraceArgs trace_args{
@@ -517,6 +507,10 @@ void MeasureRun::report(std::vector<core::Report>& reports) {
       for (const auto& flow : report.flows) {
         if (flow.estimated_bytes < cutoff) break;
         core::append_flow_line(listing, flow);
+        if (listing.size() >= kListingChunk) {
+          std::fwrite(listing.data(), 1, listing.size(), stdout);
+          listing.clear();
+        }
       }
       std::fwrite(listing.data(), 1, listing.size(), stdout);
     }

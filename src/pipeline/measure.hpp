@@ -30,7 +30,7 @@ namespace nd::pipeline {
 struct MeasureConfig {
   /// The pcap to replay (`--in`, required).
   std::string input{};
-  /// sample-and-hold, multistage or netflow (`--algorithm`).
+  /// sample-and-hold or multistage (`--algorithm`).
   std::string algorithm{"multistage"};
   /// 5tuple, dstip or netpair:<prefixlen> (`--flow-def`).
   std::string flow_def{"5tuple"};

@@ -1,9 +1,11 @@
-// The interval close that visits only occupied slots against the full
-// rebuild it replaced (wipe every slot, reinsert the survivors), kept
-// here as ReferenceFlowMemory::end_interval. Placement decides probe
-// chains and checkpoint bytes, so after every close the two tables must
-// save byte-identical state and visit the same entries in the same
-// order.
+// The one-pass interval close (visit each occupied slot for the report,
+// apply the policy, compact in place) against the two passes it
+// replaced: for_each for the report, then the full rebuild (wipe every
+// slot, reinsert the survivors), kept here as ReferenceFlowMemory.
+// Placement decides probe chains and checkpoint bytes, so at every close
+// the one pass must visit the entries the reference's for_each visits,
+// in the same order and with the same values, and afterwards the two
+// tables must save byte-identical state and hold the same entries.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,14 +40,19 @@ struct Visited {
   bool operator==(const Visited&) const = default;
 };
 
+Visited visited(const FlowEntry& e) {
+  return Visited{e.key,
+                 e.bytes_current,
+                 e.bytes_lifetime,
+                 e.created_interval,
+                 e.created_this_interval,
+                 e.exact_this_interval};
+}
+
 template <typename Memory>
 std::vector<Visited> visit_order(const Memory& memory) {
   std::vector<Visited> out;
-  memory.for_each([&out](const FlowEntry& e) {
-    out.push_back(Visited{e.key, e.bytes_current, e.bytes_lifetime,
-                          e.created_interval, e.created_this_interval,
-                          e.exact_this_interval});
-  });
+  memory.for_each([&out](const FlowEntry& e) { out.push_back(visited(e)); });
   return out;
 }
 
@@ -58,6 +65,26 @@ void expect_same(const FlowMemory& actual,
   expected.save_state(expected_state);
   EXPECT_EQ(actual_state.bytes(), expected_state.bytes());
   EXPECT_TRUE(visit_order(actual) == visit_order(expected));
+}
+
+/// Closes both tables: the one-pass close must visit what the
+/// reference's for_each visits before its rebuild, then leave the same
+/// table.
+void close_both(FlowMemory& memory, ReferenceFlowMemory& reference,
+                const EndIntervalPolicy& end) {
+  std::vector<Visited> reported;
+  memory.end_interval(
+      end, [&reported](const FlowEntry& e) { reported.push_back(visited(e)); });
+  const std::vector<Visited> expected = visit_order(reference);
+  reference.end_interval(end);
+  EXPECT_TRUE(reported == expected) << "the close reported other entries";
+  expect_same(memory, reference);
+}
+
+/// Whether the occupied run at the last slot continues at slot 0.
+bool wraps(const ReferenceFlowMemory& reference) {
+  return reference.slot(0).occupied &&
+         reference.slot(reference.slot_count() - 1).occupied;
 }
 
 /// Count `packets` random packets over `key_space` keys into both
@@ -99,9 +126,7 @@ TEST(FlowMemoryClose, RandomFillsMatchFullRebuild) {
       for (common::IntervalIndex interval = 0; interval < 6; ++interval) {
         feed(memory, reference, rng, key_space,
              static_cast<int>(rng() % (capacity * 4)), interval);
-        memory.end_interval(end);
-        reference.end_interval(end);
-        expect_same(memory, reference);
+        close_both(memory, reference, end);
         if (::testing::Test::HasFailure()) {
           FAIL() << "seed " << seed << " policy "
                  << static_cast<int>(policy) << " interval " << interval;
@@ -116,19 +141,13 @@ TEST(FlowMemoryClose, EmptyTable) {
     FlowMemory memory(64, 5);
     ReferenceFlowMemory reference(64, 5);
     const EndIntervalPolicy end{policy, 6'000, 1'000};
-    memory.end_interval(end);
-    reference.end_interval(end);
-    expect_same(memory, reference);
+    close_both(memory, reference, end);
     EXPECT_EQ(memory.entries_used(), 0U);
     // A close of an emptied table, and a table refilled after it.
-    memory.end_interval(end);
-    reference.end_interval(end);
-    expect_same(memory, reference);
+    close_both(memory, reference, end);
     std::mt19937_64 rng(11);
     feed(memory, reference, rng, 40, 200, 2);
-    memory.end_interval(end);
-    reference.end_interval(end);
-    expect_same(memory, reference);
+    close_both(memory, reference, end);
   }
 }
 
@@ -142,9 +161,7 @@ TEST(FlowMemoryClose, FullTable) {
     for (common::IntervalIndex interval = 0; interval < 4; ++interval) {
       feed(memory, reference, rng, 1'000, 4'000, interval);
       ASSERT_EQ(memory.entries_used(), kCapacity);
-      memory.end_interval(end);
-      reference.end_interval(end);
-      expect_same(memory, reference);
+      close_both(memory, reference, end);
     }
   }
 }
@@ -180,12 +197,40 @@ TEST(FlowMemoryClose, ProbeChainsWrappingPastTheTableEnd) {
     feed(memory, reference, rng, 60, 100, 0);
     const EndIntervalPolicy end{policy, 6'000, 1'000};
     for (common::IntervalIndex interval = 1; interval < 4; ++interval) {
-      memory.end_interval(end);
-      reference.end_interval(end);
-      expect_same(memory, reference);
+      close_both(memory, reference, end);
       feed(memory, reference, rng, 60, 100, interval);
     }
   }
+}
+
+TEST(FlowMemoryClose, TinyTablesMatchFullRebuild) {
+  // Capacities 1-4 get 8 slots, as many as one tag group and its
+  // mirror; 5-8 get 16. Runs wrap past the last slot at most closes.
+  int wrapping_closes = 0;
+  for (std::size_t capacity = 1; capacity <= 8; ++capacity) {
+    for (std::uint64_t seed = 0; seed < 30; ++seed) {
+      for (const PreservePolicy policy : kPolicies) {
+        std::mt19937_64 rng(seed * 131 + capacity * 7 +
+                            static_cast<std::uint64_t>(policy));
+        FlowMemory memory(capacity, seed);
+        ReferenceFlowMemory reference(capacity, seed);
+        const EndIntervalPolicy end{policy, 6'000, 1'000};
+        for (common::IntervalIndex interval = 0; interval < 5; ++interval) {
+          feed(memory, reference, rng,
+               static_cast<std::uint32_t>(1 + rng() % (capacity * 3)),
+               static_cast<int>(rng() % (capacity * 6 + 1)), interval);
+          if (wraps(reference)) ++wrapping_closes;
+          close_both(memory, reference, end);
+          if (::testing::Test::HasFailure()) {
+            FAIL() << "capacity " << capacity << " seed " << seed
+                   << " policy " << static_cast<int>(policy) << " interval "
+                   << interval;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(wrapping_closes, 100) << "too few closes had a wrapping run";
 }
 
 }  // namespace

@@ -39,7 +39,7 @@
 //       and print (and optionally export) the heavy hitters per
 //       interval, then a `pcap:` line counting the records read and
 //       the frames skipped (not IPv4 or headers truncated) and the
-//       `done:` summary. Algorithms: sample-and-hold, multistage, netflow.
+//       `done:` summary. Algorithms: sample-and-hold, multistage.
 //       Flow definitions: 5tuple, dstip, netpair:<prefixlen> (0-32).
 //       --shards N > 1 (at most max(1, --entries / 64), since every
 //       shard keeps at least 64 entries) partitions the flow space

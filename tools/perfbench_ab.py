@@ -6,8 +6,10 @@ interleaved pairs on this host, alternating which side runs first, so
 both see the same load drift. Each side first makes one unrecorded
 warm-up run (it builds that tree and generates its inputs). Prints, per
 metric, both medians, the change, the base runs' interquartile range
-(the spread a change must beat) and how many pairs the candidate won (a
-tie is not a win).
+(the spread a change must beat), how many pairs the candidate won (a
+tie is not a win) and whether a gain claimed on that metric holds: the
+candidate wins at least 9 of every 10 pairs and its median is better
+than the base median by more than the base IQR.
 
     python3 tools/perfbench_ab.py --base ../parent --change . \\
         --workload mag-5tuple --pairs 5 --seconds 10
@@ -77,7 +79,7 @@ def main():
     print(f"{args.workload}: {args.pairs} interleaved pairs, "
           f"--seconds {args.seconds:g}, seed {args.seed}")
     print(f"  {'metric':28s} {'base':>12s} {'change':>12s} {'delta':>8s} "
-          f"{'base IQR':>10s}  wins")
+          f"{'base IQR':>10s} {'claim':>5s}  wins")
     for name in runs["base"][0]:
         base = [run[name] for run in runs["base"]]
         change = [run[name] for run in runs["change"]]
@@ -89,8 +91,12 @@ def main():
         delta = (f"{100.0 * (change_median - base_median) / base_median:+.1f}%"
                  if base_median else "n/a")
         q1, _, q3 = quantiles(base, n=4) if len(base) > 1 else (0, 0, 0)
+        gain = (change_median - base_median if higher
+                else base_median - change_median)
+        claim = "holds" if 10 * wins >= 9 * args.pairs and gain > q3 - q1 \
+            else "no"
         print(f"  {name:28s} {base_median:12.6g} {change_median:12.6g} "
-              f"{delta:>8s} {q3 - q1:10.4g}  {wins}/{args.pairs}"
+              f"{delta:>8s} {q3 - q1:10.4g} {claim:>5s}  {wins}/{args.pairs}"
               + (f" ({ties} tied)" if ties else ""))
     return 0
 

@@ -86,12 +86,17 @@ endif()
 # ---------------------------------------------------------------------
 # Exit-code contract: 2 bad arguments, 3 decode errors, 4 runtime
 # faults — each distinct and non-zero so scripts can tell them apart.
-execute_process(
-  COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap --algorithm no-such
-  RESULT_VARIABLE rv ERROR_QUIET OUTPUT_QUIET)
-if(NOT rv EQUAL 2)
-  message(FATAL_ERROR "bad algorithm should exit 2, got ${rv}")
-endif()
+# netflow is a baseline of the eval driver, not a measure algorithm.
+foreach(bad_algorithm no-such netflow)
+  execute_process(
+    COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap
+            --algorithm ${bad_algorithm}
+    RESULT_VARIABLE rv ERROR_QUIET OUTPUT_QUIET)
+  if(NOT rv EQUAL 2)
+    message(FATAL_ERROR
+            "--algorithm ${bad_algorithm} should exit 2, got ${rv}")
+  endif()
+endforeach()
 # A flag the subcommand does not read is a usage error naming the flag,
 # never a silent run with defaults: a typo, and removed flags.
 foreach(bad_flag "--treshold;1" "--hugepages" "--pin;1" "--watchdog-ms;5000"
